@@ -1,0 +1,87 @@
+"""Frozen CLI outputs: the SHA-256 of each report payload and CSV grid.
+
+Report hashes drop ``diagnostics.timings`` (wall time) and
+``diagnostics.backend`` (which kernel backend imported), so they hold on
+every machine whose float arithmetic matches; everything else a report says
+is covered byte for byte.  A refactor that changes any number, key or
+formatting in these outputs fails here.
+"""
+
+import hashlib
+import json
+
+import pytest
+
+from pvilab.cli import main
+
+REPORTS = [
+    (
+        ["eval", "--r", "1/4", "--s", "0", "--tau", "0+1.5i"],
+        "e664ca3bac4cc0eee5431b3eb5384f7cf06d8e6f9b72583f9184e55e16f710d6",
+    ),
+    (
+        ["eval", "--r", "1/3", "--s", "0", "--tau", "0.2+1.2i"],
+        "7db081bf306928a93e60e20ffacd2b56f870c8be5236671ef9edfda9dfda0a13",
+    ),
+    (
+        ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F0"],
+        "68faf77d3f63a27f9ea5dc9be5659b9d8a8e57aec6aa6367961c6c3da0149119",
+    ),
+    (
+        ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F"],
+        "a44f055c1d6318c6c1e944a938567fac812a1c7e7ee4045f51b7729647e85720",
+    ),
+    (
+        ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F2"],
+        "49e90bad90a948543dd73060943d416f5882029e2400e9a606d4d47f84dcc9dc",
+    ),
+    (
+        ["zeros", "--r", "1/5", "--s", "1/5", "--domain", "F"],
+        "b6081db7a57204f8d0fbc6e961486b21bf0db1bd37442b03bc727474c7ba8b64",
+    ),
+    (
+        ["count", "--N", "8"],
+        "e9517e013e399349744ede10ac5c83d69cb3a784195879dfb6158ca4e58f6ae5",
+    ),
+    (
+        ["count", "--N", "12"],
+        "28940059f58bbc7a5063d88fd528ade1f558d652d8928771ef104123af6e94c5",
+    ),
+    (
+        ["orbits", "--N", "6"],
+        "933bd30c3644d84bacf4fa92a9c90ce30ef34bb4598770824387329be165390a",
+    ),
+]
+
+GRIDS = [
+    (
+        ["scan", "--mode", "z2", "--r", "0.3", "--s", "0.2",
+         "--re-min", "0.0", "--re-max", "0.5", "--im-min", "0.8", "--im-max", "1.2",
+         "--nx", "5", "--ny", "4"],
+        "a247afe74d78790548f31ef6607f336f82b333371a358f7aa6ed4eb117846131",
+    ),
+    (
+        ["scan", "--mode", "winding", "--domain", "F0",
+         "--re-min", "0.55", "--re-max", "0.65", "--im-min", "0.25", "--im-max", "0.35",
+         "--nx", "2", "--ny", "2"],
+        "68c2666061030ffb2119e071d0a0a871f28ff9034353717d04a927881d81d428",
+    ),
+]
+
+
+@pytest.mark.parametrize("argv,digest", REPORTS, ids=[" ".join(a) for a, _ in REPORTS])
+def test_report_payload_frozen(argv, digest, tmp_path):
+    out = tmp_path / "report.json"
+    assert main(argv + ["--out", str(out)]) == 0
+    payload = json.loads(out.read_text())
+    payload["diagnostics"].pop("timings", None)
+    payload["diagnostics"].pop("backend", None)
+    text = json.dumps(payload, sort_keys=True)
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+@pytest.mark.parametrize("argv,digest", GRIDS, ids=[a[2] for a, _ in GRIDS])
+def test_scan_csv_frozen(argv, digest, tmp_path):
+    out = tmp_path / "grid.csv"
+    assert main(argv + ["--out", str(out)]) == 0
+    assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
