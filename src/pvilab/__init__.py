@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from ._backend import backend_name
 from .elliptic import (
-    HalfPeriods,
     LatticeData,
     ModuliPoint,
     invariants_g,
@@ -94,7 +93,6 @@ __all__ = [
     "F",
     "F0",
     "F2",
-    "HalfPeriods",
     "hecke_Z",
     "Inconclusive",
     "IncoherentWinding",

@@ -1,25 +1,17 @@
-"""Kernel backend selection.
+"""Kernel backend: numba's ``@njit`` when numba imports, plain Python otherwise.
 
-The hot numeric kernels in ``_kernels`` are written as plain scalar Python
-and compiled with numba's ``@njit`` by default.  Setting the environment
-variable ``PVI_LAB_BACKEND=numpy`` (read once at import time) skips the JIT
-and runs the identical code paths in the interpreter; results are the same,
-only slower.  ``bench/bench_backends.py`` compares the two.
+The hot kernels in ``_kernels`` are scalar code that numba can compile.
+numba is the optional ``jit`` extra; without it the same code runs in the
+interpreter with the same results, only slower.  ``backend_name()`` reports
+which of the two is in effect; the CLI reports record it.
 """
 
-import os
+try:
+    from numba import njit as _numba_njit
+except ImportError:  # the optional ``jit`` extra is not installed
+    _numba_njit = None
 
-_requested = os.environ.get("PVI_LAB_BACKEND", "numba").strip().lower()
-if _requested not in ("numba", "numpy"):
-    _requested = "numba"
-
-JIT_ENABLED = _requested == "numba"
-
-if JIT_ENABLED:
-    try:
-        from numba import njit as _numba_njit
-    except ImportError:  # pragma: no cover - numba is a declared dependency
-        JIT_ENABLED = False
+JIT_ENABLED = _numba_njit is not None
 
 if JIT_ENABLED:
 

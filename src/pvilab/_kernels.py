@@ -1,8 +1,9 @@
 """Scalar numeric kernels: Fourier (q-) series for Weierstrass functions.
 
-Everything here is nopython-compatible and wrapped by ``@njit`` unless the
-numpy backend is forced (see ``_backend``).  The evaluation strategy for a
-point tau in the upper half-plane:
+Everything here is nopython-compatible and wrapped by ``@njit``, which
+compiles it when numba is installed and is the identity otherwise (see
+``_backend``).  The evaluation strategy for a point tau in the upper
+half-plane:
 
 1. reduce tau to the standard fundamental domain {|Re| <= 1/2, |tau| >= 1}
    with an integer matrix, so the nome q = exp(2*pi*i*tau_red) satisfies
@@ -69,45 +70,26 @@ def reduce_tau(tau):
 def reduce_z(z, tau):
     """Translate z by the lattice Z + Z*tau into the centred cell.
 
-    Returns (z0, m, n, dist) with z = z0 + m + n*tau, |Im z0| <= Im(tau)/2,
-    and dist = distance from z0 to the nearest lattice point.
+    Returns (z0, m, n, dist, em, en) with z = z0 + m + n*tau,
+    |Im z0| <= Im(tau)/2, and em + en*tau (em, en in {-1, 0, 1}) the lattice
+    point nearest to z0, at distance dist; (0, 0) wins ties.
     """
     y = z.imag / tau.imag
     x = z.real - y * tau.real
     m = int(math.floor(x + 0.5))
     n = int(math.floor(y + 0.5))
     z0 = z - m - n * tau
-    dist = 1e308
+    dist = abs(z0)
+    bm = 0
+    bn = 0
     for em in (-1, 0, 1):
         for en in (-1, 0, 1):
-            w = z0 - em - en * tau
-            dw = abs(w)
+            dw = abs(z0 - em - en * tau)
             if dw < dist:
                 dist = dw
-    return z0, m, n, dist
-
-
-@njit
-def eisenstein(q):
-    """E2, E4, E6 at the (reduced) nome q, plus a truncation-tail bound."""
-    e2 = 1.0 + 0j
-    e4 = 1.0 + 0j
-    e6 = 1.0 + 0j
-    qk = 1.0 + 0j
-    tail = 0.0
-    for k in range(1, _KMAX):
-        qk = qk * q
-        f = qk / (1.0 - qk)
-        kf = float(k)
-        k3 = kf * kf * kf
-        e2 -= 24.0 * kf * f
-        e4 += 240.0 * k3 * f
-        e6 -= 504.0 * k3 * kf * kf * f
-        m = 504.0 * k3 * kf * kf * abs(qk)
-        if m < 1e-18 and k >= 6:
-            tail = 2.0 * m
-            break
-    return e2, e4, e6, tail
+                bm = em
+                bn = en
+    return z0, m, n, dist, bm, bn
 
 
 @njit
@@ -163,21 +145,36 @@ def wz_series(z, tau, q):
 
 
 @njit
-def elliptic_at(z, tau):
-    """Full evaluation bundle at arbitrary (z, tau), Im tau > 0.
+def lattice_constants(tau):
+    """Reduce tau and carry the lattice constants back through the weight laws.
 
-    Returns (wp, wp', zeta, eta1, eta2, g2, g3, dist, err) where dist is the
-    reduced-cell distance of z from the lattice and err is a crude absolute
-    error estimate (truncation tail + 10 eps amplification).  When
-    dist < 1e-12 the series values are returned as NaN; callers must check
-    dist before trusting them.
+    Returns (tau_red, q_red, j, eta1_red, eta1, eta2, g2, g3, tail): the
+    reduced point and its nome, the automorphy factor j = c*tau + d of the
+    reducing matrix, eta1 at tau_red, then eta1, eta2, g2, g3 at tau itself
+    and the truncation-tail bound of the Eisenstein series behind them.
     """
     tred, a, b, c, d = reduce_tau(tau)
     qred = cmath.exp(2j * _PI * tred)
-    e2, e4, e6, tail_e = eisenstein(qred)
+    # Eisenstein series E2, E4, E6 at the reduced nome
+    e2 = 1.0 + 0j
+    e4 = 1.0 + 0j
+    e6 = 1.0 + 0j
+    qk = 1.0 + 0j
+    tail = 0.0
+    for k in range(1, _KMAX):
+        qk = qk * qred
+        f = qk / (1.0 - qk)
+        kf = float(k)
+        k3 = kf * kf * kf
+        e2 -= 24.0 * kf * f
+        e4 += 240.0 * k3 * f
+        e6 -= 504.0 * k3 * kf * kf * f
+        m = 504.0 * k3 * kf * kf * abs(qk)
+        if m < 1e-18 and k >= 6:
+            tail = 2.0 * m
+            break
     pi2 = _PI * _PI
     eta1_r = pi2 / 3.0 * e2
-    eta2_r = tred * eta1_r - 2j * _PI
     g2_r = 4.0 * pi2 * pi2 / 3.0 * e4
     g3_r = 8.0 * pi2 * pi2 * pi2 / 27.0 * e6
 
@@ -187,9 +184,25 @@ def elliptic_at(z, tau):
     eta2 = tau * eta1 - 2j * _PI
     g2 = g2_r / (j2 * j2)
     g3 = g3_r / (j2 * j2 * j2)
+    return tred, qred, j, eta1_r, eta1, eta2, g2, g3, tail
+
+
+@njit
+def elliptic_at(z, tau):
+    """Full evaluation bundle at arbitrary (z, tau), Im tau > 0.
+
+    Returns (wp, wp', zeta, eta1, eta2, g2, g3, dist, err) where dist is the
+    reduced-cell distance of z from the lattice and err is a crude absolute
+    error estimate (truncation tail + 10 eps amplification).  When
+    dist < 1e-12 the series values are returned as NaN; callers must check
+    dist before trusting them.
+    """
+    tred, qred, j, eta1_r, eta1, eta2, g2, g3, tail_e = lattice_constants(tau)
+    eta2_r = tred * eta1_r - 2j * _PI
+    j2 = j * j
 
     zr = z / j
-    z0, m, n, dist = reduce_z(zr, tred)
+    z0, m, n, dist, _, _ = reduce_z(zr, tred)
     if dist < 1e-12:
         nan = complex(math.nan, math.nan)
         return nan, nan, nan, eta1, eta2, g2, g3, dist, math.nan
@@ -211,20 +224,8 @@ def lattice_values(tau):
 
     Returns (eta1, eta2, g2, g3, e1, e2, e3, err).
     """
-    tred, a, b, c, d = reduce_tau(tau)
-    qred = cmath.exp(2j * _PI * tred)
-    ee2, ee4, ee6, tail_e = eisenstein(qred)
-    pi2 = _PI * _PI
-    eta1_r = pi2 / 3.0 * ee2
-    g2_r = 4.0 * pi2 * pi2 / 3.0 * ee4
-    g3_r = 8.0 * pi2 * pi2 * pi2 / 27.0 * ee6
-
-    j = c * tau + d
+    tred, qred, j, eta1_r, eta1, eta2, g2, g3, tail_e = lattice_constants(tau)
     j2 = j * j
-    eta1 = eta1_r / j2 + 2j * _PI * c / j
-    eta2 = tau * eta1 - 2j * _PI
-    g2 = g2_r / (j2 * j2)
-    g3 = g3_r / (j2 * j2 * j2)
 
     e1 = complex(0.0, 0.0)
     e2v = complex(0.0, 0.0)
@@ -238,7 +239,7 @@ def lattice_values(tau):
         else:
             zk = 0.5 * (1.0 + tau)
         zr = zk / j
-        z0, m, n, dist = reduce_z(zr, tred)
+        z0, m, n, dist, _, _ = reduce_z(zr, tred)
         wp_r, wpp_r, zt_part, tail = wz_series(z0, tred, qred)
         tails += tail
         val = wp_r / j2
@@ -284,11 +285,11 @@ def z2_many(r, s, taus, out_val, out_scale):
 
 
 def warmup():
-    """Force JIT compilation of every kernel (no-op on the numpy backend)."""
+    """Force JIT compilation of every kernel (no-op without numba)."""
     tau = complex(0.1, 1.3)
     reduce_tau(tau)
     reduce_z(complex(0.3, 0.2), tau)
-    eisenstein(cmath.exp(2j * _PI * tau))
+    lattice_constants(tau)
     elliptic_at(complex(0.3, 0.2), tau)
     lattice_values(tau)
     premodular_at(complex(0.3, 0.0), complex(0.2, 0.0), tau)

@@ -22,7 +22,6 @@ from .elliptic import ModuliPoint, invariants_g, weierstrass_p, weierstrass_zeta
 from .locator import (
     F,
     F0,
-    ZeroCertificate,
     classify_triangle,
     count_mn_zeros,
     locate_zeros,
@@ -31,16 +30,15 @@ from .locator import (
 )
 from .modular import ModularMatrix, transport_pair
 from .orbits import (
+    _xgcd,
     classify_orbit,
     enumerate_qn,
-    euler_phi,
     orbit_brute_force,
     p_of_n,
     pole_count,
-    qn_size,
 )
 from .premodular import TorsionPair, cusp_asymptotic, hecke_Z, z2, z2_stable
-from .solutions import lambda_rs, t_of_tau
+from .solutions import lambda_rs
 
 _PI = math.pi
 
@@ -141,18 +139,6 @@ def criterion_2() -> CriterionResult:
             ok = False
             details.append(f"weight-3 law failed for gamma={gamma.as_tuple()}")
     return CriterionResult(2, "modularity suite", ok, time.time() - t0, details)
-
-
-def _xgcd(a, b):
-    old_r, r = a, b
-    old_s, s = 1, 0
-    old_t, t = 0, 1
-    while r != 0:
-        q = old_r // r
-        old_r, r = r, old_r - q * r
-        old_s, s = s, old_s - q * s
-        old_t, t = t, old_t - q * t
-    return old_r, old_s, old_t
 
 
 def criterion_3() -> CriterionResult:
@@ -397,7 +383,7 @@ def criterion_8() -> CriterionResult:
         pair = TorsionPair.of(r, s)
         worst = math.inf
         for tau in samples:
-            val, scale = z2_stable(pair, ModuliPoint.from_tau(tau, reduce=False))
+            val, scale = z2_stable(pair, ModuliPoint.from_tau(tau))
             worst = min(worst, abs(val) / scale)
         if worst <= 1e-6:
             ok = False

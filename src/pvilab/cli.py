@@ -15,10 +15,8 @@ failure.  Complex numbers are written "a+bi", rationals "p/q".
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 import time
-from concurrent.futures import ThreadPoolExecutor
 from fractions import Fraction
 
 from . import __version__
@@ -34,7 +32,6 @@ from .elliptic import ModuliPoint, invariants_g
 from .locator import (
     DomainSpec,
     classify_triangle,
-    count_mn_zeros,
     locate_zeros,
     valence_check,
     winding_count,
@@ -48,20 +45,10 @@ from .orbits import (
     qn_size,
 )
 from .premodular import TorsionPair, z2_stable
-from .report import Report, format_complex, parse_rational_or_float
+from .report import Report, parse_rational_or_float
 from .solutions import lambda_rs
 
 CSV_HEADER = "re,im,value_re,value_im,abs,winding"
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("PVI_LAB_THREADS", "")
-    try:
-        return max(1, int(env))
-    except ValueError:
-        return 1
 
 
 def _domain(args) -> DomainSpec:
@@ -223,69 +210,42 @@ def _cmd_orbits(args) -> int:
     return 0
 
 
-def _scan_tau(args, pair: TorsionPair, nx: int, ny: int, threads: int) -> list[str]:
+def _scan_tau(args, pair: TorsionPair, nx: int, ny: int) -> list[str]:
     x0, x1 = args.re_min, args.re_max
     y0, y1 = args.im_min, args.im_max
-    rows = []
     xs = [x0 + (x1 - x0) * i / max(nx - 1, 1) for i in range(nx)]
     ys = [y0 + (y1 - y0) * j / max(ny - 1, 1) for j in range(ny)]
-
-    def row_for(y):
-        out = []
+    rows = []
+    for y in ys:
         for x in xs:
-            tau = complex(x, y)
-            val, _ = z2_stable(pair, ModuliPoint.from_tau(tau, reduce=False))
-            out.append(
-                f"{x!r},{y!r},{val.real!r},{val.imag!r},{abs(val)!r},"
-            )
-        return out
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(row_for, ys):
-                rows.extend(chunk)
-    else:
-        for y in ys:
-            rows.extend(row_for(y))
+            val, _ = z2_stable(pair, ModuliPoint.from_tau(complex(x, y)))
+            rows.append(f"{x!r},{y!r},{val.real!r},{val.imag!r},{abs(val)!r},")
     return rows
 
 
-def _scan_winding(args, nx: int, ny: int, threads: int) -> list[str]:
+def _scan_winding(args, nx: int, ny: int) -> list[str]:
     d = _domain(args)
     x0, x1 = args.re_min, args.re_max
     y0, y1 = args.im_min, args.im_max
     rs = [x0 + (x1 - x0) * i / max(nx - 1, 1) for i in range(nx)]
     ss = [y0 + (y1 - y0) * j / max(ny - 1, 1) for j in range(ny)]
-
-    def row_for(s):
-        out = []
-        for r in rs:
-            pair = TorsionPair.of(r, s)
-            try:
-                w = winding_count(pair, d)
-                out.append(f"{r!r},{s!r},,,,{w}")
-            except PviLabError:
-                out.append(f"{r!r},{s!r},,,,")
-        return out
-
     rows = []
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            for chunk in pool.map(row_for, ss):
-                rows.extend(chunk)
-    else:
-        for s in ss:
-            rows.extend(row_for(s))
+    for s in ss:
+        for r in rs:
+            try:
+                w = winding_count(TorsionPair.of(r, s), d)
+                rows.append(f"{r!r},{s!r},,,,{w}")
+            except PviLabError:
+                rows.append(f"{r!r},{s!r},,,,")
     return rows
 
 
 def _cmd_scan(args) -> int:
-    threads = _threads(args)
     nx, ny = args.nx, args.ny
     t0 = time.time()
     if args.mode == "z2":
         pair = _pair(args)
-        rows = _scan_tau(args, pair, nx, ny, threads)
+        rows = _scan_tau(args, pair, nx, ny)
         inputs = {
             "mode": "z2",
             "r": pair.r,
@@ -293,7 +253,7 @@ def _cmd_scan(args) -> int:
             "rect": [args.re_min, args.re_max, args.im_min, args.im_max],
         }
     else:
-        rows = _scan_winding(args, nx, ny, threads)
+        rows = _scan_winding(args, nx, ny)
         inputs = {
             "mode": "winding",
             "domain": args.domain,
@@ -328,6 +288,40 @@ def _cmd_verify(args) -> int:
     return 0 if n_failed == 0 else 3
 
 
+_FLAGS = {
+    "--N": dict(type=int, default=None),
+    "--r": dict(type=str, default=None, help="rational p/q, float or a+bi"),
+    "--s": dict(type=str, default=None),
+    "--tau": dict(type=str, default=None, help="complex a+bi, Im > 0"),
+    "--domain": dict(choices=("F0", "F", "F2"), default="F0"),
+    "--T": dict(type=float, default=10.0, help="truncation height"),
+    "--out": dict(type=str, default=None),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--mode": dict(choices=("z2", "winding"), default="z2"),
+    "--re-min": dict(type=float, default=0.0),
+    "--re-max": dict(type=float, default=1.0),
+    "--im-min": dict(type=float, default=0.1),
+    "--im-max": dict(type=float, default=2.0),
+    "--nx": dict(type=int, default=21),
+    "--ny": dict(type=int, default=21),
+}
+
+# Each subcommand accepts exactly the flags its handler reads.
+_SUBCOMMANDS = (
+    ("eval", "lambda_{r,s}, t, wp(p) at (r, s, tau)", ("--r", "--s", "--tau", "--out")),
+    ("zeros", "locate zeros of Z2 over a domain", ("--r", "--s", "--domain", "--T", "--out")),
+    ("count", "pole-count formulas and valence for N", ("--N", "--out")),
+    ("orbits", "orbit classification for Q_N", ("--N", "--out")),
+    (
+        "scan",
+        "CSV grid of Z2 or windings",
+        ("--mode", "--r", "--s", "--domain", "--T", "--re-min", "--re-max",
+         "--im-min", "--im-max", "--nx", "--ny", "--out", "--format"),
+    ),
+    ("verify", "run the acceptance suite", ()),
+)
+
+
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pvilab",
@@ -335,38 +329,10 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = ap.add_subparsers(dest="cmd", required=True)
-
-    def common(p, need_pair=False, need_tau=False, need_domain=False):
-        p.add_argument("--N", type=int, default=None)
-        p.add_argument("--r", type=str, default=None, help="rational p/q, float or a+bi")
-        p.add_argument("--s", type=str, default=None)
-        p.add_argument("--tau", type=str, default=None, help="complex a+bi, Im > 0")
-        p.add_argument("--domain", choices=("F0", "F", "F2"), default="F0")
-        p.add_argument("--T", type=float, default=10.0, help="truncation height")
-        p.add_argument("--tol", type=float, default=None)
-        p.add_argument("--out", type=str, default=None)
-        p.add_argument("--format", choices=("json", "csv"), default="json")
-        p.add_argument("--threads", type=int, default=None)
-
-    p_eval = sub.add_parser("eval", help="lambda_{r,s}, t, wp(p) at (r, s, tau)")
-    common(p_eval)
-    p_zeros = sub.add_parser("zeros", help="locate zeros of Z2 over a domain")
-    common(p_zeros)
-    p_count = sub.add_parser("count", help="pole-count formulas and valence for N")
-    common(p_count)
-    p_orbits = sub.add_parser("orbits", help="orbit classification for Q_N")
-    common(p_orbits)
-    p_scan = sub.add_parser("scan", help="CSV grid of Z2 or windings")
-    common(p_scan)
-    p_scan.add_argument("--mode", choices=("z2", "winding"), default="z2")
-    p_scan.add_argument("--re-min", type=float, default=0.0)
-    p_scan.add_argument("--re-max", type=float, default=1.0)
-    p_scan.add_argument("--im-min", type=float, default=0.1)
-    p_scan.add_argument("--im-max", type=float, default=2.0)
-    p_scan.add_argument("--nx", type=int, default=21)
-    p_scan.add_argument("--ny", type=int, default=21)
-    p_verify = sub.add_parser("verify", help="run the acceptance suite")
-    common(p_verify)
+    for name, help_text, flags in _SUBCOMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return ap
 
 

@@ -11,71 +11,27 @@ All functions are pure; ModuliPoint and LatticeData are frozen.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
-from typing import Optional
 
 from . import _kernels
 from .errors import DomainError, NearSingular
-from .modular import ModularMatrix, reduce_to_standard
 
 NEAR_SINGULAR_DIST = 1e-8
-_TWO_PI = 2.0 * math.pi
-
-
-@dataclass(frozen=True)
-class ReductionRecord:
-    """How a tau was moved into the standard fundamental domain.
-
-    ``gamma`` satisfies gamma.tau_original = tau_reduced; applying the
-    inverse Moebius map to tau_reduced recovers tau_original.
-    """
-
-    gamma: ModularMatrix
-    tau_reduced: complex
-    tau_original: complex
-
-    def apply_to_reduced(self) -> complex:
-        return self.gamma.inverse().moebius(self.tau_reduced)
 
 
 @dataclass(frozen=True)
 class ModuliPoint:
-    """A point tau in the upper half-plane with its cached nome."""
+    """A point tau in the upper half-plane."""
 
     tau: complex
-    q: complex
-    reduction: Optional[ReductionRecord] = None
 
     @classmethod
-    def from_tau(cls, tau: complex, reduce: bool = True) -> "ModuliPoint":
+    def from_tau(cls, tau: complex) -> "ModuliPoint":
         tau = complex(tau)
         if not (tau.imag > 0.0) or not math.isfinite(tau.imag):
             raise DomainError(f"Im tau must be positive, got tau = {tau}")
-        q = cmath.exp(2j * math.pi * tau)
-        rec = None
-        if reduce:
-            tred, g = reduce_to_standard(tau)
-            rec = ReductionRecord(gamma=g, tau_reduced=tred, tau_original=tau)
-        return cls(tau=tau, q=q, reduction=rec)
-
-
-@dataclass(frozen=True)
-class HalfPeriods:
-    """The fixed indexed family omega_0..omega_3 attached to a tau."""
-
-    omega0: complex
-    omega1: complex
-    omega2: complex
-    omega3: complex
-
-    @classmethod
-    def of(cls, m: ModuliPoint) -> "HalfPeriods":
-        return cls(0.0 + 0j, 1.0 + 0j, m.tau, 1.0 + m.tau)
-
-    def as_tuple(self):
-        return (self.omega0, self.omega1, self.omega2, self.omega3)
+        return cls(tau=tau)
 
 
 @dataclass(frozen=True)
@@ -98,20 +54,27 @@ def _as_point(m) -> ModuliPoint:
     return ModuliPoint.from_tau(m)
 
 
+def _elliptic_at(z: complex, m) -> tuple:
+    """The ``elliptic_at`` bundle, refusing z within NEAR_SINGULAR_DIST of
+    the lattice after reduction."""
+    m = _as_point(m)
+    z = complex(z)
+    values = _kernels.elliptic_at(z, m.tau)
+    dist = values[7]
+    if dist < NEAR_SINGULAR_DIST:
+        raise NearSingular(
+            f"z = {z} is within {dist:.3e} of the lattice for tau = {m.tau}"
+        )
+    return values
+
+
 def weierstrass_p(z: complex, m) -> tuple[complex, complex]:
     """wp(z|tau) and wp'(z|tau).
 
     Raises NearSingular when z is within the guard distance of the lattice
     after reduction; callers handle lattice-point behaviour explicitly.
     """
-    m = _as_point(m)
-    z = complex(z)
-    wp, wpp, zeta, eta1, eta2, g2, g3, dist, err = _kernels.elliptic_at(z, m.tau)
-    if dist < NEAR_SINGULAR_DIST:
-        raise NearSingular(
-            f"z = {z} is within {dist:.3e} of the lattice for tau = {m.tau}"
-        )
-    return wp, wpp
+    return _elliptic_at(z, m)[:2]
 
 
 def weierstrass_zeta(z: complex, m) -> complex:
@@ -120,14 +83,7 @@ def weierstrass_zeta(z: complex, m) -> complex:
     Lattice translations used during reduction are undone exactly through
     the quasi-periods.
     """
-    m = _as_point(m)
-    z = complex(z)
-    wp, wpp, zeta, eta1, eta2, g2, g3, dist, err = _kernels.elliptic_at(z, m.tau)
-    if dist < NEAR_SINGULAR_DIST:
-        raise NearSingular(
-            f"z = {z} is within {dist:.3e} of the lattice for tau = {m.tau}"
-        )
-    return zeta
+    return _elliptic_at(z, m)[2]
 
 
 def quasi_periods(m) -> tuple[complex, complex]:

@@ -46,13 +46,8 @@ import numpy as np
 
 from . import _kernels
 from .elliptic import ModuliPoint
-from .errors import BoundaryTooClose, DomainError, IncoherentWinding
-from .modular import (
-    ModularMatrix,
-    in_domain_f,
-    reduce_to_shifted_domain,
-    transport_pair,
-)
+from .errors import BoundaryTooClose, DomainError, IncoherentWinding, PviLabError
+from .modular import reduce_to_shifted_domain, transport_pair
 from .premodular import (
     TorsionPair,
     cusp_asymptotic,
@@ -141,6 +136,21 @@ class ZeroCertificate:
     scale: float
 
 
+def _certify(pair: TorsionPair, tau_start: complex, region: str) -> ZeroCertificate:
+    """Newton-polish a zero of Z2_pair from tau_start into a certificate."""
+    tau0, resid, dz, iters = _newton_z2(pair, tau_start)
+    _, scale = z2_with_scale(pair, ModuliPoint.from_tau(tau0))
+    return ZeroCertificate(
+        tau0=tau0,
+        residual=resid,
+        dz_mag=dz,
+        newton_iters=iters,
+        region=region,
+        torsion=pair,
+        scale=scale,
+    )
+
+
 @dataclass(frozen=True)
 class TrianglePosition:
     tag: str  # "D0" | "D1" | "D2" | "D3" | "boundary" | "outside"
@@ -150,8 +160,8 @@ def classify_triangle(p: TorsionPair) -> TrianglePosition:
     """Locate the window representative of (r, s) among the four open
     triangles partitioning [0,1] x [0,1/2].
 
-    Exact for rational pairs; floats get a 1e-12 guard band mapped to
-    "boundary".
+    Exact for rational pairs (Fractions compare exactly with 0.5 and 1);
+    floats get a 1e-12 guard band mapped to "boundary".
     """
     if not p.is_real:
         raise DomainError("triangle classification needs a real pair")
@@ -160,33 +170,13 @@ def classify_triangle(p: TorsionPair) -> TrianglePosition:
         s = Fraction(p.s) % 1
         if 2 * s > 1:
             r, s = (-r) % 1, (-s) % 1
-        half = Fraction(1, 2)
-        one = Fraction(1)
-        on_boundary = (
-            r == 0
-            or r == half
-            or r == one
-            or s == 0
-            or s == half
-            or r + s == half
-            or r + s == one
-        )
-        if on_boundary:
-            return TrianglePosition("boundary")
-        if 0 < r < half and 0 < s < half and r + s > half:
-            return TrianglePosition("D0")
-        if half < r < one and 0 < s < half and r + s > one:
-            return TrianglePosition("D1")
-        if half < r < one and 0 < s < half and r + s < one:
-            return TrianglePosition("D2")
-        if r > 0 and s > 0 and r + s < half:
-            return TrianglePosition("D3")
-        return TrianglePosition("outside")
-    r, s = p.reduced_real()
-    guard = 1e-12
-    for edge in (r, r - 0.5, r - 1.0, s, s - 0.5, r + s - 0.5, r + s - 1.0):
-        if abs(edge) < guard:
-            return TrianglePosition("boundary")
+        half, on_edge = Fraction(1, 2), lambda e: e == 0
+    else:
+        r, s = p.reduced_real()
+        half, on_edge = 0.5, lambda e: abs(e) < 1e-12
+    edges = (r, r - half, r - 1, s, s - half, r + s - half, r + s - 1)
+    if any(on_edge(e) for e in edges):
+        return TrianglePosition("boundary")
     if 0 < r < 0.5 and 0 < s < 0.5 and r + s > 0.5:
         return TrianglePosition("D0")
     if 0.5 < r < 1 and 0 < s < 0.5 and r + s > 1:
@@ -257,11 +247,6 @@ class _PairEvaluator:
         return att
 
 
-def _eval_many(pair: TorsionPair, taus: np.ndarray):
-    vals, scales, _ = _PairEvaluator(pair)(taus)
-    return vals, scales
-
-
 # ---------------------------------------------------------------------------
 # Contours
 # ---------------------------------------------------------------------------
@@ -275,11 +260,6 @@ def _transported_cusp_pair(pair: TorsionPair, x_c: int) -> TorsionPair:
     else:
         r, s = pair.as_complex()
     return TorsionPair.of(s, -(r + x_c * s))
-
-
-def _cusp_order(pair_c: TorsionPair) -> tuple[complex, float]:
-    lead, order = cusp_asymptotic(pair_c)
-    return lead, float(order)
 
 
 def _gap_radius(order: float) -> float:
@@ -335,7 +315,7 @@ def _build_contour(d: DomainSpec, pair: TorsionPair) -> list:
     """
     T = d.truncation_height
     y0 = d.cusp_clearance
-    _, order_inf = _cusp_order(pair)
+    order_inf = float(cusp_asymptotic(pair)[1])
 
     if d.kind == "F":
         return [
@@ -353,7 +333,7 @@ def _build_contour(d: DomainSpec, pair: TorsionPair) -> list:
             raise DomainError(
                 f"{pair} degenerates at the cusp {x_c}; no contour exists"
             )
-        _, order_c = _cusp_order(pair_c)
+        order_c = float(cusp_asymptotic(pair_c)[1])
         degenerate_dir = order_c > 0.0
         cusp_info[x_c] = (order_c, _gap_radius(order_c) if degenerate_dir else 0.0)
 
@@ -551,36 +531,25 @@ def locate_zeros(
     w = winding_count(p, d) if expected is None else expected
     if w == 0:
         return []
-    found: list[complex] = []
     certs: list[ZeroCertificate] = []
+    ev = _PairEvaluator(p)
     for nx, ny in ((29, 25), (57, 49), (113, 97)):
         grid = _interior_grid(d, nx, ny)
-        vals, scales = _eval_many(p, grid)
+        vals, scales, _ = ev(grid)
         quality = np.abs(vals) / np.maximum(scales, 1e-300)
         order = np.argsort(quality)
         starts = grid[order[: max(8, 4 * w)]]
         for tau_start in starts:
             try:
-                tau0, resid, dz, iters = _newton_z2(p, complex(tau_start))
-            except Exception:
+                cert = _certify(p, complex(tau_start), d.kind)
+            except (PviLabError, ArithmeticError):
+                # Newton stalled or walked out of the upper half-plane
                 continue
-            if not d.contains(tau0, margin=1e-9):
+            if not d.contains(cert.tau0, margin=1e-9):
                 continue
-            if any(abs(tau0 - z) < 1e-7 for z in found):
+            if any(abs(cert.tau0 - c.tau0) < 1e-7 for c in certs):
                 continue
-            found.append(tau0)
-            _, scale = z2_with_scale(p, ModuliPoint.from_tau(tau0, reduce=False))
-            certs.append(
-                ZeroCertificate(
-                    tau0=tau0,
-                    residual=resid,
-                    dz_mag=dz,
-                    newton_iters=iters,
-                    region=d.kind,
-                    torsion=p,
-                    scale=scale,
-                )
-            )
+            certs.append(cert)
             if len(certs) == w:
                 break
         if len(certs) == w:
@@ -678,10 +647,8 @@ def count_mn_zeros(N: int, d: DomainSpec = F, T: float = 10.0) -> MnZeroReport:
             key_pair = RationalPair(k1 % N, k2 % N, N).pm_canonical()
             # re-polish at the transported location for an honest certificate
             pair2 = _window_pair(key_pair.k1, key_pair.k2, N)
-            tau_ref, resid, dz, iters = _newton_z2(pair2, tau_f)
-            _, scale = z2_with_scale(
-                pair2, ModuliPoint.from_tau(tau_ref, reduce=False)
-            )
+            polished = _certify(pair2, tau_f, "F")
+            tau_ref = polished.tau0
             key = (
                 key_pair.k1,
                 key_pair.k2,
@@ -696,15 +663,7 @@ def count_mn_zeros(N: int, d: DomainSpec = F, T: float = 10.0) -> MnZeroReport:
                     key_pair.k2,
                 ):
                     report.merge_events.append(((ok1, ok2), key[:2], tau_ref))
-            seen[key] = ZeroCertificate(
-                tau0=tau_ref,
-                residual=resid,
-                dz_mag=dz,
-                newton_iters=iters,
-                region="F",
-                torsion=pair2,
-                scale=scale,
-            )
+            seen[key] = polished
         report.certificates.extend(seen.values())
     elif d.kind == "F2":
         for rep in reps:
@@ -719,21 +678,7 @@ def count_mn_zeros(N: int, d: DomainSpec = F, T: float = 10.0) -> MnZeroReport:
             if tag in ("D1", "D2", "D3"):
                 base = locate_zeros(shifted, spec_f0, expected=1)[0]
                 pair0 = TorsionPair.of(rep.r, rep.s)
-                tau_ref, resid, dz, iters = _newton_z2(pair0, base.tau0 + 1.0)
-                _, scale = z2_with_scale(
-                    pair0, ModuliPoint.from_tau(tau_ref, reduce=False)
-                )
-                report.certificates.append(
-                    ZeroCertificate(
-                        tau0=tau_ref,
-                        residual=resid,
-                        dz_mag=dz,
-                        newton_iters=iters,
-                        region="F2",
-                        torsion=pair0,
-                        scale=scale,
-                    )
-                )
+                report.certificates.append(_certify(pair0, base.tau0 + 1.0, "F2"))
     report.interior_count = 2 * len(report.certificates)
     return report
 

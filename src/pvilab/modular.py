@@ -8,10 +8,9 @@ that (r + s*tau)/(c*tau + d) = r' + s'*tau'.
 
 from __future__ import annotations
 
-import cmath
 from dataclasses import dataclass
-from fractions import Fraction
 
+from . import _kernels
 from .errors import DomainError
 
 
@@ -39,11 +38,6 @@ class ModularMatrix:
             and self.c % 2 == 0
         )
 
-    @property
-    def in_gamma0_2(self) -> bool:
-        """Gamma_0(2): lower-left entry even."""
-        return self.c % 2 == 0
-
     def __matmul__(self, other: "ModularMatrix") -> "ModularMatrix":
         return ModularMatrix(
             self.a * other.a + self.b * other.c,
@@ -54,9 +48,6 @@ class ModularMatrix:
 
     def inverse(self) -> "ModularMatrix":
         return ModularMatrix(self.d, -self.b, -self.c, self.a)
-
-    def neg(self) -> "ModularMatrix":
-        return ModularMatrix(-self.a, -self.b, -self.c, -self.d)
 
     def moebius(self, tau: complex) -> complex:
         return (self.a * tau + self.b) / (self.c * tau + self.d)
@@ -88,31 +79,13 @@ def transport_pair(r, s, gamma: ModularMatrix):
     return r2, s2
 
 
-def transport_pair_back(r2, s2, gamma: ModularMatrix):
-    """Inverse of :func:`transport_pair`: recover (r, s) at tau from the
-    pair attached to gamma.tau."""
-    s, r = gamma.act_rows((s2, r2))
-    return r, s
-
-
 def reduce_to_standard(tau: complex) -> tuple[complex, ModularMatrix]:
     """Reduce tau into {|Re| <= 1/2, |tau| >= 1}; returns (tau_red, gamma)
-    with gamma.tau = tau_red."""
+    with gamma.tau = tau_red.  This is the reduction every kernel applies."""
     if tau.imag <= 0:
         raise DomainError("tau must satisfy Im tau > 0")
-    g = IDENTITY
-    t = tau
-    for _ in range(512):
-        n = int((t.real + 0.5) // 1)
-        if n != 0:
-            t = t - n
-            g = ModularMatrix(1, -n, 0, 1) @ g
-        if abs(t) < 1.0 - 1e-14:
-            t = -1.0 / t
-            g = ModularMatrix(0, -1, 1, 0) @ g
-        else:
-            break
-    return t, g
+    t, a, b, c, d = _kernels.reduce_tau(complex(tau))
+    return t, ModularMatrix(a, b, c, d)
 
 
 def reduce_to_shifted_domain(tau: complex, snap: float = 1e-9) -> tuple[complex, ModularMatrix]:
@@ -123,41 +96,14 @@ def reduce_to_shifted_domain(tau: complex, snap: float = 1e-9) -> tuple[complex,
     domain definition (left arc in, right arc out).
     """
     t, g = reduce_to_standard(tau)
-    if t.real < -snap:
-        t2 = t + 1.0
-        g2 = ModularMatrix(1, 1, 0, 1) @ g
-        # |t2 - 1| = |t| >= 1; the right arc |tau-1|=1 is excluded from F,
-        # its points are identified with the left arc |tau|=1 by tau -> tau-1...
-        # here t (|t|>=1, Re<0) maps onto |t2-1|=|t| which is > 1 unless t was
-        # on the unit circle; in that boundary case keep the standard-domain
-        # representative shifted back to the left arc via inversion.
-        if abs(abs(t) - 1.0) <= snap:
-            # t on the unit circle with Re < 0: -1/t lies on the circle with
-            # Re > 0; then S-translate into [0,1).  -1/t = -conj(t) for |t|=1.
-            t3 = -1.0 / t
-            g3 = ModularMatrix(0, -1, 1, 0) @ g
-            if t3.real < -snap:  # pragma: no cover - not reachable for |t|=1
-                t3 += 1.0
-                g3 = ModularMatrix(1, 1, 0, 1) @ g3
-            return t3, g3
-        return t2, g2
-    return t, g
-
-
-def in_domain_f(tau: complex, snap: float = 1e-9) -> bool:
-    """Membership in F = {0 <= Re < 1, |tau| >= 1, |tau-1| > 1} (with rho on
-    the boundary owned by F)."""
-    x = tau.real
-    if x < -snap or x >= 1.0 - snap:
-        return False
-    if abs(tau) < 1.0 - snap:
-        return False
-    if abs(tau - 1.0) <= 1.0 - snap:
-        return False
-    if abs(tau - 1.0) <= 1.0 + snap and abs(tau) > 1.0 + snap:
-        # on the excluded right arc (not at rho)
-        return False
-    return True
+    if t.real >= -snap:
+        return t, g
+    if abs(abs(t) - 1.0) <= snap:
+        # t on the unit circle with Re < 0 would land on the excluded right
+        # arc |tau - 1| = 1; invert instead: -1/t = -conj(t) lies on the left
+        # arc with Re > 0.
+        return -1.0 / t, _T @ g
+    return t + 1.0, _S @ g
 
 
 # Coset labels of SL(2,Z)/Gamma(2); S is the unit translation and T the

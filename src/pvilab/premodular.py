@@ -25,9 +25,8 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .elliptic import ModuliPoint, _as_point
+from .elliptic import _as_point
 from .errors import Degenerate, NearLattice
-from .modular import ModularMatrix  # noqa: F401  (re-exported type)
 
 _PI = math.pi
 NEAR_LATTICE_DIST = 1e-8
@@ -113,20 +112,25 @@ def _check_usable(p: TorsionPair):
         raise Degenerate(f"(r, s) = {p.r, p.s} is a half-period pair: Z2 == 0")
 
 
-def hecke_Z(p: TorsionPair, m) -> complex:
-    """Z_{r,s}(tau) = zeta(r + s*tau) - r*eta1 - s*eta2."""
+def _premodular_at(p: TorsionPair, m) -> tuple:
+    """The ``premodular_at`` bundle for a usable pair, refusing alpha within
+    NEAR_LATTICE_DIST of the lattice."""
     _check_usable(p)
     m = _as_point(m)
     r, s = p.as_complex()
-    z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, err = _kernels.premodular_at(
-        r, s, m.tau
-    )
+    values = _kernels.premodular_at(r, s, m.tau)
+    dist = values[9]
     if dist < NEAR_LATTICE_DIST:
         raise NearLattice(
             f"alpha = r + s*tau is within {dist:.3e} of the lattice; "
             "use the Laurent-expansion path"
         )
-    return z
+    return values
+
+
+def hecke_Z(p: TorsionPair, m) -> complex:
+    """Z_{r,s}(tau) = zeta(r + s*tau) - r*eta1 - s*eta2."""
+    return _premodular_at(p, m)[0]
 
 
 def z2(p: TorsionPair, m) -> complex:
@@ -141,18 +145,8 @@ def z2_with_scale(p: TorsionPair, m) -> tuple[complex, float]:
     The scale is what residual and boundary-clearance thresholds are
     measured against.
     """
-    _check_usable(p)
-    m = _as_point(m)
-    r, s = p.as_complex()
-    z, wp, wpp, val, g2, g3, eta1, eta2, scale, dist, err = _kernels.premodular_at(
-        r, s, m.tau
-    )
-    if dist < NEAR_LATTICE_DIST:
-        raise NearLattice(
-            f"alpha = r + s*tau is within {dist:.3e} of the lattice; "
-            "use the Laurent-expansion path"
-        )
-    return val, scale
+    values = _premodular_at(p, m)
+    return values[3], values[8]
 
 
 def cusp_asymptotic(p: TorsionPair) -> tuple[complex, Fraction]:
@@ -298,17 +292,9 @@ def z2_stable(p: TorsionPair, m) -> tuple[complex, float]:
             pp = cmath.exp(1j * _PI * m.tau)
             val = complex(np.polyval(coeffs[::-1], pp))
             # natural magnitude of the would-be cancelling combination
-            _, scale = _direct_scale(p, m)
-            return val, scale
+            r, s = p.as_complex()
+            return val, _kernels.premodular_at(r, s, m.tau)[8]
     return z2_with_scale(p, m)
-
-
-def _direct_scale(p: TorsionPair, m: ModuliPoint) -> tuple[complex, float]:
-    r, s = p.as_complex()
-    z, wp, wpp, val, g2, g3, eta1, eta2, scale, dist, err = _kernels.premodular_at(
-        r, s, m.tau
-    )
-    return val, scale
 
 
 # ---------------------------------------------------------------------------

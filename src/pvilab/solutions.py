@@ -16,7 +16,6 @@ whose 1/alpha cancellation is done symbolically.
 
 from __future__ import annotations
 
-import cmath
 import math
 from dataclasses import dataclass
 from typing import Optional, Union
@@ -98,16 +97,10 @@ def _lattice_shift(pair: TorsionPair, tau: complex):
     representative of alpha nearest the origin."""
     r, s = pair.as_complex()
     alpha = r + s * tau
-    z0, mm, nn, dist = _kernels.reduce_z(alpha, tau)
+    _, mm, nn, _, em, en = _kernels.reduce_z(alpha, tau)
     # reduce_z centres on the rounded cell; re-centre on the true nearest point
-    best = (abs(z0), 0, 0)
-    for em in (-1, 0, 1):
-        for en in (-1, 0, 1):
-            w = z0 - em - en * tau
-            if abs(w) < best[0]:
-                best = (abs(w), em, en)
-    mm += best[1]
-    nn += best[2]
+    mm += em
+    nn += en
     atil = alpha - mm - nn * tau
     return r - mm, s - nn, atil
 
@@ -191,7 +184,7 @@ def _newton_z2(pair: TorsionPair, tau0: complex, max_iter: int = 50):
     tau = tau0
     last_scale = 1.0
     for it in range(1, max_iter + 1):
-        f, scale = z2_with_scale(pair, ModuliPoint.from_tau(tau, reduce=False))
+        f, scale = z2_with_scale(pair, ModuliPoint.from_tau(tau))
         last_scale = scale
         if abs(f) <= 1e-13 * scale:
             fp = _z2_derivative(pair, tau, h)
@@ -204,10 +197,10 @@ def _newton_z2(pair: TorsionPair, tau0: complex, max_iter: int = 50):
         if tau.imag <= 1e-6:
             break
         if abs(step) < 1e-14 * max(1.0, abs(tau)):
-            f2, scale2 = z2_with_scale(pair, ModuliPoint.from_tau(tau, reduce=False))
+            f2, scale2 = z2_with_scale(pair, ModuliPoint.from_tau(tau))
             fp2 = _z2_derivative(pair, tau, h)
             return tau, abs(f2), abs(fp2), it
-    f, scale = z2_with_scale(pair, ModuliPoint.from_tau(tau, reduce=False))
+    f, scale = z2_with_scale(pair, ModuliPoint.from_tau(tau))
     if abs(f) <= 1e-10 * scale:
         fp = _z2_derivative(pair, tau, h)
         return tau, abs(f), abs(fp), max_iter
@@ -218,7 +211,7 @@ def _newton_z2(pair: TorsionPair, tau0: complex, max_iter: int = 50):
 
 def _z2_derivative(pair: TorsionPair, tau: complex, h: float) -> complex:
     def f(t):
-        return z2_with_scale(pair, ModuliPoint.from_tau(t, reduce=False))[0]
+        return z2_with_scale(pair, ModuliPoint.from_tau(t))[0]
 
     return (f(tau - 2 * h) - 8.0 * f(tau - h) + 8.0 * f(tau + h) - f(tau + 2 * h)) / (
         12.0 * h

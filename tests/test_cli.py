@@ -2,7 +2,6 @@
 
 import json
 import math
-import os
 import subprocess
 import sys
 from fractions import Fraction
@@ -188,8 +187,6 @@ def test_scan_winding_csv(tmp_path):
             "2",
             "--ny",
             "2",
-            "--threads",
-            "2",
             "--out",
             str(out),
         ]
@@ -225,19 +222,13 @@ def test_numerical_failure_exit_code(monkeypatch):
     assert main(["count", "--N", "5"]) == 2
 
 
-def test_threads_env_fallback(monkeypatch, tmp_path):
-    monkeypatch.setenv("PVI_LAB_THREADS", "2")
-    out = tmp_path / "w.csv"
-    code = main(
-        [
-            "scan", "--mode", "winding", "--domain", "F0",
-            "--re-min", "0.58", "--re-max", "0.62",
-            "--im-min", "0.28", "--im-max", "0.32",
-            "--nx", "2", "--ny", "2", "--out", str(out),
-        ]
-    )
-    assert code == 0
-    assert len(out.read_text().strip().splitlines()) == 5
+def test_subcommands_reject_flags_they_do_not_read():
+    assert main(["count", "--N", "5", "--tol", "1"]) == 1
+    assert main(["eval", "--r", "1/4", "--s", "0", "--tau", "0+1.5i", "--N", "3"]) == 1
+    assert main(["orbits", "--N", "6", "--domain", "F"]) == 1
+    assert main(["zeros", "--r", "0.6", "--s", "0.3", "--tau", "0+1i"]) == 1
+    assert main(["scan", "--N", "3"]) == 1
+    assert main(["verify", "--out", "x.json"]) == 1
 
 
 def test_zeros_over_modular_and_level_two_domains(tmp_path):

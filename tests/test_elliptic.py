@@ -5,7 +5,6 @@ in pvilab.oracles (three box sizes, tail-extrapolated) and pasted here; the
 oracle code stays in the repo so they can be regenerated.
 """
 
-import cmath
 import math
 
 import numpy as np
@@ -15,7 +14,6 @@ from hypothesis import strategies as st
 
 from pvilab import oracles
 from pvilab.elliptic import (
-    HalfPeriods,
     ModuliPoint,
     eta_derivatives,
     invariants_g,
@@ -36,27 +34,6 @@ def test_moduli_point_rejects_lower_half_plane():
         ModuliPoint.from_tau(1.0 - 0.5j)
     with pytest.raises(DomainError):
         ModuliPoint.from_tau(0.3)
-
-
-def test_moduli_point_nome_and_reduction_roundtrip():
-    tau = 0.37 + 0.11j * 7
-    m = ModuliPoint.from_tau(tau)
-    assert abs(m.q - cmath.exp(2j * PI * tau)) == 0.0
-    assert abs(m.q) < 1.0
-    rec = m.reduction
-    assert rec is not None
-    back = rec.apply_to_reduced()
-    assert abs(back - tau) <= 1e-14 * abs(tau)
-    # the reduced point is in the standard fundamental domain
-    assert abs(rec.tau_reduced.real) <= 0.5 + 1e-12
-    assert abs(rec.tau_reduced) >= 1.0 - 1e-12
-
-
-def test_half_periods_family():
-    m = ModuliPoint.from_tau(0.2 + 1.4j)
-    om = HalfPeriods.of(m)
-    assert om.omega3 == om.omega1 + om.omega2
-    assert om.omega0 == 0 and om.omega1 == 1 and om.omega2 == m.tau
 
 
 # --- weierstrass_p ----------------------------------------------------------

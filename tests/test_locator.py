@@ -6,6 +6,7 @@ from fractions import Fraction
 
 import pytest
 
+from pvilab import locator
 from pvilab.elliptic import ModuliPoint
 from pvilab.errors import DomainError, IncoherentWinding
 from pvilab.locator import (
@@ -93,8 +94,6 @@ def test_winding_with_degenerate_cusp_directions():
 
 def test_winding_gap_radius_independence():
     # halving/doubling the excised-disk size must not change the count
-    from pvilab import locator
-
     pair = TorsionPair.of(Fraction(1, 4), Fraction(1, 4))
     orig = locator._gap_radius
     try:
@@ -132,6 +131,16 @@ def test_locate_d1_pair():
     assert F0.contains(certs[0].tau0, margin=1e-6)
 
 
+def test_locate_propagates_programming_errors(monkeypatch):
+    # only typed numerical failures of a Newton start are skipped
+    def broken(pair, tau0):
+        raise TypeError("bug in the Newton step")
+
+    monkeypatch.setattr(locator, "_newton_z2", broken)
+    with pytest.raises(TypeError):
+        locate_zeros(TorsionPair.of(0.6, 0.3), F0, expected=1)
+
+
 def test_locate_two_zeros_over_level_two_domain():
     # (0.6, 0.3) has one zero in F0 and its shifted partner one in F0 + 1
     pair = TorsionPair.of(0.6, 0.3)
@@ -151,7 +160,7 @@ def test_zero_transport_under_group_action():
     tau_f, g = reduce_to_shifted_domain(cert.tau0)
     r2, s2 = transport_pair(Fraction(3, 5), Fraction(1, 5), g)
     val, scale = z2_with_scale(
-        TorsionPair.of(r2, s2), ModuliPoint.from_tau(tau_f, reduce=False)
+        TorsionPair.of(r2, s2), ModuliPoint.from_tau(tau_f)
     )
     assert abs(val) <= 1e-9 * scale
 

@@ -257,7 +257,7 @@ def test_numerator_nonzero_at_a_zero_of_z2():
 
     pair = TorsionPair.of(0.6, 0.3)
     cert = locate_zeros(pair, F0)[0]
-    m = ModuliPoint.from_tau(cert.tau0, reduce=False)
+    m = ModuliPoint.from_tau(cert.tau0)
     lat = invariants_g(m)
     from pvilab import _kernels
 

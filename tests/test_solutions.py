@@ -197,7 +197,7 @@ def test_pole_test_z2_zero_kind():
 
     pair = TorsionPair.of(0.6, 0.3)
     cert = locate_zeros(pair, F0)[0]
-    is_pole, kind, wit = pole_test(pair, ModuliPoint.from_tau(cert.tau0, reduce=False))
+    is_pole, kind, wit = pole_test(pair, ModuliPoint.from_tau(cert.tau0))
     assert is_pole and kind == "z2-zero"
     assert wit.dz_mag > 1e-6 * cert.scale  # simple zero
     assert abs(wit.tau0 - cert.tau0) < 1e-8
@@ -214,7 +214,7 @@ def test_pole_test_inconclusive_band():
     target = None
     for step in (1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7):
         cand = tau + step
-        val, scale = z2_with_scale(pair, ModuliPoint.from_tau(cand, reduce=False))
+        val, scale = z2_with_scale(pair, ModuliPoint.from_tau(cand))
         from pvilab.solutions import _default_pole_tol
 
         tol_abs = _default_pole_tol(pair, scale)
@@ -224,7 +224,7 @@ def test_pole_test_inconclusive_band():
     if target is None:
         pytest.skip("could not hit the ambiguity band at double precision")
     with pytest.raises(Inconclusive):
-        pole_test(pair, ModuliPoint.from_tau(target, reduce=False))
+        pole_test(pair, ModuliPoint.from_tau(target))
 
 
 # --- symmetry_check ---------------------------------------------------------
@@ -258,5 +258,5 @@ def test_unitary_boundary_clearance_sampled(rng):
         r, s = rng.uniform(0.05, 0.95), rng.uniform(0.05, 0.45)
         pair = TorsionPair.of(r, s)
         for tau in curves:
-            val, scale = z2_stable(pair, ModuliPoint.from_tau(tau, reduce=False))
+            val, scale = z2_stable(pair, ModuliPoint.from_tau(tau))
             assert abs(val) > 1e-6 * scale
