@@ -11,18 +11,10 @@ try:
 except ImportError:  # the optional ``jit`` extra is not installed
     _numba_njit = None
 
-JIT_ENABLED = _numba_njit is not None
 
-if JIT_ENABLED:
-
-    def njit(func):
-        return _numba_njit(cache=True)(func)
-
-else:
-
-    def njit(func):
-        return func
+def njit(func):
+    return func if _numba_njit is None else _numba_njit(cache=True)(func)
 
 
 def backend_name() -> str:
-    return "numba" if JIT_ENABLED else "numpy"
+    return "numpy" if _numba_njit is None else "numba"

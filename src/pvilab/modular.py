@@ -84,7 +84,7 @@ def reduce_to_standard(tau: complex) -> tuple[complex, ModularMatrix]:
     with gamma.tau = tau_red.  This is the reduction every kernel applies."""
     if tau.imag <= 0:
         raise DomainError("tau must satisfy Im tau > 0")
-    t, a, b, c, d = _kernels.reduce_tau(complex(tau))
+    t, a, b, c, d = _kernels.reduce_tau(tau)
     return t, ModularMatrix(a, b, c, d)
 
 
