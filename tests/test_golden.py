@@ -39,6 +39,16 @@ REPORTS = [
         ["zeros", "--r", "1/5", "--s", "1/5", "--domain", "F"],
         "b6081db7a57204f8d0fbc6e961486b21bf0db1bd37442b03bc727474c7ba8b64",
     ),
+    # s = 1/2: cusp series inside the contour, order-1/2 cap at infinity
+    (
+        ["zeros", "--r", "1/5", "--s", "1/2", "--domain", "F0"],
+        "3247d98367b23c1aaff97e1cc7e777de901bfa873dd54c8ce5b81fdbbf287947",
+    ),
+    # r = 1/2: degenerate direction at the cusp 1, excised disk, one zero
+    (
+        ["zeros", "--r", "1/2", "--s", "1/5", "--domain", "F2"],
+        "97a42237df90430eedcbb2ad0ea490f4ad1b5bda3e2c91d902533eabdda5ff2f",
+    ),
     (
         ["count", "--N", "8"],
         "e9517e013e399349744ede10ac5c83d69cb3a784195879dfb6158ca4e58f6ae5",
@@ -55,16 +65,26 @@ REPORTS = [
 
 GRIDS = [
     (
+        "z2",
         ["scan", "--mode", "z2", "--r", "0.3", "--s", "0.2",
          "--re-min", "0.0", "--re-max", "0.5", "--im-min", "0.8", "--im-max", "1.2",
          "--nx", "5", "--ny", "4"],
         "a247afe74d78790548f31ef6607f336f82b333371a358f7aa6ed4eb117846131",
     ),
     (
+        "winding",
         ["scan", "--mode", "winding", "--domain", "F0",
          "--re-min", "0.55", "--re-max", "0.65", "--im-min", "0.25", "--im-max", "0.35",
          "--nx", "2", "--ny", "2"],
         "68c2666061030ffb2119e071d0a0a871f28ff9034353717d04a927881d81d428",
+    ),
+    # s = 0: rows below and above the cusp-series switch height of z2_stable
+    (
+        "z2-series-switch",
+        ["scan", "--mode", "z2", "--r", "1/3", "--s", "0",
+         "--re-min", "0", "--re-max", "0.5", "--im-min", "1.5", "--im-max", "3",
+         "--nx", "3", "--ny", "4"],
+        "fe67a5d0b7ad00aa8419da935d56f2e5399416cfa9a44ce0871245d368f1f4e0",
     ),
 ]
 
@@ -80,8 +100,8 @@ def test_report_payload_frozen(argv, digest, tmp_path):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
-@pytest.mark.parametrize("argv,digest", GRIDS, ids=[a[2] for a, _ in GRIDS])
-def test_scan_csv_frozen(argv, digest, tmp_path):
+@pytest.mark.parametrize("name,argv,digest", GRIDS, ids=[n for n, _, _ in GRIDS])
+def test_scan_csv_frozen(name, argv, digest, tmp_path):
     out = tmp_path / "grid.csv"
     assert main(argv + ["--out", str(out)]) == 0
     assert hashlib.sha256(out.read_bytes()).hexdigest() == digest
