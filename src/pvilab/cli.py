@@ -68,6 +68,20 @@ def _tau(args) -> ModuliPoint:
     return ModuliPoint.from_tau(complex(t))
 
 
+def _report(command: str, inputs: dict, results: dict, t0: float, **diagnostics) -> Report:
+    """The report of one subcommand; its diagnostics always carry the
+    backend in effect and the wall time since t0."""
+    diagnostics["backend"] = backend_name()
+    diagnostics["timings"] = {command: time.time() - t0}
+    return Report(
+        command=command,
+        inputs=inputs,
+        results=results,
+        diagnostics=diagnostics,
+        version=__version__,
+    )
+
+
 def _emit(report: Report, args) -> None:
     text = report.to_json()
     if args.out:
@@ -91,18 +105,8 @@ def _cmd_eval(args) -> int:
         "branch_copy": sv.branch_note,
         "alpha": sv.alpha,
     }
-    rep = Report(
-        command="eval",
-        inputs={"r": pair.r, "s": pair.s, "tau": m.tau},
-        results=results,
-        diagnostics={
-            "est_error": lat.est_error,
-            "backend": backend_name(),
-            "timings": {"eval": time.time() - t0},
-        },
-        version=__version__,
-    )
-    _emit(rep, args)
+    inputs = {"r": pair.r, "s": pair.s, "tau": m.tau}
+    _emit(_report("eval", inputs, results, t0, est_error=lat.est_error), args)
     return 0
 
 
@@ -126,14 +130,8 @@ def _cmd_zeros(args) -> int:
             for c in certs
         ],
     }
-    rep = Report(
-        command="zeros",
-        inputs={"r": pair.r, "s": pair.s, "domain": d.kind, "T": d.truncation_height},
-        results=results,
-        diagnostics={"backend": backend_name(), "timings": {"zeros": time.time() - t0}},
-        version=__version__,
-    )
-    _emit(rep, args)
+    inputs = {"r": pair.r, "s": pair.s, "domain": d.kind, "T": d.truncation_height}
+    _emit(_report("zeros", inputs, results, t0), args)
     return 0
 
 
@@ -160,14 +158,7 @@ def _cmd_count(args) -> int:
             "balance_exact": v["balance_exact"],
         }
         results["merge_events"] = v["merge_events"]
-    rep = Report(
-        command="count",
-        inputs={"N": N},
-        results=results,
-        diagnostics={"backend": backend_name(), "timings": {"count": time.time() - t0}},
-        version=__version__,
-    )
-    _emit(rep, args)
+    _emit(_report("count", {"N": N}, results, t0), args)
     return 0
 
 
@@ -199,14 +190,7 @@ def _cmd_orbits(args) -> int:
         "class_sizes": sorted(len(c) for c in classes),
         "elements": reports,
     }
-    rep = Report(
-        command="orbits",
-        inputs={"N": N},
-        results=results,
-        diagnostics={"backend": backend_name(), "timings": {"orbits": time.time() - t0}},
-        version=__version__,
-    )
-    _emit(rep, args)
+    _emit(_report("orbits", {"N": N}, results, t0), args)
     return 0
 
 
@@ -268,14 +252,7 @@ def _cmd_scan(args) -> int:
     else:
         print(csv_text, end="")
     if args.format == "json":
-        rep = Report(
-            command="scan",
-            inputs=inputs,
-            results={"rows": len(rows)},
-            diagnostics={"timings": {"scan": time.time() - t0}},
-            version=__version__,
-        )
-        print(rep.to_json())
+        print(_report("scan", inputs, {"rows": len(rows)}, t0).to_json())
     return 0
 
 

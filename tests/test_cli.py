@@ -8,6 +8,7 @@ from fractions import Fraction
 
 import pytest
 
+from pvilab._backend import backend_name
 from pvilab.cli import main
 from pvilab.report import (
     Report,
@@ -197,6 +198,35 @@ def test_scan_winding_csv(tmp_path):
     for line in lines[1:]:
         w = line.split(",")[5]
         assert w in ("0", "1")
+
+
+def test_scan_json_reports_backend_and_timings(tmp_path, capsys):
+    out = tmp_path / "scan.csv"
+    argv = ["scan", "--mode", "z2", "--r", "0.3", "--s", "0.2", "--nx", "2", "--ny", "2"]
+    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
+    printed = capsys.readouterr().out
+    rep = Report.from_json(printed[printed.index("{"):])
+    assert rep.results == {"rows": 4}
+    assert rep.diagnostics["backend"] == backend_name()
+    assert set(rep.diagnostics["timings"]) == {"scan"}
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["eval", "--r", "1/4", "--s", "0", "--tau", "0+1.5i"],
+        ["zeros", "--r", "0.6", "--s", "0.3"],
+        ["count", "--N", "3"],
+        ["orbits", "--N", "3"],
+    ],
+    ids=lambda a: a[0],
+)
+def test_reports_record_backend_and_timings(argv, tmp_path):
+    code, text = run_cli(argv, tmp_path)
+    assert code == 0
+    rep = Report.from_json(text)
+    assert rep.diagnostics["backend"] == backend_name()
+    assert set(rep.diagnostics["timings"]) == {argv[0]}
 
 
 # --- exit codes -------------------------------------------------------------
