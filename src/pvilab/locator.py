@@ -20,9 +20,9 @@ and the phase change across it is evaluated analytically from the factor
 (tau - x_c)^{-3} and the leading power q~^ord of the transported expansion.
 Both corrections are exact up to O(q~) terms far below the winding slack.
 
-For the same reason, samples with Im(tau) > 2 for pairs whose own
-s-component is in (1/2)Z are evaluated through the coefficient-level cusp
-series instead of the cancelling direct formula.
+For the same reason, samples above ``premodular.SERIES_HEIGHT`` for pairs
+whose own s-component is in (1/2)Z are evaluated through the
+coefficient-level cusp series instead of the cancelling direct formula.
 
 Domains:
   F0: {0 <= Re <= 1, |tau - 1/2| >= 1/2}       (index-3 subgroup domain)
@@ -47,12 +47,14 @@ import numpy as np
 from . import _kernels
 from .elliptic import ModuliPoint
 from .errors import BoundaryTooClose, DomainError, IncoherentWinding, PviLabError
-from .modular import reduce_to_shifted_domain, transport_pair
+from .modular import ModularMatrix, reduce_to_shifted_domain, transport_pair
+from .orbits import RationalPair, euler_phi, p_of_n, pm_class_reps, qn_size
 from .premodular import (
+    SERIES_HEIGHT,
     TorsionPair,
     cusp_asymptotic,
+    m_n,
     z2_cusp_expansion,
-    z2_with_scale,
 )
 from .solutions import _newton_z2
 
@@ -67,8 +69,12 @@ MAX_PHASE_STEP = _PI / 8.0
 # Accepted distance of the accumulated phase from an integer multiple of
 # 2*pi, in turns.
 WINDING_SLACK = 0.05
-# Height above which degenerate-s pairs switch to the stable cusp series.
-SERIES_HEIGHT = 2.0
+# Height at which the contour crosses above a cusp whose direction does not
+# degenerate (|Z2| blows up there, so no disk is excised).
+_CUSP_CLEARANCE = 0.03
+# Bisection rounds allowed per boundary piece before the phase is declared
+# incoherent.
+_MAX_REFINE_ROUNDS = 18
 
 
 @dataclass(frozen=True)
@@ -77,7 +83,6 @@ class DomainSpec:
 
     kind: str  # "F0" | "F" | "F2"
     truncation_height: float = 10.0
-    cusp_clearance: float = 0.03
 
     def __post_init__(self):
         if self.kind not in ("F0", "F", "F2"):
@@ -138,8 +143,7 @@ class ZeroCertificate:
 
 def _certify(pair: TorsionPair, tau_start: complex, region: str) -> ZeroCertificate:
     """Newton-polish a zero of Z2_pair from tau_start into a certificate."""
-    tau0, resid, dz, iters = _newton_z2(pair, tau_start)
-    _, scale = z2_with_scale(pair, ModuliPoint.from_tau(tau0))
+    tau0, resid, dz, iters, scale = _newton_z2(pair, tau_start)
     return ZeroCertificate(
         tau0=tau0,
         residual=resid,
@@ -197,24 +201,27 @@ class _PairEvaluator:
     """Batch Z2 evaluation that silently switches to the cusp series where
     the direct formula would cancel to noise (degenerate s, high Im), and
     that knows the expected exponential attenuation near degenerate cusps.
+
+    For real non-degenerate pairs it holds the cusp orders the contours
+    need: ``order_inf`` at infinity and ``cusp_orders[x_c]`` at each real
+    cusp x_c in {0, 1, 2}, the order at infinity of the pair transported by
+    tau -> -1/(tau - x_c), i.e. of (r_c, s_c) = (s, -(r + x_c s)).
     """
 
     def __init__(self, pair: TorsionPair):
         self.pair = pair
         self.r, self.s = pair.as_complex()
         self.series_coeffs: Optional[np.ndarray] = None
-        self.deg_cusps: list[tuple[int, float]] = []
+        self.order_inf: Optional[float] = None
+        self.cusp_orders: dict[int, float] = {}
         if pair.is_real and not pair.degenerate:
-            _, s_red = pair.reduced_real()
-            if abs(s_red) < 1e-12 or abs(s_red - 0.5) < 1e-12:
+            self.order_inf = float(cusp_asymptotic(pair)[1])
+            if self.order_inf > 0:
                 self.series_coeffs = z2_cusp_expansion(pair)
             for x_c in (0, 1, 2):
-                pair_c = _transported_cusp_pair(pair, x_c)
-                if pair_c.degenerate:
-                    continue
-                _, order_c = cusp_asymptotic(pair_c)
-                if order_c > 0:
-                    self.deg_cusps.append((x_c, float(order_c)))
+                to_inf = ModularMatrix(0, -1, 1, -x_c)
+                pair_c = TorsionPair.of(*transport_pair(pair.r, pair.s, to_inf))
+                self.cusp_orders[x_c] = float(cusp_asymptotic(pair_c)[1])
 
     def __call__(self, taus: np.ndarray):
         """Returns (values, scales, exact_mask); exact_mask marks samples
@@ -240,7 +247,9 @@ class _PairEvaluator:
         down accordingly.
         """
         att = np.ones(len(taus))
-        for x_c, order_c in self.deg_cusps:
+        for x_c, order_c in self.cusp_orders.items():
+            if order_c == 0.0:
+                continue
             j = taus - x_c
             im_t = j.imag / np.abs(j) ** 2
             att = np.minimum(att, np.exp(-_TWO_PI * order_c * np.maximum(im_t, 0.0)))
@@ -250,16 +259,6 @@ class _PairEvaluator:
 # ---------------------------------------------------------------------------
 # Contours
 # ---------------------------------------------------------------------------
-
-
-def _transported_cusp_pair(pair: TorsionPair, x_c: int) -> TorsionPair:
-    """Parameters of the factor pulled back from the cusp x_c to infinity:
-    (r_c, s_c) = (s, -(r + x_c * s))."""
-    if pair.exact:
-        r, s = Fraction(pair.r), Fraction(pair.s)
-    else:
-        r, s = pair.as_complex()
-    return TorsionPair.of(s, -(r + x_c * s))
 
 
 def _gap_radius(order: float) -> float:
@@ -307,15 +306,16 @@ def _cap_jump(d: DomainSpec, order_inf: float) -> _Jump:
     return _Jump(_TWO_PI * order_inf * (xl - xr))
 
 
-def _build_contour(d: DomainSpec, pair: TorsionPair) -> list:
-    """Positively-oriented boundary as numeric pieces and analytic jumps.
+def _build_contour(d: DomainSpec, ev: _PairEvaluator) -> list:
+    """Positively-oriented boundary as numeric pieces and analytic jumps,
+    closed with the cusp orders of ``ev`` (a real non-degenerate pair).
 
     Starts at the top-left corner; numeric pieces are ("seg", z0, z1) or
     ("arc", centre, radius, th0, th1); jumps are _Jump instances.
     """
     T = d.truncation_height
-    y0 = d.cusp_clearance
-    order_inf = float(cusp_asymptotic(pair)[1])
+    y0 = _CUSP_CLEARANCE
+    order_inf = ev.order_inf
 
     if d.kind == "F":
         return [
@@ -328,14 +328,8 @@ def _build_contour(d: DomainSpec, pair: TorsionPair) -> list:
 
     cusp_info = {}
     for x_c in d.cusps:
-        pair_c = _transported_cusp_pair(pair, x_c)
-        if pair_c.degenerate:
-            raise DomainError(
-                f"{pair} degenerates at the cusp {x_c}; no contour exists"
-            )
-        order_c = float(cusp_asymptotic(pair_c)[1])
-        degenerate_dir = order_c > 0.0
-        cusp_info[x_c] = (order_c, _gap_radius(order_c) if degenerate_dir else 0.0)
+        order_c = ev.cusp_orders[x_c]
+        cusp_info[x_c] = (order_c, _gap_radius(order_c) if order_c > 0.0 else 0.0)
 
     pieces: list = []
     # left edge down
@@ -414,14 +408,14 @@ def _check_clearance(ev: _PairEvaluator, taus, vals, scales, exact, piece):
 
 
 def _phase_along_piece(
-    ev: _PairEvaluator, piece: tuple, n0: int = 17, max_rounds: int = 18
+    ev: _PairEvaluator, piece: tuple, n0: int = 17
 ) -> tuple[float, complex, complex]:
     """Accumulated phase change of Z2 along one numeric boundary piece."""
     t = np.linspace(0.0, 1.0, n0)
     taus = _piece_points(piece, t)
     vals, scales, exact = ev(taus)
     _check_clearance(ev, taus, vals, scales, exact, piece)
-    for _ in range(max_rounds):
+    for _ in range(_MAX_REFINE_ROUNDS):
         ratios = vals[1:] / vals[:-1]
         steps = np.angle(ratios)
         bad = np.abs(steps) > MAX_PHASE_STEP
@@ -462,6 +456,16 @@ def _winding_over(pieces: list, ev: _PairEvaluator, n0: int = 17) -> float:
     return total / _TWO_PI
 
 
+def _integer_turns(turns: float, what: str) -> int:
+    """The integer a winding in turns stands for, within WINDING_SLACK."""
+    w = round(turns)
+    if abs(turns - w) > WINDING_SLACK:
+        raise IncoherentWinding(
+            f"accumulated phase {turns:.4f} turns is not near an integer {what}"
+        )
+    return int(w)
+
+
 def winding_count(p: TorsionPair, d: DomainSpec) -> int:
     """Number of zeros of Z2_{r,s} in the truncated domain, by the argument
     principle with analytic cusp closures.
@@ -474,14 +478,8 @@ def winding_count(p: TorsionPair, d: DomainSpec) -> int:
     if p.degenerate:
         raise DomainError("degenerate pairs have no meaningful winding")
     ev = _PairEvaluator(p)
-    turns = _winding_over(_build_contour(d, p), ev)
-    w = round(turns)
-    if abs(turns - w) > WINDING_SLACK:
-        raise IncoherentWinding(
-            f"accumulated phase {turns:.4f} turns is not near an integer "
-            f"for {p} over {d.kind}"
-        )
-    return int(w)
+    turns = _winding_over(_build_contour(d, ev), ev)
+    return _integer_turns(turns, f"for {p} over {d.kind}")
 
 
 # ---------------------------------------------------------------------------
@@ -492,7 +490,7 @@ def winding_count(p: TorsionPair, d: DomainSpec) -> int:
 def _interior_grid(d: DomainSpec, nx: int, ny: int) -> np.ndarray:
     xl, xr = d.strip
     xs = np.linspace(xl + 0.02, xr - 0.02, nx)
-    y_lo = max(d.cusp_clearance + 0.02, 0.05)
+    y_lo = max(_CUSP_CLEARANCE + 0.02, 0.05)
     ys = np.geomspace(y_lo, d.truncation_height, ny)
     pts = []
     for x in xs:
@@ -503,20 +501,15 @@ def _interior_grid(d: DomainSpec, nx: int, ny: int) -> np.ndarray:
     return np.array(pts, dtype=np.complex128)
 
 
-def _rect_winding(pair: TorsionPair, x0, x1, y0, y1) -> int:
+def _rect_winding(ev: _PairEvaluator, x0, x1, y0, y1) -> int:
     """Winding over a plain rectangle (no cusps, no cap)."""
-    ev = _PairEvaluator(pair)
     pieces = [
         ("seg", complex(x1, y0), complex(x1, y1)),
         ("seg", complex(x1, y1), complex(x0, y1)),
         ("seg", complex(x0, y1), complex(x0, y0)),
         ("seg", complex(x0, y0), complex(x1, y0)),
     ]
-    turns = _winding_over(pieces, ev, n0=9)
-    w = round(turns)
-    if abs(turns - w) > WINDING_SLACK:
-        raise IncoherentWinding(f"rectangle winding incoherent: {turns:.4f}")
-    return int(w)
+    return _integer_turns(_winding_over(pieces, ev, n0=9), "around a rectangle")
 
 
 def locate_zeros(
@@ -569,7 +562,7 @@ def locate_zeros(
             complex(x + h, y - h),
         ]
         if all(d.contains(c, margin=1e-6) for c in corners):
-            if _rect_winding(p, x - h, x + h, y - h, y + h) != 1:
+            if _rect_winding(ev, x - h, x + h, y - h, y + h) != 1:
                 raise IncoherentWinding(
                     f"cell check around {cert.tau0} did not isolate one zero"
                 )
@@ -596,16 +589,15 @@ def _window_pair(k1: int, k2: int, N: int) -> TorsionPair:
     return TorsionPair.of(Fraction(k1 % N, N), Fraction(k2 % N, N))
 
 
-def _class_zero_in_f0(rep, spec_f0: DomainSpec) -> Optional[ZeroCertificate]:
-    pair = TorsionPair.of(rep.r, rep.s)
-    tag = classify_triangle(pair).tag
-    if tag not in ("D1", "D2", "D3"):
+def _zero_in_f0(pair: TorsionPair) -> Optional[ZeroCertificate]:
+    """The one zero of Z2_pair in F0, present exactly when the window
+    representative lies in one of the triangles D1, D2, D3."""
+    if classify_triangle(pair).tag not in ("D1", "D2", "D3"):
         return None
-    certs = locate_zeros(pair, spec_f0, expected=1)
-    return certs[0]
+    return locate_zeros(pair, F0, expected=1)[0]
 
 
-def count_mn_zeros(N: int, d: DomainSpec = F, T: float = 10.0) -> MnZeroReport:
+def count_mn_zeros(N: int, d: DomainSpec = F) -> MnZeroReport:
     """Zeros of M_N = prod Z2 over the requested domain, with multiplicity.
 
     Works per +-class of Q_N: each class has at most one zero in F0 (present
@@ -621,23 +613,20 @@ def count_mn_zeros(N: int, d: DomainSpec = F, T: float = 10.0) -> MnZeroReport:
 
     Every certificate counts with multiplicity 2 for its +- pair.
     """
-    from .orbits import RationalPair, pm_class_reps
-
     if not (3 <= N <= 24):
         raise DomainError("desk-scale N only (3 <= N <= 24)")
-    spec_f0 = DomainSpec("F0", truncation_height=T, cusp_clearance=F0.cusp_clearance)
     reps = pm_class_reps(N)
     report = MnZeroReport(N=N, domain=d.kind, interior_count=0)
 
     if d.kind == "F0":
         for rep in reps:
-            cert = _class_zero_in_f0(rep, spec_f0)
+            cert = _zero_in_f0(TorsionPair.of(rep.r, rep.s))
             if cert is not None:
                 report.certificates.append(cert)
     elif d.kind == "F":
         seen: dict[tuple, ZeroCertificate] = {}
         for rep in reps:
-            cert = _class_zero_in_f0(rep, spec_f0)
+            cert = _zero_in_f0(TorsionPair.of(rep.r, rep.s))
             if cert is None:
                 continue
             tau_f, g = reduce_to_shifted_domain(cert.tau0)
@@ -667,16 +656,15 @@ def count_mn_zeros(N: int, d: DomainSpec = F, T: float = 10.0) -> MnZeroReport:
         report.certificates.extend(seen.values())
     elif d.kind == "F2":
         for rep in reps:
-            cert = _class_zero_in_f0(rep, spec_f0)
+            cert = _zero_in_f0(TorsionPair.of(rep.r, rep.s))
             if cert is not None:
                 report.certificates.append(cert)
             # the copy F0 + 1 carries the zeros of the T-shifted class
             shifted = _window_pair(
                 int((Fraction(rep.r) + Fraction(rep.s)) % 1 * N), rep.k2, N
             )
-            tag = classify_triangle(shifted).tag
-            if tag in ("D1", "D2", "D3"):
-                base = locate_zeros(shifted, spec_f0, expected=1)[0]
+            base = _zero_in_f0(shifted)
+            if base is not None:
                 pair0 = TorsionPair.of(rep.r, rep.s)
                 report.certificates.append(_certify(pair0, base.tau0 + 1.0, "F2"))
     report.interior_count = 2 * len(report.certificates)
@@ -691,9 +679,6 @@ def valence_check(N: int) -> dict:
     log|M_N(iT)|; the orders at i and rho are checked to vanish by direct
     non-zero evaluation.
     """
-    from .orbits import euler_phi, p_of_n, qn_size
-    from .premodular import m_n
-
     if not (3 <= N <= 12):
         raise DomainError("desk-scale N only (3 <= N <= 12)")
     nu_inf_formula = euler_phi(N) + euler_phi(Fraction(N, 2))

@@ -88,17 +88,21 @@ def reduce_to_standard(tau: complex) -> tuple[complex, ModularMatrix]:
     return t, ModularMatrix(a, b, c, d)
 
 
-def reduce_to_shifted_domain(tau: complex, snap: float = 1e-9) -> tuple[complex, ModularMatrix]:
+# Float fuzz absorbed on the edges of F by ``reduce_to_shifted_domain``.
+_SNAP = 1e-9
+
+
+def reduce_to_shifted_domain(tau: complex) -> tuple[complex, ModularMatrix]:
     """Reduce tau into F = {0 <= Re < 1, |tau| >= 1, |tau - 1| > 1} + {rho}.
 
     Works from the standard domain: points with Re < 0 are translated by one.
-    ``snap`` absorbs float fuzz on the circular edges; ownership follows the
+    ``_SNAP`` absorbs float fuzz on the circular edges; ownership follows the
     domain definition (left arc in, right arc out).
     """
     t, g = reduce_to_standard(tau)
-    if t.real >= -snap:
+    if t.real >= -_SNAP:
         return t, g
-    if abs(abs(t) - 1.0) <= snap:
+    if abs(abs(t) - 1.0) <= _SNAP:
         # t on the unit circle with Re < 0 would land on the excluded right
         # arc |tau - 1| = 1; invert instead: -1/t = -conj(t) lies on the left
         # arc with Re > 0.

@@ -11,7 +11,9 @@ infinite on integer pairs; those are rejected as Degenerate.
 For s in {0, 1/2} the form vanishes at the cusp and a direct evaluation at
 large Im(tau) loses everything to cancellation; ``z2_cusp_expansion``
 assembles the Fourier expansion in p = q^(1/2) with the cancellation done at
-the coefficient level, and ``z2_stable`` switches to it automatically.
+the coefficient level, and ``z2_stable`` switches to it above
+``SERIES_HEIGHT``.  ``cusp_asymptotic`` is the one place that decides
+whether s is in {0, 1/2}: its q-power is positive exactly then.
 """
 
 from __future__ import annotations
@@ -27,9 +29,15 @@ import numpy as np
 from . import _kernels
 from .elliptic import _as_point
 from .errors import Degenerate, NearLattice
+from .orbits import enumerate_qn
 
 _PI = math.pi
 NEAR_LATTICE_DIST = 1e-8
+# Height above which Z2 of a pair with s in {0, 1/2} is evaluated through the
+# cusp series: the direct formula cancels to noise there, while p = q^(1/2)
+# is below exp(-2 pi) and _CUSP_TERMS coefficients are fully converged.
+SERIES_HEIGHT = 2.0
+_CUSP_TERMS = 48
 
 Rational = Union[int, Fraction]
 
@@ -244,7 +252,7 @@ def _poly_mul(a: np.ndarray, b: np.ndarray, M: int) -> np.ndarray:
     return np.convolve(a, b)[:M]
 
 
-def z2_cusp_expansion(p: TorsionPair, terms: int = 48) -> np.ndarray:
+def z2_cusp_expansion(p: TorsionPair) -> np.ndarray:
     """Coefficients of Z2_{r,s} as a series in p = q^(1/2), for s in {0, 1/2}.
 
     Coefficients below the leading power (p^2 for s = 0, p^1 for s = 1/2)
@@ -252,17 +260,12 @@ def z2_cusp_expansion(p: TorsionPair, terms: int = 48) -> np.ndarray:
     coefficient-level cancellation and is zeroed after a sanity check, so
     evaluating the series near the cusp never sees it.
     """
-    _check_usable(p)
-    if not p.is_real:
-        raise Degenerate("cusp expansion requires a real parameter pair")
-    r, s = p.reduced_real()
-    if abs(s) < 1e-12:
-        half = False
-    elif abs(s - 0.5) < 1e-12:
-        half = True
-    else:
+    order = cusp_asymptotic(p)[1]
+    if order == 0:
         raise ValueError("cusp expansion only applies to s in {0, 1/2}")
-    M = terms
+    half = order == Fraction(1, 2)
+    r, _ = p.reduced_real()
+    M = _CUSP_TERMS
     zc, wc, dc = _cusp_coeff_arrays(r, half, M)
     z2c = _poly_mul(_poly_mul(zc, zc, M), zc, M) - 3.0 * _poly_mul(wc, zc, M) - dc
     lead = 1 if half else 2
@@ -280,20 +283,17 @@ def z2_stable(p: TorsionPair, m) -> tuple[complex, float]:
     """Z2 with automatic switch to the cusp series for s in {0, 1/2}.
 
     Direct evaluation cancels to noise once the surviving term drops below
-    round-off of the O(1) pieces; beyond Im(tau) ~ 2 the p-series is both
+    round-off of the O(1) pieces; above SERIES_HEIGHT the p-series is both
     stable and fully converged.
     """
     m = _as_point(m)
-    if p.is_real:
-        r, s = p.reduced_real()
-        degenerate_s = abs(s) < 1e-12 or abs(s - 0.5) < 1e-12
-        if degenerate_s and m.tau.imag > 2.0:
-            coeffs = z2_cusp_expansion(p)
-            pp = cmath.exp(1j * _PI * m.tau)
-            val = complex(np.polyval(coeffs[::-1], pp))
-            # natural magnitude of the would-be cancelling combination
-            r, s = p.as_complex()
-            return val, _kernels.premodular_at(r, s, m.tau)[8]
+    if m.tau.imag > SERIES_HEIGHT and p.is_real and cusp_asymptotic(p)[1] > 0:
+        coeffs = z2_cusp_expansion(p)
+        pp = cmath.exp(1j * _PI * m.tau)
+        val = complex(np.polyval(coeffs[::-1], pp))
+        # natural magnitude of the would-be cancelling combination
+        r, s = p.as_complex()
+        return val, _kernels.premodular_at(r, s, m.tau)[8]
     return z2_with_scale(p, m)
 
 
@@ -321,8 +321,6 @@ def m_n(N: int, m) -> MnValue:
     deterministic.  Factors with s-component in {0, 1/2} use the stable cusp
     series at large Im(tau).
     """
-    from .orbits import enumerate_qn  # local import to avoid a cycle
-
     if N < 3:
         raise ValueError("N must be >= 3")
     m = _as_point(m)

@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from fractions import Fraction
 from typing import Optional, Union
 
 from . import _kernels
 from .elliptic import ModuliPoint, _as_point, eta_derivatives, invariants_g
 from .errors import Degenerate, Inconclusive, NewtonStall
 from .modular import branch_copy
-from .premodular import TorsionPair, z2_with_scale
+from .premodular import TorsionPair, cusp_asymptotic, z2_with_scale
 
 _PI = math.pi
 
@@ -40,6 +41,8 @@ LATTICE_HIT = 1e-12
 # |Z2| below this multiple of its natural scale counts as a zero of the
 # denominator (a pole of lambda).
 Z2_ZERO_RTOL = 1e-12
+# Newton steps allowed before a zero search is declared stalled.
+_NEWTON_MAX_ITER = 50
 
 _INF = complex(math.inf, 0.0)
 
@@ -177,18 +180,20 @@ def lambda_rs(p: TorsionPair, m) -> SolutionValue:
     )
 
 
-def _newton_z2(pair: TorsionPair, tau0: complex, max_iter: int = 50):
+def _newton_z2(pair: TorsionPair, tau0: complex):
     """Newton refinement of a zero of Z2 in tau, derivative by a 4-point
-    central difference on the holomorphic function (step 1e-6)."""
+    central difference on the holomorphic function (step 1e-6).
+
+    Returns (tau, |Z2|, |Z2'|, iterations, scale), all at the returned tau;
+    scale is the natural magnitude of ``z2_with_scale``.
+    """
     h = 1e-6
     tau = tau0
-    last_scale = 1.0
-    for it in range(1, max_iter + 1):
+    for it in range(1, _NEWTON_MAX_ITER + 1):
         f, scale = z2_with_scale(pair, ModuliPoint.from_tau(tau))
-        last_scale = scale
         if abs(f) <= 1e-13 * scale:
             fp = _z2_derivative(pair, tau, h)
-            return tau, abs(f), abs(fp), it
+            return tau, abs(f), abs(fp), it, scale
         fp = _z2_derivative(pair, tau, h)
         if fp == 0:
             break
@@ -199,11 +204,11 @@ def _newton_z2(pair: TorsionPair, tau0: complex, max_iter: int = 50):
         if abs(step) < 1e-14 * max(1.0, abs(tau)):
             f2, scale2 = z2_with_scale(pair, ModuliPoint.from_tau(tau))
             fp2 = _z2_derivative(pair, tau, h)
-            return tau, abs(f2), abs(fp2), it
+            return tau, abs(f2), abs(fp2), it, scale2
     f, scale = z2_with_scale(pair, ModuliPoint.from_tau(tau))
     if abs(f) <= 1e-10 * scale:
         fp = _z2_derivative(pair, tau, h)
-        return tau, abs(f), abs(fp), max_iter
+        return tau, abs(f), abs(fp), _NEWTON_MAX_ITER, scale
     raise NewtonStall(
         f"Newton failed to converge for {pair} from {tau0}: |Z2| = {abs(f):.3e}"
     )
@@ -223,8 +228,6 @@ def _default_pole_tol(pair: TorsionPair, scale: float) -> float:
     non-tiny, otherwise 1e-9 times the local term scale."""
     base = scale
     if pair.is_real:
-        from .premodular import cusp_asymptotic
-
         lead, order = cusp_asymptotic(pair)
         if abs(lead) > 1e-6:
             base = abs(lead)
@@ -232,14 +235,14 @@ def _default_pole_tol(pair: TorsionPair, scale: float) -> float:
 
 
 def pole_test(
-    p: TorsionPair, m, tol: Optional[float] = None
+    p: TorsionPair, m
 ) -> tuple[bool, str, Union[PoleExpansion, ZeroWitness, None]]:
     """Is t(tau) a pole of lambda_{r,s}?  Returns (is_pole, kind, witness).
 
     kind is "lattice" when alpha = r + s*tau lies on the lattice, "z2-zero"
     when the denominator vanishes (Newton-refined before judging), "none"
-    otherwise.  |Z2| inside (tol, 10 tol) of the decision scale raises
-    Inconclusive.
+    otherwise.  |Z2| inside (tol, 10 tol), tol from ``_default_pole_tol``,
+    raises Inconclusive.
     """
     if p.degenerate:
         raise Degenerate(f"(r, s) = {p.r, p.s} is degenerate")
@@ -254,9 +257,9 @@ def pole_test(
         return True, "lattice", PoleExpansion(c0=c0, c1=c1, leading=leading)
 
     val, scale = z2_with_scale(p, m)
-    tol_abs = tol * scale if tol is not None else _default_pole_tol(p, scale)
+    tol_abs = _default_pole_tol(p, scale)
     if abs(val) <= tol_abs:
-        tau0, resid, dz, iters = _newton_z2(p, m.tau)
+        tau0, resid, dz, iters, _ = _newton_z2(p, m.tau)
         return True, "z2-zero", ZeroWitness(
             tau0=tau0, residual=resid, dz_mag=dz, newton_iters=iters
         )
@@ -279,8 +282,6 @@ def symmetry_check(N: int, m) -> dict:
     """
     if N < 3:
         raise ValueError("N must be >= 3")
-    from fractions import Fraction
-
     m = _as_point(m)
     tau = m.tau
     p_0N = TorsionPair.of(0, Fraction(1, N))

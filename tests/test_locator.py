@@ -4,9 +4,10 @@ import cmath
 import math
 from fractions import Fraction
 
+import numpy as np
 import pytest
 
-from pvilab import locator
+from pvilab import locator, premodular
 from pvilab.elliptic import ModuliPoint
 from pvilab.errors import DomainError, IncoherentWinding
 from pvilab.locator import (
@@ -26,7 +27,13 @@ from pvilab.locator import (
 )
 from pvilab.modular import reduce_to_shifted_domain, transport_pair
 from pvilab.orbits import p_of_n
-from pvilab.premodular import TorsionPair, z2_with_scale
+from pvilab.premodular import (
+    SERIES_HEIGHT,
+    TorsionPair,
+    cusp_asymptotic,
+    z2_stable,
+    z2_with_scale,
+)
 
 PI = math.pi
 
@@ -75,7 +82,7 @@ def test_winding_requires_real_pair():
 def test_winding_invariant_under_density_doubling():
     pair = TorsionPair.of(0.62, 0.17)
     ev = _PairEvaluator(pair)
-    pieces = _build_contour(F0, pair)
+    pieces = _build_contour(F0, ev)
     coarse = _winding_over(pieces, ev, n0=17)
     fine = _winding_over(pieces, ev, n0=34)
     assert round(coarse) == round(fine)
@@ -104,6 +111,71 @@ def test_winding_gap_radius_independence():
     finally:
         locator._gap_radius = orig
     assert w_small == w_big == 0
+
+
+# --- the series switch and the cusp orders ---------------------------------
+
+
+# on both sides of SERIES_HEIGHT, one of them within round-off of it
+_SWITCH_TAUS = np.array(
+    [0.3 + 1.5j, 0.1 + 2.0j, 0.7 + (2.0 + 1e-12) * 1j, 0.45 + 2.3j, 0.9 + 4.0j]
+)
+
+
+@pytest.mark.parametrize(
+    "r,s",
+    [
+        (Fraction(1, 3), Fraction(0)),
+        (Fraction(1, 5), Fraction(1, 2)),
+        (Fraction(2, 7), Fraction(3, 2)),
+        (0.27, 0.0),
+        (0.3, 0.5),
+        (0.6, 0.3),
+    ],
+)
+def test_evaluator_and_z2_stable_share_the_series_switch(r, s, monkeypatch):
+    pair = TorsionPair.of(r, s)
+    vals, scales, series = _PairEvaluator(pair)(_SWITCH_TAUS)
+    # z2_stable builds the expansion exactly when it takes the series path
+    calls = []
+    expansion = premodular.z2_cusp_expansion
+    monkeypatch.setattr(
+        premodular, "z2_cusp_expansion", lambda p: calls.append(p) or expansion(p)
+    )
+    s_in_half_z = cusp_asymptotic(pair)[1] > 0
+    for tau, val, scale, on_series in zip(_SWITCH_TAUS, vals, scales, series):
+        before = len(calls)
+        stable, stable_scale = z2_stable(pair, ModuliPoint.from_tau(complex(tau)))
+        assert on_series == (s_in_half_z and tau.imag > SERIES_HEIGHT)
+        assert (len(calls) > before) == on_series
+        assert abs(stable - val) <= 1e-14 * scale
+        assert abs(stable_scale - scale) <= 1e-14 * scale
+
+
+def test_evaluator_cusp_orders_follow_the_transport_formula(rng):
+    # orders at x_c are those of (r_c, s_c) = (s, -(r + x_c s)) at infinity
+    pairs = []
+    while len(pairs) < 300:
+        N = int(rng.integers(3, 25))
+        k1, k2 = (int(k) for k in rng.integers(0, N, size=2))
+        pairs.append(TorsionPair.of(Fraction(k1, N), Fraction(k2, N)))
+    for _ in range(150):
+        pairs.append(TorsionPair.of(float(rng.uniform(-1, 2)), float(rng.uniform(-1, 2))))
+        # floats on the lines where some transported s_c lies in (1/2)Z
+        k1, k2 = (int(k) for k in rng.integers(0, 20, size=2))
+        pairs.append(TorsionPair.of(k1 / 20, k2 / 20))
+    seen_orders = set()
+    for pair in pairs:
+        if pair.degenerate:
+            continue
+        ev = _PairEvaluator(pair)
+        r, s = (pair.r, pair.s) if pair.exact else pair.as_complex()
+        for x_c in (0, 1, 2):
+            expected = cusp_asymptotic(TorsionPair.of(s, -(r + x_c * s)))[1]
+            assert ev.cusp_orders[x_c] == float(expected)
+            seen_orders.add(float(expected))
+        assert ev.order_inf == float(cusp_asymptotic(pair)[1])
+    assert seen_orders == {0.0, 0.5, 1.0}
 
 
 # --- locate_zeros -----------------------------------------------------------

@@ -98,6 +98,18 @@ def test_z2_cusp_value_at_20i():
     assert abs(lead + 11.62735375511243j) < 1e-10
 
 
+def test_z2_against_lattice_sum_oracle():
+    # Z2 = Z^3 - 3 wp Z - wp' assembled from the independent box sums, at five
+    # of acceptance criterion 9's (r, s, tau) points; a sign slip in wp' or
+    # in the assembly moves Z2 by O(|wp'|), far outside the tolerance.
+    pairs = [(0.31, 0.17), (0.11, 0.08), (0.42, 0.13), (0.27, 0.33), (0.49, 0.02)]
+    taus = [1j, 0.2 + 1.1j, -0.3 + 0.9j, 0.1 + 1.7j, 0.45 + 1.3j]
+    for (r, s), tau in zip(pairs, taus):
+        value = z2(TorsionPair.of(r, s), ModuliPoint.from_tau(tau))
+        oracle = oracles.z2_lattice_sum(r, s, tau)
+        assert abs(value - oracle) <= 1e-8 * abs(oracle)
+
+
 def test_z2_weight_three_inversion():
     # gamma = [[0,-1],[1,0]]: Z2_{r',s'}(-1/tau) = tau^3 Z2_{r,s}(tau)
     tau = 0.3 + 1.2j
