@@ -1,9 +1,11 @@
 """Kernel backend: numba's ``@njit`` when numba imports, plain Python otherwise.
 
-The hot kernels in ``_kernels`` are scalar code that numba can compile.
-numba is the optional ``jit`` extra; without it the same code runs in the
-interpreter with the same results, only slower.  ``backend_name()`` reports
-which of the two is in effect; the CLI reports record it.
+The scalar kernels in ``_kernels`` are code that numba can compile.  numba
+is the optional ``jit`` extra; without it the same code runs in the
+interpreter with the same results, only slower.  The batch kernel
+``_kernels.z2_many`` is NumPy code and runs the same way under both.
+``backend_name()`` reports which of the two is in effect for the scalar
+kernels; the CLI reports record it.
 """
 
 try:

@@ -1,9 +1,17 @@
-"""Scalar numeric kernels: Fourier (q-) series for Weierstrass functions.
+"""Numeric kernels: Fourier (q-) series for Weierstrass functions.
 
-Everything here is nopython-compatible and wrapped by ``@njit``, which
-compiles it when numba is installed and is the identity otherwise (see
-``_backend``).  The evaluation strategy for a point tau in the upper
-half-plane:
+Two paths share one evaluation strategy.  The scalar kernels
+(``premodular_at``, ``lattice_values`` and the helpers they call) are
+nopython-compatible and wrapped by ``@njit``, which compiles them when
+numba is installed and is the identity otherwise (see ``_backend``); Newton
+steps and ``lambda_rs`` use them.  The batch kernel ``z2_many`` is NumPy
+code under either backend: it runs the same steps on arrays of tau, in
+blocks of at most ``_BLOCK`` points.  Each point leaves the masked tau
+reduction where ``reduce_tau`` stops.  The series loops run until every
+point of the block passes the scalar kernel's stop test; past that test a
+term is below 1e-19 and falls geometrically with the ones after it, far
+under half an ulp of the sums it joins, so a point's result is the same
+in any batch.  The strategy for a point tau in the upper half-plane:
 
 1. reduce tau to the standard fundamental domain {|Re| <= 1/2, |tau| >= 1}
    with an integer matrix, so the nome q = exp(2*pi*i*tau_red) satisfies
@@ -26,6 +34,8 @@ overflows even for very large Im(tau).
 
 import cmath
 import math
+
+import numpy as np
 
 from ._backend import njit
 
@@ -273,19 +283,148 @@ def premodular_at(r, s, tau):
     return z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, err
 
 
-@njit
+# ---------------------------------------------------------------------------
+# The batch kernel: NumPy, array at a time, whatever the backend
+# ---------------------------------------------------------------------------
+
+# Points per block of ``z2_many``; bounds the kernel's working set.
+_BLOCK = 1024
+
+
+def _reduce_tau_many(tau):
+    """``reduce_tau`` for an array: (tau_red, c, d), the reduced points and
+    the bottom row of each reducing matrix.  A point leaves the masked loop
+    once it lies in the standard domain, so it takes reduce_tau's steps."""
+    t = tau.copy()
+    a = np.ones(tau.shape, dtype=np.int64)
+    b = np.zeros_like(a)
+    c = np.zeros_like(a)
+    d = np.ones_like(a)
+    live = np.arange(tau.size)
+    for _ in range(512):
+        if live.size == 0:
+            break
+        tl = t[live]
+        n = np.floor(tl.real + 0.5)
+        tl = tl - n
+        ni = n.astype(np.int64)
+        a[live] -= ni * c[live]
+        b[live] -= ni * d[live]
+        flip = (tl.real * tl.real + tl.imag * tl.imag) < 1.0 - 1e-14
+        tl[flip] = -1.0 / tl[flip]
+        t[live] = tl
+        live = live[flip]
+        a[live], b[live], c[live], d[live] = -c[live], -d[live], a[live], b[live]
+    return t, c, d
+
+
+def _e2_many(q):
+    """E2 at reduced nomes q, summed until every point passes the stop test
+    of ``lattice_constants``'s Eisenstein series."""
+    e2 = np.ones_like(q)
+    qk = np.ones_like(q)
+    for k in range(1, _KMAX):
+        qk = qk * q
+        kf = float(k)
+        e2 -= 24.0 * kf * (qk / (1.0 - qk))
+        if k >= 6 and np.all(504.0 * kf**5 * np.abs(qk) < 1e-18):
+            break
+    return e2
+
+
+def _wz_series_many(z, tau, q):
+    """``wz_series`` for arrays: (wp, wp', zeta - eta1*z) at reduced
+    (z, tau), summed until every point passes wz_series's stop test."""
+    up = z.imag >= 0.0
+    u = np.exp(2j * _PI * np.where(up, z, -z))
+    one_m_u = 1.0 - u
+    cot = 1j * (1.0 + u) / one_m_u
+    cot = np.where(up, -cot, cot)
+    inv_sin2 = -4.0 * u / (one_m_u * one_m_u)
+
+    pi2 = _PI * _PI
+    wp = pi2 * (-1.0 / 3.0) + pi2 * inv_sin2
+    wpp = -2.0 * _PI * pi2 * cot * inv_sin2
+    zt = _PI * cot
+
+    a1 = np.exp(2j * _PI * (tau + z))
+    b1 = np.exp(2j * _PI * (tau - z))
+    ak = np.ones_like(z)
+    bk = np.ones_like(z)
+    qk = np.ones_like(z)
+    s_wp = np.zeros_like(z)
+    s_wpp = np.zeros_like(z)
+    s_zt = np.zeros_like(z)
+    for k in range(1, _KMAX):
+        ak = ak * a1
+        bk = bk * b1
+        qk = qk * q
+        inv = 1.0 / (1.0 - qk)
+        kf = float(k)
+        diff = ak - bk
+        s_wp += kf * (0.5 * (ak + bk) - qk) * inv
+        s_wpp += (kf * kf) * (-0.5j) * diff * inv
+        s_zt += diff * inv
+        if k >= 6:
+            m = np.abs(ak) + np.abs(bk) + np.abs(qk)
+            if np.all(kf * kf * m < 1e-19):
+                break
+    wp += -8.0 * pi2 * s_wp
+    wpp += 16.0 * _PI * pi2 * s_wpp
+    zt += -2j * _PI * s_zt
+    return wp, wpp, zt
+
+
+def _z2_block(r, s, tau):
+    """(Z2, scale) of ``premodular_at`` at every point of one block."""
+    tred, c, d = _reduce_tau_many(tau)
+    qred = np.exp(2j * _PI * tred)
+    eta1_r = _PI * _PI / 3.0 * _e2_many(qred)
+    j = c * tau + d
+    j2 = j * j
+    eta1 = eta1_r / j2 + 2j * _PI * c / j
+    eta2 = tau * eta1 - 2j * _PI
+    eta2_r = tred * eta1_r - 2j * _PI
+
+    # reduce_z of alpha/j; after the tau reduction a point within 1e-12 of
+    # the lattice can only be near the cell's centre 0, so |z0| is the
+    # distance reduce_z's 3x3 search would find below that threshold.
+    zr = (r + s * tau) / j
+    y = zr.imag / tred.imag
+    x = zr.real - y * tred.real
+    m = np.floor(x + 0.5)
+    n = np.floor(y + 0.5)
+    z0 = zr - m - n * tred
+    hit = np.abs(z0) < 1e-12
+
+    wp_r, wpp_r, zt_part = _wz_series_many(z0, tred, qred)
+    zeta_r = zt_part + eta1_r * (z0 + m) + eta2_r * n
+    wp = wp_r / j2
+    wpp = wpp_r / (j2 * j)
+    z = zeta_r / j - r * eta1 - s * eta2
+    z2 = z * z * z - 3.0 * wp * z - wpp
+    az = np.abs(z)
+    scale = az**3 + 3.0 * np.abs(wp) * az + np.abs(wpp)
+    z2[hit] = complex(math.nan, math.nan)
+    scale[hit] = math.nan
+    return z2, scale
+
+
 def z2_many(r, s, taus, out_val, out_scale):
-    """Batch premodular values along an array of tau samples."""
-    for i in range(taus.shape[0]):
-        z, wp, wpp, z2, g2, g3, e1, e2, scale, dist, err = premodular_at(
-            r, s, taus[i]
-        )
-        out_val[i] = z2
-        out_scale[i] = scale
+    """Z2 and its scale, as ``premodular_at`` returns them, at every tau of
+    an array, written to out_val and out_scale (NaN at lattice hits).
+
+    NumPy code under either backend.  Each point's result depends on that
+    point alone, so it is the same in any batch.
+    """
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, taus.shape[0], _BLOCK):
+            hi = lo + _BLOCK
+            out_val[lo:hi], out_scale[lo:hi] = _z2_block(r, s, taus[lo:hi])
 
 
 def warmup():
-    """Force JIT compilation of every kernel (no-op without numba)."""
+    """Force JIT compilation of every scalar kernel (no-op without numba)."""
     tau = complex(0.1, 1.3)
     reduce_tau(tau)
     reduce_z(complex(0.3, 0.2), tau)
@@ -293,9 +432,3 @@ def warmup():
     elliptic_at(complex(0.3, 0.2), tau)
     lattice_values(tau)
     premodular_at(complex(0.3, 0.0), complex(0.2, 0.0), tau)
-    import numpy as np
-
-    taus = np.array([tau, tau + 0.1], dtype=np.complex128)
-    out_v = np.empty(2, dtype=np.complex128)
-    out_s = np.empty(2, dtype=np.float64)
-    z2_many(complex(0.3, 0.0), complex(0.2, 0.0), taus, out_v, out_s)

@@ -37,6 +37,7 @@ safe workhorse: zeros are transported into F or F2 by the group action.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass, field
 from fractions import Fraction
@@ -110,17 +111,16 @@ class DomainSpec:
             return (0, 1, 2)
         return ()
 
-    def contains(self, tau: complex, margin: float = 0.0) -> bool:
-        """Interior membership with an optional safety margin."""
+    def contains(self, tau, margin: float = 0.0):
+        """Interior membership with an optional safety margin, for one tau
+        or elementwise for an array of them."""
+        x, y = np.real(tau), np.imag(tau)
         xl, xr = self.strip
-        if not (xl + margin <= tau.real <= xr - margin):
-            return False
-        if not (0.0 < tau.imag <= self.truncation_height):
-            return False
+        inside = (xl + margin <= x) & (x <= xr - margin)
+        inside &= (0.0 < y) & (y <= self.truncation_height)
         for c, rad in self.disks:
-            if abs(tau - c) < rad + margin:
-                return False
-        return True
+            inside &= np.hypot(x - c.real, y - c.imag) >= rad + margin
+        return inside
 
 
 F0 = DomainSpec("F0")
@@ -407,35 +407,69 @@ def _check_clearance(ev: _PairEvaluator, taus, vals, scales, exact, piece):
         )
 
 
-def _phase_along_piece(
-    ev: _PairEvaluator, piece: tuple, n0: int = 17
-) -> tuple[float, complex, complex]:
-    """Accumulated phase change of Z2 along one numeric boundary piece."""
-    t = np.linspace(0.0, 1.0, n0)
-    taus = _piece_points(piece, t)
-    vals, scales, exact = ev(taus)
-    _check_clearance(ev, taus, vals, scales, exact, piece)
-    for _ in range(_MAX_REFINE_ROUNDS):
-        ratios = vals[1:] / vals[:-1]
-        steps = np.angle(ratios)
-        bad = np.abs(steps) > MAX_PHASE_STEP
-        if not bad.any():
-            return float(np.sum(steps)), complex(vals[0]), complex(vals[-1])
-        mid_t = 0.5 * (t[:-1][bad] + t[1:][bad])
-        mid_taus = _piece_points(piece, mid_t)
-        mid_vals, mid_scales, mid_exact = ev(mid_taus)
-        _check_clearance(ev, mid_taus, mid_vals, mid_scales, mid_exact, piece)
-        t = np.concatenate([t, mid_t])
-        order = np.argsort(t)
-        t = t[order]
-        vals = np.concatenate([vals, mid_vals])[order]
-    raise IncoherentWinding(
-        f"phase refinement did not settle on piece {piece[0]} for {ev.pair}"
-    )
+def _phase_along_pieces(
+    ev: _PairEvaluator, pieces: list, n0: int
+) -> list[tuple[float, complex, complex]]:
+    """Accumulated phase change of Z2 along each numeric boundary piece, with
+    its first and last sample values.
+
+    Each piece starts from n0 samples and bisects every segment whose phase
+    step exceeds MAX_PHASE_STEP, until none does.  The new samples of one
+    round of all pieces go to the evaluator in one batch.  Pieces do not
+    interact, so the error raised is that of the first failing piece in
+    contour order, as if the pieces were refined one after the other.
+    """
+    n = len(pieces)
+    ts = [np.empty(0)] * n
+    vals = [np.empty(0, dtype=np.complex128)] * n
+    new_t = [np.linspace(0.0, 1.0, n0)] * n
+    results: list = [None] * n
+    errors: list = [None] * n
+    live = list(range(n))
+    for rnd in range(_MAX_REFINE_ROUNDS + 1):
+        if not live:
+            break
+        taus = [_piece_points(pieces[i], new_t[i]) for i in live]
+        batch = ev(np.concatenate(taus))
+        still = []
+        lo = 0
+        for i, piece_taus in zip(live, taus):
+            hi = lo + len(piece_taus)
+            new = [a[lo:hi] for a in batch]
+            lo = hi
+            try:
+                _check_clearance(ev, piece_taus, *new, pieces[i])
+            except BoundaryTooClose as exc:
+                errors[i] = exc
+                continue
+            t = np.concatenate([ts[i], new_t[i]])
+            order = np.argsort(t)
+            ts[i] = t = t[order]
+            vals[i] = v = np.concatenate([vals[i], new[0]])[order]
+            if rnd == _MAX_REFINE_ROUNDS:
+                errors[i] = IncoherentWinding(
+                    f"phase refinement did not settle on piece {pieces[i][0]} "
+                    f"for {ev.pair}"
+                )
+                continue
+            steps = np.angle(v[1:] / v[:-1])
+            bad = np.abs(steps) > MAX_PHASE_STEP
+            if not bad.any():
+                results[i] = (float(np.sum(steps)), complex(v[0]), complex(v[-1]))
+                continue
+            new_t[i] = 0.5 * (t[:-1][bad] + t[1:][bad])
+            still.append(i)
+        live = still
+    for exc in errors:
+        if exc is not None:
+            raise exc
+    return results
 
 
 def _winding_over(pieces: list, ev: _PairEvaluator, n0: int = 17) -> float:
     """Total phase (in turns) around a closed piecewise contour."""
+    numeric = [piece for piece in pieces if not isinstance(piece, _Jump)]
+    phases = iter(_phase_along_pieces(ev, numeric, n0))
     total = 0.0
     prev_val: Optional[complex] = None
     first_val: Optional[complex] = None
@@ -444,7 +478,7 @@ def _winding_over(pieces: list, ev: _PairEvaluator, n0: int = 17) -> float:
             total += piece.delta
             prev_val = None
             continue
-        dphi, v0, v1 = _phase_along_piece(ev, piece, n0=n0)
+        dphi, v0, v1 = next(phases)
         if prev_val is not None:
             total += float(np.angle(v0 / prev_val))
         if first_val is None:
@@ -487,18 +521,23 @@ def winding_count(p: TorsionPair, d: DomainSpec) -> int:
 # ---------------------------------------------------------------------------
 
 
+@functools.cache
 def _interior_grid(d: DomainSpec, nx: int, ny: int) -> np.ndarray:
+    """Newton start candidates: the nx-by-ny grid points (linear in Re,
+    geometric in Im, x-major) that ``d.contains`` accepts with margin 1e-3.
+
+    Memoised per (d, nx, ny); the array is read-only.
+    """
     xl, xr = d.strip
     xs = np.linspace(xl + 0.02, xr - 0.02, nx)
     y_lo = max(_CUSP_CLEARANCE + 0.02, 0.05)
     ys = np.geomspace(y_lo, d.truncation_height, ny)
-    pts = []
-    for x in xs:
-        for y in ys:
-            tau = complex(x, y)
-            if d.contains(tau, margin=1e-3):
-                pts.append(tau)
-    return np.array(pts, dtype=np.complex128)
+    grid = np.empty((nx, ny), dtype=np.complex128)
+    grid.real = xs[:, None]
+    grid.imag = ys[None, :]
+    pts = grid[d.contains(grid, margin=1e-3)]
+    pts.flags.writeable = False
+    return pts
 
 
 def _rect_winding(ev: _PairEvaluator, x0, x1, y0, y1) -> int:

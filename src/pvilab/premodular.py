@@ -22,6 +22,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from typing import Optional, Union
 
 import numpy as np
@@ -67,13 +68,15 @@ class TorsionPair:
     def exact(self) -> bool:
         return isinstance(self.r, Fraction) and isinstance(self.s, Fraction)
 
-    @property
+    # is_real and degenerate are cached: Newton asks for them on every step,
+    # and for Fraction pairs the half-integer test is exact arithmetic.
+    @cached_property
     def is_real(self) -> bool:
         if self.exact:
             return True
         return abs(complex(self.r).imag) < 1e-14 and abs(complex(self.s).imag) < 1e-14
 
-    @property
+    @cached_property
     def degenerate(self) -> bool:
         """True when (r, s) is in (1/2)Z^2."""
         return _is_half_integer(self.r) and _is_half_integer(self.s)

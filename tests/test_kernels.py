@@ -1,0 +1,147 @@
+"""The NumPy batch kernel ``z2_many`` against the scalar ``premodular_at``."""
+
+import math
+from fractions import Fraction
+
+import numpy as np
+import pytest
+
+from pvilab import _kernels
+from pvilab.locator import F, F0, F2, _interior_grid, _PairEvaluator
+from pvilab.modular import reduce_to_standard, transport_pair
+from pvilab.premodular import TorsionPair, cusp_asymptotic
+
+GRID_SIZES = ((29, 25), (57, 49), (113, 97))
+# generic pairs in D2 and D1, s = 0, s = 1/2 and r = 1/2
+PAIRS = [
+    (0.6, 0.3),
+    (0.9, 0.05),
+    (Fraction(1, 3), Fraction(0)),
+    (0.2, 0.5),
+    (Fraction(1, 2), Fraction(1, 5)),
+]
+AGREE_RTOL = 1e-13
+# Below this expected |Z2|/scale suppression both kernels return
+# cancellation noise, and they differ by up to 1e-8 relative there.
+ATTENUATION_FLOOR = 1e-3
+
+
+def _batch(pair, taus):
+    r, s = pair.as_complex()
+    taus = np.ascontiguousarray(taus, dtype=np.complex128)
+    vals = np.empty(len(taus), dtype=np.complex128)
+    scales = np.empty(len(taus), dtype=np.float64)
+    _kernels.z2_many(r, s, taus, vals, scales)
+    return vals, scales
+
+
+def _scalar(pair, taus):
+    r, s = pair.as_complex()
+    out = [_kernels.premodular_at(r, s, complex(t)) for t in taus]
+    return np.array([o[3] for o in out]), np.array([o[8] for o in out])
+
+
+def _reduced_cusp_attenuation(pair, taus):
+    """exp(-2 pi ord Im tau_red) per tau, ord the cusp order of the pair
+    transported by the matrix that reduces tau: ``_PairEvaluator.attenuation``
+    for whichever cusp tau lies near, not only 0, 1 and 2."""
+    att = np.ones(len(taus))
+    for i, tau in enumerate(taus):
+        tau_red, g = reduce_to_standard(complex(tau))
+        order = cusp_asymptotic(TorsionPair.of(*transport_pair(pair.r, pair.s, g)))[1]
+        att[i] = math.exp(-2.0 * math.pi * float(order) * tau_red.imag)
+    return att
+
+
+def _random_taus(rng, n):
+    im = np.exp(rng.uniform(math.log(0.03), math.log(10.0), n))
+    return rng.uniform(-2.0, 2.0, n) + 1j * im
+
+
+def _trusted(pair, taus, every_cusp=False):
+    """Points where the scalar value is not cancellation noise: off the
+    series switch, and away from the cusps 0, 1, 2 (or, with every_cusp,
+    from any cusp) where the transported pair degenerates.  The locator
+    grids approach no other cusp."""
+    ev = _PairEvaluator(pair)
+    att = ev.attenuation(taus)
+    if every_cusp:
+        att = np.minimum(att, _reduced_cusp_attenuation(pair, taus))
+    return (att >= ATTENUATION_FLOOR) & ~ev(taus)[2]
+
+
+def _assert_agrees(pair, taus, vals, scales, trusted):
+    ref_vals, ref_scales = _scalar(pair, taus)
+    assert np.array_equal(np.isnan(vals), np.isnan(ref_vals))
+    assert np.array_equal(np.isnan(scales), np.isnan(ref_scales))
+    ok = trusted & ~np.isnan(ref_vals)
+    assert np.all(np.abs(vals - ref_vals)[ok] <= AGREE_RTOL * ref_scales[ok])
+    assert np.all(np.abs(scales - ref_scales)[ok] <= AGREE_RTOL * ref_scales[ok])
+    # the comparison is not vacuous
+    assert ok.sum() >= 0.2 * len(taus)
+
+
+@pytest.mark.parametrize("r,s", PAIRS)
+def test_batch_matches_scalar_on_locator_grids(r, s):
+    pair = TorsionPair.of(r, s)
+    grids = [_interior_grid(d, nx, ny) for d in (F0, F, F2) for nx, ny in GRID_SIZES]
+    taus = np.concatenate(grids)
+    _assert_agrees(pair, taus, *_batch(pair, taus), _trusted(pair, taus))
+
+
+@pytest.mark.parametrize("r,s", PAIRS)
+def test_batch_matches_scalar_at_random_tau(r, s, rng):
+    pair = TorsionPair.of(r, s)
+    taus = _random_taus(rng, 1000)
+    trusted = _trusted(pair, taus, every_cusp=True)
+    _assert_agrees(pair, taus, *_batch(pair, taus), trusted)
+
+
+def test_nan_exactly_at_lattice_hits():
+    # alpha = r + s*tau is 0 at tau0 and 1 at tau0 + 2
+    tau0 = 0.3 + 0.8j
+    pair = TorsionPair.of(-0.5 * tau0, 0.5)
+    taus = np.array([tau0, tau0 + 2.0, tau0 + 1e-3, tau0 + 1.0, 1.7 + 0.05j])
+    vals, scales = _batch(pair, taus)
+    ref_vals, ref_scales = _scalar(pair, taus)
+    hits = [True, True, False, False, False]
+    assert np.isnan(vals).tolist() == np.isnan(ref_vals).tolist() == hits
+    assert np.isnan(scales).tolist() == np.isnan(ref_scales).tolist() == hits
+    for i in range(len(taus)):
+        single = _batch(pair, taus[i : i + 1])
+        assert np.array_equal(single[0], vals[i : i + 1], equal_nan=True)
+
+
+@pytest.fixture(scope="module")
+def pool():
+    """1025 points mixed from the F2 grid and random tau, each evaluated
+    alone."""
+    rng = np.random.default_rng(1025)
+    grid = np.array(_interior_grid(F2, 57, 49))
+    taus = np.concatenate([grid, _random_taus(rng, 1025)])
+    taus = taus[rng.permutation(len(taus))[:1025]]
+    pair = TorsionPair.of(0.9, 0.05)
+    singles = [_batch(pair, taus[i : i + 1]) for i in range(len(taus))]
+    vals = np.concatenate([v for v, _ in singles])
+    scales = np.concatenate([sc for _, sc in singles])
+    return pair, taus, vals, scales
+
+
+@pytest.mark.parametrize("n", [0, 1, 1023, 1024, 1025])
+def test_every_size_is_batch_invariant_and_matches_scalar(n, pool):
+    pair, taus, single_vals, single_scales = pool
+    vals, scales = _batch(pair, taus[:n])
+    assert vals.shape == scales.shape == (n,)
+    assert np.array_equal(vals, single_vals[:n], equal_nan=True)
+    assert np.array_equal(scales, single_scales[:n], equal_nan=True)
+    if n:
+        trusted = _trusted(pair, taus[:n], every_cusp=True)
+        _assert_agrees(pair, taus[:n], vals, scales, trusted)
+
+
+def test_result_does_not_depend_on_batch_order(pool):
+    pair, taus, single_vals, single_scales = pool
+    perm = np.random.default_rng(7).permutation(len(taus))
+    vals, scales = _batch(pair, taus[perm])
+    assert np.array_equal(vals, single_vals[perm])
+    assert np.array_equal(scales, single_scales[perm])

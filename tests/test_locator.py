@@ -17,7 +17,6 @@ from pvilab.locator import (
     DomainSpec,
     _PairEvaluator,
     _build_contour,
-    _phase_along_piece,
     _winding_over,
     classify_triangle,
     count_mn_zeros,
@@ -87,6 +86,23 @@ def test_winding_invariant_under_density_doubling():
     fine = _winding_over(pieces, ev, n0=34)
     assert round(coarse) == round(fine)
     assert abs(coarse - fine) < 0.02
+
+
+def test_winding_evaluates_initial_samples_of_all_pieces_at_once(monkeypatch):
+    pair = TorsionPair.of(0.62, 0.17)
+    ev = _PairEvaluator(pair)
+    pieces = _build_contour(F0, ev)
+    numeric = [p for p in pieces if not isinstance(p, locator._Jump)]
+    sizes = []
+    call = _PairEvaluator.__call__
+
+    def counted(self, taus):
+        sizes.append(len(taus))
+        return call(self, taus)
+
+    monkeypatch.setattr(_PairEvaluator, "__call__", counted)
+    assert round(_winding_over(pieces, ev, n0=17)) == winding_count(pair, F0)
+    assert sizes[0] == 17 * len(numeric)
 
 
 def test_winding_with_degenerate_cusp_directions():
@@ -179,6 +195,34 @@ def test_evaluator_cusp_orders_follow_the_transport_formula(rng):
 
 
 # --- locate_zeros -----------------------------------------------------------
+
+
+def _interior_grid_loop(d, nx, ny, margin=1e-3):
+    """The point-by-point construction ``_interior_grid`` replaced, with the
+    scalar membership test ``DomainSpec.contains`` had."""
+    xl, xr = d.strip
+    xs = np.linspace(xl + 0.02, xr - 0.02, nx)
+    y_lo = max(locator._CUSP_CLEARANCE + 0.02, 0.05)
+    ys = np.geomspace(y_lo, d.truncation_height, ny)
+
+    def inside(tau):
+        return (
+            xl + margin <= tau.real <= xr - margin
+            and 0.0 < tau.imag <= d.truncation_height
+            and not any(abs(tau - c) < rad + margin for c, rad in d.disks)
+        )
+
+    pts = [complex(x, y) for x in xs for y in ys]
+    return np.array([t for t in pts if inside(t)], dtype=np.complex128)
+
+
+@pytest.mark.parametrize("d", [F0, F, F2], ids=lambda d: d.kind)
+@pytest.mark.parametrize("nx,ny", [(29, 25), (57, 49), (113, 97)])
+def test_interior_grid_matches_the_point_loop(d, nx, ny):
+    grid = locator._interior_grid(d, nx, ny)
+    assert np.array_equal(grid, _interior_grid_loop(d, nx, ny))
+    assert not grid.flags.writeable
+    assert locator._interior_grid(d, nx, ny) is grid
 
 
 def test_locate_unique_interior_zero():

@@ -1,13 +1,14 @@
 """Hecke form, weight-3 form, cusp behaviour and the product M_N."""
 
 import cmath
+import dataclasses
 import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from pvilab import oracles
+from pvilab import oracles, premodular
 from pvilab.elliptic import ModuliPoint, invariants_g
 from pvilab.errors import Degenerate, NearLattice
 from pvilab.modular import ModularMatrix, transport_pair
@@ -35,6 +36,26 @@ def test_degenerate_pairs_flagged():
     assert TorsionPair.of(3, -2).degenerate
     assert not TorsionPair.of(Fraction(1, 4), 0).degenerate
     assert not TorsionPair.of(0.3, 0.2).degenerate
+
+
+def test_pair_flags_are_cached_without_changing_equality(monkeypatch):
+    calls = []
+    half_integer = premodular._is_half_integer
+    monkeypatch.setattr(
+        premodular, "_is_half_integer", lambda x: calls.append(x) or half_integer(x)
+    )
+    for r, s in ((Fraction(1, 2), Fraction(3, 2)), (0.3 + 0.1j, 0.2)):
+        a, b = TorsionPair.of(r, s), TorsionPair.of(r, s)
+        before = hash(a)
+        flags = (a.degenerate, a.is_real)
+        n_calls = len(calls)
+        assert (a.degenerate, a.is_real) == flags
+        assert len(calls) == n_calls
+        assert {"degenerate", "is_real"} <= vars(a).keys()
+        assert hash(a) == before == hash(b) and a == b
+        assert TorsionPair.of(0.25, 0.25) != a
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        a.r = 0.5
 
 
 def test_window_reduction():
