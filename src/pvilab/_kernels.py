@@ -410,17 +410,21 @@ def _z2_block(r, s, tau):
     return z2, scale
 
 
-def z2_many(r, s, taus, out_val, out_scale):
+def z2_many(r, s, taus):
     """Z2 and its scale, as ``premodular_at`` returns them, at every tau of
-    an array, written to out_val and out_scale (NaN at lattice hits).
+    an array: two new arrays (NaN at lattice hits).
 
     NumPy code under either backend.  Each point's result depends on that
     point alone, so it is the same in any batch.
     """
+    n = taus.shape[0]
+    vals = np.empty(n, dtype=np.complex128)
+    scales = np.empty(n, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, taus.shape[0], _BLOCK):
+        for lo in range(0, n, _BLOCK):
             hi = lo + _BLOCK
-            out_val[lo:hi], out_scale[lo:hi] = _z2_block(r, s, taus[lo:hi])
+            vals[lo:hi], scales[lo:hi] = _z2_block(r, s, taus[lo:hi])
+    return vals, scales
 
 
 def warmup():

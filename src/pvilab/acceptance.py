@@ -20,10 +20,8 @@ import numpy as np
 from . import _kernels
 from .elliptic import ModuliPoint, invariants_g, weierstrass_p, weierstrass_zeta
 from .locator import (
-    F,
     F0,
     classify_triangle,
-    count_mn_zeros,
     locate_zeros,
     valence_check,
     winding_count,
@@ -313,13 +311,12 @@ def criterion_6() -> CriterionResult:
             ok = False
             details.append(f"pole_count({N}) = {pole_count(N)} != {(nsol, per)}")
     for N in (3, 4, 5, 6):
-        rep = count_mn_zeros(N, F)
-        if rep.interior_count != p_of_n(N):
+        v = valence_check(N)  # counts the zeros of M_N over F
+        if v["interior_count"] != p_of_n(N):
             ok = False
             details.append(
-                f"locator count {rep.interior_count} != P({N}) = {p_of_n(N)}"
+                f"locator count {v['interior_count']} != P({N}) = {p_of_n(N)}"
             )
-        v = valence_check(N)
         if not v["balance_exact"]:
             ok = False
             details.append(f"valence balance failed for N={N}: {v}")

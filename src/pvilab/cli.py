@@ -55,17 +55,19 @@ def _domain(args) -> DomainSpec:
     return DomainSpec(args.domain, truncation_height=args.T)
 
 
+def number(text: str):
+    """argparse type of --r, --s and --tau, so that a malformed number is a
+    usage error: "p/q" -> Fraction, "a+bi" -> complex, else float."""
+    try:
+        return parse_rational_or_float(text)
+    except ZeroDivisionError as exc:
+        raise ValueError(str(exc)) from exc
+
+
 def _pair(args) -> TorsionPair:
     if args.r is None or args.s is None:
         raise DomainError("--r and --s are required")
-    return TorsionPair.of(parse_rational_or_float(args.r), parse_rational_or_float(args.s))
-
-
-def _tau(args) -> ModuliPoint:
-    if args.tau is None:
-        raise DomainError("--tau is required")
-    t = parse_rational_or_float(args.tau)
-    return ModuliPoint.from_tau(complex(t))
+    return TorsionPair.of(args.r, args.s)
 
 
 def _report(command: str, inputs: dict, results: dict, t0: float, **diagnostics) -> Report:
@@ -93,7 +95,9 @@ def _emit(report: Report, args) -> None:
 
 def _cmd_eval(args) -> int:
     pair = _pair(args)
-    m = _tau(args)
+    if args.tau is None:
+        raise DomainError("--tau is required")
+    m = ModuliPoint.from_tau(complex(args.tau))
     t0 = time.time()
     sv = lambda_rs(pair, m)
     lat = invariants_g(m)
@@ -267,9 +271,9 @@ def _cmd_verify(args) -> int:
 
 _FLAGS = {
     "--N": dict(type=int, default=None),
-    "--r": dict(type=str, default=None, help="rational p/q, float or a+bi"),
-    "--s": dict(type=str, default=None),
-    "--tau": dict(type=str, default=None, help="complex a+bi, Im > 0"),
+    "--r": dict(type=number, default=None, help="rational p/q, float or a+bi"),
+    "--s": dict(type=number, default=None),
+    "--tau": dict(type=number, default=None, help="complex a+bi, Im > 0"),
     "--domain": dict(choices=("F0", "F", "F2"), default="F0"),
     "--T": dict(type=float, default=10.0, help="truncation height"),
     "--out": dict(type=str, default=None),

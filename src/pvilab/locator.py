@@ -1,5 +1,9 @@
 """Zero counting and location for Z2_{r,s} in modular fundamental domains.
 
+This module owns the domains, the contours and the zero search.  Z2 comes
+from ``premodular.z2_stable_many`` (the pair's cusp series above
+SERIES_HEIGHT when s is in (1/2)Z), the cusp orders from the ``TorsionPair``.
+
 Winding numbers come from adaptive phase tracking of Z2 along the domain
 boundary: the phase step between consecutive samples is bisected until it is
 below pi/8, so unwrapping is unambiguous.  The cusp at infinity is closed
@@ -19,10 +23,6 @@ the computed one is cancellation noise; a disk around the cusp is excised
 and the phase change across it is evaluated analytically from the factor
 (tau - x_c)^{-3} and the leading power q~^ord of the transported expansion.
 Both corrections are exact up to O(q~) terms far below the winding slack.
-
-For the same reason, samples above ``premodular.SERIES_HEIGHT`` for pairs
-whose own s-component is in (1/2)Z are evaluated through the
-coefficient-level cusp series instead of the cancelling direct formula.
 
 Domains:
   F0: {0 <= Re <= 1, |tau - 1/2| >= 1/2}       (index-3 subgroup domain)
@@ -45,18 +45,11 @@ from typing import Optional
 
 import numpy as np
 
-from . import _kernels
 from .elliptic import ModuliPoint
 from .errors import BoundaryTooClose, DomainError, IncoherentWinding, PviLabError
-from .modular import ModularMatrix, reduce_to_shifted_domain, transport_pair
+from .modular import reduce_to_shifted_domain, transport_pair
 from .orbits import RationalPair, euler_phi, p_of_n, pm_class_reps, qn_size
-from .premodular import (
-    SERIES_HEIGHT,
-    TorsionPair,
-    cusp_asymptotic,
-    m_n,
-    z2_cusp_expansion,
-)
+from .premodular import TorsionPair, m_n, z2_stable_many
 from .solutions import _newton_z2
 
 _PI = math.pi
@@ -192,68 +185,19 @@ def classify_triangle(p: TorsionPair) -> TrianglePosition:
     return TrianglePosition("outside")
 
 
-# ---------------------------------------------------------------------------
-# Per-pair evaluation along contours (with the stable high-Im routing)
-# ---------------------------------------------------------------------------
-
-
-class _PairEvaluator:
-    """Batch Z2 evaluation that silently switches to the cusp series where
-    the direct formula would cancel to noise (degenerate s, high Im), and
-    that knows the expected exponential attenuation near degenerate cusps.
-
-    For real non-degenerate pairs it holds the cusp orders the contours
-    need: ``order_inf`` at infinity and ``cusp_orders[x_c]`` at each real
-    cusp x_c in {0, 1, 2}, the order at infinity of the pair transported by
-    tau -> -1/(tau - x_c), i.e. of (r_c, s_c) = (s, -(r + x_c s)).
-    """
-
-    def __init__(self, pair: TorsionPair):
-        self.pair = pair
-        self.r, self.s = pair.as_complex()
-        self.series_coeffs: Optional[np.ndarray] = None
-        self.order_inf: Optional[float] = None
-        self.cusp_orders: dict[int, float] = {}
-        if pair.is_real and not pair.degenerate:
-            self.order_inf = float(cusp_asymptotic(pair)[1])
-            if self.order_inf > 0:
-                self.series_coeffs = z2_cusp_expansion(pair)
-            for x_c in (0, 1, 2):
-                to_inf = ModularMatrix(0, -1, 1, -x_c)
-                pair_c = TorsionPair.of(*transport_pair(pair.r, pair.s, to_inf))
-                self.cusp_orders[x_c] = float(cusp_asymptotic(pair_c)[1])
-
-    def __call__(self, taus: np.ndarray):
-        """Returns (values, scales, exact_mask); exact_mask marks samples
-        evaluated by the series, whose tiny magnitudes are trustworthy."""
-        taus = np.ascontiguousarray(taus, dtype=np.complex128)
-        vals = np.empty(len(taus), dtype=np.complex128)
-        scales = np.empty(len(taus), dtype=np.float64)
-        _kernels.z2_many(self.r, self.s, taus, vals, scales)
-        mask = np.zeros(len(taus), dtype=bool)
-        if self.series_coeffs is not None:
-            mask = taus.imag > SERIES_HEIGHT
-            if mask.any():
-                pp = np.exp(1j * _PI * taus[mask])
-                vals[mask] = np.polyval(self.series_coeffs[::-1], pp)
-        return vals, scales, mask
-
-    def attenuation(self, taus: np.ndarray) -> np.ndarray:
-        """Expected |Z2|/scale suppression factor near degenerate cusps.
-
-        Towards a cusp whose pulled-back factor vanishes like q~^ord, the
-        honest magnitude dies like exp(-2 pi ord Im(-1/(tau - x_c))) while
-        the term scale does not; the boundary-clearance threshold is scaled
-        down accordingly.
-        """
-        att = np.ones(len(taus))
-        for x_c, order_c in self.cusp_orders.items():
-            if order_c == 0.0:
-                continue
-            j = taus - x_c
-            im_t = j.imag / np.abs(j) ** 2
-            att = np.minimum(att, np.exp(-_TWO_PI * order_c * np.maximum(im_t, 0.0)))
-        return att
+def _attenuation(pair: TorsionPair, taus: np.ndarray) -> np.ndarray:
+    """Expected |Z2|/scale suppression near the cusps x_c whose order
+    ord = ``pair.cusp_orders[x_c]`` is positive: the honest magnitude dies like
+    exp(-2 pi ord Im(-1/(tau - x_c))) while the term scale does not, so the
+    boundary-clearance threshold is scaled down accordingly."""
+    att = np.ones(len(taus))
+    for x_c, order_c in enumerate(pair.cusp_orders):
+        if order_c == 0.0:
+            continue
+        j = taus - x_c
+        im_t = j.imag / np.abs(j) ** 2
+        att = np.minimum(att, np.exp(-_TWO_PI * order_c * np.maximum(im_t, 0.0)))
+    return att
 
 
 # ---------------------------------------------------------------------------
@@ -306,16 +250,15 @@ def _cap_jump(d: DomainSpec, order_inf: float) -> _Jump:
     return _Jump(_TWO_PI * order_inf * (xl - xr))
 
 
-def _build_contour(d: DomainSpec, ev: _PairEvaluator) -> list:
+def _build_contour(d: DomainSpec, pair: TorsionPair) -> list:
     """Positively-oriented boundary as numeric pieces and analytic jumps,
-    closed with the cusp orders of ``ev`` (a real non-degenerate pair).
+    closed with the cusp orders of a real non-degenerate pair.
 
     Starts at the top-left corner; numeric pieces are ("seg", z0, z1) or
     ("arc", centre, radius, th0, th1); jumps are _Jump instances.
     """
     T = d.truncation_height
     y0 = _CUSP_CLEARANCE
-    order_inf = ev.order_inf
 
     if d.kind == "F":
         return [
@@ -323,12 +266,12 @@ def _build_contour(d: DomainSpec, ev: _PairEvaluator) -> list:
             ("arc", 0j, 1.0, _PI / 2.0, _PI / 3.0),
             ("arc", 1.0 + 0j, 1.0, 2.0 * _PI / 3.0, _PI / 2.0),
             ("seg", complex(1.0, 1.0), complex(1.0, T)),
-            _cap_jump(d, order_inf),
+            _cap_jump(d, pair.cusp[1]),
         ]
 
     cusp_info = {}
     for x_c in d.cusps:
-        order_c = ev.cusp_orders[x_c]
+        order_c = pair.cusp_orders[x_c]
         cusp_info[x_c] = (order_c, _gap_radius(order_c) if order_c > 0.0 else 0.0)
 
     pieces: list = []
@@ -372,7 +315,7 @@ def _build_contour(d: DomainSpec, ev: _PairEvaluator) -> list:
         edge_bottom = complex(xr, y0)
         pieces.append(("seg", prev_exit, edge_bottom))
     pieces.append(("seg", edge_bottom, complex(xr, T)))
-    pieces.append(_cap_jump(d, order_inf))
+    pieces.append(_cap_jump(d, pair.cusp[1]))
     return pieces
 
 
@@ -392,11 +335,11 @@ def _piece_points(piece: tuple, t: np.ndarray) -> np.ndarray:
 _EPS = 2.220446049250313e-16
 
 
-def _check_clearance(ev: _PairEvaluator, taus, vals, scales, exact, piece):
+def _check_clearance(pair: TorsionPair, taus, vals, scales, exact, piece):
     checked = ~exact
     if not checked.any():
         return
-    att = ev.attenuation(taus)
+    att = _attenuation(pair, taus)
     thresh = np.maximum(BOUNDARY_RTOL * scales * att, 1e3 * _EPS * scales)
     bad = checked & (np.abs(vals) < thresh)
     if bad.any():
@@ -408,14 +351,14 @@ def _check_clearance(ev: _PairEvaluator, taus, vals, scales, exact, piece):
 
 
 def _phase_along_pieces(
-    ev: _PairEvaluator, pieces: list, n0: int
+    pair: TorsionPair, pieces: list, n0: int
 ) -> list[tuple[float, complex, complex]]:
     """Accumulated phase change of Z2 along each numeric boundary piece, with
     its first and last sample values.
 
     Each piece starts from n0 samples and bisects every segment whose phase
     step exceeds MAX_PHASE_STEP, until none does.  The new samples of one
-    round of all pieces go to the evaluator in one batch.  Pieces do not
+    round of all pieces go to ``z2_stable_many`` in one batch.  Pieces do not
     interact, so the error raised is that of the first failing piece in
     contour order, as if the pieces were refined one after the other.
     """
@@ -430,7 +373,7 @@ def _phase_along_pieces(
         if not live:
             break
         taus = [_piece_points(pieces[i], new_t[i]) for i in live]
-        batch = ev(np.concatenate(taus))
+        batch = z2_stable_many(pair, np.concatenate(taus))
         still = []
         lo = 0
         for i, piece_taus in zip(live, taus):
@@ -438,7 +381,7 @@ def _phase_along_pieces(
             new = [a[lo:hi] for a in batch]
             lo = hi
             try:
-                _check_clearance(ev, piece_taus, *new, pieces[i])
+                _check_clearance(pair, piece_taus, *new, pieces[i])
             except BoundaryTooClose as exc:
                 errors[i] = exc
                 continue
@@ -449,7 +392,7 @@ def _phase_along_pieces(
             if rnd == _MAX_REFINE_ROUNDS:
                 errors[i] = IncoherentWinding(
                     f"phase refinement did not settle on piece {pieces[i][0]} "
-                    f"for {ev.pair}"
+                    f"for {pair}"
                 )
                 continue
             steps = np.angle(v[1:] / v[:-1])
@@ -466,10 +409,10 @@ def _phase_along_pieces(
     return results
 
 
-def _winding_over(pieces: list, ev: _PairEvaluator, n0: int = 17) -> float:
+def _winding_over(pieces: list, pair: TorsionPair, n0: int = 17) -> float:
     """Total phase (in turns) around a closed piecewise contour."""
     numeric = [piece for piece in pieces if not isinstance(piece, _Jump)]
-    phases = iter(_phase_along_pieces(ev, numeric, n0))
+    phases = iter(_phase_along_pieces(pair, numeric, n0))
     total = 0.0
     prev_val: Optional[complex] = None
     first_val: Optional[complex] = None
@@ -511,8 +454,7 @@ def winding_count(p: TorsionPair, d: DomainSpec) -> int:
         raise DomainError("winding counts are restricted to real pairs")
     if p.degenerate:
         raise DomainError("degenerate pairs have no meaningful winding")
-    ev = _PairEvaluator(p)
-    turns = _winding_over(_build_contour(d, ev), ev)
+    turns = _winding_over(_build_contour(d, p), p)
     return _integer_turns(turns, f"for {p} over {d.kind}")
 
 
@@ -540,7 +482,7 @@ def _interior_grid(d: DomainSpec, nx: int, ny: int) -> np.ndarray:
     return pts
 
 
-def _rect_winding(ev: _PairEvaluator, x0, x1, y0, y1) -> int:
+def _rect_winding(pair: TorsionPair, x0, x1, y0, y1) -> int:
     """Winding over a plain rectangle (no cusps, no cap)."""
     pieces = [
         ("seg", complex(x1, y0), complex(x1, y1)),
@@ -548,7 +490,7 @@ def _rect_winding(ev: _PairEvaluator, x0, x1, y0, y1) -> int:
         ("seg", complex(x0, y1), complex(x0, y0)),
         ("seg", complex(x0, y0), complex(x1, y0)),
     ]
-    return _integer_turns(_winding_over(pieces, ev, n0=9), "around a rectangle")
+    return _integer_turns(_winding_over(pieces, pair, n0=9), "around a rectangle")
 
 
 def locate_zeros(
@@ -564,10 +506,9 @@ def locate_zeros(
     if w == 0:
         return []
     certs: list[ZeroCertificate] = []
-    ev = _PairEvaluator(p)
     for nx, ny in ((29, 25), (57, 49), (113, 97)):
         grid = _interior_grid(d, nx, ny)
-        vals, scales, _ = ev(grid)
+        vals, scales, _ = z2_stable_many(p, grid)
         quality = np.abs(vals) / np.maximum(scales, 1e-300)
         order = np.argsort(quality)
         starts = grid[order[: max(8, 4 * w)]]
@@ -601,7 +542,7 @@ def locate_zeros(
             complex(x + h, y - h),
         ]
         if all(d.contains(c, margin=1e-6) for c in corners):
-            if _rect_winding(ev, x - h, x + h, y - h, y + h) != 1:
+            if _rect_winding(p, x - h, x + h, y - h, y + h) != 1:
                 raise IncoherentWinding(
                     f"cell check around {cert.tau0} did not isolate one zero"
                 )

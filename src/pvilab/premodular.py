@@ -11,9 +11,10 @@ infinite on integer pairs; those are rejected as Degenerate.
 For s in {0, 1/2} the form vanishes at the cusp and a direct evaluation at
 large Im(tau) loses everything to cancellation; ``z2_cusp_expansion``
 assembles the Fourier expansion in p = q^(1/2) with the cancellation done at
-the coefficient level, and ``z2_stable`` switches to it above
-``SERIES_HEIGHT``.  ``cusp_asymptotic`` is the one place that decides
-whether s is in {0, 1/2}: its q-power is positive exactly then.
+the coefficient level.  ``TorsionPair`` owns what (r, s) determines: its
+``cusp`` term (of positive q-power exactly when s is in {0, 1/2}), its
+``cusp_series`` and its ``cusp_orders``.  ``z2_stable`` and its batch sibling
+``z2_stable_many`` switch to ``cusp_series`` above ``SERIES_HEIGHT``.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ import numpy as np
 from . import _kernels
 from .elliptic import _as_point
 from .errors import Degenerate, NearLattice
+from .modular import ModularMatrix, transport_pair
 from .orbits import enumerate_qn
 
 _PI = math.pi
@@ -80,6 +82,44 @@ class TorsionPair:
     def degenerate(self) -> bool:
         """True when (r, s) is in (1/2)Z^2."""
         return _is_half_integer(self.r) and _is_half_integer(self.s)
+
+    @cached_property
+    def cusp(self) -> tuple[complex, Fraction]:
+        """(leading coefficient, q-power) of Z2_{r,s} as Im(tau) -> infinity,
+        for a real usable pair; the table is in ``cusp_asymptotic``."""
+        _check_usable(self)
+        if not self.is_real:
+            raise Degenerate("cusp asymptotics are stated for real parameter pairs")
+        r, s = self.reduced_real()
+        # classify s against {0, 1/2} with a guard band
+        if abs(s) < 1e-12:
+            return complex(-48.0 * _PI**3 * math.sin(2.0 * _PI * r)), Fraction(1)
+        if abs(s - 0.5) < 1e-12:
+            return complex(-12.0 * _PI**3 * math.sin(2.0 * _PI * r)), Fraction(1, 2)
+        return 4j * _PI**3 * s * (1.0 - s) * (2.0 * s - 1.0), Fraction(0)
+
+    @cached_property
+    def cusp_series(self) -> Optional[np.ndarray]:
+        """The read-only ``z2_cusp_expansion`` if the pair is real, usable and
+        of positive order at infinity, else None: the one test of whether Z2
+        is taken from the series above SERIES_HEIGHT."""
+        if not self.is_real or self.degenerate or self.cusp[1] == 0:
+            return None
+        coeffs = z2_cusp_expansion(self)
+        coeffs.flags.writeable = False
+        return coeffs
+
+    @cached_property
+    def cusp_orders(self) -> tuple[Fraction, ...]:
+        """Orders at the real cusps x_c = 0, 1, 2, indexed by x_c: the order at
+        infinity of the pair transported by tau -> -1/(tau - x_c), i.e. of
+        (s, -(r + x_c s)).  Empty unless the pair is real and usable."""
+        if not self.is_real or self.degenerate:
+            return ()
+        to_inf = (ModularMatrix(0, -1, 1, -x_c) for x_c in (0, 1, 2))
+        return tuple(
+            TorsionPair.of(*transport_pair(self.r, self.s, g)).cusp[1] for g in to_inf
+        )
 
     def as_complex(self) -> tuple[complex, complex]:
         return complex(self.r), complex(self.s)
@@ -168,16 +208,7 @@ def cusp_asymptotic(p: TorsionPair) -> tuple[complex, Fraction]:
       s = 0:                   (-48 pi^3 sin(2 pi r), 1)
       s = 1/2:                 (-12 pi^3 sin(2 pi r), 1/2)
     """
-    _check_usable(p)
-    if not p.is_real:
-        raise Degenerate("cusp asymptotics are stated for real parameter pairs")
-    r, s = p.reduced_real()
-    # classify s against {0, 1/2} with a guard band
-    if abs(s) < 1e-12:
-        return complex(-48.0 * _PI**3 * math.sin(2.0 * _PI * r)), Fraction(1)
-    if abs(s - 0.5) < 1e-12:
-        return complex(-12.0 * _PI**3 * math.sin(2.0 * _PI * r)), Fraction(1, 2)
-    return 4j * _PI**3 * s * (1.0 - s) * (2.0 * s - 1.0), Fraction(0)
+    return p.cusp
 
 
 # ---------------------------------------------------------------------------
@@ -263,7 +294,7 @@ def z2_cusp_expansion(p: TorsionPair) -> np.ndarray:
     coefficient-level cancellation and is zeroed after a sanity check, so
     evaluating the series near the cusp never sees it.
     """
-    order = cusp_asymptotic(p)[1]
+    order = p.cusp[1]
     if order == 0:
         raise ValueError("cusp expansion only applies to s in {0, 1/2}")
     half = order == Fraction(1, 2)
@@ -290,14 +321,31 @@ def z2_stable(p: TorsionPair, m) -> tuple[complex, float]:
     stable and fully converged.
     """
     m = _as_point(m)
-    if m.tau.imag > SERIES_HEIGHT and p.is_real and cusp_asymptotic(p)[1] > 0:
-        coeffs = z2_cusp_expansion(p)
+    if m.tau.imag > SERIES_HEIGHT and p.cusp_series is not None:
         pp = cmath.exp(1j * _PI * m.tau)
-        val = complex(np.polyval(coeffs[::-1], pp))
+        val = complex(np.polyval(p.cusp_series[::-1], pp))
         # natural magnitude of the would-be cancelling combination
         r, s = p.as_complex()
         return val, _kernels.premodular_at(r, s, m.tau)[8]
     return z2_with_scale(p, m)
+
+
+def z2_stable_many(p: TorsionPair, taus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``z2_stable`` at every tau of an array, as (values, scales, on_series).
+
+    on_series marks the samples taken from the cusp series, whose tiny
+    magnitudes are trustworthy.  Lattice hits give NaN instead of raising.
+    """
+    taus = np.ascontiguousarray(taus, dtype=np.complex128)
+    r, s = p.as_complex()
+    vals, scales = _kernels.z2_many(r, s, taus)
+    on_series = np.zeros(len(taus), dtype=bool)
+    if p.cusp_series is not None:
+        on_series = taus.imag > SERIES_HEIGHT
+        if on_series.any():
+            pp = np.exp(1j * _PI * taus[on_series])
+            vals[on_series] = np.polyval(p.cusp_series[::-1], pp)
+    return vals, scales, on_series
 
 
 # ---------------------------------------------------------------------------

@@ -237,6 +237,41 @@ def test_usage_error_exit_code():
     assert main(["count"]) == 1  # missing --N
 
 
+@pytest.mark.parametrize(
+    "flag,text", [("--r", "abc"), ("--r", "1/0"), ("--tau", "1+2+3i")]
+)
+def test_malformed_number_is_usage_error(flag, text, capsys):
+    argv = {"--r": "1/4", "--s": "0", "--tau": "0+1.2i"}
+    argv[flag] = text
+    assert main(["eval"] + [a for kv in argv.items() for a in kv]) == 1
+    assert f"argument {flag}: invalid number value" in capsys.readouterr().err
+
+
+def test_verify_prints_summary_and_exit_code(monkeypatch, capsys):
+    from pvilab import acceptance
+    from pvilab.acceptance import CriterionResult
+
+    def passing():
+        return CriterionResult(1, "stub pass", True, 0.0)
+
+    def failing():
+        return CriterionResult(2, "stub fail", False, 0.0, [f"detail {i}" for i in range(12)])
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [passing, passing])
+    assert main(["verify"]) == 0
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "2/2 criteria passed"
+    assert not any(line.startswith("    ") for line in out)
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [passing, failing])
+    assert main(["verify"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "1/2 criteria passed"
+    assert "criterion 2 [FAIL] stub fail (0.00s)" in out
+    assert [line for line in out if line.startswith("    ")] == [
+        f"    detail {i}" for i in range(8)
+    ]
+
+
 def test_degenerate_pair_is_usage_error():
     assert main(["eval", "--r", "1/2", "--s", "0", "--tau", "0+1.2i"]) == 1
 

@@ -7,9 +7,9 @@ import numpy as np
 import pytest
 
 from pvilab import _kernels
-from pvilab.locator import F, F0, F2, _interior_grid, _PairEvaluator
+from pvilab.locator import F, F0, F2, _attenuation, _interior_grid
 from pvilab.modular import reduce_to_standard, transport_pair
-from pvilab.premodular import TorsionPair, cusp_asymptotic
+from pvilab.premodular import TorsionPair, cusp_asymptotic, z2_stable_many
 
 GRID_SIZES = ((29, 25), (57, 49), (113, 97))
 # generic pairs in D2 and D1, s = 0, s = 1/2 and r = 1/2
@@ -28,11 +28,7 @@ ATTENUATION_FLOOR = 1e-3
 
 def _batch(pair, taus):
     r, s = pair.as_complex()
-    taus = np.ascontiguousarray(taus, dtype=np.complex128)
-    vals = np.empty(len(taus), dtype=np.complex128)
-    scales = np.empty(len(taus), dtype=np.float64)
-    _kernels.z2_many(r, s, taus, vals, scales)
-    return vals, scales
+    return _kernels.z2_many(r, s, np.ascontiguousarray(taus, dtype=np.complex128))
 
 
 def _scalar(pair, taus):
@@ -43,8 +39,8 @@ def _scalar(pair, taus):
 
 def _reduced_cusp_attenuation(pair, taus):
     """exp(-2 pi ord Im tau_red) per tau, ord the cusp order of the pair
-    transported by the matrix that reduces tau: ``_PairEvaluator.attenuation``
-    for whichever cusp tau lies near, not only 0, 1 and 2."""
+    transported by the matrix that reduces tau: ``locator._attenuation`` for
+    whichever cusp tau lies near, not only 0, 1 and 2."""
     att = np.ones(len(taus))
     for i, tau in enumerate(taus):
         tau_red, g = reduce_to_standard(complex(tau))
@@ -63,11 +59,10 @@ def _trusted(pair, taus, every_cusp=False):
     series switch, and away from the cusps 0, 1, 2 (or, with every_cusp,
     from any cusp) where the transported pair degenerates.  The locator
     grids approach no other cusp."""
-    ev = _PairEvaluator(pair)
-    att = ev.attenuation(taus)
+    att = _attenuation(pair, taus)
     if every_cusp:
         att = np.minimum(att, _reduced_cusp_attenuation(pair, taus))
-    return (att >= ATTENUATION_FLOOR) & ~ev(taus)[2]
+    return (att >= ATTENUATION_FLOOR) & ~z2_stable_many(pair, taus)[2]
 
 
 def _assert_agrees(pair, taus, vals, scales, trusted):

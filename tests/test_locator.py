@@ -7,15 +7,14 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pvilab import locator, premodular
+from pvilab import locator
 from pvilab.elliptic import ModuliPoint
-from pvilab.errors import DomainError, IncoherentWinding
+from pvilab.errors import BoundaryTooClose, DomainError, IncoherentWinding
 from pvilab.locator import (
     F,
     F0,
     F2,
     DomainSpec,
-    _PairEvaluator,
     _build_contour,
     _winding_over,
     classify_triangle,
@@ -31,6 +30,7 @@ from pvilab.premodular import (
     TorsionPair,
     cusp_asymptotic,
     z2_stable,
+    z2_stable_many,
     z2_with_scale,
 )
 
@@ -80,28 +80,25 @@ def test_winding_requires_real_pair():
 
 def test_winding_invariant_under_density_doubling():
     pair = TorsionPair.of(0.62, 0.17)
-    ev = _PairEvaluator(pair)
-    pieces = _build_contour(F0, ev)
-    coarse = _winding_over(pieces, ev, n0=17)
-    fine = _winding_over(pieces, ev, n0=34)
+    pieces = _build_contour(F0, pair)
+    coarse = _winding_over(pieces, pair, n0=17)
+    fine = _winding_over(pieces, pair, n0=34)
     assert round(coarse) == round(fine)
     assert abs(coarse - fine) < 0.02
 
 
 def test_winding_evaluates_initial_samples_of_all_pieces_at_once(monkeypatch):
     pair = TorsionPair.of(0.62, 0.17)
-    ev = _PairEvaluator(pair)
-    pieces = _build_contour(F0, ev)
+    pieces = _build_contour(F0, pair)
     numeric = [p for p in pieces if not isinstance(p, locator._Jump)]
     sizes = []
-    call = _PairEvaluator.__call__
 
-    def counted(self, taus):
+    def counted(p, taus):
         sizes.append(len(taus))
-        return call(self, taus)
+        return z2_stable_many(p, taus)
 
-    monkeypatch.setattr(_PairEvaluator, "__call__", counted)
-    assert round(_winding_over(pieces, ev, n0=17)) == winding_count(pair, F0)
+    monkeypatch.setattr(locator, "z2_stable_many", counted)
+    assert round(_winding_over(pieces, pair, n0=17)) == winding_count(pair, F0)
     assert sizes[0] == 17 * len(numeric)
 
 
@@ -113,6 +110,26 @@ def test_winding_with_degenerate_cusp_directions():
     # and with an interior zero: (2/5, 1/10): r + s = 1/2, in D3... no:
     # 2/5 + 1/10 = 1/2 -> boundary pair, winding 0; use (3/10, 1/5): sum 1/2
     assert winding_count(TorsionPair.of(Fraction(3, 10), Fraction(1, 5)), F0) == 0
+
+
+def test_phase_tracking_raises_the_first_failing_piece(monkeypatch):
+    # synthetic Z2: 1 on Re = 3, 0 on Re = 5 (fails the clearance check in
+    # the first round), and a sign flip at Im = 1.5 on Re = 7 (no bisection
+    # resolves it, so refinement runs out of rounds)
+    def fake(pair, taus):
+        vals = np.ones(len(taus), dtype=np.complex128)
+        vals[taus.real == 5.0] = 0.0
+        vals[(taus.real == 7.0) & (taus.imag > 1.5)] = -1.0
+        return vals, np.ones(len(taus)), np.zeros(len(taus), dtype=bool)
+
+    monkeypatch.setattr(locator, "z2_stable_many", fake)
+    pair = TorsionPair.of(0.6, 0.3)
+    good, close, flip = (("seg", complex(x, 1.0), complex(x, 2.0)) for x in (3.0, 5.0, 7.0))
+    assert locator._phase_along_pieces(pair, [good], 9) == [(0.0, 1, 1)]
+    with pytest.raises(BoundaryTooClose):
+        locator._phase_along_pieces(pair, [good, close, flip], 9)
+    with pytest.raises(IncoherentWinding, match="did not settle"):
+        locator._phase_along_pieces(pair, [good, flip, close], 9)
 
 
 def test_winding_gap_radius_independence():
@@ -149,21 +166,16 @@ _SWITCH_TAUS = np.array(
         (0.6, 0.3),
     ],
 )
-def test_evaluator_and_z2_stable_share_the_series_switch(r, s, monkeypatch):
+def test_evaluator_and_z2_stable_share_the_series_switch(r, s):
+    # the batch evaluator z2_stable_many and the scalar z2_stable switch to
+    # the series at the same points and agree on both sides of the switch
     pair = TorsionPair.of(r, s)
-    vals, scales, series = _PairEvaluator(pair)(_SWITCH_TAUS)
-    # z2_stable builds the expansion exactly when it takes the series path
-    calls = []
-    expansion = premodular.z2_cusp_expansion
-    monkeypatch.setattr(
-        premodular, "z2_cusp_expansion", lambda p: calls.append(p) or expansion(p)
-    )
+    vals, scales, series = z2_stable_many(pair, _SWITCH_TAUS)
     s_in_half_z = cusp_asymptotic(pair)[1] > 0
+    assert (pair.cusp_series is not None) == s_in_half_z
     for tau, val, scale, on_series in zip(_SWITCH_TAUS, vals, scales, series):
-        before = len(calls)
         stable, stable_scale = z2_stable(pair, ModuliPoint.from_tau(complex(tau)))
         assert on_series == (s_in_half_z and tau.imag > SERIES_HEIGHT)
-        assert (len(calls) > before) == on_series
         assert abs(stable - val) <= 1e-14 * scale
         assert abs(stable_scale - scale) <= 1e-14 * scale
 
@@ -184,13 +196,11 @@ def test_evaluator_cusp_orders_follow_the_transport_formula(rng):
     for pair in pairs:
         if pair.degenerate:
             continue
-        ev = _PairEvaluator(pair)
         r, s = (pair.r, pair.s) if pair.exact else pair.as_complex()
         for x_c in (0, 1, 2):
             expected = cusp_asymptotic(TorsionPair.of(s, -(r + x_c * s)))[1]
-            assert ev.cusp_orders[x_c] == float(expected)
+            assert pair.cusp_orders[x_c] == expected
             seen_orders.add(float(expected))
-        assert ev.order_inf == float(cusp_asymptotic(pair)[1])
     assert seen_orders == {0.0, 0.5, 1.0}
 
 

@@ -257,6 +257,27 @@ def test_z2_stable_at_large_height():
     assert abs(val / q + 48 * PI**3) <= 1e-9 * 48 * PI**3
 
 
+def test_cusp_expansion_is_built_once_per_pair(monkeypatch):
+    built = []
+    expansion = premodular.z2_cusp_expansion
+    monkeypatch.setattr(
+        premodular, "z2_cusp_expansion", lambda p: built.append(p) or expansion(p)
+    )
+    taus = np.array([0.1 + 2.5j, 0.4 + 3.0j, 0.7 + 6.0j])
+    pair = TorsionPair.of(Fraction(1, 3), Fraction(1, 2))
+    scalar = [z2_stable(pair, ModuliPoint.from_tau(complex(t)))[0] for t in taus]
+    assert built == [pair]
+    for _ in range(3):
+        vals, _, on_series = premodular.z2_stable_many(pair, taus)
+        assert on_series.all() and np.array_equal(vals, scalar)
+    assert built == [pair]
+    assert not pair.cusp_series.flags.writeable
+    # a fresh object builds its own; a pair with s off {0, 1/2} builds none
+    z2_stable(TorsionPair.of(Fraction(1, 3), Fraction(1, 2)), ModuliPoint.from_tau(3j))
+    z2_stable(TorsionPair.of(0.3, 0.2), ModuliPoint.from_tau(3j))
+    assert len(built) == 2
+
+
 # --- m_n --------------------------------------------------------------------
 
 

@@ -6,10 +6,12 @@ from fractions import Fraction
 
 import pytest
 
+from pvilab import solutions
 from pvilab.elliptic import ModuliPoint
-from pvilab.errors import Degenerate, Inconclusive
+from pvilab.errors import Degenerate, Inconclusive, NewtonStall
 from pvilab.premodular import TorsionPair
 from pvilab.solutions import (
+    _NEWTON_MAX_ITER,
     _wp_of_p_direct,
     _wp_of_p_expansion,
     lambda_rs,
@@ -260,3 +262,72 @@ def test_unitary_boundary_clearance_sampled(rng):
         for tau in curves:
             val, scale = z2_stable(pair, ModuliPoint.from_tau(tau))
             assert abs(val) > 1e-6 * scale
+
+
+# --- _newton_z2 exits, on synthetic functions of tau -------------------------
+
+
+def _patch_z2(monkeypatch, f, scale=1.0):
+    """Replace Z2 inside ``solutions`` by f(tau) with a fixed scale; returns
+    the list of taus it is called at."""
+    calls = []
+
+    def fake(pair, m):
+        calls.append(m.tau)
+        return f(m.tau), scale
+
+    monkeypatch.setattr(solutions, "z2_with_scale", fake)
+    return calls
+
+
+_PAIR = TorsionPair.of(0.6, 0.3)
+
+
+def _newton_cycle(c):
+    # Newton on x^3 - 2x + 2 cycles 0 -> 1 -> 0 (superattracting), here on
+    # the line Im tau = 1 and scaled by c
+    return lambda tau: c * ((tau - 1j) ** 3 - 2 * (tau - 1j) + 2)
+
+
+def test_newton_zero_derivative_stalls_at_once(monkeypatch):
+    calls = _patch_z2(monkeypatch, lambda tau: 1.0 + 0j)
+    with pytest.raises(NewtonStall):
+        solutions._newton_z2(_PAIR, 0.3 + 1j)
+    # one value, four for the difference quotient, one for the final check
+    assert len(calls) == 6
+
+
+def test_newton_zero_derivative_accepts_a_small_residual(monkeypatch):
+    c = 2.0**-40  # ~9e-13: the difference quotient of c cancels exactly
+    _patch_z2(monkeypatch, lambda tau: complex(c))
+    tau, resid, dz, iters, scale = solutions._newton_z2(_PAIR, 0.3 + 1j)
+    assert (tau, resid, dz, iters, scale) == (0.3 + 1j, c, 0.0, _NEWTON_MAX_ITER, 1.0)
+
+
+def test_newton_small_step_returns_before_the_budget(monkeypatch):
+    # the root of f sits below the float spacing of tau, so |f| never drops
+    # under 1e-13 * scale and the step size ends the iteration
+    t0 = 0.4 + 1.1j
+
+    def f(tau):
+        return (tau - t0) + 1e-30
+
+    _patch_z2(monkeypatch, f, scale=1e-20)
+    tau, resid, dz, iters, scale = solutions._newton_z2(_PAIR, t0 + 0.1)
+    assert abs(tau - t0) < 1e-15
+    assert iters < _NEWTON_MAX_ITER and resid == abs(f(tau)) and scale == 1e-20
+    assert abs(dz - 1.0) < 1e-6
+
+
+def test_newton_budget_accepts_a_residual_below_1e_10(monkeypatch):
+    _patch_z2(monkeypatch, _newton_cycle(1e-11))
+    tau, resid, dz, iters, scale = solutions._newton_z2(_PAIR, 1j)
+    # an even number of steps brings the cycle back to its start
+    assert abs(tau - 1j) < 1e-6 and iters == _NEWTON_MAX_ITER
+    assert 1e-13 < resid <= 1e-10
+
+
+def test_newton_budget_raises_newton_stall(monkeypatch):
+    _patch_z2(monkeypatch, _newton_cycle(1.0))
+    with pytest.raises(NewtonStall, match="Newton failed to converge"):
+        solutions._newton_z2(_PAIR, 1j)
