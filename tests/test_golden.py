@@ -39,6 +39,11 @@ REPORTS = [
         ["zeros", "--r", "1/5", "--s", "1/5", "--domain", "F"],
         "b6081db7a57204f8d0fbc6e961486b21bf0db1bd37442b03bc727474c7ba8b64",
     ),
+    # winding 1 over F: the one case whose zero lies inside F
+    (
+        ["zeros", "--r", "4/5", "--s", "3/10", "--domain", "F"],
+        "fc87b7479f3685f6a786b1a3281c97a62350d02ed83593a307179b6c621a4a44",
+    ),
     # s = 1/2: cusp series inside the contour, order-1/2 cap at infinity
     (
         ["zeros", "--r", "1/5", "--s", "1/2", "--domain", "F0"],
