@@ -31,7 +31,10 @@ Domains:
 
 For real non-half-integer (r, s), Z2 never vanishes on the boundary of F0
 (nor on its images bounding F2), which is what makes the F0 contour the
-safe workhorse: zeros are transported into F or F2 by the group action.
+safe workhorse.  There is one zero hunt, over F0, which holds at most one
+zero of a real pair (the triangle dichotomy).  Zeros over F and F2 come
+from it by the group action: F is a subset of F0, and F2 is F0 together
+with F0 + 1, where Z2_{r,s}(tau + 1) = Z2_{r+s,s}(tau).
 """
 
 from __future__ import annotations
@@ -39,7 +42,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from fractions import Fraction
 from typing import Optional
 
@@ -493,59 +496,76 @@ def _rect_winding(pair: TorsionPair, x0, x1, y0, y1) -> int:
     return _integer_turns(_winding_over(pieces, pair, n0=9), "around a rectangle")
 
 
+def _zero_in_f0(pair: TorsionPair) -> Optional[ZeroCertificate]:
+    """The one zero of Z2_pair in F0, present exactly when the window
+    representative lies in one of the triangles D1, D2, D3.
+
+    Newton runs from the 8 best points of each start grid in turn (best by
+    |Z2|/scale); the first result inside F0 is isolated by a rectangle
+    winding where that box fits in F0, and returned.
+    """
+    if classify_triangle(pair).tag not in ("D1", "D2", "D3"):
+        return None
+    for nx, ny in ((29, 25), (57, 49), (113, 97)):
+        grid = _interior_grid(F0, nx, ny)
+        vals, scales, _ = z2_stable_many(pair, grid)
+        quality = np.abs(vals) / np.maximum(scales, 1e-300)
+        for tau_start in grid[np.argsort(quality)[:8]]:
+            try:
+                cert = _certify(pair, complex(tau_start), "F0")
+            except (PviLabError, ArithmeticError):
+                # Newton stalled or walked out of the upper half-plane
+                continue
+            if F0.contains(cert.tau0, margin=1e-9):
+                x, y, h = cert.tau0.real, cert.tau0.imag, 0.04
+                box = (complex(x - h, y - h), complex(x + h, y + h))
+                if all(F0.contains(c, margin=1e-6) for c in box) and (
+                    _rect_winding(pair, x - h, x + h, y - h, y + h) != 1
+                ):
+                    raise IncoherentWinding(
+                        f"cell check around {cert.tau0} did not isolate one zero"
+                    )
+                return cert
+    raise IncoherentWinding(f"no Newton start found the zero of {pair} in F0")
+
+
+def _zeros_by_group_action(p: TorsionPair, d: DomainSpec) -> list[ZeroCertificate]:
+    """The zeros of Z2_p in d, taken from F0 hunts.
+
+    F0 contains F, so the F0 zero is kept if it lies in d; F2 is F0 together
+    with F0 + 1, and Z2_{r,s}(tau + 1) = Z2_{r+s,s}(tau), so over F2 the F0
+    zero of (r + s, s), moved by 1 and re-polished for p, joins it.
+    """
+    found = []
+    cert = _zero_in_f0(p)
+    if cert is not None:
+        found.append(replace(cert, region=d.kind))
+    if d.kind == "F2":
+        base = _zero_in_f0(TorsionPair.of(p.r + p.s, p.s))
+        if base is not None:
+            found.append(_certify(p, base.tau0 + 1.0, "F2"))
+    return [c for c in found if d.contains(c.tau0, margin=1e-9)]
+
+
 def locate_zeros(
     p: TorsionPair, d: DomainSpec, expected: Optional[int] = None
 ) -> list[ZeroCertificate]:
     """All zeros of Z2_{r,s} inside the truncated domain, Newton-refined.
 
-    The certificate count is required to equal the winding number of the
-    domain boundary; each zero is additionally isolated by a rectangle
-    winding around it whenever that rectangle stays inside the domain.
+    Real pairs only, as for ``winding_count``: F0 holds at most one zero of
+    a real pair, and the zeros over F and F2 are reached from F0 zeros by
+    the group action (``_zeros_by_group_action``).  The certificate count
+    is required to equal the winding number of the domain boundary, or
+    ``expected`` when given.
     """
     w = winding_count(p, d) if expected is None else expected
     if w == 0:
         return []
-    certs: list[ZeroCertificate] = []
-    for nx, ny in ((29, 25), (57, 49), (113, 97)):
-        grid = _interior_grid(d, nx, ny)
-        vals, scales, _ = z2_stable_many(p, grid)
-        quality = np.abs(vals) / np.maximum(scales, 1e-300)
-        order = np.argsort(quality)
-        starts = grid[order[: max(8, 4 * w)]]
-        for tau_start in starts:
-            try:
-                cert = _certify(p, complex(tau_start), d.kind)
-            except (PviLabError, ArithmeticError):
-                # Newton stalled or walked out of the upper half-plane
-                continue
-            if not d.contains(cert.tau0, margin=1e-9):
-                continue
-            if any(abs(cert.tau0 - c.tau0) < 1e-7 for c in certs):
-                continue
-            certs.append(cert)
-            if len(certs) == w:
-                break
-        if len(certs) == w:
-            break
+    certs = _zeros_by_group_action(p, d)
     if len(certs) != w:
         raise IncoherentWinding(
             f"located {len(certs)} zeros but winding is {w} for {p} in {d.kind}"
         )
-    # independent per-zero isolation where the box fits inside the domain
-    for cert in certs:
-        x, y = cert.tau0.real, cert.tau0.imag
-        h = 0.04
-        corners = [
-            complex(x - h, y - h),
-            complex(x + h, y + h),
-            complex(x - h, y + h),
-            complex(x + h, y - h),
-        ]
-        if all(d.contains(c, margin=1e-6) for c in corners):
-            if _rect_winding(p, x - h, x + h, y - h, y + h) != 1:
-                raise IncoherentWinding(
-                    f"cell check around {cert.tau0} did not isolate one zero"
-                )
     return certs
 
 
@@ -569,27 +589,19 @@ def _window_pair(k1: int, k2: int, N: int) -> TorsionPair:
     return TorsionPair.of(Fraction(k1 % N, N), Fraction(k2 % N, N))
 
 
-def _zero_in_f0(pair: TorsionPair) -> Optional[ZeroCertificate]:
-    """The one zero of Z2_pair in F0, present exactly when the window
-    representative lies in one of the triangles D1, D2, D3."""
-    if classify_triangle(pair).tag not in ("D1", "D2", "D3"):
-        return None
-    return locate_zeros(pair, F0, expected=1)[0]
-
-
 def count_mn_zeros(N: int, d: DomainSpec = F) -> MnZeroReport:
     """Zeros of M_N = prod Z2 over the requested domain, with multiplicity.
 
-    Works per +-class of Q_N: each class has at most one zero in F0 (present
-    exactly when the window representative lies in one of the three open
-    triangles), located there and then accounted to the requested domain:
+    Works per +-class of Q_N, whose pairs are real: each class has at most
+    one zero in F0 (present exactly when the window representative lies in
+    one of the three open triangles), located there and then accounted to
+    the requested domain:
 
-      F0: kept as is;
       F:  transported by the reducing group element; re-discoveries of the
           same (transported class, point) collapse, genuinely distinct
           classes at one point are kept and flagged as merge events;
-      F2: the F0 zero plus the unit translate of the shifted class's zero
-          (F2 is F0 together with F0 + 1).
+      F0, F2: the zeros ``locate_zeros`` certifies, from the same F0 hunts
+          (over F2 also that of the T-shifted class, moved into F0 + 1).
 
     Every certificate counts with multiplicity 2 for its +- pair.
     """
@@ -598,12 +610,7 @@ def count_mn_zeros(N: int, d: DomainSpec = F) -> MnZeroReport:
     reps = pm_class_reps(N)
     report = MnZeroReport(N=N, domain=d.kind, interior_count=0)
 
-    if d.kind == "F0":
-        for rep in reps:
-            cert = _zero_in_f0(TorsionPair.of(rep.r, rep.s))
-            if cert is not None:
-                report.certificates.append(cert)
-    elif d.kind == "F":
+    if d.kind == "F":
         seen: dict[tuple, ZeroCertificate] = {}
         for rep in reps:
             cert = _zero_in_f0(TorsionPair.of(rep.r, rep.s))
@@ -634,19 +641,10 @@ def count_mn_zeros(N: int, d: DomainSpec = F) -> MnZeroReport:
                     report.merge_events.append(((ok1, ok2), key[:2], tau_ref))
             seen[key] = polished
         report.certificates.extend(seen.values())
-    elif d.kind == "F2":
+    else:
         for rep in reps:
-            cert = _zero_in_f0(TorsionPair.of(rep.r, rep.s))
-            if cert is not None:
-                report.certificates.append(cert)
-            # the copy F0 + 1 carries the zeros of the T-shifted class
-            shifted = _window_pair(
-                int((Fraction(rep.r) + Fraction(rep.s)) % 1 * N), rep.k2, N
-            )
-            base = _zero_in_f0(shifted)
-            if base is not None:
-                pair0 = TorsionPair.of(rep.r, rep.s)
-                report.certificates.append(_certify(pair0, base.tau0 + 1.0, "F2"))
+            pair = TorsionPair.of(rep.r, rep.s)
+            report.certificates.extend(_zeros_by_group_action(pair, d))
     report.interior_count = 2 * len(report.certificates)
     return report
 

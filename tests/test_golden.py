@@ -33,7 +33,7 @@ REPORTS = [
     ),
     (
         ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F2"],
-        "49e90bad90a948543dd73060943d416f5882029e2400e9a606d4d47f84dcc9dc",
+        "eec4c10fb9189f37390d2a63b88cdd50aec21ebc53233dda57a5bcd9a8aabf3c",
     ),
     (
         ["zeros", "--r", "1/5", "--s", "1/5", "--domain", "F"],
@@ -52,7 +52,7 @@ REPORTS = [
     # r = 1/2: degenerate direction at the cusp 1, excised disk, one zero
     (
         ["zeros", "--r", "1/2", "--s", "1/5", "--domain", "F2"],
-        "97a42237df90430eedcbb2ad0ea490f4ad1b5bda3e2c91d902533eabdda5ff2f",
+        "329e16d383c2aeab5f7fe3b50b7cffaf32162670d79452e6b664ae1f28338fcd",
     ),
     (
         ["count", "--N", "8"],

@@ -2,6 +2,7 @@
 
 import cmath
 import math
+import random
 from fractions import Fraction
 
 import numpy as np
@@ -289,6 +290,63 @@ def test_zero_transport_under_group_action():
         TorsionPair.of(r2, s2), ModuliPoint.from_tau(tau_f)
     )
     assert abs(val) <= 1e-9 * scale
+
+
+# --- zeros over F and F2 from the F0 hunt ----------------------------------
+
+
+def _t_shifted(r, s):
+    """The pair whose Z2 at tau is that of (r, s) at tau + 1."""
+    return TorsionPair.of(r + s, s)
+
+
+def _seeded_torsion_pairs(n, seed):
+    """n distinct pairs (k1/N, k2/N), N from 5 to 29, with neither the pair
+    nor its T-shifted partner on a triangle edge."""
+    rng = random.Random(seed)
+    pairs = []
+    while len(pairs) < n:
+        N = rng.randint(5, 29)
+        r, s = Fraction(rng.randrange(N), N), Fraction(rng.randrange(N), N)
+        tags = {classify_triangle(TorsionPair.of(r, s)).tag}
+        tags.add(classify_triangle(_t_shifted(r, s)).tag)
+        if "boundary" not in tags and (r, s) not in pairs:
+            pairs.append((r, s))
+    return pairs
+
+
+def _assert_f2_zeros_split_over_f0_halves(r, s):
+    # F2 = F0 + (F0 + 1): each half carries the F0 zeros of its pair
+    certs = locate_zeros(TorsionPair.of(r, s), F2)
+    left = sum(c.tau0.real < 1.0 for c in certs)
+    assert left == winding_count(TorsionPair.of(r, s), F0)
+    assert len(certs) - left == winding_count(_t_shifted(r, s), F0)
+
+
+@pytest.mark.parametrize(
+    "r,s",
+    [
+        # a grid hunt over F2 took the corner 1.98+0.15i, next to the cusp 2,
+        # for a zero
+        (Fraction(2, 3), Fraction(1, 6)),
+        (Fraction(5, 6), Fraction(1, 12)),
+        (Fraction(4, 7), Fraction(3, 14)),
+        # a grid hunt over F2 for two zeros found only one
+        (Fraction(10, 13), Fraction(1, 13)),
+        (Fraction(4, 7), Fraction(1, 7)),
+    ],
+    ids=str,
+)
+def test_f2_zeros_split_over_the_f0_halves(r, s):
+    _assert_f2_zeros_split_over_f0_halves(r, s)
+
+
+@pytest.mark.parametrize("r,s", _seeded_torsion_pairs(20, seed=2010), ids=str)
+def test_zeros_over_f_and_f2_follow_from_f0(r, s):
+    _assert_f2_zeros_split_over_f0_halves(r, s)
+    pair = TorsionPair.of(r, s)
+    in_f = [F.contains(c.tau0) for c in locate_zeros(pair, F0)]
+    assert winding_count(pair, F) == sum(in_f)
 
 
 # --- count_mn_zeros / valence ----------------------------------------------
