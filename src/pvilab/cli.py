@@ -57,7 +57,8 @@ def _domain(args) -> DomainSpec:
 
 def number(text: str):
     """argparse type of --r, --s and --tau, so that a malformed number is a
-    usage error: "p/q" -> Fraction, "a+bi" -> complex, else float."""
+    usage error: "p/q" or an integer -> Fraction, "a+bi" -> complex, else
+    float."""
     try:
         return parse_rational_or_float(text)
     except ZeroDivisionError as exc:

@@ -50,9 +50,10 @@ def parse_complex(text: str) -> complex:
 
 
 def parse_rational_or_float(text: str):
-    """CLI number parsing: "p/q" -> Fraction, "a+bi" -> complex, else float."""
+    """CLI number parsing: "p/q" or an integer -> Fraction, "a+bi" -> complex,
+    else float."""
     t = text.strip()
-    if "/" in t:
+    if "/" in t or t.lstrip("+-").isdigit():
         return Fraction(t)
     if "i" in t or "j" in t:
         return parse_complex(t)

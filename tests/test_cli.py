@@ -44,6 +44,13 @@ def test_parse_rational_and_float():
     assert parse_rational_or_float("0.3+0.1i") == 0.3 + 0.1j
 
 
+@pytest.mark.parametrize("text,value", [("0", 0), ("3", 3), ("-2", -2), ("+1", 1)])
+def test_integers_parse_exact(text, value):
+    # so that --r 1/3 --s 0 is an exact pair
+    parsed = parse_rational_or_float(text)
+    assert isinstance(parsed, Fraction) and parsed == value
+
+
 def test_complex_round_trip_through_formatter():
     for z in (0.5 - 0.25j, -1e-12 + 3j, 2.0 + 0j):
         assert parse_complex(format_complex(z)) == z

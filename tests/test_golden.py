@@ -17,11 +17,11 @@ from pvilab.cli import main
 REPORTS = [
     (
         ["eval", "--r", "1/4", "--s", "0", "--tau", "0+1.5i"],
-        "e664ca3bac4cc0eee5431b3eb5384f7cf06d8e6f9b72583f9184e55e16f710d6",
+        "d2a7096331ba55f09600a0f1bac9e5e6e1056192a1c6c46556b9f51494da8438",
     ),
     (
         ["eval", "--r", "1/3", "--s", "0", "--tau", "0.2+1.2i"],
-        "7db081bf306928a93e60e20ffacd2b56f870c8be5236671ef9edfda9dfda0a13",
+        "dcfd084fe5e3f378387003c1d7c7b66726ef52e943ac113565a25e4ce8406db3",
     ),
     (
         ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F0"],
