@@ -501,8 +501,7 @@ def _zero_in_f0(pair: TorsionPair) -> Optional[ZeroCertificate]:
     representative lies in one of the triangles D1, D2, D3.
 
     Newton runs from the 8 best points of each start grid in turn (best by
-    |Z2|/scale); the first result inside F0 is isolated by a rectangle
-    winding where that box fits in F0, and returned.
+    |Z2|/scale); the first result inside F0 is the zero.
     """
     if classify_triangle(pair).tag not in ("D1", "D2", "D3"):
         return None
@@ -517,9 +516,10 @@ def _zero_in_f0(pair: TorsionPair) -> Optional[ZeroCertificate]:
                 # Newton stalled or walked out of the upper half-plane
                 continue
             if F0.contains(cert.tau0, margin=1e-9):
+                # isolate it by a rectangle winding where that box fits in F0
                 x, y, h = cert.tau0.real, cert.tau0.imag, 0.04
-                box = (complex(x - h, y - h), complex(x + h, y + h))
-                if all(F0.contains(c, margin=1e-6) for c in box) and (
+                box = cert.tau0 + h * np.array([-1 - 1j, 1 + 1j, -1 + 1j, 1 - 1j])
+                if F0.contains(box, margin=1e-6).all() and (
                     _rect_winding(pair, x - h, x + h, y - h, y + h) != 1
                 ):
                     raise IncoherentWinding(
@@ -552,10 +552,9 @@ def locate_zeros(
 ) -> list[ZeroCertificate]:
     """All zeros of Z2_{r,s} inside the truncated domain, Newton-refined.
 
-    Real pairs only, as for ``winding_count``: F0 holds at most one zero of
-    a real pair, and the zeros over F and F2 are reached from F0 zeros by
-    the group action (``_zeros_by_group_action``).  The certificate count
-    is required to equal the winding number of the domain boundary, or
+    Real pairs only, as for ``winding_count``: the zeros come from F0 hunts
+    by the group action (``_zeros_by_group_action``).  Their count is
+    required to equal the winding number of the domain boundary, or
     ``expected`` when given.
     """
     w = winding_count(p, d) if expected is None else expected
@@ -583,10 +582,6 @@ class MnZeroReport:
     interior_count: int
     certificates: list[ZeroCertificate] = field(default_factory=list)
     merge_events: list[tuple] = field(default_factory=list)
-
-
-def _window_pair(k1: int, k2: int, N: int) -> TorsionPair:
-    return TorsionPair.of(Fraction(k1 % N, N), Fraction(k2 % N, N))
 
 
 def count_mn_zeros(N: int, d: DomainSpec = F) -> MnZeroReport:
@@ -622,8 +617,7 @@ def count_mn_zeros(N: int, d: DomainSpec = F) -> MnZeroReport:
             k2 = int((Fraction(s2) % 1) * N)
             key_pair = RationalPair(k1 % N, k2 % N, N).pm_canonical()
             # re-polish at the transported location for an honest certificate
-            pair2 = _window_pair(key_pair.k1, key_pair.k2, N)
-            polished = _certify(pair2, tau_f, "F")
+            polished = _certify(TorsionPair.of(key_pair.r, key_pair.s), tau_f, "F")
             tau_ref = polished.tau0
             key = (
                 key_pair.k1,
