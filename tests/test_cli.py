@@ -42,13 +42,10 @@ def test_parse_rational_and_float():
     assert parse_rational_or_float("1/4") == Fraction(1, 4)
     assert parse_rational_or_float("0.25") == 0.25
     assert parse_rational_or_float("0.3+0.1i") == 0.3 + 0.1j
-
-
-@pytest.mark.parametrize("text,value", [("0", 0), ("3", 3), ("-2", -2), ("+1", 1)])
-def test_integers_parse_exact(text, value):
-    # so that --r 1/3 --s 0 is an exact pair
-    parsed = parse_rational_or_float(text)
-    assert isinstance(parsed, Fraction) and parsed == value
+    # integers are exact, so that --r 1/3 --s 0 is an exact pair
+    for text, value in (("0", 0), ("3", 3), ("-2", -2), ("+1", 1)):
+        parsed = parse_rational_or_float(text)
+        assert type(parsed) is Fraction and parsed == value
 
 
 def test_complex_round_trip_through_formatter():
