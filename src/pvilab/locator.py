@@ -595,8 +595,8 @@ def count_mn_zeros(N: int, d: DomainSpec = F) -> MnZeroReport:
       F:  transported by the reducing group element; re-discoveries of the
           same (transported class, point) collapse, genuinely distinct
           classes at one point are kept and flagged as merge events;
-      F0, F2: the zeros ``locate_zeros`` certifies, from the same F0 hunts
-          (over F2 also that of the T-shifted class, moved into F0 + 1).
+      F0, F2: ``_zeros_by_group_action``, the path of ``locate_zeros``
+          (over F2 also the T-shifted class's zero, moved into F0 + 1).
 
     Every certificate counts with multiplicity 2 for its +- pair.
     """

@@ -316,7 +316,7 @@ def _seeded_torsion_pairs(n, seed):
 
 
 def _assert_f2_zeros_split_over_f0_halves(r, s):
-    # F2 = F0 + (F0 + 1): each half carries the F0 zeros of its pair
+    # F2 is F0 together with F0 + 1: each half carries the F0 zeros of its pair
     certs = locate_zeros(TorsionPair.of(r, s), F2)
     left = sum(c.tau0.real < 1.0 for c in certs)
     assert left == winding_count(TorsionPair.of(r, s), F0)
