@@ -15,6 +15,21 @@ the coefficient level.  ``TorsionPair`` owns what (r, s) determines: its
 ``cusp`` term (of positive q-power exactly when s is in {0, 1/2}), its
 ``cusp_series`` and its ``cusp_orders``.  ``z2_stable`` and its batch sibling
 ``z2_stable_many`` switch to ``cusp_series`` above ``SERIES_HEIGHT``.
+
+``z2_with_derivative`` gives dZ2/dtau in closed form from one kernel call.
+The derivative is total along z = r + s*tau with (r, s) fixed; with
+k = 4*pi*i,
+
+    dZ   = -(wp' + 2 Z (wp + eta1)) / k
+    dwp  = (4 wp^2 - 4 eta1 wp - 2 g2/3 + 2 Z wp') / k
+    dwp' = (6 wp wp' - 6 eta1 wp' + 2 Z (6 wp^2 - g2/2)) / k
+    dZ2  = 3 (Z^2 - wp) dZ - 3 Z dwp - dwp'.
+
+They follow from the heat equation of theta_1, which gives d(log sigma)/dtau
+at fixed z, and Ramanujan's E2' = (E2^2 - E4)/12 for eta1 = pi^2 E2/3.  By
+Legendre's relation eta2 = tau*eta1 - 2*pi*i, so Z = zeta(z) - z*eta1 +
+2*pi*i*s, and the s*d/dz terms from z = r + s*tau are absorbed into Z: no
+s appears explicitly.
 """
 
 from __future__ import annotations
@@ -23,7 +38,7 @@ import cmath
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import Optional, Union
 
 import numpy as np
@@ -35,6 +50,7 @@ from .modular import ModularMatrix, transport_pair
 from .orbits import enumerate_qn
 
 _PI = math.pi
+_FOUR_PI_I = 4j * math.pi
 NEAR_LATTICE_DIST = 1e-8
 # Height above which Z2 of a pair with s in {0, 1/2} is evaluated through the
 # cusp series: the direct formula cancels to noise there, while p = q^(1/2)
@@ -198,6 +214,21 @@ def z2_with_scale(p: TorsionPair, m) -> tuple[complex, float]:
     """
     values = _premodular_at(p, m)
     return values[3], values[8]
+
+
+def z2_with_derivative(p: TorsionPair, m) -> tuple[complex, float, complex]:
+    """``z2_with_scale`` together with dZ2/dtau, from one kernel call.
+
+    The derivative is the closed form in the module docstring; Newton's
+    step reads it instead of differencing Z2.
+    """
+    z, wp, wpp, z2v, g2, _, eta1, _, scale, _, _ = _premodular_at(p, m)
+    dz = -(wpp + 2.0 * z * (wp + eta1)) / _FOUR_PI_I
+    dwp = (4.0 * wp * wp - 4.0 * eta1 * wp - 2.0 * g2 / 3.0 + 2.0 * z * wpp) / _FOUR_PI_I
+    dwpp = (
+        6.0 * wp * wpp - 6.0 * eta1 * wpp + 2.0 * z * (6.0 * wp * wp - g2 / 2.0)
+    ) / _FOUR_PI_I
+    return z2v, scale, 3.0 * (z * z - wp) * dz - 3.0 * z * dwp - dwpp
 
 
 def cusp_asymptotic(p: TorsionPair) -> tuple[complex, Fraction]:
@@ -365,6 +396,17 @@ class MnValue:
         return math.exp(self.log_abs) if self.log_abs < 700.0 else math.inf
 
 
+# Bounded: each N holds |Q_N| pairs and their cusp series for the process.
+@lru_cache(maxsize=32)
+def _qn_pairs(N: int) -> tuple[TorsionPair, ...]:
+    """Q_N as exact TorsionPairs in ``enumerate_qn`` order, built once per N
+    so that each pair's ``cusp_series`` is built once, not once per call."""
+    return tuple(
+        TorsionPair.of(Fraction(rp.k1, rp.N), Fraction(rp.k2, rp.N))
+        for rp in enumerate_qn(N)
+    )
+
+
 def m_n(N: int, m) -> MnValue:
     """Product of Z2_{r,s} over all (r, s) in Q_N, accumulated in log space.
 
@@ -377,8 +419,7 @@ def m_n(N: int, m) -> MnValue:
     m = _as_point(m)
     log_abs = 0.0
     arg = 0.0
-    for rp in enumerate_qn(N):
-        pair = TorsionPair.of(Fraction(rp.k1, rp.N), Fraction(rp.k2, rp.N))
+    for pair in _qn_pairs(N):
         val, scale = z2_stable(pair, m)
         av = abs(val)
         if av == 0.0:

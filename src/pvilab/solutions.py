@@ -25,7 +25,12 @@ from . import _kernels
 from .elliptic import ModuliPoint, _as_point, eta_derivatives, invariants_g
 from .errors import Degenerate, Inconclusive, NewtonStall
 from .modular import branch_copy
-from .premodular import TorsionPair, cusp_asymptotic, z2_with_scale
+from .premodular import (
+    TorsionPair,
+    cusp_asymptotic,
+    z2_with_derivative,
+    z2_with_scale,
+)
 
 _PI = math.pi
 
@@ -181,20 +186,17 @@ def lambda_rs(p: TorsionPair, m) -> SolutionValue:
 
 
 def _newton_z2(pair: TorsionPair, tau0: complex):
-    """Newton refinement of a zero of Z2 in tau, derivative by a 4-point
-    central difference on the holomorphic function (step 1e-6).
+    """Newton refinement of a zero of Z2 in tau, with the closed-form
+    derivative of ``z2_with_derivative`` (one kernel call per step).
 
     Returns (tau, |Z2|, |Z2'|, iterations, scale), all at the returned tau;
     scale is the natural magnitude of ``z2_with_scale``.
     """
-    h = 1e-6
     tau = tau0
     for it in range(1, _NEWTON_MAX_ITER + 1):
-        f, scale = z2_with_scale(pair, ModuliPoint.from_tau(tau))
+        f, scale, fp = z2_with_derivative(pair, ModuliPoint.from_tau(tau))
         if abs(f) <= 1e-13 * scale:
-            fp = _z2_derivative(pair, tau, h)
             return tau, abs(f), abs(fp), it, scale
-        fp = _z2_derivative(pair, tau, h)
         if fp == 0:
             break
         step = f / fp
@@ -202,24 +204,13 @@ def _newton_z2(pair: TorsionPair, tau0: complex):
         if tau.imag <= 1e-6:
             break
         if abs(step) < 1e-14 * max(1.0, abs(tau)):
-            f2, scale2 = z2_with_scale(pair, ModuliPoint.from_tau(tau))
-            fp2 = _z2_derivative(pair, tau, h)
+            f2, scale2, fp2 = z2_with_derivative(pair, ModuliPoint.from_tau(tau))
             return tau, abs(f2), abs(fp2), it, scale2
-    f, scale = z2_with_scale(pair, ModuliPoint.from_tau(tau))
+    f, scale, fp = z2_with_derivative(pair, ModuliPoint.from_tau(tau))
     if abs(f) <= 1e-10 * scale:
-        fp = _z2_derivative(pair, tau, h)
         return tau, abs(f), abs(fp), _NEWTON_MAX_ITER, scale
     raise NewtonStall(
         f"Newton failed to converge for {pair} from {tau0}: |Z2| = {abs(f):.3e}"
-    )
-
-
-def _z2_derivative(pair: TorsionPair, tau: complex, h: float) -> complex:
-    def f(t):
-        return z2_with_scale(pair, ModuliPoint.from_tau(t))[0]
-
-    return (f(tau - 2 * h) - 8.0 * f(tau - h) + 8.0 * f(tau + h) - f(tau + 2 * h)) / (
-        12.0 * h
     )
 
 

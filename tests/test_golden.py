@@ -25,7 +25,7 @@ REPORTS = [
     ),
     (
         ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F0"],
-        "68faf77d3f63a27f9ea5dc9be5659b9d8a8e57aec6aa6367961c6c3da0149119",
+        "0c529927ac004a5e3216155e676a0b2412c985a56ad0fba30a4a23fc77423f7d",
     ),
     (
         ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F"],
@@ -33,7 +33,7 @@ REPORTS = [
     ),
     (
         ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F2"],
-        "eec4c10fb9189f37390d2a63b88cdd50aec21ebc53233dda57a5bcd9a8aabf3c",
+        "496099e81a11d7367e0856931e3787e8c5296d0414c2965c54ba6b16ac6a4287",
     ),
     (
         ["zeros", "--r", "1/5", "--s", "1/5", "--domain", "F"],
@@ -42,7 +42,7 @@ REPORTS = [
     # winding 1 over F: the one case whose zero lies inside F
     (
         ["zeros", "--r", "4/5", "--s", "3/10", "--domain", "F"],
-        "fc87b7479f3685f6a786b1a3281c97a62350d02ed83593a307179b6c621a4a44",
+        "d93601eea736d1e2e6bc16a11e30c46c3c7d0dec7516aa2fdc92738067ec7ac5",
     ),
     # s = 1/2: cusp series inside the contour, order-1/2 cap at infinity
     (
@@ -52,7 +52,7 @@ REPORTS = [
     # r = 1/2: degenerate direction at the cusp 1, excised disk, one zero
     (
         ["zeros", "--r", "1/2", "--s", "1/5", "--domain", "F2"],
-        "329e16d383c2aeab5f7fe3b50b7cffaf32162670d79452e6b664ae1f28338fcd",
+        "95d5ac699c2465ebbbbc9fe857f5d1081f38b2ca776e71e0f6a0b08eb7635d4a",
     ),
     (
         ["count", "--N", "8"],

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pvilab import locator
+from pvilab import locator, premodular
 from pvilab.elliptic import ModuliPoint
 from pvilab.errors import BoundaryTooClose, DomainError, IncoherentWinding
 from pvilab.locator import (
@@ -25,7 +25,7 @@ from pvilab.locator import (
     winding_count,
 )
 from pvilab.modular import reduce_to_shifted_domain, transport_pair
-from pvilab.orbits import p_of_n
+from pvilab.orbits import enumerate_qn, p_of_n
 from pvilab.premodular import (
     SERIES_HEIGHT,
     TorsionPair,
@@ -381,6 +381,25 @@ def test_valence_bookkeeping(N):
     assert not v["slope_mismatch"]
     assert abs(v["nu_inf_slope"] - v["nu_inf_formula"]) < 0.1
     assert v["nu_i_zero"] and v["nu_rho_zero"]
+
+
+@pytest.mark.parametrize("N", [6, 8])
+def test_valence_builds_each_cusp_expansion_once(N, monkeypatch):
+    built = []
+    expansion = premodular.z2_cusp_expansion
+    monkeypatch.setattr(
+        premodular, "z2_cusp_expansion", lambda p: built.append(p) or expansion(p)
+    )
+    # M_N is taken at three heights above SERIES_HEIGHT: one build per pair
+    # of Q_N with s in {0, 1/2}, not one per height
+    premodular._qn_pairs.cache_clear()
+    valence_check(N)
+    on_cusp = {
+        TorsionPair.of(Fraction(rp.k1, N), Fraction(rp.k2, N))
+        for rp in enumerate_qn(N)
+        if Fraction(2 * rp.k2, N).denominator == 1
+    }
+    assert on_cusp and sorted(map(str, built)) == sorted(map(str, on_cusp))
 
 
 def test_simplicity_and_numerator_bound_at_located_zeros():

@@ -12,7 +12,9 @@ from pvilab import oracles, premodular
 from pvilab.elliptic import ModuliPoint, invariants_g
 from pvilab.errors import Degenerate, NearLattice
 from pvilab.modular import ModularMatrix, transport_pair
+from pvilab.orbits import enumerate_qn
 from pvilab.premodular import (
+    MnValue,
     TorsionPair,
     cusp_asymptotic,
     hecke_Z,
@@ -20,6 +22,7 @@ from pvilab.premodular import (
     z2,
     z2_cusp_expansion,
     z2_stable,
+    z2_with_derivative,
     z2_with_scale,
 )
 
@@ -198,6 +201,46 @@ def test_z2_cusp_convergence_monotone():
     assert errs[1] <= errs[0] * rate * 10
 
 
+def _cauchy_derivative(pair, tau, n=48, radius=0.02):
+    # dZ2/dtau as the trapezoid rule on the Cauchy integral over a circle;
+    # Z2 is holomorphic in the upper half-plane, since r + s*tau meets the
+    # lattice only at real tau
+    total = 0j
+    for k in range(n):
+        w = cmath.exp(2j * PI * k / n)
+        total += z2(pair, ModuliPoint.from_tau(tau + radius * w)) / w
+    return total / (n * radius)
+
+
+def _four_point_derivative(pair, tau, h=1e-6):
+    # the 4-point central difference Newton used before the closed form
+    def f(t):
+        return z2(pair, ModuliPoint.from_tau(t))
+
+    return (f(tau - 2 * h) - 8.0 * f(tau - h) + 8.0 * f(tau + h) - f(tau + 2 * h)) / (
+        12.0 * h
+    )
+
+
+def test_z2_derivative_closed_form_against_two_oracles(rng):
+    pairs = [
+        TorsionPair.of(rng.uniform(0.02, 0.98), rng.uniform(0.02, 0.98))
+        for _ in range(300)
+    ]
+    pairs += [
+        TorsionPair.of(Fraction(r), Fraction(s))
+        for r, s in (("1/5", "1/5"), ("4/5", "3/10"), ("2/7", "3/7"), ("1/3", "0"),
+                     ("1/5", "1/2"), ("5/12", "7/12"))
+    ]
+    for pair in pairs:
+        tau = complex(rng.uniform(-1, 1), rng.uniform(0.4, 2.0))
+        value, scale, deriv = z2_with_derivative(pair, ModuliPoint.from_tau(tau))
+        assert (value, scale) == z2_with_scale(pair, ModuliPoint.from_tau(tau))
+        bound = max(abs(deriv), scale)
+        assert abs(deriv - _cauchy_derivative(pair, tau)) <= 1e-11 * bound
+        assert abs(deriv - _four_point_derivative(pair, tau)) <= 1e-6 * bound
+
+
 def test_resultant_identity_50_random(rng):
     # The cubic-elimination identity behind simultaneous-vanishing
     # exclusion.  Symbolic expansion shows the combination below equals
@@ -295,6 +338,32 @@ def test_mn_translation_invariance():
     m2 = m_n(4, ModuliPoint.from_tau(1.1 + 1.3j))
     assert abs(m1.log_abs - m2.log_abs) <= 1e-9 * max(1.0, abs(m1.log_abs))
     assert abs(math.remainder(m1.arg - m2.arg, 2 * PI)) <= 1e-8
+
+
+def _mn_fresh_pairs(N, m):
+    # m_n's loop with a new TorsionPair per factor: the reference that the
+    # cached pair table must reproduce bit for bit
+    log_abs = arg = 0.0
+    for rp in enumerate_qn(N):
+        val, _ = z2_stable(TorsionPair.of(Fraction(rp.k1, N), Fraction(rp.k2, N)), m)
+        if val == 0:
+            return MnValue(log_abs=-math.inf, arg=0.0, raw=0j)
+        log_abs += math.log(abs(val))
+        arg = math.remainder(arg + cmath.phase(val), 2.0 * PI)
+    raw = cmath.exp(complex(log_abs, arg)) if abs(log_abs) < 700.0 else None
+    return MnValue(log_abs=log_abs, arg=arg, raw=raw)
+
+
+def test_mn_matches_fresh_pairs_bit_for_bit():
+    # the heights and corner points valence_check evaluates M_N at
+    taus = (8j, 10j, 12j, 1j, cmath.exp(1j * PI / 3))
+    for N in range(3, 13):
+        for tau in taus:
+            m = ModuliPoint.from_tau(tau)
+            expected = _mn_fresh_pairs(N, m)
+            # a repeat call reads the same cached pair table
+            assert m_n(N, m) == expected
+            assert m_n(N, m) == expected
 
 
 def test_mn_raw_value_when_representable():

@@ -267,16 +267,16 @@ def test_unitary_boundary_clearance_sampled(rng):
 # --- _newton_z2 exits, on synthetic functions of tau -------------------------
 
 
-def _patch_z2(monkeypatch, f, scale=1.0):
-    """Replace Z2 inside ``solutions`` by f(tau) with a fixed scale; returns
-    the list of taus it is called at."""
+def _patch_z2(monkeypatch, f, fp, scale=1.0):
+    """Replace Z2 and its tau-derivative inside ``solutions`` by f(tau) and
+    fp(tau) with a fixed scale; returns the list of taus it is called at."""
     calls = []
 
     def fake(pair, m):
         calls.append(m.tau)
-        return f(m.tau), scale
+        return f(m.tau), scale, fp(m.tau)
 
-    monkeypatch.setattr(solutions, "z2_with_scale", fake)
+    monkeypatch.setattr(solutions, "z2_with_derivative", fake)
     return calls
 
 
@@ -285,21 +285,24 @@ _PAIR = TorsionPair.of(0.6, 0.3)
 
 def _newton_cycle(c):
     # Newton on x^3 - 2x + 2 cycles 0 -> 1 -> 0 (superattracting), here on
-    # the line Im tau = 1 and scaled by c
-    return lambda tau: c * ((tau - 1j) ** 3 - 2 * (tau - 1j) + 2)
+    # the line Im tau = 1 and scaled by c; returns (f, f')
+    return (
+        lambda tau: c * ((tau - 1j) ** 3 - 2 * (tau - 1j) + 2),
+        lambda tau: c * (3 * (tau - 1j) ** 2 - 2),
+    )
 
 
 def test_newton_zero_derivative_stalls_at_once(monkeypatch):
-    calls = _patch_z2(monkeypatch, lambda tau: 1.0 + 0j)
+    calls = _patch_z2(monkeypatch, lambda tau: 1.0 + 0j, lambda tau: 0j)
     with pytest.raises(NewtonStall):
         solutions._newton_z2(_PAIR, 0.3 + 1j)
-    # one value, four for the difference quotient, one for the final check
-    assert len(calls) == 6
+    # one value with its derivative, one for the final check
+    assert len(calls) == 2
 
 
 def test_newton_zero_derivative_accepts_a_small_residual(monkeypatch):
-    c = 2.0**-40  # ~9e-13: the difference quotient of c cancels exactly
-    _patch_z2(monkeypatch, lambda tau: complex(c))
+    c = 2.0**-40  # ~9e-13, above the 1e-13 acceptance, below the 1e-10 one
+    _patch_z2(monkeypatch, lambda tau: complex(c), lambda tau: 0j)
     tau, resid, dz, iters, scale = solutions._newton_z2(_PAIR, 0.3 + 1j)
     assert (tau, resid, dz, iters, scale) == (0.3 + 1j, c, 0.0, _NEWTON_MAX_ITER, 1.0)
 
@@ -312,7 +315,7 @@ def test_newton_small_step_returns_before_the_budget(monkeypatch):
     def f(tau):
         return (tau - t0) + 1e-30
 
-    _patch_z2(monkeypatch, f, scale=1e-20)
+    _patch_z2(monkeypatch, f, lambda tau: 1.0 + 0j, scale=1e-20)
     tau, resid, dz, iters, scale = solutions._newton_z2(_PAIR, t0 + 0.1)
     assert abs(tau - t0) < 1e-15
     assert iters < _NEWTON_MAX_ITER and resid == abs(f(tau)) and scale == 1e-20
@@ -320,7 +323,7 @@ def test_newton_small_step_returns_before_the_budget(monkeypatch):
 
 
 def test_newton_budget_accepts_a_residual_below_1e_10(monkeypatch):
-    _patch_z2(monkeypatch, _newton_cycle(1e-11))
+    _patch_z2(monkeypatch, *_newton_cycle(1e-11))
     tau, resid, dz, iters, scale = solutions._newton_z2(_PAIR, 1j)
     # an even number of steps brings the cycle back to its start
     assert abs(tau - 1j) < 1e-6 and iters == _NEWTON_MAX_ITER
@@ -328,6 +331,6 @@ def test_newton_budget_accepts_a_residual_below_1e_10(monkeypatch):
 
 
 def test_newton_budget_raises_newton_stall(monkeypatch):
-    _patch_z2(monkeypatch, _newton_cycle(1.0))
+    _patch_z2(monkeypatch, *_newton_cycle(1.0))
     with pytest.raises(NewtonStall, match="Newton failed to converge"):
         solutions._newton_z2(_PAIR, 1j)
