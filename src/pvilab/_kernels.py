@@ -4,14 +4,18 @@ Two paths share one evaluation strategy.  The scalar kernels
 (``premodular_at``, ``lattice_values`` and the helpers they call) are
 nopython-compatible and wrapped by ``@njit``, which compiles them when
 numba is installed and is the identity otherwise (see ``_backend``); Newton
-steps and ``lambda_rs`` use them.  The batch kernel ``z2_many`` is NumPy
+steps, ``m_n`` and ``lambda_rs`` use them.  ``premodular_at`` is the
+tau-only prologue ``lattice_constants`` followed by the per-pair part
+``premodular_from``, so a caller with many pairs at one tau, such as
+``m_n``, runs the prologue once.  The batch kernel ``z2_many`` is NumPy
 code under either backend: it runs the same steps on arrays of tau, in
-blocks of at most ``_BLOCK`` points.  Each point leaves the masked tau
-reduction where ``reduce_tau`` stops.  The series loops run until every
-point of the block passes the scalar kernel's stop test; past that test a
-term is below 1e-19 and falls geometrically with the ones after it, far
-under half an ulp of the sums it joins, so a point's result is the same
-in any batch.  The strategy for a point tau in the upper half-plane:
+blocks of at most ``_BLOCK`` points, with r and s shared by the batch or
+given per point.  Each point leaves the masked tau reduction where
+``reduce_tau`` stops.  The series loops run until every point of the block
+passes the scalar kernel's stop test; past that test a term is below 1e-19
+and falls geometrically with the ones after it, far under half an ulp of
+the sums it joins, so a point's result does not depend on what shares its
+batch.  The strategy for a point tau in the upper half-plane:
 
 1. reduce tau to the standard fundamental domain {|Re| <= 1/2, |tau| >= 1}
    with an integer matrix, so the nome q = exp(2*pi*i*tau_red) satisfies
@@ -198,16 +202,10 @@ def lattice_constants(tau):
 
 
 @njit
-def elliptic_at(z, tau):
-    """Full evaluation bundle at arbitrary (z, tau), Im tau > 0.
-
-    Returns (wp, wp', zeta, eta1, eta2, g2, g3, dist, err) where dist is the
-    reduced-cell distance of z from the lattice and err is a crude absolute
-    error estimate (truncation tail + 10 eps amplification).  When
-    dist < 1e-12 the series values are returned as NaN; callers must check
-    dist before trusting them.
-    """
-    tred, qred, j, eta1_r, eta1, eta2, g2, g3, tail_e = lattice_constants(tau)
+def elliptic_from(z, tau, consts):
+    """``elliptic_at`` with its lattice prologue given: consts is
+    ``lattice_constants(tau)``, which depends on tau alone."""
+    tred, qred, j, eta1_r, eta1, eta2, g2, g3, tail_e = consts
     eta2_r = tred * eta1_r - 2j * _PI
     j2 = j * j
 
@@ -226,6 +224,19 @@ def elliptic_at(z, tau):
     amp = abs(wp_r) + abs(wpp_r) + abs(zeta_r) + 1.0
     err = (tail + tail_e + 10.0 * _EPS * amp) / max(1.0, abs(j))
     return wp, wpp, zeta, eta1, eta2, g2, g3, dist, err
+
+
+@njit
+def elliptic_at(z, tau):
+    """Full evaluation bundle at arbitrary (z, tau), Im tau > 0.
+
+    Returns (wp, wp', zeta, eta1, eta2, g2, g3, dist, err) where dist is the
+    reduced-cell distance of z from the lattice and err is a crude absolute
+    error estimate (truncation tail + 10 eps amplification).  When
+    dist < 1e-12 the series values are returned as NaN; callers must check
+    dist before trusting them.
+    """
+    return elliptic_from(z, tau, lattice_constants(tau))
 
 
 @njit
@@ -266,6 +277,19 @@ def lattice_values(tau):
 
 
 @njit
+def premodular_from(r, s, tau, consts):
+    """``premodular_at`` with its lattice prologue given: consts is
+    ``lattice_constants(tau)``, so a caller evaluating many pairs at one tau
+    computes it once."""
+    alpha = r + s * tau
+    wp, wpp, zeta, eta1, eta2, g2, g3, dist, err = elliptic_from(alpha, tau, consts)
+    z = zeta - r * eta1 - s * eta2
+    z2 = z * z * z - 3.0 * wp * z - wpp
+    scale = abs(z) ** 3 + 3.0 * abs(wp) * abs(z) + abs(wpp)
+    return z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, err
+
+
+@njit
 def premodular_at(r, s, tau):
     """Hecke form and premodular form for torsion parameters (r, s) at tau.
 
@@ -275,12 +299,7 @@ def premodular_at(r, s, tau):
     distance of alpha = r + s*tau from the lattice.  NaN values when
     dist < 1e-12, as in ``elliptic_at``.
     """
-    alpha = r + s * tau
-    wp, wpp, zeta, eta1, eta2, g2, g3, dist, err = elliptic_at(alpha, tau)
-    z = zeta - r * eta1 - s * eta2
-    z2 = z * z * z - 3.0 * wp * z - wpp
-    scale = abs(z) ** 3 + 3.0 * abs(wp) * abs(z) + abs(wpp)
-    return z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, err
+    return premodular_from(r, s, tau, lattice_constants(tau))
 
 
 # ---------------------------------------------------------------------------
@@ -414,16 +433,21 @@ def z2_many(r, s, taus):
     """Z2 and its scale, as ``premodular_at`` returns them, at every tau of
     an array: two new arrays (NaN at lattice hits).
 
-    NumPy code under either backend.  Each point's result depends on that
-    point alone, so it is the same in any batch.
+    r and s are both scalars, shared by every point, or both arrays with one
+    value per point, so one call can serve many pairs.  NumPy code under
+    either backend.  A point's result depends on its own (r, s, tau) alone,
+    not on what shares its batch: it is the same in any batch, and the same
+    whether r and s come as scalars or as arrays.
     """
     n = taus.shape[0]
+    per_point = isinstance(r, np.ndarray)
     vals = np.empty(n, dtype=np.complex128)
     scales = np.empty(n, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, n, _BLOCK):
             hi = lo + _BLOCK
-            vals[lo:hi], scales[lo:hi] = _z2_block(r, s, taus[lo:hi])
+            rb, sb = (r[lo:hi], s[lo:hi]) if per_point else (r, s)
+            vals[lo:hi], scales[lo:hi] = _z2_block(rb, sb, taus[lo:hi])
     return vals, scales
 
 
@@ -436,3 +460,4 @@ def warmup():
     elliptic_at(complex(0.3, 0.2), tau)
     lattice_values(tau)
     premodular_at(complex(0.3, 0.0), complex(0.2, 0.0), tau)
+    premodular_from(complex(0.3, 0.0), complex(0.2, 0.0), tau, lattice_constants(tau))

@@ -34,7 +34,11 @@ For real non-half-integer (r, s), Z2 never vanishes on the boundary of F0
 safe workhorse.  There is one zero hunt, over F0, which holds at most one
 zero of a real pair (the triangle dichotomy).  Zeros over F and F2 come
 from it by the group action: F is a subset of F0, and F2 is F0 together
-with F0 + 1, where Z2_{r,s}(tau + 1) = Z2_{r+s,s}(tau).
+with F0 + 1, where Z2_{r,s}(tau + 1) = Z2_{r+s,s}(tau).  The hunt takes a
+list of pairs and hands each stage's samples for all of them to the kernel
+at once: one call per start grid, one per refinement round of the
+isolating squares.  A point's value does not depend on what shares its
+batch, so each pair's certificate is the one it gets when hunted alone.
 """
 
 from __future__ import annotations
@@ -354,18 +358,20 @@ def _check_clearance(pair: TorsionPair, taus, vals, scales, exact, piece):
 
 
 def _phase_along_pieces(
-    pair: TorsionPair, pieces: list, n0: int
+    pairs: list[TorsionPair], pieces: list, n0: int
 ) -> list[tuple[float, complex, complex]]:
     """Accumulated phase change of Z2 along each numeric boundary piece, with
-    its first and last sample values.
+    its first and last sample values; piece i follows Z2 of ``pairs[i]``.
 
     Each piece starts from n0 samples and bisects every segment whose phase
     step exceeds MAX_PHASE_STEP, until none does.  The new samples of one
-    round of all pieces go to ``z2_stable_many`` in one batch.  Pieces do not
+    round of all pieces, whatever their pairs, go to ``z2_stable_many`` in
+    one batch, as one pair when every piece has the same.  Pieces do not
     interact, so the error raised is that of the first failing piece in
     contour order, as if the pieces were refined one after the other.
     """
     n = len(pieces)
+    one_pair = all(q is pairs[0] for q in pairs)
     ts = [np.empty(0)] * n
     vals = [np.empty(0, dtype=np.complex128)] * n
     new_t = [np.linspace(0.0, 1.0, n0)] * n
@@ -376,7 +382,13 @@ def _phase_along_pieces(
         if not live:
             break
         taus = [_piece_points(pieces[i], new_t[i]) for i in live]
-        batch = z2_stable_many(pair, np.concatenate(taus))
+        points = np.concatenate(taus)
+        if one_pair:
+            batch = z2_stable_many(pairs[:1], points, [len(points)])
+        else:
+            batch = z2_stable_many(
+                [pairs[i] for i in live], points, [len(x) for x in taus]
+            )
         still = []
         lo = 0
         for i, piece_taus in zip(live, taus):
@@ -384,7 +396,7 @@ def _phase_along_pieces(
             new = [a[lo:hi] for a in batch]
             lo = hi
             try:
-                _check_clearance(pair, piece_taus, *new, pieces[i])
+                _check_clearance(pairs[i], piece_taus, *new, pieces[i])
             except BoundaryTooClose as exc:
                 errors[i] = exc
                 continue
@@ -395,7 +407,7 @@ def _phase_along_pieces(
             if rnd == _MAX_REFINE_ROUNDS:
                 errors[i] = IncoherentWinding(
                     f"phase refinement did not settle on piece {pieces[i][0]} "
-                    f"for {pair}"
+                    f"for {pairs[i]}"
                 )
                 continue
             steps = np.angle(v[1:] / v[:-1])
@@ -412,10 +424,9 @@ def _phase_along_pieces(
     return results
 
 
-def _winding_over(pieces: list, pair: TorsionPair, n0: int = 17) -> float:
-    """Total phase (in turns) around a closed piecewise contour."""
-    numeric = [piece for piece in pieces if not isinstance(piece, _Jump)]
-    phases = iter(_phase_along_pieces(pair, numeric, n0))
+def _turns(pieces: list, phases) -> float:
+    """Total phase (in turns) around a closed piecewise contour, given the
+    ``_phase_along_pieces`` results of its numeric pieces in order."""
     total = 0.0
     prev_val: Optional[complex] = None
     first_val: Optional[complex] = None
@@ -434,6 +445,12 @@ def _winding_over(pieces: list, pair: TorsionPair, n0: int = 17) -> float:
     if prev_val is not None and first_val is not None:
         total += float(np.angle(first_val / prev_val))
     return total / _TWO_PI
+
+
+def _winding_over(pieces: list, pair: TorsionPair, n0: int = 17) -> float:
+    """Total phase (in turns) of Z2_pair around a closed piecewise contour."""
+    numeric = [piece for piece in pieces if not isinstance(piece, _Jump)]
+    return _turns(pieces, iter(_phase_along_pieces([pair] * len(numeric), numeric, n0)))
 
 
 def _integer_turns(turns: float, what: str) -> int:
@@ -485,65 +502,107 @@ def _interior_grid(d: DomainSpec, nx: int, ny: int) -> np.ndarray:
     return pts
 
 
-def _rect_winding(pair: TorsionPair, x0, x1, y0, y1) -> int:
-    """Winding over a plain rectangle (no cusps, no cap)."""
-    pieces = [
+def _rect_pieces(tau0: complex, h: float) -> list:
+    """The positively oriented square of half-width h around tau0 (no cusps,
+    no cap)."""
+    x0, x1, y0, y1 = tau0.real - h, tau0.real + h, tau0.imag - h, tau0.imag + h
+    return [
         ("seg", complex(x1, y0), complex(x1, y1)),
         ("seg", complex(x1, y1), complex(x0, y1)),
         ("seg", complex(x0, y1), complex(x0, y0)),
         ("seg", complex(x0, y0), complex(x1, y0)),
     ]
-    return _integer_turns(_winding_over(pieces, pair, n0=9), "around a rectangle")
 
 
-def _zero_in_f0(pair: TorsionPair) -> Optional[ZeroCertificate]:
-    """The one zero of Z2_pair in F0, present exactly when the window
-    representative lies in one of the triangles D1, D2, D3.
+def _zeros_in_f0(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
+    """The one zero of Z2 in F0 of each pair, or None: a pair has it exactly
+    when its window representative lies in one of the triangles D1, D2, D3.
 
-    Newton runs from the 8 best points of each start grid in turn (best by
-    |Z2|/scale); the first result inside F0 is the zero.
+    Each start grid is evaluated in one kernel batch for every pair still
+    hunting.  Newton then runs per pair from the 8 best points of its grid
+    (best by |Z2|/scale); the first result inside F0 is the zero, and the
+    pairs it eludes go on to the next, finer grid.  Each zero whose square
+    of half-width 0.04 fits in F0 must then wind once around it; all the
+    squares are phase-tracked in one pass.  A pair that no start resolves
+    raises before any square is tracked.  The one-pair hunt is the
+    one-element case.
     """
-    if classify_triangle(pair).tag not in ("D1", "D2", "D3"):
-        return None
+    certs: list[Optional[ZeroCertificate]] = [None] * len(pairs)
+    hunting = [
+        i for i, p in enumerate(pairs) if classify_triangle(p).tag in ("D1", "D2", "D3")
+    ]
     for nx, ny in ((29, 25), (57, 49), (113, 97)):
+        if not hunting:
+            break
         grid = _interior_grid(F0, nx, ny)
-        vals, scales, _ = z2_stable_many(pair, grid)
-        quality = np.abs(vals) / np.maximum(scales, 1e-300)
-        for tau_start in grid[np.argsort(quality)[:8]]:
-            try:
-                cert = _certify(pair, complex(tau_start), "F0")
-            except (PviLabError, ArithmeticError):
-                # Newton stalled or walked out of the upper half-plane
-                continue
-            if F0.contains(cert.tau0, margin=1e-9):
-                # isolate it by a rectangle winding where that box fits in F0
-                x, y, h = cert.tau0.real, cert.tau0.imag, 0.04
-                box = cert.tau0 + h * np.array([-1 - 1j, 1 + 1j, -1 + 1j, 1 - 1j])
-                if F0.contains(box, margin=1e-6).all() and (
-                    _rect_winding(pair, x - h, x + h, y - h, y + h) != 1
-                ):
-                    raise IncoherentWinding(
-                        f"cell check around {cert.tau0} did not isolate one zero"
-                    )
-                return cert
-    raise IncoherentWinding(f"no Newton start found the zero of {pair} in F0")
+        vals, scales, _ = z2_stable_many(
+            [pairs[i] for i in hunting],
+            np.tile(grid, len(hunting)),
+            [len(grid)] * len(hunting),
+        )
+        quality = (np.abs(vals) / np.maximum(scales, 1e-300)).reshape(len(hunting), -1)
+        still = []
+        for i, q in zip(hunting, quality):
+            for tau_start in grid[np.argsort(q)[:8]]:
+                try:
+                    cert = _certify(pairs[i], complex(tau_start), "F0")
+                except (PviLabError, ArithmeticError):
+                    # Newton stalled or walked out of the upper half-plane
+                    continue
+                if F0.contains(cert.tau0, margin=1e-9):
+                    certs[i] = cert
+                    break
+            else:
+                still.append(i)
+        hunting = still
+    if hunting:
+        raise IncoherentWinding(
+            f"no Newton start found the zero of {pairs[hunting[0]]} in F0"
+        )
+    h = 0.04
+    corners = h * np.array([-1 - 1j, 1 + 1j, -1 + 1j, 1 - 1j])
+    boxed = [
+        c
+        for c in certs
+        if c is not None and F0.contains(c.tau0 + corners, margin=1e-6).all()
+    ]
+    squares = [_rect_pieces(c.tau0, h) for c in boxed]
+    phases = iter(
+        _phase_along_pieces(
+            [c.torsion for c, sq in zip(boxed, squares) for _ in sq],
+            [piece for sq in squares for piece in sq],
+            9,
+        )
+    )
+    for c, sq in zip(boxed, squares):
+        if _integer_turns(_turns(sq, phases), "around a rectangle") != 1:
+            raise IncoherentWinding(
+                f"cell check around {c.tau0} did not isolate one zero"
+            )
+    return certs
 
 
-def _zeros_by_group_action(p: TorsionPair, d: DomainSpec) -> list[ZeroCertificate]:
-    """The zeros of Z2_p in d, taken from F0 hunts.
+def _zeros_by_group_action(
+    pairs: list[TorsionPair], d: DomainSpec
+) -> list[ZeroCertificate]:
+    """The zeros in d of Z2 of each pair, in pair order, from one batch of
+    F0 hunts.
 
-    F0 contains F, so the F0 zero is kept if it lies in d; F2 is F0 together
-    with F0 + 1, and Z2_{r,s}(tau + 1) = Z2_{r+s,s}(tau), so over F2 the F0
-    zero of (r + s, s), moved by 1 and re-polished for p, joins it.
+    F0 contains F, so a pair's F0 zero is kept if it lies in d; F2 is F0
+    together with F0 + 1, and Z2_{r,s}(tau + 1) = Z2_{r+s,s}(tau), so over
+    F2 the F0 zero of (r + s, s), moved by 1 and re-polished for (r, s),
+    follows it.
     """
-    found = []
-    cert = _zero_in_f0(p)
-    if cert is not None:
-        found.append(replace(cert, region=d.kind))
+    hunts = list(pairs)
     if d.kind == "F2":
-        base = _zero_in_f0(TorsionPair.of(p.r + p.s, p.s))
-        if base is not None:
-            found.append(_certify(p, base.tau0 + 1.0, "F2"))
+        hunts += [TorsionPair.of(p.r + p.s, p.s) for p in pairs]
+    f0 = _zeros_in_f0(hunts)
+    found = []
+    for k, p in enumerate(pairs):
+        if f0[k] is not None:
+            found.append(replace(f0[k], region=d.kind))
+        if d.kind == "F2" and f0[len(pairs) + k] is not None:
+            found.append(_certify(p, f0[len(pairs) + k].tau0 + 1.0, "F2"))
     return [c for c in found if d.contains(c.tau0, margin=1e-9)]
 
 
@@ -560,7 +619,7 @@ def locate_zeros(
     w = winding_count(p, d) if expected is None else expected
     if w == 0:
         return []
-    certs = _zeros_by_group_action(p, d)
+    certs = _zeros_by_group_action([p], d)
     if len(certs) != w:
         raise IncoherentWinding(
             f"located {len(certs)} zeros but winding is {w} for {p} in {d.kind}"
@@ -589,8 +648,9 @@ def count_mn_zeros(N: int, d: DomainSpec = F) -> MnZeroReport:
 
     Works per +-class of Q_N, whose pairs are real: each class has at most
     one zero in F0 (present exactly when the window representative lies in
-    one of the three open triangles), located there and then accounted to
-    the requested domain:
+    one of the three open triangles).  The classes are hunted together in
+    one ``_zeros_in_f0`` batch, and each zero is then accounted to the
+    requested domain:
 
       F:  transported by the reducing group element; re-discoveries of the
           same (transported class, point) collapse, genuinely distinct
@@ -605,10 +665,10 @@ def count_mn_zeros(N: int, d: DomainSpec = F) -> MnZeroReport:
     reps = pm_class_reps(N)
     report = MnZeroReport(N=N, domain=d.kind, interior_count=0)
 
+    pairs = [TorsionPair.of(rep.r, rep.s) for rep in reps]
     if d.kind == "F":
         seen: dict[tuple, ZeroCertificate] = {}
-        for rep in reps:
-            cert = _zero_in_f0(TorsionPair.of(rep.r, rep.s))
+        for rep, cert in zip(reps, _zeros_in_f0(pairs)):
             if cert is None:
                 continue
             tau_f, g = reduce_to_shifted_domain(cert.tau0)
@@ -636,9 +696,7 @@ def count_mn_zeros(N: int, d: DomainSpec = F) -> MnZeroReport:
             seen[key] = polished
         report.certificates.extend(seen.values())
     else:
-        for rep in reps:
-            pair = TorsionPair.of(rep.r, rep.s)
-            report.certificates.extend(_zeros_by_group_action(pair, d))
+        report.certificates.extend(_zeros_by_group_action(pairs, d))
     report.interior_count = 2 * len(report.certificates)
     return report
 

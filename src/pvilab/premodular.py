@@ -185,7 +185,12 @@ def _premodular_at(p: TorsionPair, m) -> tuple:
     _check_usable(p)
     m = _as_point(m)
     r, s = p.as_complex()
-    values = _kernels.premodular_at(r, s, m.tau)
+    return _off_lattice(_kernels.premodular_at(r, s, m.tau))
+
+
+def _off_lattice(values: tuple) -> tuple:
+    """A ``premodular_at`` bundle, unless its alpha lies within
+    NEAR_LATTICE_DIST of the lattice."""
     dist = values[9]
     if dist < NEAR_LATTICE_DIST:
         raise NearLattice(
@@ -361,21 +366,36 @@ def z2_stable(p: TorsionPair, m) -> tuple[complex, float]:
     return z2_with_scale(p, m)
 
 
-def z2_stable_many(p: TorsionPair, taus) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def z2_stable_many(
+    p, taus, counts=None
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """``z2_stable`` at every tau of an array, as (values, scales, on_series).
 
-    on_series marks the samples taken from the cusp series, whose tiny
-    magnitudes are trustworthy.  Lattice hits give NaN instead of raising.
+    p is one TorsionPair for every tau, or, with ``counts``, a sequence of
+    pairs that own consecutive runs of taus: ``counts[k]`` of them for
+    ``p[k]``.  All taus go to the kernel in one call, with scalar r and s
+    when there is one pair.  on_series marks the samples taken from the
+    cusp series, whose tiny magnitudes are trustworthy.  Lattice hits give
+    NaN instead of raising.
     """
     taus = np.ascontiguousarray(taus, dtype=np.complex128)
-    r, s = p.as_complex()
+    pairs, counts = ([p], [len(taus)]) if counts is None else (p, counts)
+    if len(pairs) == 1:
+        r, s = pairs[0].as_complex()
+    else:
+        rs = [q.as_complex() for q in pairs]
+        r, s = (np.repeat(np.array(c), counts) for c in zip(*rs))
     vals, scales = _kernels.z2_many(r, s, taus)
     on_series = np.zeros(len(taus), dtype=bool)
-    if p.cusp_series is not None:
-        on_series = taus.imag > SERIES_HEIGHT
-        if on_series.any():
-            pp = np.exp(1j * _PI * taus[on_series])
-            vals[on_series] = np.polyval(p.cusp_series[::-1], pp)
+    hi = 0
+    for q, n in zip(pairs, counts):
+        lo, hi = hi, hi + n
+        if q.cusp_series is not None:
+            high = taus[lo:hi].imag > SERIES_HEIGHT
+            if high.any():
+                on_series[lo:hi] = high
+                pp = np.exp(1j * _PI * taus[lo:hi][high])
+                vals[lo:hi][high] = np.polyval(q.cusp_series[::-1], pp)
     return vals, scales, on_series
 
 
@@ -411,16 +431,24 @@ def m_n(N: int, m) -> MnValue:
     """Product of Z2_{r,s} over all (r, s) in Q_N, accumulated in log space.
 
     Factors are visited in sorted index order, so the reduction is
-    deterministic.  Factors with s-component in {0, 1/2} use the stable cusp
-    series at large Im(tau).
+    deterministic.  Each factor is ``z2_stable``'s value: the stable cusp
+    series for s in {0, 1/2} above SERIES_HEIGHT, otherwise the kernel's,
+    with the tau-only lattice prologue computed once for all factors.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
-    m = _as_point(m)
+    tau = _as_point(m).tau
+    consts = _kernels.lattice_constants(tau)
+    pp = cmath.exp(1j * _PI * tau) if tau.imag > SERIES_HEIGHT else None
     log_abs = 0.0
     arg = 0.0
     for pair in _qn_pairs(N):
-        val, scale = z2_stable(pair, m)
+        if pp is not None and pair.cusp_series is not None:
+            val = complex(np.polyval(pair.cusp_series[::-1], pp))
+        else:
+            _check_usable(pair)
+            r, s = pair.as_complex()
+            val = _off_lattice(_kernels.premodular_from(r, s, tau, consts))[3]
         av = abs(val)
         if av == 0.0:
             return MnValue(log_abs=-math.inf, arg=0.0, raw=0.0 + 0j)

@@ -1,4 +1,5 @@
-"""The NumPy batch kernel ``z2_many`` against the scalar ``premodular_at``."""
+"""The NumPy batch kernel ``z2_many`` against the scalar ``premodular_at``,
+and its per-point (r, s) batches against per-pair calls."""
 
 import math
 from fractions import Fraction
@@ -140,3 +141,53 @@ def test_result_does_not_depend_on_batch_order(pool):
     vals, scales = _batch(pair, taus[perm])
     assert np.array_equal(vals, single_vals[perm])
     assert np.array_equal(scales, single_scales[perm])
+
+
+def _seeded_pairs(n, seed):
+    rng = np.random.default_rng(seed)
+    pairs = []
+    while len(pairs) < n:
+        N = int(rng.integers(5, 30))
+        k1, k2 = (int(k) for k in rng.integers(0, N, size=2))
+        pair = TorsionPair.of(Fraction(k1, N), Fraction(k2, N))
+        if not pair.degenerate:
+            pairs.append(pair)
+    return pairs
+
+
+def test_per_point_pairs_match_per_pair_calls():
+    # seeded pairs on the F0, F and F2 grids, then a pair whose alpha hits
+    # the lattice at tau0; each group is checked against its own call with
+    # scalar r, s
+    tau0 = 0.3 + 0.8j
+    groups = [
+        (pair, _interior_grid(d, 29, 25))
+        for pair, d in zip(_seeded_pairs(6, 20261017), (F0, F, F2) * 2)
+    ]
+    groups.append((TorsionPair.of(-0.5 * tau0, 0.5), np.array([tau0, tau0 + 1e-3])))
+    taus = np.concatenate([g for _, g in groups])
+    r = np.concatenate([np.full(len(g), p.as_complex()[0]) for p, g in groups])
+    s = np.concatenate([np.full(len(g), p.as_complex()[1]) for p, g in groups])
+    assert len(taus) > _kernels._BLOCK
+    vals, scales = _kernels.z2_many(r, s, taus)
+    ref = [_batch(pair, g) for pair, g in groups]
+    assert np.array_equal(vals, np.concatenate([v for v, _ in ref]), equal_nan=True)
+    assert np.array_equal(scales, np.concatenate([sc for _, sc in ref]), equal_nan=True)
+    assert np.isnan(vals[-2]) and not np.isnan(vals[-1])
+
+
+def test_grouped_stable_batch_matches_per_pair_calls():
+    # pairs with s = 0 and s = 1/2 take their cusp series above SERIES_HEIGHT
+    # inside a grouped batch as they do alone
+    pairs = [
+        TorsionPair.of(Fraction(1, 3), Fraction(0)),
+        TorsionPair.of(0.6, 0.3),
+        TorsionPair.of(Fraction(1, 5), Fraction(1, 2)),
+    ]
+    taus = [_interior_grid(F0, 29, 25)[k::3] for k in range(3)]
+    sizes = [len(t) for t in taus]
+    vals, scales, series = z2_stable_many(pairs, np.concatenate(taus), sizes)
+    ref = [z2_stable_many(pair, t) for pair, t in zip(pairs, taus)]
+    for got, want in zip((vals, scales, series), zip(*ref)):
+        assert np.array_equal(got, np.concatenate(want), equal_nan=True)
+    assert series[: len(taus[0])].any() and series[-len(taus[2]) :].any()

@@ -3,6 +3,7 @@
 import cmath
 import math
 import random
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -10,7 +11,7 @@ import pytest
 
 from pvilab import locator, premodular
 from pvilab.elliptic import ModuliPoint
-from pvilab.errors import BoundaryTooClose, DomainError, IncoherentWinding
+from pvilab.errors import BoundaryTooClose, DomainError, IncoherentWinding, NewtonStall
 from pvilab.locator import (
     F,
     F0,
@@ -25,7 +26,7 @@ from pvilab.locator import (
     winding_count,
 )
 from pvilab.modular import reduce_to_shifted_domain, transport_pair
-from pvilab.orbits import enumerate_qn, p_of_n
+from pvilab.orbits import enumerate_qn, p_of_n, pm_class_reps
 from pvilab.premodular import (
     SERIES_HEIGHT,
     TorsionPair,
@@ -94,9 +95,9 @@ def test_winding_evaluates_initial_samples_of_all_pieces_at_once(monkeypatch):
     numeric = [p for p in pieces if not isinstance(p, locator._Jump)]
     sizes = []
 
-    def counted(p, taus):
+    def counted(p, taus, counts=None):
         sizes.append(len(taus))
-        return z2_stable_many(p, taus)
+        return z2_stable_many(p, taus, counts)
 
     monkeypatch.setattr(locator, "z2_stable_many", counted)
     assert round(_winding_over(pieces, pair, n0=17)) == winding_count(pair, F0)
@@ -116,21 +117,36 @@ def test_winding_with_degenerate_cusp_directions():
 def test_phase_tracking_raises_the_first_failing_piece(monkeypatch):
     # synthetic Z2: 1 on Re = 3, 0 on Re = 5 (fails the clearance check in
     # the first round), and a sign flip at Im = 1.5 on Re = 7 (no bisection
-    # resolves it, so refinement runs out of rounds)
-    def fake(pair, taus):
-        vals = np.ones(len(taus), dtype=np.complex128)
+    # resolves it, so refinement runs out of rounds); a second pair reads 2
+    # wherever the first reads 1
+    other = TorsionPair.of(0.9, 0.05)
+
+    def fake(pairs, taus, counts):
+        owners = np.repeat(np.array(pairs, dtype=object), counts)
+        vals = np.where(owners == other, 2.0, 1.0).astype(np.complex128)
         vals[taus.real == 5.0] = 0.0
-        vals[(taus.real == 7.0) & (taus.imag > 1.5)] = -1.0
+        vals[(taus.real == 7.0) & (taus.imag > 1.5)] *= -1.0
         return vals, np.ones(len(taus)), np.zeros(len(taus), dtype=bool)
 
     monkeypatch.setattr(locator, "z2_stable_many", fake)
     pair = TorsionPair.of(0.6, 0.3)
     good, close, flip = (("seg", complex(x, 1.0), complex(x, 2.0)) for x in (3.0, 5.0, 7.0))
-    assert locator._phase_along_pieces(pair, [good], 9) == [(0.0, 1, 1)]
+    assert locator._phase_along_pieces([pair], [good], 9) == [(0.0, 1, 1)]
     with pytest.raises(BoundaryTooClose):
-        locator._phase_along_pieces(pair, [good, close, flip], 9)
+        locator._phase_along_pieces([pair] * 3, [good, close, flip], 9)
     with pytest.raises(IncoherentWinding, match="did not settle"):
-        locator._phase_along_pieces(pair, [good, flip, close], 9)
+        locator._phase_along_pieces([pair] * 3, [good, flip, close], 9)
+    # two pairs in one batch: each piece follows its own pair, and the first
+    # failing piece in contour order is still the error raised
+    assert locator._phase_along_pieces([pair, other], [good, good], 9) == [
+        (0.0, 1, 1),
+        (0.0, 2, 2),
+    ]
+    with pytest.raises(BoundaryTooClose):
+        locator._phase_along_pieces([other, pair, other], [good, close, flip], 9)
+    settle = f"did not settle .* for {re.escape(str(other))}"
+    with pytest.raises(IncoherentWinding, match=settle):
+        locator._phase_along_pieces([pair, other, pair], [good, flip, close], 9)
 
 
 def test_winding_gap_radius_independence():
@@ -349,6 +365,51 @@ def test_zeros_over_f_and_f2_follow_from_f0(r, s):
     assert winding_count(pair, F) == sum(in_f)
 
 
+# --- the batched F0 hunt ----------------------------------------------------
+
+
+def test_batched_hunt_equals_one_pair_hunts():
+    # every +-class rep of Q_N, N = 3..12, hunted in one batch and one by one
+    reps = [TorsionPair.of(c.r, c.s) for N in range(3, 13) for c in pm_class_reps(N)]
+    batched = locator._zeros_in_f0(reps)
+    assert batched == [locator._zeros_in_f0([p])[0] for p in reps]
+    assert sum(c is not None for c in batched) > 50
+
+
+def test_batched_hunt_raises_for_a_square_that_winds_twice(monkeypatch):
+    # the second zero's isolating square is made to wind twice
+    reps = [TorsionPair.of(r, s) for r, s in ((0.6, 0.3), (0.9, 0.05), (0.1, 0.2))]
+    second = locator._zeros_in_f0([reps[1]])[0]
+    phase = locator._phase_along_pieces
+
+    def second_square_winds_twice(pairs, pieces, n0):
+        out = phase(pairs, pieces, n0)
+        dphi, v0, v1 = out[4]
+        out[4] = (dphi + 2.0 * PI, v0, v1)
+        return out
+
+    monkeypatch.setattr(locator, "_phase_along_pieces", second_square_winds_twice)
+    square = re.escape(f"cell check around {second.tau0} did not isolate one zero")
+    with pytest.raises(IncoherentWinding, match=square):
+        locator._zeros_in_f0(reps)
+
+
+def test_batched_hunt_raises_for_a_pair_no_start_resolves(monkeypatch):
+    stuck = TorsionPair.of(0.9, 0.05)
+    newton = locator._newton_z2
+
+    def stalls_for_one_pair(pair, tau0):
+        if pair == stuck:
+            raise NewtonStall("no convergence")
+        return newton(pair, tau0)
+
+    monkeypatch.setattr(locator, "_newton_z2", stalls_for_one_pair)
+    reps = [TorsionPair.of(0.6, 0.3), stuck, TorsionPair.of(0.1, 0.2)]
+    no_start = re.escape(f"no Newton start found the zero of {stuck} in F0")
+    with pytest.raises(IncoherentWinding, match=no_start):
+        locator._zeros_in_f0(reps)
+
+
 # --- count_mn_zeros / valence ----------------------------------------------
 
 
@@ -400,6 +461,25 @@ def test_valence_builds_each_cusp_expansion_once(N, monkeypatch):
         if Fraction(2 * rp.k2, N).denominator == 1
     }
     assert on_cusp and sorted(map(str, built)) == sorted(map(str, on_cusp))
+
+
+def test_valence_takes_series_factors_without_a_kernel_call(monkeypatch):
+    # above SERIES_HEIGHT the factors with s in {0, 1/2} come from the cusp
+    # series alone, with no premodular_at call for a discarded scale
+    from pvilab import _kernels
+
+    calls = []
+    kernel = _kernels.premodular_at
+    def counted(r, s, tau):
+        calls.append((s, tau))
+        return kernel(r, s, tau)
+
+    monkeypatch.setattr(_kernels, "premodular_at", counted)
+    valence_check(6)
+    heights = [tau for _, tau in calls if tau in (8j, 10j, 12j)]
+    on_series = [tau for s, tau in calls if tau in heights and (2 * s).real % 1 == 0]
+    assert on_series == []
+    assert any(Fraction(2 * rp.k2, 6).denominator == 1 for rp in enumerate_qn(6))
 
 
 def test_simplicity_and_numerator_bound_at_located_zeros():
