@@ -23,7 +23,6 @@ from .errors import (
     Degenerate,
     DepthExceeded,
     DomainError,
-    Inconclusive,
     IncoherentWinding,
     InternalError,
     NearLattice,
@@ -67,11 +66,8 @@ from .premodular import (
     z2_stable,
 )
 from .solutions import (
-    PoleExpansion,
     SolutionValue,
     lambda_rs,
-    pole_test,
-    symmetry_check,
     t_of_tau,
     wp_of_p,
 )
@@ -94,7 +90,6 @@ __all__ = [
     "F0",
     "F2",
     "hecke_Z",
-    "Inconclusive",
     "IncoherentWinding",
     "InternalError",
     "invariants_g",
@@ -112,14 +107,11 @@ __all__ = [
     "orbit_brute_force",
     "p_of_n",
     "pole_count",
-    "pole_test",
-    "PoleExpansion",
     "PviLabError",
     "qn_size",
     "quasi_periods",
     "RationalPair",
     "SolutionValue",
-    "symmetry_check",
     "t_of_tau",
     "TorsionPair",
     "transport_pair",

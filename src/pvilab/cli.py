@@ -24,7 +24,6 @@ from ._backend import backend_name
 from .errors import (
     BoundaryTooClose,
     DomainError,
-    Inconclusive,
     IncoherentWinding,
     PviLabError,
 )
@@ -336,7 +335,7 @@ def main(argv=None) -> int:
         return 1 if exc.code not in (0, None) else 0
     try:
         return _DISPATCH[args.cmd](args)
-    except (Inconclusive, BoundaryTooClose, IncoherentWinding) as exc:
+    except (BoundaryTooClose, IncoherentWinding) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except PviLabError as exc:

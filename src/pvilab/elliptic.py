@@ -113,15 +113,3 @@ def invariants_g(m) -> LatticeData:
         eta1=eta1, eta2=eta2, e1=e1, e2=e2, e3=e3, g2=g2, g3=g3, est_error=err
     )
 
-
-def eta_derivatives(m) -> tuple[complex, complex]:
-    """d(eta1)/d(tau) and d(eta2)/d(tau).
-
-    eta1' follows from the Ramanujan identity q dE2/dq = (E2^2 - E4)/12,
-    rewritten in terms of eta1 and g2; eta2' from the Legendre relation.
-    """
-    m = _as_point(m)
-    eta1, eta2, g2, g3, *_ = _kernels.lattice_values(m.tau)
-    eta1p = 1j * (12.0 * eta1 * eta1 - g2) / (24.0 * math.pi)
-    eta2p = eta1 + m.tau * eta1p
-    return eta1p, eta2p

@@ -2,8 +2,8 @@
 
 Numerical failure modes are first-class here: callers distinguish "the input
 is outside the contract" (DomainError, Degenerate) from "the computation
-cannot decide at this precision" (Inconclusive, BoundaryTooClose,
-IncoherentWinding, NewtonStall).
+cannot decide at this precision" (BoundaryTooClose, IncoherentWinding,
+NewtonStall).
 """
 
 
@@ -27,10 +27,6 @@ class NearLattice(PviLabError):
 class Degenerate(PviLabError):
     """(r, s) lies in (1/2)Z^2: the premodular form is identically 0 or
     identically infinite and carries no information."""
-
-
-class Inconclusive(PviLabError):
-    """|Z2| landed inside the one-decade ambiguity band of a pole test."""
 
 
 class BoundaryTooClose(PviLabError):

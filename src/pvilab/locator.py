@@ -34,11 +34,13 @@ For real non-half-integer (r, s), Z2 never vanishes on the boundary of F0
 safe workhorse.  There is one zero hunt, over F0, which holds at most one
 zero of a real pair (the triangle dichotomy).  Zeros over F and F2 come
 from it by the group action: F is a subset of F0, and F2 is F0 together
-with F0 + 1, where Z2_{r,s}(tau + 1) = Z2_{r+s,s}(tau).  The hunt takes a
-list of pairs and hands each stage's samples for all of them to the kernel
-at once: one call per start grid, one per refinement round of the
-isolating squares.  A point's value does not depend on what shares its
-batch, so each pair's certificate is the one it gets when hunted alone.
+with F0 + 1, where Z2_{r,s}(tau + 1) = Z2_{r+s,s}(tau).  Both
+``locate_zeros`` and ``count_mn_zeros`` (over F, F0 and F2) take their
+zeros from this one path.  The hunt takes a list of pairs and hands each
+stage's samples for all of them to the kernel at once: one call per start
+grid, one per refinement round of the isolating squares.  A point's value
+does not depend on what shares its batch, so each pair's certificate is
+the one it gets when hunted alone.
 """
 
 from __future__ import annotations
@@ -54,8 +56,7 @@ import numpy as np
 
 from .elliptic import ModuliPoint
 from .errors import BoundaryTooClose, DomainError, IncoherentWinding, PviLabError
-from .modular import reduce_to_shifted_domain, transport_pair
-from .orbits import RationalPair, euler_phi, p_of_n, pm_class_reps, qn_size
+from .orbits import euler_phi, p_of_n, pm_class_reps, qn_size
 from .premodular import TorsionPair, m_n, z2_stable_many
 from .solutions import _newton_z2
 
@@ -634,7 +635,13 @@ def locate_zeros(
 
 @dataclass
 class MnZeroReport:
-    """Multiplicity-weighted zeros of M_N over a fundamental domain."""
+    """Multiplicity-weighted zeros of M_N over a fundamental domain.
+
+    ``certificates`` holds each +-class's zeros in the domain, in class
+    order, as ``_zeros_by_group_action`` gives them for F, F0 and F2 alike;
+    ``merge_events`` lists ((k1, k2), (k1', k2'), tau0) for every two
+    distinct classes whose certificates lie within 1e-8 of each other.
+    """
 
     N: int
     domain: str
@@ -649,56 +656,28 @@ def count_mn_zeros(N: int, d: DomainSpec = F) -> MnZeroReport:
     Works per +-class of Q_N, whose pairs are real: each class has at most
     one zero in F0 (present exactly when the window representative lies in
     one of the three open triangles).  The classes are hunted together in
-    one ``_zeros_in_f0`` batch, and each zero is then accounted to the
-    requested domain:
-
-      F:  transported by the reducing group element; re-discoveries of the
-          same (transported class, point) collapse, genuinely distinct
-          classes at one point are kept and flagged as merge events;
-      F0, F2: ``_zeros_by_group_action``, the path of ``locate_zeros``
-          (over F2 also the T-shifted class's zero, moved into F0 + 1).
+    one ``_zeros_in_f0`` batch, and their zeros in d come from it by the
+    group action, ``_zeros_by_group_action``, the path of ``locate_zeros``:
+    over F the F0 zeros that lie in F, over F2 also the T-shifted class's
+    zero moved into F0 + 1.  Q_N is closed under SL(2, Z), so a zero in F
+    of a transported class is that class's own F0 zero, and nothing found
+    twice needs merging.
 
     Every certificate counts with multiplicity 2 for its +- pair.
     """
     if not (3 <= N <= 24):
         raise DomainError("desk-scale N only (3 <= N <= 24)")
     reps = pm_class_reps(N)
-    report = MnZeroReport(N=N, domain=d.kind, interior_count=0)
-
-    pairs = [TorsionPair.of(rep.r, rep.s) for rep in reps]
-    if d.kind == "F":
-        seen: dict[tuple, ZeroCertificate] = {}
-        for rep, cert in zip(reps, _zeros_in_f0(pairs)):
-            if cert is None:
-                continue
-            tau_f, g = reduce_to_shifted_domain(cert.tau0)
-            r2, s2 = transport_pair(Fraction(rep.r), Fraction(rep.s), g)
-            k1 = int((Fraction(r2) % 1) * N)
-            k2 = int((Fraction(s2) % 1) * N)
-            key_pair = RationalPair(k1 % N, k2 % N, N).pm_canonical()
-            # re-polish at the transported location for an honest certificate
-            polished = _certify(TorsionPair.of(key_pair.r, key_pair.s), tau_f, "F")
-            tau_ref = polished.tau0
-            key = (
-                key_pair.k1,
-                key_pair.k2,
-                round(tau_ref.real, 7),
-                round(tau_ref.imag, 7),
-            )
-            if key in seen:
-                continue
-            for (ok1, ok2, ox, oy), other in seen.items():
-                if abs(complex(ox, oy) - tau_ref) < 1e-8 and (ok1, ok2) != (
-                    key_pair.k1,
-                    key_pair.k2,
-                ):
-                    report.merge_events.append(((ok1, ok2), key[:2], tau_ref))
-            seen[key] = polished
-        report.certificates.extend(seen.values())
-    else:
-        report.certificates.extend(_zeros_by_group_action(pairs, d))
-    report.interior_count = 2 * len(report.certificates)
-    return report
+    certs = _zeros_by_group_action([TorsionPair.of(rep.r, rep.s) for rep in reps], d)
+    # a certificate's class (k1, k2), read off its pair (k1/N, k2/N)
+    key = lambda c: (int(c.torsion.r * N), int(c.torsion.s * N))
+    merges = [
+        (key(a), key(b), b.tau0)
+        for j, b in enumerate(certs)
+        for a in certs[:j]
+        if a.torsion != b.torsion and abs(a.tau0 - b.tau0) < 1e-8
+    ]
+    return MnZeroReport(N, d.kind, 2 * len(certs), certs, merges)
 
 
 def valence_check(N: int) -> dict:

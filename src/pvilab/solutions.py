@@ -1,5 +1,5 @@
 """Closed-form solution values: the cover map t(tau), wp(p_{r,s}(tau)|tau)
-and lambda_{r,s}(t), with pole detection.
+and lambda_{r,s}(t), whose ``is_pole`` flag is the one pole decision.
 
 wp(p) = wp(alpha) + [3 wp'(alpha) Z^2 + (12 wp(alpha)^2 - g2) Z
                        + 3 wp(alpha) wp'(alpha)] / (2 Z2),
@@ -9,30 +9,23 @@ combination.  The map to the t-plane is
     t = (e3 - e1)/(e2 - e1),    lambda = (wp(p) - e1)/(e2 - e1).
 
 Poles of lambda are exactly the tau where alpha hits the lattice or Z2
-vanishes; near a lattice hit the direct formula cancels catastrophically and
-evaluation switches to a Laurent expansion in the small shifted argument
-whose 1/alpha cancellation is done symbolically.
+vanishes, which ``lambda_rs`` flags as ``is_pole`` by LATTICE_HIT and
+Z2_ZERO_RTOL.  Near a lattice hit the direct formula cancels
+catastrophically and evaluation switches to a Laurent expansion in the
+small shifted argument whose 1/alpha cancellation is done symbolically.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from fractions import Fraction
-from typing import Optional, Union
+from typing import Optional
 
 from . import _kernels
-from .elliptic import ModuliPoint, _as_point, eta_derivatives, invariants_g
-from .errors import Degenerate, Inconclusive, NewtonStall
+from .elliptic import ModuliPoint, _as_point, invariants_g
+from .errors import Degenerate, NewtonStall
 from .modular import branch_copy
-from .premodular import (
-    TorsionPair,
-    cusp_asymptotic,
-    z2_with_derivative,
-    z2_with_scale,
-)
-
-_PI = math.pi
+from .premodular import TorsionPair, z2_with_derivative
 
 # |alpha - lattice| below which the direct formula for wp(p) is abandoned
 # for the Laurent expansion.  The direct path loses ~eps/|alpha|^3 through
@@ -54,30 +47,6 @@ _INF = complex(math.inf, 0.0)
 
 def _is_inf(x: Optional[complex]) -> bool:
     return x is not None and (math.isinf(x.real) or math.isinf(x.imag))
-
-
-@dataclass(frozen=True)
-class PoleExpansion:
-    """Laurent data of wp(p) at a lattice-type pole.
-
-    ``leading`` is -c0/(3*alpha_shifted) at the queried tau (infinite at an
-    exact hit); c0 = r*eta1 + s*eta2 for the lattice-shifted pair equals
-    -2*pi*i*s_shifted at the hit.
-    """
-
-    c0: complex
-    c1: complex
-    leading: complex
-
-
-@dataclass(frozen=True)
-class ZeroWitness:
-    """Newton-refined zero of Z2 backing a z2-type pole verdict."""
-
-    tau0: complex
-    residual: float
-    dz_mag: float
-    newton_iters: int
 
 
 @dataclass(frozen=True)
@@ -212,90 +181,3 @@ def _newton_z2(pair: TorsionPair, tau0: complex):
     raise NewtonStall(
         f"Newton failed to converge for {pair} from {tau0}: |Z2| = {abs(f):.3e}"
     )
-
-
-def _default_pole_tol(pair: TorsionPair, scale: float) -> float:
-    """1e-9 times the cusp-asymptotic magnitude when that is available and
-    non-tiny, otherwise 1e-9 times the local term scale."""
-    base = scale
-    if pair.is_real:
-        lead, order = cusp_asymptotic(pair)
-        if abs(lead) > 1e-6:
-            base = abs(lead)
-    return 1e-9 * base
-
-
-def pole_test(
-    p: TorsionPair, m
-) -> tuple[bool, str, Union[PoleExpansion, ZeroWitness, None]]:
-    """Is t(tau) a pole of lambda_{r,s}?  Returns (is_pole, kind, witness).
-
-    kind is "lattice" when alpha = r + s*tau lies on the lattice, "z2-zero"
-    when the denominator vanishes (Newton-refined before judging), "none"
-    otherwise.  |Z2| inside (tol, 10 tol), tol from ``_default_pole_tol``,
-    raises Inconclusive.
-    """
-    if p.degenerate:
-        raise Degenerate(f"(r, s) = {p.r, p.s} is degenerate")
-    m = _as_point(m)
-    rt, st, atil = _lattice_shift(p, m.tau)
-    if abs(atil) < 1e-8:
-        eta1, eta2, g2, g3, *_ = _kernels.lattice_values(m.tau)
-        eta1p, eta2p = eta_derivatives(m)
-        c0 = rt * eta1 + st * eta2
-        c1 = (rt / st) * eta1p + eta2p if st != 0 else eta2p
-        leading = -c0 / (3.0 * atil) if abs(atil) > 0 else _INF
-        return True, "lattice", PoleExpansion(c0=c0, c1=c1, leading=leading)
-
-    val, scale = z2_with_scale(p, m)
-    tol_abs = _default_pole_tol(p, scale)
-    if abs(val) <= tol_abs:
-        tau0, resid, dz, iters, _ = _newton_z2(p, m.tau)
-        return True, "z2-zero", ZeroWitness(
-            tau0=tau0, residual=resid, dz_mag=dz, newton_iters=iters
-        )
-    if abs(val) <= 10.0 * tol_abs:
-        raise Inconclusive(
-            f"|Z2| = {abs(val):.3e} inside the ambiguity band "
-            f"({tol_abs:.3e}, {10 * tol_abs:.3e}); tighten precision"
-        )
-    return False, "none", None
-
-
-def symmetry_check(N: int, m) -> dict:
-    """Residuals of the two reflection identities tying the three basic
-    N-torsion solutions together.
-
-    Identity 1 (via tau' = -1/tau, where t -> 1 - t):
-        lambda_{1/N,0}(1 - t) = 1 - lambda_{0,1/N}(t)
-    Identity 2 (via tau' = tau - 1, where t -> 1/t):
-        lambda_{1/N,1/N}(1/t) = lambda_{0,1/N}(t) / t
-    """
-    if N < 3:
-        raise ValueError("N must be >= 3")
-    m = _as_point(m)
-    tau = m.tau
-    p_0N = TorsionPair.of(0, Fraction(1, N))
-    p_N0 = TorsionPair.of(Fraction(1, N), 0)
-    p_NN = TorsionPair.of(Fraction(1, N), Fraction(1, N))
-
-    base = lambda_rs(p_0N, m)
-    t = base.t
-
-    m_inv = ModuliPoint.from_tau(-1.0 / tau)
-    left1 = lambda_rs(p_N0, m_inv)
-    resid1 = abs(left1.lam - (1.0 - base.lam))
-    t_check1 = abs(left1.t - (1.0 - t))
-
-    m_shift = ModuliPoint.from_tau(tau - 1.0)
-    left2 = lambda_rs(p_NN, m_shift)
-    resid2 = abs(left2.lam - base.lam / t)
-    t_check2 = abs(left2.t - 1.0 / t)
-
-    return {
-        "residual_one_minus_t": resid1,
-        "residual_inverse_t": resid2,
-        "t_map_one_minus": t_check1,
-        "t_map_inverse": t_check2,
-        "t": t,
-    }

@@ -282,10 +282,10 @@ def test_degenerate_pair_is_usage_error():
 
 def test_numerical_failure_exit_code(monkeypatch):
     from pvilab import cli
-    from pvilab.errors import Inconclusive
+    from pvilab.errors import BoundaryTooClose
 
     def boom(args):
-        raise Inconclusive("ambiguous")
+        raise BoundaryTooClose("too close")
 
     monkeypatch.setitem(cli._DISPATCH, "count", boom)
     assert main(["count", "--N", "5"]) == 2

@@ -15,7 +15,6 @@ from hypothesis import strategies as st
 from pvilab import oracles
 from pvilab.elliptic import (
     ModuliPoint,
-    eta_derivatives,
     invariants_g,
     quasi_periods,
     weierstrass_p,
@@ -125,17 +124,6 @@ def test_eta1_at_square_lattice_is_pi():
     eta1, eta2 = quasi_periods(ModuliPoint.from_tau(1j))
     assert abs(eta1 - PI) <= 1e-12
     assert abs(eta2 + 1j * PI) <= 1e-12
-
-
-def test_eta_derivatives_match_finite_differences():
-    m = ModuliPoint.from_tau(0.23 + 1.31j)
-    d1, d2 = eta_derivatives(m)
-    h = 1e-5
-    for d, pick in ((d1, 0), (d2, 1)):
-        fp = quasi_periods(ModuliPoint.from_tau(m.tau + h))[pick]
-        fm = quasi_periods(ModuliPoint.from_tau(m.tau - h))[pick]
-        fd = (fp - fm) / (2 * h)
-        assert abs(d - fd) <= 1e-8 * (1 + abs(d))
 
 
 # --- invariants_g -----------------------------------------------------------

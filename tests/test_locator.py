@@ -413,11 +413,31 @@ def test_batched_hunt_raises_for_a_pair_no_start_resolves(monkeypatch):
 # --- count_mn_zeros / valence ----------------------------------------------
 
 
-@pytest.mark.parametrize("N,count", [(3, 0), (4, 0), (5, 2), (6, 2)])
+@pytest.mark.parametrize(
+    "N,count", [(3, 0), (4, 0), (5, 2), (6, 2), (7, 6), (12, 18), (17, 56), (24, 84)]
+)
 def test_mn_zero_count_over_modular_domain(N, count):
     rep = count_mn_zeros(N, F)
     assert rep.interior_count == count == p_of_n(N)
     assert rep.merge_events == []
+
+
+def test_mn_zero_count_keeps_two_classes_at_one_point(monkeypatch):
+    # two distinct classes whose F0 zeros coincide in F both count, and the
+    # coincidence is reported as one merge event
+    tau0 = 0.5 + 1.2j
+
+    def two_at_one_point(pairs):
+        return [
+            locator.ZeroCertificate(tau0, 0.0, 1.0, 1, "F0", p, 1.0) if i < 2 else None
+            for i, p in enumerate(pairs)
+        ]
+
+    monkeypatch.setattr(locator, "_zeros_in_f0", two_at_one_point)
+    a, b = pm_class_reps(5)[:2]
+    rep = count_mn_zeros(5, F)
+    assert rep.interior_count == 4
+    assert rep.merge_events == [((a.k1, a.k2), (b.k1, b.k2), tau0)]
 
 
 @pytest.mark.parametrize("N", [3, 4, 5, 6])

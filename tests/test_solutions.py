@@ -8,15 +8,13 @@ import pytest
 
 from pvilab import solutions
 from pvilab.elliptic import ModuliPoint
-from pvilab.errors import Degenerate, Inconclusive, NewtonStall
+from pvilab.errors import Degenerate, NewtonStall
 from pvilab.premodular import TorsionPair
 from pvilab.solutions import (
     _NEWTON_MAX_ITER,
     _wp_of_p_direct,
     _wp_of_p_expansion,
     lambda_rs,
-    pole_test,
-    symmetry_check,
     t_of_tau,
     wp_of_p,
 )
@@ -162,14 +160,12 @@ def test_lambda_branch_parameter_equivalence(rng):
         assert abs(base - other) <= 1e-10 * max(1.0, abs(base))
 
 
-# --- pole_test --------------------------------------------------------------
+# --- is_pole ----------------------------------------------------------------
 
 
 def test_pole_test_no_pole_in_d0():
-    is_pole, kind, wit = pole_test(
-        TorsionPair.of(0.3, 0.3), ModuliPoint.from_tau(0.4 + 1.1j)
-    )
-    assert not is_pole and kind == "none" and wit is None
+    sv = lambda_rs(TorsionPair.of(0.3, 0.3), ModuliPoint.from_tau(0.4 + 1.1j))
+    assert not sv.is_pole and math.isfinite(abs(sv.lam))
 
 
 def test_pole_test_q3_scan_no_poles(rng):
@@ -179,57 +175,54 @@ def test_pole_test_q3_scan_no_poles(rng):
     for _ in range(200):
         tau = complex(rng.uniform(0.0, 2.0), rng.uniform(0.25, 3.0))
         r, s = pairs[int(rng.integers(0, len(pairs)))]
-        is_pole, kind, _ = pole_test(TorsionPair.of(r, s), ModuliPoint.from_tau(tau))
-        assert not is_pole
+        assert not lambda_rs(TorsionPair.of(r, s), ModuliPoint.from_tau(tau)).is_pole
 
 
 def test_pole_test_lattice_kind():
+    # alpha = r + s0*tau0 = 1 + tau0 lies on the lattice
     tau0 = 1.2j
     s0 = 0.25
     n, mm = 1, 1
     r = mm + n * tau0 - s0 * tau0
-    is_pole, kind, wit = pole_test(TorsionPair.of(r, s0), ModuliPoint.from_tau(tau0))
-    assert is_pole and kind == "lattice"
-    # c0 = -2 pi i s~ for the lattice-shifted pair, s~ = s0 - n
-    assert abs(wit.c0 - (-2j * PI * (s0 - n))) <= 1e-10
+    sv = lambda_rs(TorsionPair.of(r, s0), ModuliPoint.from_tau(tau0))
+    assert sv.is_pole and math.isinf(abs(sv.lam))
 
 
 def test_pole_test_z2_zero_kind():
+    # the located zero of Z2 in F0 is a pole of lambda
     from pvilab.locator import F0, locate_zeros
 
-    pair = TorsionPair.of(0.6, 0.3)
-    cert = locate_zeros(pair, F0)[0]
-    is_pole, kind, wit = pole_test(pair, ModuliPoint.from_tau(cert.tau0))
-    assert is_pole and kind == "z2-zero"
-    assert wit.dz_mag > 1e-6 * cert.scale  # simple zero
-    assert abs(wit.tau0 - cert.tau0) < 1e-8
+    for r, s in ((0.6, 0.3), (Fraction(3, 5), Fraction(1, 5)),
+                 (Fraction(4, 7), Fraction(1, 7)), (Fraction(5, 6), Fraction(1, 12))):
+        pair = TorsionPair.of(r, s)
+        cert = locate_zeros(pair, F0)[0]
+        sv = lambda_rs(pair, ModuliPoint.from_tau(cert.tau0))
+        assert sv.is_pole and math.isinf(abs(sv.lam)), (r, s)
 
 
-def test_pole_test_inconclusive_band():
-    from pvilab.locator import F0, locate_zeros
-    from pvilab.premodular import z2_with_scale
-
-    pair = TorsionPair.of(0.6, 0.3)
-    cert = locate_zeros(pair, F0)[0]
-    # walk away from the zero until |Z2| sits inside (tol, 10 tol)
-    tau = cert.tau0
-    target = None
-    for step in (1e-10, 3e-10, 1e-9, 3e-9, 1e-8, 3e-8, 1e-7):
-        cand = tau + step
-        val, scale = z2_with_scale(pair, ModuliPoint.from_tau(cand))
-        from pvilab.solutions import _default_pole_tol
-
-        tol_abs = _default_pole_tol(pair, scale)
-        if tol_abs < abs(val) <= 10 * tol_abs:
-            target = cand
-            break
-    if target is None:
-        pytest.skip("could not hit the ambiguity band at double precision")
-    with pytest.raises(Inconclusive):
-        pole_test(pair, ModuliPoint.from_tau(target))
+# --- reflection symmetries --------------------------------------------------
 
 
-# --- symmetry_check ---------------------------------------------------------
+def _symmetry_residuals(N, tau):
+    """Residuals of the two reflection identities tying the three basic
+    N-torsion solutions together.
+
+    Identity 1 (via tau' = -1/tau, where t -> 1 - t):
+        lambda_{1/N,0}(1 - t) = 1 - lambda_{0,1/N}(t)
+    Identity 2 (via tau' = tau - 1, where t -> 1/t):
+        lambda_{1/N,1/N}(1/t) = lambda_{0,1/N}(t) / t
+    """
+    k = Fraction(1, N)
+    base = lambda_rs(TorsionPair.of(0, k), ModuliPoint.from_tau(tau))
+    t = base.t
+    left1 = lambda_rs(TorsionPair.of(k, 0), ModuliPoint.from_tau(-1.0 / tau))
+    left2 = lambda_rs(TorsionPair.of(k, k), ModuliPoint.from_tau(tau - 1.0))
+    return (
+        abs(left1.lam - (1.0 - base.lam)),
+        abs(left2.lam - base.lam / t),
+        abs(left1.t - (1.0 - t)),
+        abs(left2.t - 1.0 / t),
+    )
 
 
 @pytest.mark.parametrize(
@@ -237,11 +230,7 @@ def test_pole_test_inconclusive_band():
     [(4, 1.1j), (5, 0.2 + 1.3j), (3, 1j)],
 )
 def test_symmetry_identities(N, tau):
-    out = symmetry_check(N, ModuliPoint.from_tau(tau))
-    assert out["residual_one_minus_t"] <= 1e-9
-    assert out["residual_inverse_t"] <= 1e-9
-    assert out["t_map_one_minus"] <= 1e-9
-    assert out["t_map_inverse"] <= 1e-9
+    assert max(_symmetry_residuals(N, tau)) <= 1e-9
 
 
 def test_unitary_boundary_clearance_sampled(rng):
