@@ -10,12 +10,12 @@ tau-only prologue ``lattice_constants`` followed by the per-pair part
 ``m_n``, runs the prologue once.  The batch kernel ``z2_many`` is NumPy
 code under either backend: it runs the same steps on arrays of tau, in
 blocks of at most ``_BLOCK`` points, with r and s shared by the batch or
-given per point.  Each point leaves the masked tau reduction where
-``reduce_tau`` stops.  The series loops run until every point of the block
-passes the scalar kernel's stop test; past that test a term is below 1e-19
-and falls geometrically with the ones after it, far under half an ulp of
-the sums it joins, so a point's result does not depend on what shares its
-batch.  The strategy for a point tau in the upper half-plane:
+given per point.  Each point leaves ``reduce_tau_many`` where ``reduce_tau``
+stops.  The series loops run until every point of the block passes the
+scalar kernel's stop test; past that test a term is below 1e-19 and falls
+geometrically with the ones after it, far under half an ulp of the sums it
+joins, so a point's result does not depend on what shares its batch.  The
+strategy for a point tau in the upper half-plane:
 
 1. reduce tau to the standard fundamental domain {|Re| <= 1/2, |tau| >= 1}
    with an integer matrix, so the nome q = exp(2*pi*i*tau_red) satisfies
@@ -162,10 +162,10 @@ def wz_series(z, tau, q):
 def lattice_constants(tau):
     """Reduce tau and carry the lattice constants back through the weight laws.
 
-    Returns (tau_red, q_red, j, eta1_red, eta1, eta2, g2, g3, tail): the
-    reduced point and its nome, the automorphy factor j = c*tau + d of the
-    reducing matrix, eta1 at tau_red, then eta1, eta2, g2, g3 at tau itself
-    and the truncation-tail bound of the Eisenstein series behind them.
+    Returns (tau_red, q_red, j, eta1_red, eta1, eta2, g2, g3, tail, gamma):
+    the reduced point, its nome, j = c*tau + d of the reducing matrix
+    gamma = (a, b, c, d), eta1 at tau_red, then eta1, eta2, g2, g3 at tau
+    itself and the truncation-tail bound of the Eisenstein series behind them.
     """
     tred, a, b, c, d = reduce_tau(tau)
     qred = cmath.exp(2j * _PI * tred)
@@ -198,14 +198,14 @@ def lattice_constants(tau):
     eta2 = tau * eta1 - 2j * _PI
     g2 = g2_r / (j2 * j2)
     g3 = g3_r / (j2 * j2 * j2)
-    return tred, qred, j, eta1_r, eta1, eta2, g2, g3, tail
+    return tred, qred, j, eta1_r, eta1, eta2, g2, g3, tail, (a, b, c, d)
 
 
 @njit
 def elliptic_from(z, tau, consts):
     """``elliptic_at`` with its lattice prologue given: consts is
     ``lattice_constants(tau)``, which depends on tau alone."""
-    tred, qred, j, eta1_r, eta1, eta2, g2, g3, tail_e = consts
+    tred, qred, j, eta1_r, eta1, eta2, g2, g3, tail_e, _ = consts
     eta2_r = tred * eta1_r - 2j * _PI
     j2 = j * j
 
@@ -245,7 +245,7 @@ def lattice_values(tau):
 
     Returns (eta1, eta2, g2, g3, e1, e2, e3, err).
     """
-    tred, qred, j, eta1_r, eta1, eta2, g2, g3, tail_e = lattice_constants(tau)
+    tred, qred, j, eta1_r, eta1, eta2, g2, g3, tail_e, _ = lattice_constants(tau)
     j2 = j * j
 
     e1 = complex(0.0, 0.0)
@@ -286,18 +286,18 @@ def premodular_from(r, s, tau, consts):
     z = zeta - r * eta1 - s * eta2
     z2 = z * z * z - 3.0 * wp * z - wpp
     scale = abs(z) ** 3 + 3.0 * abs(wp) * abs(z) + abs(wpp)
-    return z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, err
+    return z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, err, consts
 
 
 @njit
 def premodular_at(r, s, tau):
     """Hecke form and premodular form for torsion parameters (r, s) at tau.
 
-    Returns (Z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, err) where
-    z2 = Z^3 - 3*wp*Z - wpp, scale = |Z|^3 + 3|wp||Z| + |wpp| (the natural
-    magnitude of the three-term combination) and dist is the reduced-cell
-    distance of alpha = r + s*tau from the lattice.  NaN values when
-    dist < 1e-12, as in ``elliptic_at``.
+    Returns (Z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, err, consts)
+    where z2 = Z^3 - 3*wp*Z - wpp, scale = |Z|^3 + 3|wp||Z| + |wpp| (the
+    three-term combination's natural magnitude), dist is the reduced-cell
+    distance of alpha = r + s*tau from the lattice and consts the
+    ``lattice_constants(tau)`` used.  NaN values when dist < 1e-12.
     """
     return premodular_from(r, s, tau, lattice_constants(tau))
 
@@ -310,9 +310,9 @@ def premodular_at(r, s, tau):
 _BLOCK = 1024
 
 
-def _reduce_tau_many(tau):
-    """``reduce_tau`` for an array: (tau_red, c, d), the reduced points and
-    the bottom row of each reducing matrix.  A point leaves the masked loop
+def reduce_tau_many(tau):
+    """``reduce_tau`` for an array: (tau_red, a, b, c, d), the reduced points
+    and the entries of each reducing matrix.  A point leaves the masked loop
     once it lies in the standard domain, so it takes reduce_tau's steps."""
     t = tau.copy()
     a = np.ones(tau.shape, dtype=np.int64)
@@ -334,7 +334,7 @@ def _reduce_tau_many(tau):
         t[live] = tl
         live = live[flip]
         a[live], b[live], c[live], d[live] = -c[live], -d[live], a[live], b[live]
-    return t, c, d
+    return t, a, b, c, d
 
 
 def _e2_many(q):
@@ -394,9 +394,9 @@ def _wz_series_many(z, tau, q):
     return wp, wpp, zt
 
 
-def _z2_block(r, s, tau):
-    """(Z2, scale) of ``premodular_at`` at every point of one block."""
-    tred, c, d = _reduce_tau_many(tau)
+def _z2_block(r, s, tau, reduced):
+    """(Z2, scale) of ``premodular_at`` at each point of a reduced block."""
+    tred, _, _, c, d = reduced
     qred = np.exp(2j * _PI * tred)
     eta1_r = _PI * _PI / 3.0 * _e2_many(qred)
     j = c * tau + d
@@ -429,25 +429,27 @@ def _z2_block(r, s, tau):
     return z2, scale
 
 
-def z2_many(r, s, taus):
+def z2_many(r, s, taus, reduced=None):
     """Z2 and its scale, as ``premodular_at`` returns them, at every tau of
     an array: two new arrays (NaN at lattice hits).
 
     r and s are both scalars, shared by every point, or both arrays with one
-    value per point, so one call can serve many pairs.  NumPy code under
-    either backend.  A point's result depends on its own (r, s, tau) alone,
-    not on what shares its batch: it is the same in any batch, and the same
-    whether r and s come as scalars or as arrays.
+    value per point, so one call can serve many pairs; ``reduced`` is a
+    caller's ``reduce_tau_many(taus)``.  NumPy code under either backend.  A
+    point's result depends on its own (r, s, tau) alone: it is the same in
+    any batch, and the same whether r and s come as scalars or as arrays.
     """
     n = taus.shape[0]
     per_point = isinstance(r, np.ndarray)
+    reduced = reduce_tau_many(taus) if reduced is None else reduced
     vals = np.empty(n, dtype=np.complex128)
     scales = np.empty(n, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, n, _BLOCK):
             hi = lo + _BLOCK
             rb, sb = (r[lo:hi], s[lo:hi]) if per_point else (r, s)
-            vals[lo:hi], scales[lo:hi] = _z2_block(rb, sb, taus[lo:hi])
+            block = [x[lo:hi] for x in reduced]
+            vals[lo:hi], scales[lo:hi] = _z2_block(rb, sb, taus[lo:hi], block)
     return vals, scales
 
 

@@ -1,8 +1,9 @@
 """Zero counting and location for Z2_{r,s} in modular fundamental domains.
 
-This module owns the domains, the contours and the zero search.  Z2 comes
-from ``premodular.z2_stable_many`` (the pair's cusp series above
-SERIES_HEIGHT when s is in (1/2)Z), the cusp orders from the ``TorsionPair``.
+This module owns the domains, the contours and the zero search.  Z2 and its
+scale come from ``premodular.z2_stable_many``, whose cusp rule leaves no
+cancellation noise, so every sample meets one clearance test, |Z2| >=
+BOUNDARY_RTOL * scale; the cusp orders come from the ``TorsionPair``.
 
 Winding numbers come from adaptive phase tracking of Z2 along the domain
 boundary: the phase step between consecutive samples is bisected until it is
@@ -18,8 +19,7 @@ with (r_c, s_c) = (s, -(r + x_c s)).  When s_c is not in (1/2)Z the
 transported factor tends to a non-zero constant and |Z2| blows up like
 dist^{-3}: the contour is simply cut just above the cusp with a short
 horizontal connector.  When s_c IS in (1/2)Z the transported factor vanishes
-at the cusp, so along any approach the direct value dies exponentially while
-the computed one is cancellation noise; a disk around the cusp is excised
+at the cusp, so a disk of radius _EXCISION_RADIUS around the cusp is excised
 and the phase change across it is evaluated analytically from the factor
 (tau - x_c)^{-3} and the leading power q~^ord of the transported expansion.
 Both corrections are exact up to O(q~) terms far below the winding slack.
@@ -63,8 +63,8 @@ from .solutions import _newton_z2
 _PI = math.pi
 _TWO_PI = 2.0 * math.pi
 
-# Boundary clearance: directly-evaluated samples with |Z2| below this
-# multiple of the local term scale abort the winding computation.
+# Boundary clearance: samples with |Z2| below this multiple of their scale
+# abort the winding computation.
 BOUNDARY_RTOL = 1e-8
 # Max phase step per boundary segment after adaptive refinement.
 MAX_PHASE_STEP = _PI / 8.0
@@ -74,6 +74,8 @@ WINDING_SLACK = 0.05
 # Height at which the contour crosses above a cusp whose direction does not
 # degenerate (|Z2| blows up there, so no disk is excised).
 _CUSP_CLEARANCE = 0.03
+# Radius of the disk excised around a cusp where Z2 vanishes.
+_EXCISION_RADIUS = 0.12
 # Bisection rounds allowed per boundary piece before the phase is declared
 # incoherent.
 _MAX_REFINE_ROUNDS = 18
@@ -103,14 +105,6 @@ class DomainSpec:
         if self.kind == "F2":
             return ((0.5 + 0j, 0.5), (1.5 + 0j, 0.5))
         return ((0j, 1.0), (1.0 + 0j, 1.0))
-
-    @property
-    def cusps(self) -> tuple[int, ...]:
-        if self.kind == "F0":
-            return (0, 1)
-        if self.kind == "F2":
-            return (0, 1, 2)
-        return ()
 
     def contains(self, tau, margin: float = 0.0):
         """Interior membership with an optional safety margin, for one tau
@@ -193,30 +187,9 @@ def classify_triangle(p: TorsionPair) -> TrianglePosition:
     return TrianglePosition("outside")
 
 
-def _attenuation(pair: TorsionPair, taus: np.ndarray) -> np.ndarray:
-    """Expected |Z2|/scale suppression near the cusps x_c whose order
-    ord = ``pair.cusp_orders[x_c]`` is positive: the honest magnitude dies like
-    exp(-2 pi ord Im(-1/(tau - x_c))) while the term scale does not, so the
-    boundary-clearance threshold is scaled down accordingly."""
-    att = np.ones(len(taus))
-    for x_c, order_c in enumerate(pair.cusp_orders):
-        if order_c == 0.0:
-            continue
-        j = taus - x_c
-        im_t = j.imag / np.abs(j) ** 2
-        att = np.minimum(att, np.exp(-_TWO_PI * order_c * np.maximum(im_t, 0.0)))
-    return att
-
-
 # ---------------------------------------------------------------------------
 # Contours
 # ---------------------------------------------------------------------------
-
-
-def _gap_radius(order: float) -> float:
-    # Noise onset of the direct formula moves outward with the cusp order;
-    # radii chosen so retained samples keep >= 3 accurate digits.
-    return 0.25 if order >= 0.75 else 0.12
 
 
 def _arc_point_at_cusp_distance(center: complex, x_c: float, delta: float) -> complex:
@@ -277,48 +250,38 @@ def _build_contour(d: DomainSpec, pair: TorsionPair) -> list:
             _cap_jump(d, pair.cusp[1]),
         ]
 
-    cusp_info = {}
-    for x_c in d.cusps:
-        order_c = pair.cusp_orders[x_c]
-        cusp_info[x_c] = (order_c, _gap_radius(order_c) if order_c > 0.0 else 0.0)
-
+    orders, gap = pair.cusp_orders, _EXCISION_RADIUS
+    dx = math.sqrt(0.25 - y0 * y0)
     pieces: list = []
     # left edge down
-    o0, d0 = cusp_info[0]
-    y_left = d0 if d0 > 0.0 else y0
+    y_left = gap if orders[0] > 0 else y0
     pieces.append(("seg", complex(0.0, T), complex(0.0, y_left)))
-    disks = d.disks
     # walk the bottom arcs left to right
     prev_exit = complex(0.0, y_left)
-    for i, (center, rad) in enumerate(disks):
+    for center, rad in d.disks:
         left_cusp = int(round(center.real - 0.5))
-        right_cusp = int(round(center.real + 0.5))
-        ol, dl = cusp_info[left_cusp]
-        orr, dr = cusp_info[right_cusp]
+        right_cusp = left_cusp + 1
         # entry onto this arc
-        if dl > 0.0:
-            a_in = _arc_point_at_cusp_distance(center, left_cusp, dl)
-            pieces.append(_cusp_jump(left_cusp, prev_exit, a_in, ol))
+        if orders[left_cusp] > 0:
+            a_in = _arc_point_at_cusp_distance(center, left_cusp, gap)
+            pieces.append(_cusp_jump(left_cusp, prev_exit, a_in, orders[left_cusp]))
         else:
-            dx = math.sqrt(0.25 - y0 * y0)
             a_in = complex(center.real - dx, y0)
             pieces.append(("seg", prev_exit, a_in))
         # exit from this arc
-        if dr > 0.0:
-            a_out = _arc_point_at_cusp_distance(center, right_cusp, dr)
+        if orders[right_cusp] > 0:
+            a_out = _arc_point_at_cusp_distance(center, right_cusp, gap)
         else:
-            dx = math.sqrt(0.25 - y0 * y0)
             a_out = complex(center.real + dx, y0)
         th_in = cmath.phase(a_in - center)
         th_out = cmath.phase(a_out - center)
         pieces.append(("arc", center, rad, th_in, th_out))
         prev_exit = a_out
     # connect to the right edge
-    xr = d.strip[1]
-    o_r, d_r = cusp_info[int(xr)]
-    if d_r > 0.0:
-        edge_bottom = complex(xr, d_r)
-        pieces.append(_cusp_jump(int(xr), prev_exit, edge_bottom, o_r))
+    xr = int(d.strip[1])
+    if orders[xr] > 0:
+        edge_bottom = complex(xr, gap)
+        pieces.append(_cusp_jump(xr, prev_exit, edge_bottom, orders[xr]))
     else:
         edge_bottom = complex(xr, y0)
         pieces.append(("seg", prev_exit, edge_bottom))
@@ -340,24 +303,6 @@ def _piece_points(piece: tuple, t: np.ndarray) -> np.ndarray:
     return c + rad * np.exp(1j * (th0 + t * (th1 - th0)))
 
 
-_EPS = 2.220446049250313e-16
-
-
-def _check_clearance(pair: TorsionPair, taus, vals, scales, exact, piece):
-    checked = ~exact
-    if not checked.any():
-        return
-    att = _attenuation(pair, taus)
-    thresh = np.maximum(BOUNDARY_RTOL * scales * att, 1e3 * _EPS * scales)
-    bad = checked & (np.abs(vals) < thresh)
-    if bad.any():
-        i = int(np.argmax(bad))
-        raise BoundaryTooClose(
-            f"|Z2| = {abs(vals[i]):.3e} below clearance on boundary piece "
-            f"{piece[0]} at tau = {taus[i]} (scale {scales[i]:.3e})"
-        )
-
-
 def _phase_along_pieces(
     pairs: list[TorsionPair], pieces: list, n0: int
 ) -> list[tuple[float, complex, complex]]:
@@ -367,12 +312,12 @@ def _phase_along_pieces(
     Each piece starts from n0 samples and bisects every segment whose phase
     step exceeds MAX_PHASE_STEP, until none does.  The new samples of one
     round of all pieces, whatever their pairs, go to ``z2_stable_many`` in
-    one batch, as one pair when every piece has the same.  Pieces do not
-    interact, so the error raised is that of the first failing piece in
-    contour order, as if the pieces were refined one after the other.
+    one batch; a sample with |Z2| below BOUNDARY_RTOL times its scale fails
+    its piece.  Pieces do not interact, so the error raised is that of the
+    first failing piece in contour order, as if the pieces were refined one
+    after the other.
     """
     n = len(pieces)
-    one_pair = all(q is pairs[0] for q in pairs)
     ts = [np.empty(0)] * n
     vals = [np.empty(0, dtype=np.complex128)] * n
     new_t = [np.linspace(0.0, 1.0, n0)] * n
@@ -384,27 +329,25 @@ def _phase_along_pieces(
             break
         taus = [_piece_points(pieces[i], new_t[i]) for i in live]
         points = np.concatenate(taus)
-        if one_pair:
-            batch = z2_stable_many(pairs[:1], points, [len(points)])
-        else:
-            batch = z2_stable_many(
-                [pairs[i] for i in live], points, [len(x) for x in taus]
-            )
+        batch = z2_stable_many([pairs[i] for i in live], points, [len(x) for x in taus])
         still = []
         lo = 0
         for i, piece_taus in zip(live, taus):
             hi = lo + len(piece_taus)
-            new = [a[lo:hi] for a in batch]
+            new, scales = (a[lo:hi] for a in batch)
             lo = hi
-            try:
-                _check_clearance(pairs[i], piece_taus, *new, pieces[i])
-            except BoundaryTooClose as exc:
-                errors[i] = exc
+            close = np.abs(new) < BOUNDARY_RTOL * scales
+            if close.any():
+                k = int(np.argmax(close))
+                errors[i] = BoundaryTooClose(
+                    f"|Z2| = {abs(new[k]):.3e} below clearance on boundary piece "
+                    f"{pieces[i][0]} at tau = {piece_taus[k]} (scale {scales[k]:.3e})"
+                )
                 continue
             t = np.concatenate([ts[i], new_t[i]])
             order = np.argsort(t)
             ts[i] = t = t[order]
-            vals[i] = v = np.concatenate([vals[i], new[0]])[order]
+            vals[i] = v = np.concatenate([vals[i], new])[order]
             if rnd == _MAX_REFINE_ROUNDS:
                 errors[i] = IncoherentWinding(
                     f"phase refinement did not settle on piece {pieces[i][0]} "
@@ -536,7 +479,7 @@ def _zeros_in_f0(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
         if not hunting:
             break
         grid = _interior_grid(F0, nx, ny)
-        vals, scales, _ = z2_stable_many(
+        vals, scales = z2_stable_many(
             [pairs[i] for i in hunting],
             np.tile(grid, len(hunting)),
             [len(grid)] * len(hunting),

@@ -8,17 +8,19 @@ Z transforms with weight 1 and Z2 with weight 3 under tau -> gamma.tau with
 identically zero on the three half-period parameter pairs and identically
 infinite on integer pairs; those are rejected as Degenerate.
 
-For s in {0, 1/2} the form vanishes at the cusp and a direct evaluation at
-large Im(tau) loses everything to cancellation; ``z2_cusp_expansion``
-assembles the Fourier expansion in p = q^(1/2) with the cancellation done at
-the coefficient level.  ``TorsionPair`` owns what (r, s) determines: its
-``cusp`` term (of positive q-power exactly when s is in {0, 1/2}), its
-``cusp_series`` and its ``cusp_orders``.  ``z2_stable`` and its batch sibling
-``z2_stable_many`` switch to ``cusp_series`` above ``SERIES_HEIGHT``.
+One cusp rule (``z2_stable``, ``z2_stable_many``, ``z2_with_derivative``,
+``m_n``) reads Z2; ``z2`` and ``z2_with_scale`` are the direct kernel.  The
+kernels reduce tau to tau' = gamma.tau, gamma = [[a, b], [c, d]]; with
+j = c*tau + d the pair rides along as r' = a*r - b*s, s' = d*s - c*r, and
+Z2_{r,s}(tau) = j^-3 Z2_{r',s'}(tau').  Where s' is in (1/2)Z the direct
+value is cancellation noise and Z2 is S(p')/j^3, S the carried pair's
+``cusp_series`` at p' = exp(pi*i*tau'), |p'| <= exp(-pi*sqrt(3)/2), with
+scale sum |c_n||p'|^n / |j|^3 (reduce, then sum the q-series: Johansson,
+arXiv:1806.06725); elsewhere the kernel's direct value stands.
 
-``z2_with_derivative`` gives dZ2/dtau in closed form from one kernel call.
-The derivative is total along z = r + s*tau with (r, s) fixed; with
-k = 4*pi*i,
+Off the series, ``z2_with_derivative`` gives dZ2/dtau in closed form from
+one kernel call.  The derivative is total along z = r + s*tau with (r, s)
+fixed; with k = 4*pi*i,
 
     dZ   = -(wp' + 2 Z (wp + eta1)) / k
     dwp  = (4 wp^2 - 4 eta1 wp - 2 g2/3 + 2 Z wp') / k
@@ -46,16 +48,13 @@ import numpy as np
 from . import _kernels
 from .elliptic import _as_point
 from .errors import Degenerate, NearLattice
-from .modular import ModularMatrix, transport_pair
 from .orbits import enumerate_qn
 
 _PI = math.pi
 _FOUR_PI_I = 4j * math.pi
 NEAR_LATTICE_DIST = 1e-8
-# Height above which Z2 of a pair with s in {0, 1/2} is evaluated through the
-# cusp series: the direct formula cancels to noise there, while p = q^(1/2)
-# is below exp(-2 pi) and _CUSP_TERMS coefficients are fully converged.
-SERIES_HEIGHT = 2.0
+# Terms of the cusp series; at |p'| <= exp(-pi*sqrt(3)/2) ~ 0.066 the last
+# is far below round-off.
 _CUSP_TERMS = 48
 
 Rational = Union[int, Fraction]
@@ -106,19 +105,20 @@ class TorsionPair:
         _check_usable(self)
         if not self.is_real:
             raise Degenerate("cusp asymptotics are stated for real parameter pairs")
-        r, s = self.reduced_real()
-        # classify s against {0, 1/2} with a guard band
-        if abs(s) < 1e-12:
+        carried = _carried(self, 1, 0, 0, 1)
+        if carried is None:
+            _, s = self.reduced_real()
+            return 4j * _PI**3 * s * (1.0 - s) * (2.0 * s - 1.0), Fraction(0)
+        r, s = float(carried[0]), carried[1]
+        if s == 0:
             return complex(-48.0 * _PI**3 * math.sin(2.0 * _PI * r)), Fraction(1)
-        if abs(s - 0.5) < 1e-12:
-            return complex(-12.0 * _PI**3 * math.sin(2.0 * _PI * r)), Fraction(1, 2)
-        return 4j * _PI**3 * s * (1.0 - s) * (2.0 * s - 1.0), Fraction(0)
+        return complex(-12.0 * _PI**3 * math.sin(2.0 * _PI * r)), Fraction(1, 2)
 
     @cached_property
     def cusp_series(self) -> Optional[np.ndarray]:
         """The read-only ``z2_cusp_expansion`` if the pair is real, usable and
-        of positive order at infinity, else None: the one test of whether Z2
-        is taken from the series above SERIES_HEIGHT."""
+        of positive order at infinity, else None: the series the cusp rule
+        sums (through the bounded cache ``_series_of``) for a carried pair."""
         if not self.is_real or self.degenerate or self.cusp[1] == 0:
             return None
         coeffs = z2_cusp_expansion(self)
@@ -127,15 +127,25 @@ class TorsionPair:
 
     @cached_property
     def cusp_orders(self) -> tuple[Fraction, ...]:
-        """Orders at the real cusps x_c = 0, 1, 2, indexed by x_c: the order at
-        infinity of the pair transported by tau -> -1/(tau - x_c), i.e. of
-        (s, -(r + x_c s)).  Empty unless the pair is real and usable."""
-        if not self.is_real or self.degenerate:
+        """Orders at the real cusps x_c = 0, 1, 2, indexed by x_c: 1 - s' when
+        the cusp rule's test at [[0, -1], [1, -x_c]] carries the pair to
+        (s, -(r + x_c s)) with s' in (1/2)Z, else 0; empty for complex or
+        degenerate pairs."""
+        if self._carry is None:
             return ()
-        to_inf = (ModularMatrix(0, -1, 1, -x_c) for x_c in (0, 1, 2))
-        return tuple(
-            TorsionPair.of(*transport_pair(self.r, self.s, g)).cusp[1] for g in to_inf
-        )
+        carried = (_carried(self, 0, -1, 1, -x_c) for x_c in (0, 1, 2))
+        return tuple(Fraction(0) if c is None else 1 - Fraction(c[1]) for c in carried)
+
+    @cached_property
+    def _carry(self) -> Optional[tuple]:
+        """(x, y, n) with (r, s) = (x, y)/n, in integers when exact, else floats
+        and n = 1; None for the complex and degenerate pairs no series serves."""
+        if not self.is_real or self.degenerate:
+            return None
+        if self.exact:
+            n = math.lcm(self.r.denominator, self.s.denominator)
+            return int(self.r * n), int(self.s * n), n
+        return complex(self.r).real, complex(self.s).real, 1
 
     def as_complex(self) -> tuple[complex, complex]:
         return complex(self.r), complex(self.s)
@@ -169,6 +179,25 @@ class TorsionPair:
             return complex(x)
 
         return cls(norm(r), norm(s))
+
+
+def _carried(p: TorsionPair, a, b, c, d):
+    """(r', s') mod 1 of p carried by [[a, b], [c, d]], r' = a*r - b*s and
+    s' = d*s - c*r, if s' is in (1/2)Z, else None: the cusp rule's test, in
+    integers k/N for an exact pair and, for a float one, within the 1e-12
+    guard band of ``degenerate`` and ``locator.classify_triangle``."""
+    carry = p._carry
+    if carry is None:
+        return None
+    x, y, n = carry
+    t = d * y - c * x
+    if p.exact:
+        if (2 * t) % n:
+            return None
+        return Fraction((a * x - b * y) % n, n), Fraction(t % n, n)
+    if abs(2.0 * t - round(2.0 * t)) >= 2e-12:
+        return None
+    return (a * x - b * y) % 1.0, round(2.0 * t) % 2 / 2
 
 
 def _check_usable(p: TorsionPair):
@@ -212,22 +241,19 @@ def z2(p: TorsionPair, m) -> complex:
 
 
 def z2_with_scale(p: TorsionPair, m) -> tuple[complex, float]:
-    """Z2 value together with its natural magnitude |Z|^3+3|wp Z|+|wp'|.
-
-    The scale is what residual and boundary-clearance thresholds are
-    measured against.
-    """
+    """The kernel's direct Z2 and its natural magnitude |Z|^3+3|wp Z|+|wp'|."""
     values = _premodular_at(p, m)
     return values[3], values[8]
 
 
 def z2_with_derivative(p: TorsionPair, m) -> tuple[complex, float, complex]:
-    """``z2_with_scale`` together with dZ2/dtau, from one kernel call.
-
-    The derivative is the closed form in the module docstring; Newton's
-    step reads it instead of differencing Z2.
-    """
-    z, wp, wpp, z2v, g2, _, eta1, _, scale, _, _ = _premodular_at(p, m)
+    """``z2_stable`` together with dZ2/dtau: from the same cusp series where
+    the rule takes it, else in closed form from the one kernel call (module
+    docstring).  Newton's step reads it instead of differencing Z2."""
+    z, wp, wpp, z2v, g2, _, eta1, _, scale, _, _, consts = _premodular_at(p, m)
+    series = _on_series(p, consts)
+    if series is not None:
+        return series
     dz = -(wpp + 2.0 * z * (wp + eta1)) / _FOUR_PI_I
     dwp = (4.0 * wp * wp - 4.0 * eta1 * wp - 2.0 * g2 / 3.0 + 2.0 * z * wpp) / _FOUR_PI_I
     dwpp = (
@@ -248,7 +274,7 @@ def cusp_asymptotic(p: TorsionPair) -> tuple[complex, Fraction]:
 
 
 # ---------------------------------------------------------------------------
-# Stable Fourier expansion in p = q^(1/2) for s in {0, 1/2}
+# The cusp series in p = q^(1/2) for s in {0, 1/2}, and the cusp rule
 # ---------------------------------------------------------------------------
 
 
@@ -349,54 +375,80 @@ def z2_cusp_expansion(p: TorsionPair) -> np.ndarray:
     return z2c
 
 
+@lru_cache(maxsize=1024)
+def _series_of(r, s) -> tuple[tuple, tuple]:
+    """Horner-ordered coefficients of the carried pair's ``cusp_series`` and
+    their magnitudes, once per carried pair (r, s) in a bounded cache."""
+    coeffs = TorsionPair.of(r, s).cusp_series[::-1]
+    return tuple(coeffs.tolist()), tuple(np.abs(coeffs).tolist())
+
+
+def _series_at(series, pp, j, c):
+    """(Z2, scale, dZ2/dtau) = (S/j^3, sum |c_n||p'|^n / |j|^3,
+    (pi*i*p'*S'/j^2 - 3*c*S/j)/j^3) from a ``_series_of`` S at p' = pp, for
+    j = c*tau + d; on scalars, or on arrays with a coefficient row per point."""
+    coeffs, mags = series
+    ap = abs(pp)
+    val = dval = scale = 0.0
+    for cf, mg in zip(coeffs, mags):
+        dval = dval * pp + val
+        val = val * pp + cf
+        scale = scale * ap + mg
+    j3 = j * j * j
+    deriv = (1j * _PI * pp * dval / (j * j) - 3.0 * c * val / j) / j3
+    return val / j3, scale / abs(j3), deriv
+
+
+def _on_series(p: TorsionPair, consts):
+    """``_series_at`` for p at the tau whose ``lattice_constants`` are
+    consts, when the cusp rule takes the series there; else None."""
+    tred, _, j, *_, gamma = consts
+    carried = _carried(p, *gamma)
+    if carried is None:
+        return None
+    return _series_at(_series_of(*carried), cmath.exp(1j * _PI * tred), j, gamma[2])
+
+
 def z2_stable(p: TorsionPair, m) -> tuple[complex, float]:
-    """Z2 with automatic switch to the cusp series for s in {0, 1/2}.
-
-    Direct evaluation cancels to noise once the surviving term drops below
-    round-off of the O(1) pieces; above SERIES_HEIGHT the p-series is both
-    stable and fully converged.
-    """
-    m = _as_point(m)
-    if m.tau.imag > SERIES_HEIGHT and p.cusp_series is not None:
-        pp = cmath.exp(1j * _PI * m.tau)
-        val = complex(np.polyval(p.cusp_series[::-1], pp))
-        # natural magnitude of the would-be cancelling combination
-        r, s = p.as_complex()
-        return val, _kernels.premodular_at(r, s, m.tau)[8]
-    return z2_with_scale(p, m)
+    """Z2 and its scale by the cusp rule (module docstring): the carried
+    pair's series where the rule applies, else the kernel's direct value."""
+    values = _premodular_at(p, m)
+    series = _on_series(p, values[11])
+    return series[:2] if series is not None else (values[3], values[8])
 
 
-def z2_stable_many(
-    p, taus, counts=None
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``z2_stable`` at every tau of an array, as (values, scales, on_series).
+def z2_stable_many(p, taus, counts=None) -> tuple[np.ndarray, np.ndarray]:
+    """``z2_stable`` at every tau of an array, as (values, scales).
 
     p is one TorsionPair for every tau, or, with ``counts``, a sequence of
     pairs that own consecutive runs of taus: ``counts[k]`` of them for
-    ``p[k]``.  All taus go to the kernel in one call, with scalar r and s
-    when there is one pair.  on_series marks the samples taken from the
-    cusp series, whose tiny magnitudes are trustworthy.  Lattice hits give
-    NaN instead of raising.
+    ``p[k]``.  The taus are reduced once, for one kernel call and for
+    ``_carried``'s test as array arithmetic, whose points take their carried
+    pair's series.  Lattice hits give NaN instead of raising.
     """
     taus = np.ascontiguousarray(taus, dtype=np.complex128)
     pairs, counts = ([p], [len(taus)]) if counts is None else (p, counts)
-    if len(pairs) == 1:
-        r, s = pairs[0].as_complex()
+    reduced = tred, a, b, c, d = _kernels.reduce_tau_many(taus)
+    # a pair no series serves carries NaN, which the test below never picks
+    rows = [(*q.as_complex(), *(q._carry or (math.nan, math.nan, 1))) for q in pairs]
+    r, s, x, y, n = (np.repeat(col, counts) for col in zip(*rows))
+    vals, scales = _kernels.z2_many(r, s, taus, reduced)
+    t = d * y - c * x
+    if all(q.exact and q._carry for q in pairs):
+        on = (2 * t) % n == 0
     else:
-        rs = [q.as_complex() for q in pairs]
-        r, s = (np.repeat(np.array(c), counts) for c in zip(*rs))
-    vals, scales = _kernels.z2_many(r, s, taus)
-    on_series = np.zeros(len(taus), dtype=bool)
-    hi = 0
-    for q, n in zip(pairs, counts):
-        lo, hi = hi, hi + n
-        if q.cusp_series is not None:
-            high = taus[lo:hi].imag > SERIES_HEIGHT
-            if high.any():
-                on_series[lo:hi] = high
-                pp = np.exp(1j * _PI * taus[lo:hi][high])
-                vals[lo:hi][high] = np.polyval(q.cusp_series[::-1], pp)
-    return vals, scales, on_series
+        on = np.abs(2.0 * t / n - np.rint(2.0 * t / n)) < 2e-12
+    if on.any():
+        idx = np.flatnonzero(on)
+        owners = np.searchsorted(np.cumsum(counts), idx, side="right")
+        series = [
+            _series_of(*_carried(pairs[o], *(int(v[i]) for v in (a, b, c, d))))
+            for o, i in zip(owners, idx)
+        ]
+        coeffs = tuple(np.array(col).T for col in zip(*series))
+        pp, j = np.exp(1j * _PI * tred[on]), c[on] * taus[on] + d[on]
+        vals[on], scales[on], _ = _series_at(coeffs, pp, j, c[on])
+    return vals, scales
 
 
 # ---------------------------------------------------------------------------
@@ -416,11 +468,11 @@ class MnValue:
         return math.exp(self.log_abs) if self.log_abs < 700.0 else math.inf
 
 
-# Bounded: each N holds |Q_N| pairs and their cusp series for the process.
+# Bounded: each N holds |Q_N| pairs for the process.
 @lru_cache(maxsize=32)
 def _qn_pairs(N: int) -> tuple[TorsionPair, ...]:
     """Q_N as exact TorsionPairs in ``enumerate_qn`` order, built once per N
-    so that each pair's ``cusp_series`` is built once, not once per call."""
+    so that each pair's cached properties are computed once, not per call."""
     return tuple(
         TorsionPair.of(Fraction(rp.k1, rp.N), Fraction(rp.k2, rp.N))
         for rp in enumerate_qn(N)
@@ -431,20 +483,20 @@ def m_n(N: int, m) -> MnValue:
     """Product of Z2_{r,s} over all (r, s) in Q_N, accumulated in log space.
 
     Factors are visited in sorted index order, so the reduction is
-    deterministic.  Each factor is ``z2_stable``'s value: the stable cusp
-    series for s in {0, 1/2} above SERIES_HEIGHT, otherwise the kernel's,
-    with the tau-only lattice prologue computed once for all factors.
+    deterministic.  Each factor is ``z2_stable``'s value by the cusp rule,
+    with the tau-only lattice prologue, and with it the reduction, computed
+    once for all factors.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
     tau = _as_point(m).tau
     consts = _kernels.lattice_constants(tau)
-    pp = cmath.exp(1j * _PI * tau) if tau.imag > SERIES_HEIGHT else None
     log_abs = 0.0
     arg = 0.0
     for pair in _qn_pairs(N):
-        if pp is not None and pair.cusp_series is not None:
-            val = complex(np.polyval(pair.cusp_series[::-1], pp))
+        series = _on_series(pair, consts)
+        if series is not None:
+            val = series[0]
         else:
             _check_usable(pair)
             r, s = pair.as_complex()

@@ -84,9 +84,7 @@ def _lattice_shift(pair: TorsionPair, tau: complex):
 
 def _wp_of_p_direct(pair: TorsionPair, m: ModuliPoint) -> complex:
     r, s = pair.as_complex()
-    z, wp, wpp, z2v, g2, g3, eta1, eta2, scale, dist, err = _kernels.premodular_at(
-        r, s, m.tau
-    )
+    z, wp, wpp, z2v, g2, _, _, _, scale, *_ = _kernels.premodular_at(r, s, m.tau)
     if abs(z2v) <= Z2_ZERO_RTOL * scale:
         return _INF
     num = 3.0 * wpp * z * z + (12.0 * wp * wp - g2) * z + 3.0 * wp * wpp
@@ -159,7 +157,7 @@ def _newton_z2(pair: TorsionPair, tau0: complex):
     derivative of ``z2_with_derivative`` (one kernel call per step).
 
     Returns (tau, |Z2|, |Z2'|, iterations, scale), all at the returned tau;
-    scale is the natural magnitude of ``z2_with_scale``.
+    scale is that of ``z2_stable``.
     """
     tau = tau0
     for it in range(1, _NEWTON_MAX_ITER + 1):

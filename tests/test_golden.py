@@ -74,7 +74,7 @@ GRIDS = [
         ["scan", "--mode", "z2", "--r", "0.3", "--s", "0.2",
          "--re-min", "0.0", "--re-max", "0.5", "--im-min", "0.8", "--im-max", "1.2",
          "--nx", "5", "--ny", "4"],
-        "a247afe74d78790548f31ef6607f336f82b333371a358f7aa6ed4eb117846131",
+        "c5bdd62034bdc3361541f98e852ebad2886bf3299ac95d0c8993b686421a065b",
     ),
     (
         "winding",
@@ -83,13 +83,14 @@ GRIDS = [
          "--nx", "2", "--ny", "2"],
         "68c2666061030ffb2119e071d0a0a871f28ff9034353717d04a927881d81d428",
     ),
-    # s = 0: rows below and above the cusp-series switch height of z2_stable
+    # s = 0: rows below and above height 2, where z2_stable once switched to
+    # the cusp series; the cusp rule now takes the series on every row
     (
         "z2-series-switch",
         ["scan", "--mode", "z2", "--r", "1/3", "--s", "0",
          "--re-min", "0", "--re-max", "0.5", "--im-min", "1.5", "--im-max", "3",
          "--nx", "3", "--ny", "4"],
-        "fe67a5d0b7ad00aa8419da935d56f2e5399416cfa9a44ce0871245d368f1f4e0",
+        "329cc64e71a3e76ffa0e097ed40d2ab1238f85418795efd64a84101b1702f0f0",
     ),
 ]
 

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from pvilab import _kernels
-from pvilab.locator import F, F0, F2, _attenuation, _interior_grid
+from pvilab.locator import F, F0, F2, _interior_grid
 from pvilab.modular import reduce_to_standard, transport_pair
 from pvilab.premodular import TorsionPair, cusp_asymptotic, z2_stable_many
 
@@ -40,8 +40,9 @@ def _scalar(pair, taus):
 
 def _reduced_cusp_attenuation(pair, taus):
     """exp(-2 pi ord Im tau_red) per tau, ord the cusp order of the pair
-    transported by the matrix that reduces tau: ``locator._attenuation`` for
-    whichever cusp tau lies near, not only 0, 1 and 2."""
+    transported by the matrix that reduces tau: the expected |Z2|/scale
+    suppression of the kernels' direct value, which the cusp rule replaces
+    by the transported pair's series wherever ord > 0."""
     att = np.ones(len(taus))
     for i, tau in enumerate(taus):
         tau_red, g = reduce_to_standard(complex(tau))
@@ -55,15 +56,11 @@ def _random_taus(rng, n):
     return rng.uniform(-2.0, 2.0, n) + 1j * im
 
 
-def _trusted(pair, taus, every_cusp=False):
-    """Points where the scalar value is not cancellation noise: off the
-    series switch, and away from the cusps 0, 1, 2 (or, with every_cusp,
-    from any cusp) where the transported pair degenerates.  The locator
-    grids approach no other cusp."""
-    att = _attenuation(pair, taus)
-    if every_cusp:
-        att = np.minimum(att, _reduced_cusp_attenuation(pair, taus))
-    return (att >= ATTENUATION_FLOOR) & ~z2_stable_many(pair, taus)[2]
+def _trusted(pair, taus):
+    """Points where the scalar value is not cancellation noise: those whose
+    reduced frame does not attenuate Z2 below ATTENUATION_FLOOR, near any
+    cusp."""
+    return _reduced_cusp_attenuation(pair, taus) >= ATTENUATION_FLOOR
 
 
 def _assert_agrees(pair, taus, vals, scales, trusted):
@@ -89,8 +86,7 @@ def test_batch_matches_scalar_on_locator_grids(r, s):
 def test_batch_matches_scalar_at_random_tau(r, s, rng):
     pair = TorsionPair.of(r, s)
     taus = _random_taus(rng, 1000)
-    trusted = _trusted(pair, taus, every_cusp=True)
-    _assert_agrees(pair, taus, *_batch(pair, taus), trusted)
+    _assert_agrees(pair, taus, *_batch(pair, taus), _trusted(pair, taus))
 
 
 def test_nan_exactly_at_lattice_hits():
@@ -131,8 +127,7 @@ def test_every_size_is_batch_invariant_and_matches_scalar(n, pool):
     assert np.array_equal(vals, single_vals[:n], equal_nan=True)
     assert np.array_equal(scales, single_scales[:n], equal_nan=True)
     if n:
-        trusted = _trusted(pair, taus[:n], every_cusp=True)
-        _assert_agrees(pair, taus[:n], vals, scales, trusted)
+        _assert_agrees(pair, taus[:n], vals, scales, _trusted(pair, taus[:n]))
 
 
 def test_result_does_not_depend_on_batch_order(pool):
@@ -177,8 +172,8 @@ def test_per_point_pairs_match_per_pair_calls():
 
 
 def test_grouped_stable_batch_matches_per_pair_calls():
-    # pairs with s = 0 and s = 1/2 take their cusp series above SERIES_HEIGHT
-    # inside a grouped batch as they do alone
+    # pairs with s = 0 and s = 1/2 take their cusp series on the frames
+    # where the cusp rule applies inside a grouped batch as they do alone
     pairs = [
         TorsionPair.of(Fraction(1, 3), Fraction(0)),
         TorsionPair.of(0.6, 0.3),
@@ -186,8 +181,10 @@ def test_grouped_stable_batch_matches_per_pair_calls():
     ]
     taus = [_interior_grid(F0, 29, 25)[k::3] for k in range(3)]
     sizes = [len(t) for t in taus]
-    vals, scales, series = z2_stable_many(pairs, np.concatenate(taus), sizes)
+    vals, scales = z2_stable_many(pairs, np.concatenate(taus), sizes)
     ref = [z2_stable_many(pair, t) for pair, t in zip(pairs, taus)]
-    for got, want in zip((vals, scales, series), zip(*ref)):
+    for got, want in zip((vals, scales), zip(*ref)):
         assert np.array_equal(got, np.concatenate(want), equal_nan=True)
-    assert series[: len(taus[0])].any() and series[-len(taus[2]) :].any()
+    # the series is not vacuous: both cusp pairs move off the kernel's values
+    for k in (0, 2):
+        assert not np.array_equal(ref[k][0], _batch(pairs[k], taus[k])[0])

@@ -11,7 +11,13 @@ import pytest
 
 from pvilab import locator, premodular
 from pvilab.elliptic import ModuliPoint
-from pvilab.errors import BoundaryTooClose, DomainError, IncoherentWinding, NewtonStall
+from pvilab.errors import (
+    BoundaryTooClose,
+    DomainError,
+    IncoherentWinding,
+    NewtonStall,
+    PviLabError,
+)
 from pvilab.locator import (
     F,
     F0,
@@ -25,10 +31,9 @@ from pvilab.locator import (
     valence_check,
     winding_count,
 )
-from pvilab.modular import reduce_to_shifted_domain, transport_pair
-from pvilab.orbits import enumerate_qn, p_of_n, pm_class_reps
+from pvilab.modular import reduce_to_shifted_domain, reduce_to_standard, transport_pair
+from pvilab.orbits import enumerate_qn, p_of_n, pm_class_reps, pole_count
 from pvilab.premodular import (
-    SERIES_HEIGHT,
     TorsionPair,
     cusp_asymptotic,
     z2_stable,
@@ -114,6 +119,20 @@ def test_winding_with_degenerate_cusp_directions():
     assert winding_count(TorsionPair.of(Fraction(3, 10), Fraction(1, 5)), F0) == 0
 
 
+@pytest.mark.parametrize("s", [1e-11, 1e-10, 1e-9])
+def test_float_pair_just_off_a_cusp_edge_never_winds_silently_wrong(s):
+    # (0.3, s) lies in D3, just above the edge s = 0 and outside the 1e-12
+    # guard band, with its F0 zero high up towards the cusp; read as the edge
+    # pair (0.3, 0) it would wind 0 times with no error
+    pair = TorsionPair.of(0.3, s)
+    assert classify_triangle(pair).tag == "D3" and pair.cusp[1] == 0
+    try:
+        w = winding_count(pair, F0)
+    except PviLabError:
+        return
+    assert w == 1
+
+
 def test_phase_tracking_raises_the_first_failing_piece(monkeypatch):
     # synthetic Z2: 1 on Re = 3, 0 on Re = 5 (fails the clearance check in
     # the first round), and a sign flip at Im = 1.5 on Re = 7 (no bisection
@@ -126,7 +145,7 @@ def test_phase_tracking_raises_the_first_failing_piece(monkeypatch):
         vals = np.where(owners == other, 2.0, 1.0).astype(np.complex128)
         vals[taus.real == 5.0] = 0.0
         vals[(taus.real == 7.0) & (taus.imag > 1.5)] *= -1.0
-        return vals, np.ones(len(taus)), np.zeros(len(taus), dtype=bool)
+        return vals, np.ones(len(taus))
 
     monkeypatch.setattr(locator, "z2_stable_many", fake)
     pair = TorsionPair.of(0.6, 0.3)
@@ -149,26 +168,28 @@ def test_phase_tracking_raises_the_first_failing_piece(monkeypatch):
         locator._phase_along_pieces([pair, other, pair], [good, flip, close], 9)
 
 
-def test_winding_gap_radius_independence():
-    # halving/doubling the excised-disk size must not change the count
-    pair = TorsionPair.of(Fraction(1, 4), Fraction(1, 4))
-    orig = locator._gap_radius
-    try:
-        locator._gap_radius = lambda order: 0.18 if order >= 0.75 else 0.09
-        w_small = winding_count(pair, F0)
-        locator._gap_radius = lambda order: 0.35 if order >= 0.75 else 0.2
-        w_big = winding_count(pair, F0)
-    finally:
-        locator._gap_radius = orig
-    assert w_small == w_big == 0
+def test_winding_gap_radius_independence(monkeypatch):
+    # halving/doubling the excised-disk size must not change the count: disks
+    # of order 1/2 at the cusp 1 and at 0 (around a zero), and of order 1
+    cases = [
+        (TorsionPair.of(Fraction(1, 4), Fraction(1, 4)), F0, 0),
+        (TorsionPair.of(Fraction(1, 2), Fraction(1, 5)), F2, 1),
+        (TorsionPair.of(0, Fraction(1, 4)), F0, 0),
+    ]
+    for radius in (0.06, 0.09, 0.12, 0.18, 0.24):
+        monkeypatch.setattr(locator, "_EXCISION_RADIUS", radius)
+        for pair, d, w in cases:
+            assert winding_count(pair, d) == w, radius
 
 
-# --- the series switch and the cusp orders ---------------------------------
+# --- the cusp rule and the cusp orders --------------------------------------
 
 
-# on both sides of SERIES_HEIGHT, one of them within round-off of it
-_SWITCH_TAUS = np.array(
-    [0.3 + 1.5j, 0.1 + 2.0j, 0.7 + (2.0 + 1e-12) * 1j, 0.45 + 2.3j, 0.9 + 4.0j]
+# near the cusps infinity (below, at and above the height 2), 0, 1/2, 1/3,
+# 1 and 2
+_FRAME_TAUS = np.array(
+    [0.3 + 1.5j, 0.1 + 2.0j, 0.45 + 2.3j, 0.9 + 4.0j, 0.02 + 0.05j,
+     0.49 + 0.03j, 0.34 + 0.01j, 1.01 + 0.04j, 1.97 + 0.1j]
 )
 
 
@@ -184,17 +205,27 @@ _SWITCH_TAUS = np.array(
     ],
 )
 def test_evaluator_and_z2_stable_share_the_series_switch(r, s):
-    # the batch evaluator z2_stable_many and the scalar z2_stable switch to
-    # the series at the same points and agree on both sides of the switch
+    # the batch z2_stable_many and the scalar z2_stable agree everywhere, and
+    # both take the series exactly where the pair, transported by the matrix
+    # that reduces tau, has s' in (1/2)Z: there Z2 is that pair's cusp series
+    # at the reduced point over j^3, elsewhere the direct value
     pair = TorsionPair.of(r, s)
-    vals, scales, series = z2_stable_many(pair, _SWITCH_TAUS)
-    s_in_half_z = cusp_asymptotic(pair)[1] > 0
-    assert (pair.cusp_series is not None) == s_in_half_z
-    for tau, val, scale, on_series in zip(_SWITCH_TAUS, vals, scales, series):
-        stable, stable_scale = z2_stable(pair, ModuliPoint.from_tau(complex(tau)))
-        assert on_series == (s_in_half_z and tau.imag > SERIES_HEIGHT)
-        assert abs(stable - val) <= 1e-14 * scale
-        assert abs(stable_scale - scale) <= 1e-14 * scale
+    vals, scales = z2_stable_many(pair, _FRAME_TAUS)
+    on_series = 0
+    for tau, val, scale in zip(map(complex, _FRAME_TAUS), vals, scales):
+        m = ModuliPoint.from_tau(tau)
+        stable, stable_scale = z2_stable(pair, m)
+        assert abs(stable - val) <= 1e-13 * scale
+        assert abs(stable_scale - scale) <= 1e-13 * scale
+        tau_red, g = reduce_to_standard(tau)
+        moved = TorsionPair.of(*transport_pair(pair.r, pair.s, g))
+        if cusp_asymptotic(moved)[1] == 0:
+            assert (stable, stable_scale) == z2_with_scale(pair, m)
+            continue
+        on_series += 1
+        series = np.polyval(moved.cusp_series[::-1], cmath.exp(1j * PI * tau_red))
+        assert abs(stable - series / g.cocycle(tau) ** 3) <= 1e-14 * scale
+    assert on_series > 0
 
 
 def test_evaluator_cusp_orders_follow_the_transport_formula(rng):
@@ -440,6 +471,17 @@ def test_mn_zero_count_keeps_two_classes_at_one_point(monkeypatch):
     assert rep.merge_events == [((a.k1, a.k2), (b.k1, b.k2), tau0)]
 
 
+def test_result_ii_four_pole_free_solutions():
+    # the paper's result (ii): over 3 <= N <= 5000, P(N) = 0 exactly at N = 3
+    # and N = 4, with one solution and three, so four pole-free solutions;
+    # M_N has no located zero over F at either
+    pole_free = [N for N in range(3, 5001) if p_of_n(N) == 0]
+    assert pole_free == [3, 4]
+    assert [pole_count(N) for N in pole_free] == [(1, 0), (3, 0)]
+    assert sum(pole_count(N)[0] for N in pole_free) == 4
+    assert [count_mn_zeros(N, F).interior_count for N in pole_free] == [0, 0]
+
+
 @pytest.mark.parametrize("N", [3, 4, 5, 6])
 def test_mn_zero_count_aggregates(N):
     assert count_mn_zeros(N, F0).interior_count == 3 * p_of_n(N)
@@ -471,9 +513,10 @@ def test_valence_builds_each_cusp_expansion_once(N, monkeypatch):
     monkeypatch.setattr(
         premodular, "z2_cusp_expansion", lambda p: built.append(p) or expansion(p)
     )
-    # M_N is taken at three heights above SERIES_HEIGHT: one build per pair
-    # of Q_N with s in {0, 1/2}, not one per height
-    premodular._qn_pairs.cache_clear()
+    # M_N is taken at three heights, each in the frame of infinity: one build
+    # per pair of Q_N with s in {0, 1/2}, not one per height, and none for
+    # the pairs the hunts' frames carry to one of them
+    premodular._series_of.cache_clear()
     valence_check(N)
     on_cusp = {
         TorsionPair.of(Fraction(rp.k1, N), Fraction(rp.k2, N))
@@ -484,8 +527,8 @@ def test_valence_builds_each_cusp_expansion_once(N, monkeypatch):
 
 
 def test_valence_takes_series_factors_without_a_kernel_call(monkeypatch):
-    # above SERIES_HEIGHT the factors with s in {0, 1/2} come from the cusp
-    # series alone, with no premodular_at call for a discarded scale
+    # at the heights 8, 10 and 12 the factors with s in {0, 1/2} come from
+    # the cusp series alone, with no premodular_at call for a discarded scale
     from pvilab import _kernels
 
     calls = []

@@ -306,19 +306,26 @@ def test_cusp_expansion_is_built_once_per_pair(monkeypatch):
     monkeypatch.setattr(
         premodular, "z2_cusp_expansion", lambda p: built.append(p) or expansion(p)
     )
-    taus = np.array([0.1 + 2.5j, 0.4 + 3.0j, 0.7 + 6.0j])
+    premodular._series_of.cache_clear()
+    # |Re tau| <= 1/2 and |tau| >= 1: the frame of infinity, where the pair
+    # carries itself
+    taus = np.array([0.1 + 2.5j, 0.4 + 3.0j, -0.3 + 6.0j])
     pair = TorsionPair.of(Fraction(1, 3), Fraction(1, 2))
     scalar = [z2_stable(pair, ModuliPoint.from_tau(complex(t)))[0] for t in taus]
     assert built == [pair]
     for _ in range(3):
-        vals, _, on_series = premodular.z2_stable_many(pair, taus)
-        assert on_series.all() and np.array_equal(vals, scalar)
+        vals, scales = premodular.z2_stable_many(pair, taus)
+        assert np.all(np.abs(vals - scalar) <= 1e-14 * scales)
     assert built == [pair]
-    assert not pair.cusp_series.flags.writeable
-    # a fresh object builds its own; a pair with s off {0, 1/2} builds none
+    assert not built[0].cusp_series.flags.writeable
+    # a fresh object carried to the same pair builds none, nor does a pair
+    # whose frame leaves s off (1/2)Z; the translate by one carries the pair
+    # to (5/6, 1/2), whose series is built once
     z2_stable(TorsionPair.of(Fraction(1, 3), Fraction(1, 2)), ModuliPoint.from_tau(3j))
     z2_stable(TorsionPair.of(0.3, 0.2), ModuliPoint.from_tau(3j))
-    assert len(built) == 2
+    for _ in range(2):
+        z2_stable(pair, ModuliPoint.from_tau(0.7 + 6.0j))
+    assert built == [pair, TorsionPair.of(Fraction(5, 6), Fraction(1, 2))]
 
 
 # --- m_n --------------------------------------------------------------------

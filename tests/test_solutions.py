@@ -9,7 +9,7 @@ import pytest
 from pvilab import solutions
 from pvilab.elliptic import ModuliPoint
 from pvilab.errors import Degenerate, NewtonStall
-from pvilab.premodular import TorsionPair
+from pvilab.premodular import TorsionPair, z2_stable, z2_with_scale
 from pvilab.solutions import (
     _NEWTON_MAX_ITER,
     _wp_of_p_direct,
@@ -323,3 +323,23 @@ def test_newton_budget_raises_newton_stall(monkeypatch):
     _patch_z2(monkeypatch, *_newton_cycle(1.0))
     with pytest.raises(NewtonStall, match="Newton failed to converge"):
         solutions._newton_z2(_PAIR, 1j)
+
+
+@pytest.mark.parametrize(
+    "r,s",
+    [(Fraction(2, 3), Fraction(1, 6)), (Fraction(5, 6), Fraction(1, 12)),
+     (Fraction(4, 7), Fraction(3, 14))],
+    ids=str,
+)
+def test_newton_does_not_take_cusp_noise_for_a_zero(r, s):
+    # at 1.98+0.1508i, next to the cusp 2, the direct Z2 is cancellation
+    # noise that passes Newton's own 1e-13 test; the cusp rule reads the
+    # carried pair's series there, whose value is far from zero, so Newton
+    # must not return its start as a zero
+    pair, start = TorsionPair.of(r, s), 1.98 + 0.1508j
+    direct, direct_scale = z2_with_scale(pair, ModuliPoint.from_tau(start))
+    assert abs(direct) <= 1e-13 * direct_scale
+    val, scale = z2_stable(pair, ModuliPoint.from_tau(start))
+    assert abs(val) >= 1e-3 * scale
+    with pytest.raises(NewtonStall):
+        solutions._newton_z2(pair, start)
