@@ -15,6 +15,7 @@ failure.  Complex numbers are written "a+bi", rationals "p/q".
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 import time
 from fractions import Fraction
@@ -303,6 +304,8 @@ _SUBCOMMANDS = (
 )
 
 
+# Built once per process: parsing reads the parser and never changes it.
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
     ap = argparse.ArgumentParser(
         prog="pvilab",

@@ -34,13 +34,19 @@ For real non-half-integer (r, s), Z2 never vanishes on the boundary of F0
 safe workhorse.  There is one zero hunt, over F0, which holds at most one
 zero of a real pair (the triangle dichotomy).  Zeros over F and F2 come
 from it by the group action: F is a subset of F0, and F2 is F0 together
-with F0 + 1, where Z2_{r,s}(tau + 1) = Z2_{r+s,s}(tau).  Both
-``locate_zeros`` and ``count_mn_zeros`` (over F, F0 and F2) take their
-zeros from this one path.  The hunt takes a list of pairs and hands each
-stage's samples for all of them to the kernel at once: one call per start
-grid, one per refinement round of the isolating squares.  A point's value
-does not depend on what shares its batch, so each pair's certificate is
-the one it gets when hunted alone.
+with F0 + 1, where Z2_{r,s}(tau + 1) = Z2_{r+s,s}(tau).  ``locate_zeros``
+takes its zeros from this one path, and so does ``count_mn_zeros`` over F0
+and F2.  Over F, ``count_mn_zeros`` hunts only the +-classes of Q_N in D1:
+``modular.reduce_to_shifted_domain`` takes each of their F0 zeros into F,
+``modular.transport_pair`` carries the pair by the same gamma, and the D1
+classes are carried one-to-one onto the classes with a zero in F, so a
+third of the classes yields every zero of M_N over F, with no merging.
+
+The hunt takes a list of pairs and hands each stage's samples for all of
+them to the kernel at once: one call per start grid, one per refinement
+round of the isolating squares.  A point's value does not depend on what
+shares its batch, so each pair's certificate is the one it gets when hunted
+alone.
 """
 
 from __future__ import annotations
@@ -56,7 +62,8 @@ import numpy as np
 
 from .elliptic import ModuliPoint
 from .errors import BoundaryTooClose, DomainError, IncoherentWinding, PviLabError
-from .orbits import euler_phi, p_of_n, pm_class_reps, qn_size
+from .modular import IDENTITY, reduce_to_shifted_domain, transport_pair
+from .orbits import RationalPair, euler_phi, p_of_n, pm_class_reps, qn_size
 from .premodular import TorsionPair, m_n, z2_stable_many
 from .solutions import _newton_z2
 
@@ -159,30 +166,35 @@ def classify_triangle(p: TorsionPair) -> TrianglePosition:
     """Locate the window representative of (r, s) among the four open
     triangles partitioning [0,1] x [0,1/2].
 
-    Exact for rational pairs (Fractions compare exactly with 0.5 and 1);
-    floats get a 1e-12 guard band mapped to "boundary".
+    Exact for rational pairs, in the integers of the pair's ``_carry``
+    (x, y, n) = n*(r, s): the window is taken mod n and every comparison
+    below is scaled by 2n, so the edges 1/2 and 1 are n and 2n (degenerate
+    pairs, which have no carry, lie on an edge); floats get a 1e-12 guard
+    band mapped to "boundary".
     """
     if not p.is_real:
         raise DomainError("triangle classification needs a real pair")
     if p.exact:
-        r = Fraction(p.r) % 1
-        s = Fraction(p.s) % 1
-        if 2 * s > 1:
-            r, s = (-r) % 1, (-s) % 1
-        half, on_edge = Fraction(1, 2), lambda e: e == 0
+        if p._carry is None:
+            return TrianglePosition("boundary")
+        x, y, n = p._carry
+        r, s = x % n, y % n
+        if 2 * s > n:
+            r, s = -r % n, -s % n
+        r, s, one, half, on_edge = 2 * r, 2 * s, 2 * n, n, lambda e: e == 0
     else:
         r, s = p.reduced_real()
-        half, on_edge = 0.5, lambda e: abs(e) < 1e-12
-    edges = (r, r - half, r - 1, s, s - half, r + s - half, r + s - 1)
+        one, half, on_edge = 1.0, 0.5, lambda e: abs(e) < 1e-12
+    edges = (r, r - half, r - one, s, s - half, r + s - half, r + s - one)
     if any(on_edge(e) for e in edges):
         return TrianglePosition("boundary")
-    if 0 < r < 0.5 and 0 < s < 0.5 and r + s > 0.5:
+    if 0 < r < half and 0 < s < half and r + s > half:
         return TrianglePosition("D0")
-    if 0.5 < r < 1 and 0 < s < 0.5 and r + s > 1:
+    if half < r < one and 0 < s < half and r + s > one:
         return TrianglePosition("D1")
-    if 0.5 < r < 1 and 0 < s < 0.5 and r + s < 1:
+    if half < r < one and 0 < s < half and r + s < one:
         return TrianglePosition("D2")
-    if r > 0 and s > 0 and r + s < 0.5:
+    if r > 0 and s > 0 and r + s < half:
         return TrianglePosition("D3")
     return TrianglePosition("outside")
 
@@ -581,8 +593,7 @@ class MnZeroReport:
     """Multiplicity-weighted zeros of M_N over a fundamental domain.
 
     ``certificates`` holds each +-class's zeros in the domain, in class
-    order, as ``_zeros_by_group_action`` gives them for F, F0 and F2 alike;
-    ``merge_events`` lists ((k1, k2), (k1', k2'), tau0) for every two
+    order; ``merge_events`` lists ((k1, k2), (k1', k2'), tau0) for every two
     distinct classes whose certificates lie within 1e-8 of each other.
     """
 
@@ -593,34 +604,92 @@ class MnZeroReport:
     merge_events: list[tuple] = field(default_factory=list)
 
 
+def _zeros_over_f(reps: list[RationalPair]) -> list[ZeroCertificate]:
+    """The zeros in F of Z2 of the +-classes ``reps`` of Q_N, in class order,
+    from the F0 hunt of the D1 classes alone.
+
+    Each D1 class has one F0 zero tau0.  ``reduce_to_shifted_domain`` takes
+    it into F by some gamma, where gamma.tau0 is a zero of the class that
+    ``transport_pair`` carries the pair to by gamma, and each triangle's
+    classes are carried one-to-one onto the classes with a zero in F.  A
+    zero that gamma moves gets one Newton polish for its class (a zero
+    already in F keeps its hunt certificate).  Two D1 classes carried to
+    one class, or a polished zero that F's ownership rule puts outside F,
+    raise ``IncoherentWinding``: nothing is merged.
+    """
+    N = reps[0].N
+    index = {(rep.k1, rep.k2): k for k, rep in enumerate(reps)}
+    pairs = [TorsionPair.of(rep.r, rep.s) for rep in reps]
+    d1 = [k for k, p in enumerate(pairs) if classify_triangle(p).tag == "D1"]
+    found: dict[int, ZeroCertificate] = {}
+    source: dict[int, int] = {}
+    for k, cert in zip(d1, _zeros_in_f0([pairs[k] for k in d1])):
+        if cert is None:
+            continue
+        tau, g = reduce_to_shifted_domain(cert.tau0)
+        k1, k2 = transport_pair(reps[k].k1, reps[k].k2, g)
+        j = index[min((k1 % N, k2 % N), (-k1 % N, -k2 % N))]
+        if j in source:
+            raise IncoherentWinding(
+                f"D1 classes {pairs[source[j]]} and {pairs[k]} carry to one "
+                f"class {pairs[j]} in F"
+            )
+        source[j] = k
+        if g != IDENTITY:
+            cert = _certify(pairs[j], tau, "F")
+            if reduce_to_shifted_domain(cert.tau0)[1] != IDENTITY:
+                raise IncoherentWinding(
+                    f"zero {cert.tau0} of {pairs[j]}, carried from the F0 zero "
+                    f"of {pairs[k]}, does not lie in F"
+                )
+        found[j] = replace(cert, region="F")
+    return [found[j] for j in sorted(found)]
+
+
+def _merge_events(N: int, certs: list[ZeroCertificate]) -> list[tuple]:
+    """((k1, k2), (k1', k2'), tau0) for every two certificates of distinct
+    pairs within 1e-8 of each other, (k1, k2) and tau0 from the later one in
+    ``certs``, ordered by the later one's index, then the earlier one's.
+
+    A sweep over the certificates sorted by Re tau0 compares only those
+    within 1e-8 in Re, not every two of them."""
+    order = sorted(range(len(certs)), key=lambda i: certs[i].tau0.real)
+    close = []
+    for pos, i in enumerate(order):
+        for j in order[pos + 1 :]:
+            a, b = certs[i], certs[j]
+            if b.tau0.real - a.tau0.real >= 1e-8:
+                break
+            if abs(a.tau0 - b.tau0) < 1e-8 and a.torsion != b.torsion:
+                close.append((max(i, j), min(i, j)))
+    # a certificate's class (k1, k2), read off its pair (k1/N, k2/N)
+    key = lambda c: (int(c.torsion.r * N), int(c.torsion.s * N))
+    return [(key(certs[i]), key(certs[j]), certs[j].tau0) for j, i in sorted(close)]
+
+
 def count_mn_zeros(N: int, d: DomainSpec = F) -> MnZeroReport:
     """Zeros of M_N = prod Z2 over the requested domain, with multiplicity.
 
     Works per +-class of Q_N, whose pairs are real: each class has at most
-    one zero in F0 (present exactly when the window representative lies in
-    one of the three open triangles).  The classes are hunted together in
-    one ``_zeros_in_f0`` batch, and their zeros in d come from it by the
-    group action, ``_zeros_by_group_action``, the path of ``locate_zeros``:
-    over F the F0 zeros that lie in F, over F2 also the T-shifted class's
-    zero moved into F0 + 1.  Q_N is closed under SL(2, Z), so a zero in F
-    of a transported class is that class's own F0 zero, and nothing found
-    twice needs merging.
+    one zero in F0, present exactly when its window representative lies in
+    one of the three open triangles D1, D2, D3.  Over F only the D1 classes
+    are hunted, in one ``_zeros_in_f0`` batch, and each zero is carried into
+    F with its pair (``_zeros_over_f``): Q_N is closed under SL(2, Z), and
+    the D1 classes are carried one-to-one onto the classes with a zero in F,
+    so P(N) = 2 * #(D1 classes).  Over F0 and F2 every class is hunted and
+    the zeros follow by the group action, ``_zeros_by_group_action``, the
+    path of ``locate_zeros``.
 
     Every certificate counts with multiplicity 2 for its +- pair.
     """
-    if not (3 <= N <= 24):
-        raise DomainError("desk-scale N only (3 <= N <= 24)")
+    if not (3 <= N <= 120):
+        raise DomainError("desk-scale N only (3 <= N <= 120)")
     reps = pm_class_reps(N)
-    certs = _zeros_by_group_action([TorsionPair.of(rep.r, rep.s) for rep in reps], d)
-    # a certificate's class (k1, k2), read off its pair (k1/N, k2/N)
-    key = lambda c: (int(c.torsion.r * N), int(c.torsion.s * N))
-    merges = [
-        (key(a), key(b), b.tau0)
-        for j, b in enumerate(certs)
-        for a in certs[:j]
-        if a.torsion != b.torsion and abs(a.tau0 - b.tau0) < 1e-8
-    ]
-    return MnZeroReport(N, d.kind, 2 * len(certs), certs, merges)
+    if d.kind == "F":
+        certs = _zeros_over_f(reps)
+    else:
+        certs = _zeros_by_group_action([TorsionPair.of(rep.r, rep.s) for rep in reps], d)
+    return MnZeroReport(N, d.kind, 2 * len(certs), certs, _merge_events(N, certs))
 
 
 def valence_check(N: int) -> dict:

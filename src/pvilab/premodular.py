@@ -62,7 +62,7 @@ Rational = Union[int, Fraction]
 
 def _is_half_integer(x) -> bool:
     if isinstance(x, (int, Fraction)):
-        return Fraction(2) * Fraction(x) == int(Fraction(2) * Fraction(x))
+        return x.denominator <= 2
     if isinstance(x, complex):
         if abs(x.imag) > 1e-12:
             return False
@@ -144,7 +144,11 @@ class TorsionPair:
             return None
         if self.exact:
             n = math.lcm(self.r.denominator, self.s.denominator)
-            return int(self.r * n), int(self.s * n), n
+            return (
+                self.r.numerator * (n // self.r.denominator),
+                self.s.numerator * (n // self.s.denominator),
+                n,
+            )
         return complex(self.r).real, complex(self.s).real, 1
 
     def as_complex(self) -> tuple[complex, complex]:

@@ -4,6 +4,7 @@ import cmath
 import math
 import random
 import re
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
@@ -67,6 +68,36 @@ def test_triangle_classification(r, s, tag):
 
 def test_triangle_boundary_guard_band_for_floats():
     assert classify_triangle(TorsionPair.of(0.5 + 1e-14, 0.2)).tag == "boundary"
+
+
+def _fraction_triangle(r, s):
+    """The triangle of an exact pair by Fraction arithmetic on its window
+    representative: the reference for ``classify_triangle``'s integer rule."""
+    r, s = Fraction(r) % 1, Fraction(s) % 1
+    if 2 * s > 1:
+        r, s = (-r) % 1, (-s) % 1
+    half = Fraction(1, 2)
+    if any(e == 0 for e in (r, r - half, r - 1, s, s - half, r + s - half, r + s - 1)):
+        return "boundary"
+    if 0 < r < half and 0 < s < half and r + s > half:
+        return "D0"
+    if half < r < 1 and 0 < s < half and r + s > 1:
+        return "D1"
+    if half < r < 1 and 0 < s < half and r + s < 1:
+        return "D2"
+    if r > 0 and s > 0 and r + s < half:
+        return "D3"
+    return "outside"
+
+
+def test_triangle_integer_rule_matches_fractions():
+    # every +-class of Q_N, N = 3..40, and the degenerate pairs
+    pairs = [(c.r, c.s) for N in range(3, 41) for c in pm_class_reps(N)]
+    halves = [Fraction(k, 2) for k in range(-2, 4)]
+    pairs += [(r, s) for r in halves for s in halves]
+    tags = [classify_triangle(TorsionPair.of(r, s)).tag for r, s in pairs]
+    assert tags == [_fraction_triangle(r, s) for r, s in pairs]
+    assert {"D0", "D1", "D2", "D3", "boundary"} <= set(tags)
 
 
 # --- winding over F0 --------------------------------------------------------
@@ -445,7 +476,8 @@ def test_batched_hunt_raises_for_a_pair_no_start_resolves(monkeypatch):
 
 
 @pytest.mark.parametrize(
-    "N,count", [(3, 0), (4, 0), (5, 2), (6, 2), (7, 6), (12, 18), (17, 56), (24, 84)]
+    "N,count",
+    [(3, 0), (4, 0), (5, 2), (6, 2), (7, 6), (12, 18), (17, 56), (24, 84), (77, 1380)],
 )
 def test_mn_zero_count_over_modular_domain(N, count):
     rep = count_mn_zeros(N, F)
@@ -453,9 +485,43 @@ def test_mn_zero_count_over_modular_domain(N, count):
     assert rep.merge_events == []
 
 
+@pytest.mark.slow
+@pytest.mark.parametrize("N", range(13, 121))
+def test_mn_zero_count_over_modular_domain_sweep(N):
+    rep = count_mn_zeros(N, F)
+    assert rep.interior_count == p_of_n(N)
+    assert rep.merge_events == []
+
+
+def _d1_classes(N):
+    """The +-classes of Q_N in D1, as (k1, k2) with 0 < k2 < N/2: exactly one
+    element of a class whose s lies strictly between 0 and 1/2 has it."""
+    return [
+        (k1, k2)
+        for k1 in range(N // 2 + 1, N)
+        for k2 in range(1, (N + 1) // 2)
+        if k1 + k2 > N and math.gcd(k1, k2, N) == 1
+    ]
+
+
+def test_p_of_n_is_twice_the_d1_classes():
+    # the F zeros of M_N are the carried F0 zeros of the D1 classes, one each
+    assert [p_of_n(N) for N in range(3, 121)] == [
+        2 * len(_d1_classes(N)) for N in range(3, 121)
+    ]
+    for N in (7, 12, 30):
+        tagged = [
+            (c.k1, c.k2)
+            for c in pm_class_reps(N)
+            if classify_triangle(TorsionPair.of(c.r, c.s)).tag == "D1"
+        ]
+        assert len(tagged) == len(_d1_classes(N))
+
+
 def test_mn_zero_count_keeps_two_classes_at_one_point(monkeypatch):
     # two distinct classes whose F0 zeros coincide in F both count, and the
-    # coincidence is reported as one merge event
+    # coincidence is reported as one merge event; only D1 classes are hunted
+    # over F, and N = 7 is the first N with two of them
     tau0 = 0.5 + 1.2j
 
     def two_at_one_point(pairs):
@@ -465,10 +531,46 @@ def test_mn_zero_count_keeps_two_classes_at_one_point(monkeypatch):
         ]
 
     monkeypatch.setattr(locator, "_zeros_in_f0", two_at_one_point)
-    a, b = pm_class_reps(5)[:2]
-    rep = count_mn_zeros(5, F)
+    a, b = [
+        c for c in pm_class_reps(7) if classify_triangle(TorsionPair.of(c.r, c.s)).tag == "D1"
+    ][:2]
+    rep = count_mn_zeros(7, F)
     assert rep.interior_count == 4
     assert rep.merge_events == [((a.k1, a.k2), (b.k1, b.k2), tau0)]
+
+
+def test_mn_zero_count_raises_for_two_classes_carried_to_one(monkeypatch):
+    # a D2 class hunted as if in D1: its F0 zero is carried to the F zero of
+    # a class a D1 class already owns
+    N = 7
+    extra = next(
+        TorsionPair.of(c.r, c.s)
+        for c in pm_class_reps(N)
+        if classify_triangle(TorsionPair.of(c.r, c.s)).tag == "D2"
+    )
+    classify = locator.classify_triangle
+
+    def d2_class_as_d1(p):
+        return locator.TrianglePosition("D1") if p == extra else classify(p)
+
+    monkeypatch.setattr(locator, "classify_triangle", d2_class_as_d1)
+    one_class = f"and {re.escape(str(extra))} carry to one class"
+    with pytest.raises(IncoherentWinding, match=one_class):
+        count_mn_zeros(N, F)
+
+
+def test_mn_zero_count_raises_for_a_polished_zero_outside_f(monkeypatch):
+    # N = 36 is the first N with a D1 zero outside F; its polished zero is
+    # moved by 1, which F's ownership rule puts outside F
+    certify = locator._certify
+
+    def moved(pair, tau_start, region):
+        cert = certify(pair, tau_start, region)
+        return replace(cert, tau0=cert.tau0 + 1.0) if region == "F" else cert
+
+    monkeypatch.setattr(locator, "_certify", moved)
+    with pytest.raises(IncoherentWinding, match="does not lie in F"):
+        count_mn_zeros(36, F)
 
 
 def test_result_ii_four_pole_free_solutions():
