@@ -9,13 +9,13 @@ tau-only prologue ``lattice_constants`` followed by the per-pair part
 ``premodular_from``, so a caller with many pairs at one tau, such as
 ``m_n``, runs the prologue once.  The batch kernel ``z2_many`` is NumPy
 code under either backend: it runs the same steps on arrays of tau, in
-blocks of at most ``_BLOCK`` points, with r and s shared by the batch or
-given per point.  Each point leaves ``reduce_tau_many`` where ``reduce_tau``
-stops.  The series loops run until every point of the block passes the
-scalar kernel's stop test; past that test a term is below 1e-19 and falls
-geometrically with the ones after it, far under half an ulp of the sums it
-joins, so a point's result does not depend on what shares its batch.  The
-strategy for a point tau in the upper half-plane:
+blocks of at most ``_BLOCK`` points, with r and s given per point.  Each
+point leaves ``reduce_tau_many`` where ``reduce_tau`` stops.  The series
+loops run until every point of the block passes the scalar kernel's stop
+test; past that test a term is below 1e-19 and falls geometrically with the
+ones after it, far under half an ulp of the sums it joins, so a point's
+result does not depend on what shares its batch.  The strategy for a point
+tau in the upper half-plane:
 
 1. reduce tau to the standard fundamental domain {|Re| <= 1/2, |tau| >= 1}
    with an integer matrix, so the nome q = exp(2*pi*i*tau_red) satisfies
@@ -429,27 +429,23 @@ def _z2_block(r, s, tau, reduced):
     return z2, scale
 
 
-def z2_many(r, s, taus, reduced=None):
+def z2_many(r, s, taus, reduced):
     """Z2 and its scale, as ``premodular_at`` returns them, at every tau of
     an array: two new arrays (NaN at lattice hits).
 
-    r and s are both scalars, shared by every point, or both arrays with one
-    value per point, so one call can serve many pairs; ``reduced`` is a
-    caller's ``reduce_tau_many(taus)``.  NumPy code under either backend.  A
-    point's result depends on its own (r, s, tau) alone: it is the same in
-    any batch, and the same whether r and s come as scalars or as arrays.
+    r and s are arrays with one value per point, so one call can serve many
+    pairs; ``reduced`` is the caller's ``reduce_tau_many(taus)``.  NumPy
+    code under either backend.  A point's result depends on its own
+    (r, s, tau) alone: it is the same in any batch.
     """
     n = taus.shape[0]
-    per_point = isinstance(r, np.ndarray)
-    reduced = reduce_tau_many(taus) if reduced is None else reduced
     vals = np.empty(n, dtype=np.complex128)
     scales = np.empty(n, dtype=np.float64)
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, n, _BLOCK):
             hi = lo + _BLOCK
-            rb, sb = (r[lo:hi], s[lo:hi]) if per_point else (r, s)
             block = [x[lo:hi] for x in reduced]
-            vals[lo:hi], scales[lo:hi] = _z2_block(rb, sb, taus[lo:hi], block)
+            vals[lo:hi], scales[lo:hi] = _z2_block(r[lo:hi], s[lo:hi], taus[lo:hi], block)
     return vals, scales
 
 

@@ -30,6 +30,7 @@ from .errors import (
 )
 from .elliptic import ModuliPoint, invariants_g
 from .locator import (
+    MAX_N,
     DomainSpec,
     classify_triangle,
     locate_zeros,
@@ -153,7 +154,7 @@ def _cmd_count(args) -> int:
         "solutions": nsol,
         "poles_per_solution": per,
     }
-    if N <= 12:
+    if N <= MAX_N:
         v = valence_check(N)
         results["valence"] = {
             "interior": v["interior_count"],

@@ -32,11 +32,11 @@ Domains:
 For real non-half-integer (r, s), Z2 never vanishes on the boundary of F0
 (nor on its images bounding F2), which is what makes the F0 contour the
 safe workhorse.  There is one zero hunt, over F0, which holds at most one
-zero of a real pair (the triangle dichotomy).  Zeros over F and F2 come
-from it by the group action: F is a subset of F0, and F2 is F0 together
-with F0 + 1, where Z2_{r,s}(tau + 1) = Z2_{r+s,s}(tau).  ``locate_zeros``
-takes its zeros from this one path, and so does ``count_mn_zeros`` over F0
-and F2.  Over F, ``count_mn_zeros`` hunts only the +-classes of Q_N in D1:
+zero of a real pair (the triangle dichotomy).  ``locate_zeros`` takes a
+pair's zeros over F and F2 from it by the group action: F is a subset of
+F0, and F2 is F0 together with F0 + 1, where Z2_{r,s}(tau + 1) =
+Z2_{r+s,s}(tau).  ``count_mn_zeros`` counts the zeros of M_N over F alone
+and hunts only the +-classes of Q_N in D1:
 ``modular.reduce_to_shifted_domain`` takes each of their F0 zeros into F,
 ``modular.transport_pair`` carries the pair by the same gamma, and the D1
 classes are carried one-to-one onto the classes with a zero in F, so a
@@ -63,7 +63,7 @@ import numpy as np
 from .elliptic import ModuliPoint
 from .errors import BoundaryTooClose, DomainError, IncoherentWinding, PviLabError
 from .modular import IDENTITY, reduce_to_shifted_domain, transport_pair
-from .orbits import RationalPair, euler_phi, p_of_n, pm_class_reps, qn_size
+from .orbits import euler_phi, p_of_n, pm_class_reps, qn_size
 from .premodular import TorsionPair, m_n, z2_stable_many
 from .solutions import _newton_z2
 
@@ -86,6 +86,9 @@ _EXCISION_RADIUS = 0.12
 # Bisection rounds allowed per boundary piece before the phase is declared
 # incoherent.
 _MAX_REFINE_ROUNDS = 18
+# Largest N whose zeros of M_N over F ``count_mn_zeros`` counts, and so the
+# cap of ``valence_check`` and of the valence in ``pvilab count``.
+MAX_N = 120
 
 
 @dataclass(frozen=True)
@@ -538,44 +541,27 @@ def _zeros_in_f0(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
     return certs
 
 
-def _zeros_by_group_action(
-    pairs: list[TorsionPair], d: DomainSpec
-) -> list[ZeroCertificate]:
-    """The zeros in d of Z2 of each pair, in pair order, from one batch of
-    F0 hunts.
-
-    F0 contains F, so a pair's F0 zero is kept if it lies in d; F2 is F0
-    together with F0 + 1, and Z2_{r,s}(tau + 1) = Z2_{r+s,s}(tau), so over
-    F2 the F0 zero of (r + s, s), moved by 1 and re-polished for (r, s),
-    follows it.
-    """
-    hunts = list(pairs)
-    if d.kind == "F2":
-        hunts += [TorsionPair.of(p.r + p.s, p.s) for p in pairs]
-    f0 = _zeros_in_f0(hunts)
-    found = []
-    for k, p in enumerate(pairs):
-        if f0[k] is not None:
-            found.append(replace(f0[k], region=d.kind))
-        if d.kind == "F2" and f0[len(pairs) + k] is not None:
-            found.append(_certify(p, f0[len(pairs) + k].tau0 + 1.0, "F2"))
-    return [c for c in found if d.contains(c.tau0, margin=1e-9)]
-
-
 def locate_zeros(
     p: TorsionPair, d: DomainSpec, expected: Optional[int] = None
 ) -> list[ZeroCertificate]:
     """All zeros of Z2_{r,s} inside the truncated domain, Newton-refined.
 
-    Real pairs only, as for ``winding_count``: the zeros come from F0 hunts
-    by the group action (``_zeros_by_group_action``).  Their count is
-    required to equal the winding number of the domain boundary, or
-    ``expected`` when given.
+    Real pairs only, as for ``winding_count``.  The zeros come from one F0
+    hunt by the group action: F0 contains F, so the F0 zero of p is kept if
+    it lies in d; F2 is F0 together with F0 + 1, and Z2_{r,s}(tau + 1) =
+    Z2_{r+s,s}(tau), so over F2 the partner (r + s, s) is hunted in the same
+    batch and its F0 zero, moved by 1 and re-polished for p, follows.  The
+    count is required to equal the winding number of the domain boundary,
+    or ``expected`` when given.
     """
     w = winding_count(p, d) if expected is None else expected
     if w == 0:
         return []
-    certs = _zeros_by_group_action([p], d)
+    hunts = [p, TorsionPair.of(p.r + p.s, p.s)] if d.kind == "F2" else [p]
+    own, *partner = _zeros_in_f0(hunts)
+    found = [] if own is None else [replace(own, region=d.kind)]
+    found += [_certify(p, c.tau0 + 1.0, "F2") for c in partner if c is not None]
+    certs = [c for c in found if d.contains(c.tau0, margin=1e-9)]
     if len(certs) != w:
         raise IncoherentWinding(
             f"located {len(certs)} zeros but winding is {w} for {p} in {d.kind}"
@@ -590,34 +576,61 @@ def locate_zeros(
 
 @dataclass
 class MnZeroReport:
-    """Multiplicity-weighted zeros of M_N over a fundamental domain.
+    """Multiplicity-weighted zeros of M_N over the modular domain F.
 
-    ``certificates`` holds each +-class's zeros in the domain, in class
-    order; ``merge_events`` lists ((k1, k2), (k1', k2'), tau0) for every two
+    ``certificates`` holds each +-class's zero in F, in class order;
+    ``merge_events`` lists ((k1, k2), (k1', k2'), tau0) for every two
     distinct classes whose certificates lie within 1e-8 of each other.
     """
 
     N: int
-    domain: str
     interior_count: int
     certificates: list[ZeroCertificate] = field(default_factory=list)
     merge_events: list[tuple] = field(default_factory=list)
 
 
-def _zeros_over_f(reps: list[RationalPair]) -> list[ZeroCertificate]:
-    """The zeros in F of Z2 of the +-classes ``reps`` of Q_N, in class order,
-    from the F0 hunt of the D1 classes alone.
+def _merge_events(N: int, certs: list[ZeroCertificate]) -> list[tuple]:
+    """((k1, k2), (k1', k2'), tau0) for every two certificates of distinct
+    pairs within 1e-8 of each other, (k1, k2) and tau0 from the later one in
+    ``certs``, ordered by the later one's index, then the earlier one's.
 
-    Each D1 class has one F0 zero tau0.  ``reduce_to_shifted_domain`` takes
-    it into F by some gamma, where gamma.tau0 is a zero of the class that
-    ``transport_pair`` carries the pair to by gamma, and each triangle's
-    classes are carried one-to-one onto the classes with a zero in F.  A
-    zero that gamma moves gets one Newton polish for its class (a zero
-    already in F keeps its hunt certificate).  Two D1 classes carried to
-    one class, or a polished zero that F's ownership rule puts outside F,
-    raise ``IncoherentWinding``: nothing is merged.
+    A sweep over the certificates sorted by Re tau0 compares only those
+    within 1e-8 in Re, not every two of them."""
+    order = sorted(range(len(certs)), key=lambda i: certs[i].tau0.real)
+    close = []
+    for pos, i in enumerate(order):
+        for j in order[pos + 1 :]:
+            a, b = certs[i], certs[j]
+            if b.tau0.real - a.tau0.real >= 1e-8:
+                break
+            if abs(a.tau0 - b.tau0) < 1e-8 and a.torsion != b.torsion:
+                close.append((max(i, j), min(i, j)))
+    # a certificate's class (k1, k2), read off its pair (k1/N, k2/N)
+    key = lambda c: (int(c.torsion.r * N), int(c.torsion.s * N))
+    return [(key(certs[i]), key(certs[j]), certs[j].tau0) for j, i in sorted(close)]
+
+
+def count_mn_zeros(N: int) -> MnZeroReport:
+    """Zeros of M_N = prod Z2 over F, with multiplicity.
+
+    Works per +-class of Q_N, whose pairs are real: each class has at most
+    one zero in F0, present exactly when its window representative lies in
+    one of the three open triangles D1, D2, D3.  Only the D1 classes are
+    hunted, in one ``_zeros_in_f0`` batch.  ``reduce_to_shifted_domain``
+    takes each F0 zero tau0 into F by some gamma, where gamma.tau0 is a zero
+    of the class that ``transport_pair`` carries the pair to by gamma: Q_N
+    is closed under SL(2, Z), and the D1 classes are carried one-to-one onto
+    the classes with a zero in F, so P(N) = 2 * #(D1 classes).  A zero that
+    gamma moves gets one Newton polish for its class (a zero already in F
+    keeps its hunt certificate).  Two D1 classes carried to one class, or a
+    polished zero that F's ownership rule puts outside F, raise
+    ``IncoherentWinding``: nothing is merged.
+
+    Every certificate counts with multiplicity 2 for its +- pair.
     """
-    N = reps[0].N
+    if not (3 <= N <= MAX_N):
+        raise DomainError(f"desk-scale N only (3 <= N <= {MAX_N})")
+    reps = pm_class_reps(N)
     index = {(rep.k1, rep.k2): k for k, rep in enumerate(reps)}
     pairs = [TorsionPair.of(rep.r, rep.s) for rep in reps]
     d1 = [k for k, p in enumerate(pairs) if classify_triangle(p).tag == "D1"]
@@ -643,53 +656,8 @@ def _zeros_over_f(reps: list[RationalPair]) -> list[ZeroCertificate]:
                     f"of {pairs[k]}, does not lie in F"
                 )
         found[j] = replace(cert, region="F")
-    return [found[j] for j in sorted(found)]
-
-
-def _merge_events(N: int, certs: list[ZeroCertificate]) -> list[tuple]:
-    """((k1, k2), (k1', k2'), tau0) for every two certificates of distinct
-    pairs within 1e-8 of each other, (k1, k2) and tau0 from the later one in
-    ``certs``, ordered by the later one's index, then the earlier one's.
-
-    A sweep over the certificates sorted by Re tau0 compares only those
-    within 1e-8 in Re, not every two of them."""
-    order = sorted(range(len(certs)), key=lambda i: certs[i].tau0.real)
-    close = []
-    for pos, i in enumerate(order):
-        for j in order[pos + 1 :]:
-            a, b = certs[i], certs[j]
-            if b.tau0.real - a.tau0.real >= 1e-8:
-                break
-            if abs(a.tau0 - b.tau0) < 1e-8 and a.torsion != b.torsion:
-                close.append((max(i, j), min(i, j)))
-    # a certificate's class (k1, k2), read off its pair (k1/N, k2/N)
-    key = lambda c: (int(c.torsion.r * N), int(c.torsion.s * N))
-    return [(key(certs[i]), key(certs[j]), certs[j].tau0) for j, i in sorted(close)]
-
-
-def count_mn_zeros(N: int, d: DomainSpec = F) -> MnZeroReport:
-    """Zeros of M_N = prod Z2 over the requested domain, with multiplicity.
-
-    Works per +-class of Q_N, whose pairs are real: each class has at most
-    one zero in F0, present exactly when its window representative lies in
-    one of the three open triangles D1, D2, D3.  Over F only the D1 classes
-    are hunted, in one ``_zeros_in_f0`` batch, and each zero is carried into
-    F with its pair (``_zeros_over_f``): Q_N is closed under SL(2, Z), and
-    the D1 classes are carried one-to-one onto the classes with a zero in F,
-    so P(N) = 2 * #(D1 classes).  Over F0 and F2 every class is hunted and
-    the zeros follow by the group action, ``_zeros_by_group_action``, the
-    path of ``locate_zeros``.
-
-    Every certificate counts with multiplicity 2 for its +- pair.
-    """
-    if not (3 <= N <= 120):
-        raise DomainError("desk-scale N only (3 <= N <= 120)")
-    reps = pm_class_reps(N)
-    if d.kind == "F":
-        certs = _zeros_over_f(reps)
-    else:
-        certs = _zeros_by_group_action([TorsionPair.of(rep.r, rep.s) for rep in reps], d)
-    return MnZeroReport(N, d.kind, 2 * len(certs), certs, _merge_events(N, certs))
+    certs = [found[j] for j in sorted(found)]
+    return MnZeroReport(N, 2 * len(certs), certs, _merge_events(N, certs))
 
 
 def valence_check(N: int) -> dict:
@@ -697,18 +665,17 @@ def valence_check(N: int) -> dict:
 
     interior zeros (over F) + nu_infinity must equal |Q_N|/4, with the cusp
     order measured both by the totient formula and by the decay slope of
-    log|M_N(iT)|; the orders at i and rho are checked to vanish by direct
-    non-zero evaluation.
+    log|M_N(iT)| between the heights 8 and 12; the orders at i and rho are
+    checked to vanish by direct non-zero evaluation.  N is capped as in
+    ``count_mn_zeros``.
     """
-    if not (3 <= N <= 12):
-        raise DomainError("desk-scale N only (3 <= N <= 12)")
-    nu_inf_formula = euler_phi(N) + euler_phi(Fraction(N, 2))
-    report = count_mn_zeros(N, F)
+    report = count_mn_zeros(N)
     interior = report.interior_count
+    nu_inf_formula = euler_phi(N) + euler_phi(Fraction(N, 2))
 
-    heights = (8.0, 10.0, 12.0)
+    heights = (8.0, 12.0)
     logs = [m_n(N, ModuliPoint.from_tau(1j * t)).log_abs for t in heights]
-    slope = (logs[0] - logs[-1]) / (_TWO_PI * (heights[-1] - heights[0]))
+    slope = (logs[0] - logs[1]) / (_TWO_PI * (heights[1] - heights[0]))
 
     rho = cmath.exp(1j * _PI / 3.0)
     mag_i = m_n(N, ModuliPoint.from_tau(1j)).log_abs

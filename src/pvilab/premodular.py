@@ -421,17 +421,15 @@ def z2_stable(p: TorsionPair, m) -> tuple[complex, float]:
     return series[:2] if series is not None else (values[3], values[8])
 
 
-def z2_stable_many(p, taus, counts=None) -> tuple[np.ndarray, np.ndarray]:
+def z2_stable_many(pairs, taus, counts) -> tuple[np.ndarray, np.ndarray]:
     """``z2_stable`` at every tau of an array, as (values, scales).
 
-    p is one TorsionPair for every tau, or, with ``counts``, a sequence of
-    pairs that own consecutive runs of taus: ``counts[k]`` of them for
-    ``p[k]``.  The taus are reduced once, for one kernel call and for
+    The pairs own consecutive runs of taus: ``counts[k]`` of them for
+    ``pairs[k]``.  The taus are reduced once, for one kernel call and for
     ``_carried``'s test as array arithmetic, whose points take their carried
     pair's series.  Lattice hits give NaN instead of raising.
     """
     taus = np.ascontiguousarray(taus, dtype=np.complex128)
-    pairs, counts = ([p], [len(taus)]) if counts is None else (p, counts)
     reduced = tred, a, b, c, d = _kernels.reduce_tau_many(taus)
     # a pair no series serves carries NaN, which the test below never picks
     rows = [(*q.as_complex(), *(q._carry or (math.nan, math.nan, 1))) for q in pairs]

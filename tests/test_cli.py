@@ -10,6 +10,7 @@ import pytest
 
 from pvilab._backend import backend_name
 from pvilab.cli import main
+from pvilab.orbits import p_of_n
 from pvilab.report import (
     Report,
     format_complex,
@@ -102,6 +103,22 @@ def test_count_n8_formula_row(tmp_path):
     assert res["P"] == 6
     assert res["solutions"] == 3
     assert res["poles_per_solution"] == 6
+
+
+def test_count_reports_the_valence_past_n_12(tmp_path):
+    code, text = run_cli(["count", "--N", "13"], tmp_path)
+    assert code == 0
+    res = Report.from_json(text).results
+    assert res["valence"]["interior"] == 30 == res["P"]
+    assert res["valence"]["balance_exact"] is True
+
+
+def test_count_past_the_cap_reports_no_valence(tmp_path):
+    code, text = run_cli(["count", "--N", "121"], tmp_path)
+    assert code == 0
+    res = Report.from_json(text).results
+    assert "valence" not in res and "merge_events" not in res
+    assert res["P"] == p_of_n(121)
 
 
 # --- orbits -----------------------------------------------------------------

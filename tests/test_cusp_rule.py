@@ -103,7 +103,7 @@ def batch():
     pairs = [TorsionPair.of(r, s) for _, r, s, _ in CASES]
     taus = np.array([tau for *_, tau in CASES])
     grouped = z2_stable_many(pairs, taus, [1] * len(pairs))
-    alone = [z2_stable_many(p, taus[k : k + 1]) for k, p in enumerate(pairs)]
+    alone = [z2_stable_many([p], taus[k : k + 1], [1]) for k, p in enumerate(pairs)]
     return grouped, alone
 
 

@@ -29,7 +29,10 @@ ATTENUATION_FLOOR = 1e-3
 
 def _batch(pair, taus):
     r, s = pair.as_complex()
-    return _kernels.z2_many(r, s, np.ascontiguousarray(taus, dtype=np.complex128))
+    taus = np.ascontiguousarray(taus, dtype=np.complex128)
+    n = len(taus)
+    reduced = _kernels.reduce_tau_many(taus)
+    return _kernels.z2_many(np.full(n, r), np.full(n, s), taus, reduced)
 
 
 def _scalar(pair, taus):
@@ -152,8 +155,7 @@ def _seeded_pairs(n, seed):
 
 def test_per_point_pairs_match_per_pair_calls():
     # seeded pairs on the F0, F and F2 grids, then a pair whose alpha hits
-    # the lattice at tau0; each group is checked against its own call with
-    # scalar r, s
+    # the lattice at tau0; each group is checked against its own call
     tau0 = 0.3 + 0.8j
     groups = [
         (pair, _interior_grid(d, 29, 25))
@@ -164,7 +166,7 @@ def test_per_point_pairs_match_per_pair_calls():
     r = np.concatenate([np.full(len(g), p.as_complex()[0]) for p, g in groups])
     s = np.concatenate([np.full(len(g), p.as_complex()[1]) for p, g in groups])
     assert len(taus) > _kernels._BLOCK
-    vals, scales = _kernels.z2_many(r, s, taus)
+    vals, scales = _kernels.z2_many(r, s, taus, _kernels.reduce_tau_many(taus))
     ref = [_batch(pair, g) for pair, g in groups]
     assert np.array_equal(vals, np.concatenate([v for v, _ in ref]), equal_nan=True)
     assert np.array_equal(scales, np.concatenate([sc for _, sc in ref]), equal_nan=True)
@@ -182,7 +184,7 @@ def test_grouped_stable_batch_matches_per_pair_calls():
     taus = [_interior_grid(F0, 29, 25)[k::3] for k in range(3)]
     sizes = [len(t) for t in taus]
     vals, scales = z2_stable_many(pairs, np.concatenate(taus), sizes)
-    ref = [z2_stable_many(pair, t) for pair, t in zip(pairs, taus)]
+    ref = [z2_stable_many([pair], t, [len(t)]) for pair, t in zip(pairs, taus)]
     for got, want in zip((vals, scales), zip(*ref)):
         assert np.array_equal(got, np.concatenate(want), equal_nan=True)
     # the series is not vacuous: both cusp pairs move off the kernel's values

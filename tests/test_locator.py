@@ -131,7 +131,7 @@ def test_winding_evaluates_initial_samples_of_all_pieces_at_once(monkeypatch):
     numeric = [p for p in pieces if not isinstance(p, locator._Jump)]
     sizes = []
 
-    def counted(p, taus, counts=None):
+    def counted(p, taus, counts):
         sizes.append(len(taus))
         return z2_stable_many(p, taus, counts)
 
@@ -241,7 +241,7 @@ def test_evaluator_and_z2_stable_share_the_series_switch(r, s):
     # that reduces tau, has s' in (1/2)Z: there Z2 is that pair's cusp series
     # at the reduced point over j^3, elsewhere the direct value
     pair = TorsionPair.of(r, s)
-    vals, scales = z2_stable_many(pair, _FRAME_TAUS)
+    vals, scales = z2_stable_many([pair], _FRAME_TAUS, [len(_FRAME_TAUS)])
     on_series = 0
     for tau, val, scale in zip(map(complex, _FRAME_TAUS), vals, scales):
         m = ModuliPoint.from_tau(tau)
@@ -480,17 +480,29 @@ def test_batched_hunt_raises_for_a_pair_no_start_resolves(monkeypatch):
     [(3, 0), (4, 0), (5, 2), (6, 2), (7, 6), (12, 18), (17, 56), (24, 84), (77, 1380)],
 )
 def test_mn_zero_count_over_modular_domain(N, count):
-    rep = count_mn_zeros(N, F)
+    rep = count_mn_zeros(N)
     assert rep.interior_count == count == p_of_n(N)
     assert rep.merge_events == []
 
 
 @pytest.mark.slow
-@pytest.mark.parametrize("N", range(13, 121))
-def test_mn_zero_count_over_modular_domain_sweep(N):
-    rep = count_mn_zeros(N, F)
-    assert rep.interior_count == p_of_n(N)
-    assert rep.merge_events == []
+@pytest.mark.parametrize("N", range(13, locator.MAX_N + 1))
+def test_valence_bookkeeping_sweep(N):
+    v = valence_check(N)
+    assert v["interior_count"] == p_of_n(N)
+    assert v["balance_exact"]
+    assert abs(v["nu_inf_slope"] - v["nu_inf_formula"]) < 0.1
+    assert v["nu_i_zero"] and v["nu_rho_zero"]
+    assert v["merge_events"] == []
+
+
+@pytest.mark.parametrize(
+    "call,N", [(count_mn_zeros, 121), (count_mn_zeros, 2), (valence_check, 121)]
+)
+def test_result_i_pipeline_is_capped(call, N):
+    assert locator.MAX_N == 120
+    with pytest.raises(DomainError):
+        call(N)
 
 
 def _d1_classes(N):
@@ -534,7 +546,7 @@ def test_mn_zero_count_keeps_two_classes_at_one_point(monkeypatch):
     a, b = [
         c for c in pm_class_reps(7) if classify_triangle(TorsionPair.of(c.r, c.s)).tag == "D1"
     ][:2]
-    rep = count_mn_zeros(7, F)
+    rep = count_mn_zeros(7)
     assert rep.interior_count == 4
     assert rep.merge_events == [((a.k1, a.k2), (b.k1, b.k2), tau0)]
 
@@ -556,7 +568,7 @@ def test_mn_zero_count_raises_for_two_classes_carried_to_one(monkeypatch):
     monkeypatch.setattr(locator, "classify_triangle", d2_class_as_d1)
     one_class = f"and {re.escape(str(extra))} carry to one class"
     with pytest.raises(IncoherentWinding, match=one_class):
-        count_mn_zeros(N, F)
+        count_mn_zeros(N)
 
 
 def test_mn_zero_count_raises_for_a_polished_zero_outside_f(monkeypatch):
@@ -570,7 +582,7 @@ def test_mn_zero_count_raises_for_a_polished_zero_outside_f(monkeypatch):
 
     monkeypatch.setattr(locator, "_certify", moved)
     with pytest.raises(IncoherentWinding, match="does not lie in F"):
-        count_mn_zeros(36, F)
+        count_mn_zeros(36)
 
 
 def test_result_ii_four_pole_free_solutions():
@@ -581,18 +593,32 @@ def test_result_ii_four_pole_free_solutions():
     assert pole_free == [3, 4]
     assert [pole_count(N) for N in pole_free] == [(1, 0), (3, 0)]
     assert sum(pole_count(N)[0] for N in pole_free) == 4
-    assert [count_mn_zeros(N, F).interior_count for N in pole_free] == [0, 0]
+    assert [count_mn_zeros(N).interior_count for N in pole_free] == [0, 0]
 
 
-@pytest.mark.parametrize("N", [3, 4, 5, 6])
+def _f0_zeros(p):
+    """The triangle rule: a real pair has one zero in F0 exactly when its
+    window representative lies in D1, D2 or D3, and none otherwise."""
+    return int(classify_triangle(p).tag in ("D1", "D2", "D3"))
+
+
+@pytest.mark.parametrize("N", range(3, 9))
 def test_mn_zero_count_aggregates(N):
-    assert count_mn_zeros(N, F0).interior_count == 3 * p_of_n(N)
-    assert count_mn_zeros(N, F2).interior_count == 6 * p_of_n(N)
+    # each +-class located alone over F0 and F2, with its count from the
+    # triangle rule (over F2, its own F0 zero and that of (r + s, s)), and
+    # weighted 2 for its +- pair: M_N has 3 P(N) zeros over F0, 6 P(N) over F2
+    pairs = [TorsionPair.of(c.r, c.s) for c in pm_class_reps(N)]
+    over_f0 = sum(len(locate_zeros(p, F0, expected=_f0_zeros(p))) for p in pairs)
+    over_f2 = sum(
+        len(locate_zeros(p, F2, expected=_f0_zeros(p) + _f0_zeros(_t_shifted(p.r, p.s))))
+        for p in pairs
+    )
+    assert (2 * over_f0, 2 * over_f2) == (3 * p_of_n(N), 6 * p_of_n(N))
 
 
 def test_mn_zeros_n5_geometry():
     # P(5) = 2 realised as one point of multiplicity two
-    rep = count_mn_zeros(5, F)
+    rep = count_mn_zeros(5)
     assert rep.interior_count == 2
     assert len(rep.certificates) == 1
     tau0 = rep.certificates[0].tau0
@@ -615,7 +641,7 @@ def test_valence_builds_each_cusp_expansion_once(N, monkeypatch):
     monkeypatch.setattr(
         premodular, "z2_cusp_expansion", lambda p: built.append(p) or expansion(p)
     )
-    # M_N is taken at three heights, each in the frame of infinity: one build
+    # M_N is taken at two heights, each in the frame of infinity: one build
     # per pair of Q_N with s in {0, 1/2}, not one per height, and none for
     # the pairs the hunts' frames carry to one of them
     premodular._series_of.cache_clear()
@@ -628,9 +654,19 @@ def test_valence_builds_each_cusp_expansion_once(N, monkeypatch):
     assert on_cusp and sorted(map(str, built)) == sorted(map(str, on_cusp))
 
 
+@pytest.mark.parametrize("N", [5, 12])
+def test_valence_evaluates_m_n_four_times(N, monkeypatch):
+    # the slope reads the heights 8 and 12, then M_N is taken at i and rho
+    taus = []
+    mn = locator.m_n
+    monkeypatch.setattr(locator, "m_n", lambda n, m: taus.append(m.tau) or mn(n, m))
+    valence_check(N)
+    assert taus == [8j, 12j, 1j, cmath.exp(1j * PI / 3.0)]
+
+
 def test_valence_takes_series_factors_without_a_kernel_call(monkeypatch):
-    # at the heights 8, 10 and 12 the factors with s in {0, 1/2} come from
-    # the cusp series alone, with no premodular_at call for a discarded scale
+    # at the heights 8 and 12 the factors with s in {0, 1/2} come from the
+    # cusp series alone, with no premodular_at call for a discarded scale
     from pvilab import _kernels
 
     calls = []
@@ -641,7 +677,7 @@ def test_valence_takes_series_factors_without_a_kernel_call(monkeypatch):
 
     monkeypatch.setattr(_kernels, "premodular_at", counted)
     valence_check(6)
-    heights = [tau for _, tau in calls if tau in (8j, 10j, 12j)]
+    heights = [tau for _, tau in calls if tau in (8j, 12j)]
     on_series = [tau for s, tau in calls if tau in heights and (2 * s).real % 1 == 0]
     assert on_series == []
     assert any(Fraction(2 * rp.k2, 6).denominator == 1 for rp in enumerate_qn(6))

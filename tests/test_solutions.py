@@ -200,6 +200,29 @@ def test_pole_test_z2_zero_kind():
         assert sv.is_pole and math.isinf(abs(sv.lam)), (r, s)
 
 
+@pytest.mark.xfail(
+    strict=True,
+    reason="lambda_rs reads the direct kernel Z2, not the cusp rule, in its pole "
+    "decision; on cusp-series frames that value is cancellation noise",
+)
+@pytest.mark.parametrize(
+    "r,s,tau",
+    [
+        (QUARTER, 0, 5j),
+        (THIRD, 0, 1 / 3 + 0.02j),
+        (QUARTER, QUARTER, 1 / 3 + 0.02j),
+    ],
+    ids=str,
+)
+def test_pole_free_solutions_report_no_pole_near_a_cusp(r, s, tau):
+    # result (ii): the solutions of N = 3 and 4 have no poles; by the cusp
+    # rule |Z2|/scale is 1 at each of these points
+    pair, m = TorsionPair.of(r, s), ModuliPoint.from_tau(tau)
+    value, scale = z2_stable(pair, m)
+    assert abs(value) > 0.5 * scale
+    assert not lambda_rs(pair, m).is_pole
+
+
 # --- reflection symmetries --------------------------------------------------
 
 
