@@ -14,7 +14,6 @@ from .elliptic import (
     LatticeData,
     ModuliPoint,
     invariants_g,
-    quasi_periods,
     weierstrass_p,
     weierstrass_zeta,
 )
@@ -109,7 +108,6 @@ __all__ = [
     "pole_count",
     "PviLabError",
     "qn_size",
-    "quasi_periods",
     "RationalPair",
     "SolutionValue",
     "t_of_tau",

@@ -4,10 +4,14 @@ Two paths share one evaluation strategy.  The scalar kernels
 (``premodular_at``, ``lattice_values`` and the helpers they call) are
 nopython-compatible and wrapped by ``@njit``, which compiles them when
 numba is installed and is the identity otherwise (see ``_backend``); Newton
-steps, ``m_n`` and ``lambda_rs`` use them.  ``premodular_at`` is the
-tau-only prologue ``lattice_constants`` followed by the per-pair part
-``premodular_from``, so a caller with many pairs at one tau, such as
-``m_n``, runs the prologue once.  The batch kernel ``z2_many`` is NumPy
+steps, ``m_n`` and ``lambda_rs`` use them.  Every scalar value of wp runs
+one path: the tau-only prologue ``lattice_constants`` followed by the
+per-argument part ``elliptic_from`` (steps 2-4 below).  ``elliptic_at`` is
+that pair at one z, ``lattice_values`` takes e1, e2, e3 from it at the three
+half-periods on one prologue, and ``premodular_from`` builds Z and Z2 on it;
+``premodular_at`` runs the prologue first, so a caller with many pairs at
+one tau, such as ``m_n``, calls ``premodular_from`` and runs the prologue
+once.  The batch kernel ``z2_many`` is NumPy
 code under either backend: it runs the same steps on arrays of tau, in
 blocks of at most ``_BLOCK`` points, with r and s given per point.  Each
 point leaves ``reduce_tau_many`` where ``reduce_tau`` stops.  The series
@@ -204,8 +208,10 @@ def lattice_constants(tau):
 @njit
 def elliptic_from(z, tau, consts):
     """``elliptic_at`` with its lattice prologue given: consts is
-    ``lattice_constants(tau)``, which depends on tau alone."""
-    tred, qred, j, eta1_r, eta1, eta2, g2, g3, tail_e, _ = consts
+    ``lattice_constants(tau)``, which depends on tau alone.  Slot 8 of the
+    bundle is the ``wz_series`` tail, which ``lattice_values`` sums into its
+    err."""
+    tred, qred, j, eta1_r, eta1, eta2, g2, g3, _, _ = consts
     eta2_r = tred * eta1_r - 2j * _PI
     j2 = j * j
 
@@ -220,21 +226,17 @@ def elliptic_from(z, tau, consts):
     wp = wp_r / j2
     wpp = wpp_r / (j2 * j)
     zeta = zeta_r / j
-
-    amp = abs(wp_r) + abs(wpp_r) + abs(zeta_r) + 1.0
-    err = (tail + tail_e + 10.0 * _EPS * amp) / max(1.0, abs(j))
-    return wp, wpp, zeta, eta1, eta2, g2, g3, dist, err
+    return wp, wpp, zeta, eta1, eta2, g2, g3, dist, tail
 
 
 @njit
 def elliptic_at(z, tau):
     """Full evaluation bundle at arbitrary (z, tau), Im tau > 0.
 
-    Returns (wp, wp', zeta, eta1, eta2, g2, g3, dist, err) where dist is the
-    reduced-cell distance of z from the lattice and err is a crude absolute
-    error estimate (truncation tail + 10 eps amplification).  When
-    dist < 1e-12 the series values are returned as NaN; callers must check
-    dist before trusting them.
+    Returns (wp, wp', zeta, eta1, eta2, g2, g3, dist, tail) where dist is the
+    reduced-cell distance of z from the lattice and tail the truncation tail
+    of ``wz_series`` at the reduced argument.  When dist < 1e-12 the series
+    values (and tail) are NaN; callers must check dist before trusting them.
     """
     return elliptic_from(z, tau, lattice_constants(tau))
 
@@ -243,37 +245,19 @@ def elliptic_at(z, tau):
 def lattice_values(tau):
     """Quasi-periods, invariants and half-period values at tau.
 
-    Returns (eta1, eta2, g2, g3, e1, e2, e3, err).
+    Returns (eta1, eta2, g2, g3, e1, e2, e3, err): e1, e2, e3 are wp at the
+    half-periods 1/2, tau/2, (1 + tau)/2 from ``elliptic_from`` on one
+    ``lattice_constants(tau)``, and err sums the three series tails, the
+    Eisenstein tail and a 10 eps amplification term.
     """
-    tred, qred, j, eta1_r, eta1, eta2, g2, g3, tail_e, _ = lattice_constants(tau)
-    j2 = j * j
-
-    e1 = complex(0.0, 0.0)
-    e2v = complex(0.0, 0.0)
-    e3v = complex(0.0, 0.0)
-    tails = 0.0
-    for idx in range(3):
-        if idx == 0:
-            zk = complex(0.5, 0.0)
-        elif idx == 1:
-            zk = 0.5 * tau
-        else:
-            zk = 0.5 * (1.0 + tau)
-        zr = zk / j
-        z0, m, n, dist, _, _ = reduce_z(zr, tred)
-        wp_r, wpp_r, zt_part, tail = wz_series(z0, tred, qred)
-        tails += tail
-        val = wp_r / j2
-        if idx == 0:
-            e1 = val
-        elif idx == 1:
-            e2v = val
-        else:
-            e3v = val
-
-    amp = abs(e1) + abs(e2v) + abs(e3v) + abs(g2) + abs(eta1) + 1.0
-    err = tails + tail_e + 10.0 * _EPS * amp
-    return eta1, eta2, g2, g3, e1, e2v, e3v, err
+    consts = lattice_constants(tau)
+    _, _, _, _, eta1, eta2, g2, g3, tail_e, _ = consts
+    e1, _, _, _, _, _, _, _, t1 = elliptic_from(complex(0.5, 0.0), tau, consts)
+    e2, _, _, _, _, _, _, _, t2 = elliptic_from(0.5 * tau, tau, consts)
+    e3, _, _, _, _, _, _, _, t3 = elliptic_from(0.5 * (1.0 + tau), tau, consts)
+    amp = abs(e1) + abs(e2) + abs(e3) + abs(g2) + abs(eta1) + 1.0
+    err = t1 + t2 + t3 + tail_e + 10.0 * _EPS * amp
+    return eta1, eta2, g2, g3, e1, e2, e3, err
 
 
 @njit
@@ -282,18 +266,18 @@ def premodular_from(r, s, tau, consts):
     ``lattice_constants(tau)``, so a caller evaluating many pairs at one tau
     computes it once."""
     alpha = r + s * tau
-    wp, wpp, zeta, eta1, eta2, g2, g3, dist, err = elliptic_from(alpha, tau, consts)
+    wp, wpp, zeta, eta1, eta2, g2, g3, dist, _ = elliptic_from(alpha, tau, consts)
     z = zeta - r * eta1 - s * eta2
     z2 = z * z * z - 3.0 * wp * z - wpp
     scale = abs(z) ** 3 + 3.0 * abs(wp) * abs(z) + abs(wpp)
-    return z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, err, consts
+    return z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, consts
 
 
 @njit
 def premodular_at(r, s, tau):
     """Hecke form and premodular form for torsion parameters (r, s) at tau.
 
-    Returns (Z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, err, consts)
+    Returns (Z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, consts)
     where z2 = Z^3 - 3*wp*Z - wpp, scale = |Z|^3 + 3|wp||Z| + |wpp| (the
     three-term combination's natural magnitude), dist is the reduced-cell
     distance of alpha = r + s*tau from the lattice and consts the

@@ -86,25 +86,6 @@ def weierstrass_zeta(z: complex, m) -> complex:
     return _elliptic_at(z, m)[2]
 
 
-def quasi_periods(m) -> tuple[complex, complex]:
-    """(eta1, eta2) with tau*eta1 - eta2 = 2*pi*i.
-
-    eta1 comes from the Eisenstein series E2; eta2 from the Legendre
-    relation, cross-checked against the independent value 2*zeta(tau/2|tau).
-    """
-    m = _as_point(m)
-    eta1, eta2, g2, g3, e1, e2, e3, err = _kernels.lattice_values(m.tau)
-    # Cross-check: oddness + quasi-periodicity force eta2 = 2*zeta(tau/2).
-    zeta_half = _kernels.elliptic_at(0.5 * m.tau, m.tau)[2]
-    resid = abs(2.0 * zeta_half - eta2)
-    scale = 1.0 + abs(eta1) + abs(eta2)
-    if resid > 1e-9 * scale:  # pragma: no cover - internal consistency guard
-        raise DomainError(
-            f"quasi-period cross-check failed at tau = {m.tau}: residual {resid:.3e}"
-        )
-    return eta1, eta2
-
-
 def invariants_g(m) -> LatticeData:
     """Invariants g2, g3, half-period values e_k and quasi-periods at tau."""
     m = _as_point(m)

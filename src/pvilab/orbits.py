@@ -62,6 +62,22 @@ class RationalPair:
         return min(self, neg, key=lambda p: (p.k1, p.k2))
 
 
+def _prime_divisors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, in increasing order, by trial
+    division."""
+    primes = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            while n % p == 0:
+                n //= p
+            primes.append(p)
+        p += 1 if p == 2 else 2
+    if n > 1:
+        primes.append(n)
+    return primes
+
+
 def euler_phi(n: Union[int, Fraction, float]) -> int:
     """Euler totient, extended by 0 to non-integer arguments."""
     if isinstance(n, float):
@@ -75,16 +91,8 @@ def euler_phi(n: Union[int, Fraction, float]) -> int:
     if n < 1:
         raise ValueError("argument must be positive")
     result = n
-    m = n
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            result -= result // p
-        p += 1 if p == 2 else 2
-    if m > 1:
-        result -= result // m
+    for p in _prime_divisors(n):
+        result -= result // p
     return result
 
 
@@ -103,16 +111,8 @@ def enumerate_qn(N: int) -> list[RationalPair]:
 def qn_size(N: int) -> int:
     """|Q_N| = N^2 prod_{p | N} (p^2 - 1)/p^2, exactly."""
     size = N * N
-    m = N
-    p = 2
-    while p * p <= m:
-        if m % p == 0:
-            while m % p == 0:
-                m //= p
-            size = size // (p * p) * (p * p - 1)
-        p += 1 if p == 2 else 2
-    if m > 1:
-        size = size // (m * m) * (m * m - 1)
+    for p in _prime_divisors(N):
+        size = size // (p * p) * (p * p - 1)
     return size
 
 

@@ -154,10 +154,6 @@ class TorsionPair:
     def as_complex(self) -> tuple[complex, complex]:
         return complex(self.r), complex(self.s)
 
-    def alpha(self, tau: complex) -> complex:
-        r, s = self.as_complex()
-        return r + s * tau
-
     def reduced_real(self) -> tuple[float, float]:
         """Representative of +-(r, s) mod Z^2 in the window [0,1) x [0,1/2].
 
@@ -254,7 +250,7 @@ def z2_with_derivative(p: TorsionPair, m) -> tuple[complex, float, complex]:
     """``z2_stable`` together with dZ2/dtau: from the same cusp series where
     the rule takes it, else in closed form from the one kernel call (module
     docstring).  Newton's step reads it instead of differencing Z2."""
-    z, wp, wpp, z2v, g2, _, eta1, _, scale, _, _, consts = _premodular_at(p, m)
+    z, wp, wpp, z2v, g2, _, eta1, _, scale, _, consts = _premodular_at(p, m)
     series = _on_series(p, consts)
     if series is not None:
         return series
@@ -417,7 +413,7 @@ def z2_stable(p: TorsionPair, m) -> tuple[complex, float]:
     """Z2 and its scale by the cusp rule (module docstring): the carried
     pair's series where the rule applies, else the kernel's direct value."""
     values = _premodular_at(p, m)
-    series = _on_series(p, values[11])
+    series = _on_series(p, values[10])
     return series[:2] if series is not None else (values[3], values[8])
 
 
@@ -465,9 +461,6 @@ class MnValue:
     log_abs: float
     arg: float
     raw: Optional[complex]
-
-    def magnitude(self) -> float:
-        return math.exp(self.log_abs) if self.log_abs < 700.0 else math.inf
 
 
 # Bounded: each N holds |Q_N| pairs for the process.

@@ -3,13 +3,12 @@
 Serialisation rules: keys sorted, floats rendered as %.15e, complex numbers
 as "a+bi" strings, rationals as "p/q" strings.  A report parsed back from
 its own serialisation re-serialises byte-identically (float -> %.15e text ->
-float is idempotent after the first round trip).  Timings are carried in a
-separate field excluded from the determinism hash.
+float is idempotent after the first round trip).  Wall times are carried in
+``diagnostics.timings``, the one field that differs between two runs.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 from dataclasses import dataclass, field
@@ -30,23 +29,11 @@ def format_complex(z: complex) -> str:
 
 
 def parse_complex(text: str) -> complex:
+    """Text such as "a+bi", "a+bj" or "-i", spaces allowed, as a complex."""
     t = text.strip().replace(" ", "")
-    if t in ("inf", "+inf"):
-        return complex(math.inf, 0.0)
-    if t.endswith("j"):
-        t = t[:-1] + "i"
-    if not t.endswith("i"):
-        return complex(float(t), 0.0)
-    body = t[:-1]
-    # split at the sign of the imaginary part (not inside an exponent)
-    for k in range(len(body) - 1, 0, -1):
-        c = body[k]
-        if c in "+-" and body[k - 1] not in "eE":
-            re = float(body[:k]) if body[:k] not in ("", "+", "-") else 0.0
-            imtxt = body[k:]
-            im = 1.0 if imtxt == "+" else -1.0 if imtxt == "-" else float(imtxt)
-            return complex(re, im)
-    return complex(0.0, float(body) if body not in ("", "+", "-") else 1.0)
+    if t.endswith("i"):
+        t = t[:-1] + "j"
+    return complex(t)
 
 
 def parse_rational_or_float(text: str):
@@ -109,12 +96,3 @@ class Report:
             diagnostics=raw.get("diagnostics", {}),
             version=raw.get("version", ""),
         )
-
-    def determinism_hash(self) -> str:
-        """Hash of the payload with timing diagnostics stripped."""
-        payload = json.loads(self.to_json())
-        diag = payload.get("diagnostics", {})
-        diag.pop("timings", None)
-        return hashlib.sha256(
-            json.dumps(payload, sort_keys=True).encode()
-        ).hexdigest()

@@ -101,7 +101,7 @@ def _wp_of_p_expansion(pair: TorsionPair, m: ModuliPoint) -> complex:
                 + (g2/20 + 2 g2/135 + g3/(6 c0^2) - c0^4/81) a^2 + O(a^3).
     """
     rt, st, a = _lattice_shift(pair, m.tau)
-    eta1, eta2, g2, g3, e1, e2, e3, err = _kernels.lattice_values(m.tau)
+    *_, eta1, eta2, g2, g3, _, _ = _kernels.lattice_constants(m.tau)
     c0 = rt * eta1 + st * eta2
     if abs(c0) < 1e-10:
         raise Degenerate(

@@ -37,6 +37,9 @@ def test_parse_complex_forms():
     assert parse_complex("3") == 3 + 0j
     assert parse_complex("2i") == 2j
     assert parse_complex("1.2e-3+4.5e-6i") == 1.2e-3 + 4.5e-6j
+    assert parse_complex("-i") == -1j
+    assert parse_complex("i") == 1j
+    assert parse_complex(" 1 - 2i ") == 1 - 2j
 
 
 def test_parse_rational_and_float():
@@ -72,11 +75,13 @@ def test_eval_determinism(tmp_path):
     args = ["eval", "--r", "1/3", "--s", "0", "--tau", "0.2+1.2i"]
     _, a = run_cli(args, tmp_path)
     _, b = run_cli(args, tmp_path)
-    ra, rb = Report.from_json(a), Report.from_json(b)
-    assert ra.determinism_hash() == rb.determinism_hash()
+    pa, pb = json.loads(a), json.loads(b)
+    for payload in (pa, pb):
+        payload["diagnostics"].pop("timings")
+    assert pa == pb
     # round-trip: parse + re-serialise is byte-identical
     assert Report.from_json(a).to_json() == Report.from_json(a).to_json()
-    assert json.loads(a)["results"] == json.loads(rb.to_json())["results"]
+    assert json.loads(a)["results"] == json.loads(Report.from_json(b).to_json())["results"]
 
 
 # --- count ------------------------------------------------------------------
@@ -291,6 +296,12 @@ def test_verify_prints_summary_and_exit_code(monkeypatch, capsys):
     assert [line for line in out if line.startswith("    ")] == [
         f"    detail {i}" for i in range(8)
     ]
+
+
+def test_lower_half_plane_tau_is_a_domain_error(capsys):
+    # -i parses as -1j, below the real axis, not as +1j
+    assert main(["eval", "--r", "1/4", "--s", "0", "--tau=-i"]) == 1
+    assert "error: DomainError" in capsys.readouterr().err
 
 
 def test_degenerate_pair_is_usage_error():

@@ -16,7 +16,6 @@ from pvilab import oracles
 from pvilab.elliptic import (
     ModuliPoint,
     invariants_g,
-    quasi_periods,
     weierstrass_p,
     weierstrass_zeta,
 )
@@ -85,7 +84,8 @@ def test_zeta_oddness():
 
 def test_zeta_quasi_periodicity():
     m = ModuliPoint.from_tau(0.3 + 1.2j)
-    eta1, eta2 = quasi_periods(m)
+    lat = invariants_g(m)
+    eta1, eta2 = lat.eta1, lat.eta2
     z = 0.1 + 0.4j
     lhs = weierstrass_zeta(z + 1.0, m) - weierstrass_zeta(z, m)
     assert abs(lhs - eta1) <= 1e-12 * (1 + abs(eta1))
@@ -103,25 +103,37 @@ def test_zeta_laurent_near_origin():
     assert abs(val - 1.0 / z) <= C * abs(z) ** 3 * (1.0 + 1e-4)
 
 
-# --- quasi_periods ----------------------------------------------------------
+# --- quasi-periods ----------------------------------------------------------
 
 
 def test_legendre_relation_at_2i():
     m = ModuliPoint.from_tau(2j)
-    eta1, eta2 = quasi_periods(m)
-    assert abs(m.tau * eta1 - eta2 - 2j * PI) <= 1e-12
+    lat = invariants_g(m)
+    assert abs(m.tau * lat.eta1 - lat.eta2 - 2j * PI) <= 1e-12
 
 
 def test_eta1_is_twice_zeta_half():
     m = ModuliPoint.from_tau(0.4 + 0.9j)
-    eta1, _ = quasi_periods(m)
+    eta1 = invariants_g(m).eta1
     assert abs(eta1 - 2.0 * weierstrass_zeta(0.5, m)) <= 1e-12 * (1 + abs(eta1))
+
+
+@pytest.mark.parametrize("tau", [1j, 0.4 + 0.9j, 0.3 + 1.2j, -1.7 + 0.05j, 2.2 + 6.0j])
+def test_eta2_is_twice_zeta_half_tau(tau):
+    # oddness and quasi-periodicity force eta2 = 2 zeta(tau/2): an independent
+    # check of the Legendre-relation eta2 against the zeta series
+    m = ModuliPoint.from_tau(tau)
+    lat = invariants_g(m)
+    zeta_half = weierstrass_zeta(0.5 * m.tau, m)
+    scale = 1.0 + abs(lat.eta1) + abs(lat.eta2)
+    assert abs(2.0 * zeta_half - lat.eta2) <= 1e-9 * scale
 
 
 def test_eta1_at_square_lattice_is_pi():
     # rotation symmetry of the square lattice forces eta2(i) = -i eta1(i);
     # the Legendre relation then pins eta1(i) = pi.
-    eta1, eta2 = quasi_periods(ModuliPoint.from_tau(1j))
+    lat = invariants_g(ModuliPoint.from_tau(1j))
+    eta1, eta2 = lat.eta1, lat.eta2
     assert abs(eta1 - PI) <= 1e-12
     assert abs(eta2 + 1j * PI) <= 1e-12
 

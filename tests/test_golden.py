@@ -23,6 +23,11 @@ REPORTS = [
         ["eval", "--r", "1/3", "--s", "0", "--tau", "0.2+1.2i"],
         "dcfd084fe5e3f378387003c1d7c7b66726ef52e943ac113565a25e4ce8406db3",
     ),
+    # |alpha - lattice| = 1e-3, below EXPANSION_SWITCH: the Laurent path
+    (
+        ["eval", "--r=-0.099-0.6i", "--s", "1/2", "--tau", "0.2+1.2i"],
+        "8bcc53d2aa7e76faf0a3eb9c69fe8a7b9c62049ae5f8951c42d5d94d25882b23",
+    ),
     (
         ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F0"],
         "0c529927ac004a5e3216155e676a0b2412c985a56ad0fba30a4a23fc77423f7d",

@@ -335,7 +335,7 @@ def test_mn_nonzero_at_corner_points():
     for tau in (rho, 1j):
         v = m_n(3, ModuliPoint.from_tau(tau))
         assert math.isfinite(v.log_abs)
-        assert v.magnitude() > 0
+        assert v.log_abs > -math.inf
 
 
 def test_mn_translation_invariance():
