@@ -55,7 +55,6 @@ from .orbits import (
     qn_size,
 )
 from .premodular import (
-    MnValue,
     TorsionPair,
     cusp_asymptotic,
     hecke_Z,
@@ -96,7 +95,6 @@ __all__ = [
     "LatticeData",
     "locate_zeros",
     "m_n",
-    "MnValue",
     "ModularMatrix",
     "ModuliPoint",
     "NearLattice",

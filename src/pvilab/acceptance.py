@@ -312,18 +312,16 @@ def criterion_6() -> CriterionResult:
             details.append(f"pole_count({N}) = {pole_count(N)} != {(nsol, per)}")
     for N in (3, 4, 5, 6):
         v = valence_check(N)  # counts the zeros of M_N over F
-        if v["interior_count"] != p_of_n(N):
+        if v["interior"] != p_of_n(N):
             ok = False
-            details.append(
-                f"locator count {v['interior_count']} != P({N}) = {p_of_n(N)}"
-            )
+            details.append(f"locator count {v['interior']} != P({N}) = {p_of_n(N)}")
         if not v["balance_exact"]:
             ok = False
             details.append(f"valence balance failed for N={N}: {v}")
-        if v["slope_mismatch"]:
+        if abs(v["cusp_order_slope"] - v["cusp"]) > 0.1:
             ok = False
             details.append(
-                f"cusp-order slope {v['nu_inf_slope']:.3f} vs {v['nu_inf_formula']}"
+                f"cusp-order slope {v['cusp_order_slope']:.3f} vs {v['cusp']}"
             )
     details.insert(0, f"table (N: P, solutions, poles/solution) = {POLE_TABLE}")
     return CriterionResult(6, "pole-count tables and valence", ok, time.time() - t0, details)

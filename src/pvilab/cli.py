@@ -28,7 +28,7 @@ from .errors import (
     IncoherentWinding,
     PviLabError,
 )
-from .elliptic import ModuliPoint, invariants_g
+from .elliptic import ModuliPoint
 from .locator import (
     MAX_N,
     DomainSpec,
@@ -50,10 +50,6 @@ from .report import Report, parse_rational_or_float
 from .solutions import lambda_rs
 
 CSV_HEADER = "re,im,value_re,value_im,abs,winding"
-
-
-def _domain(args) -> DomainSpec:
-    return DomainSpec(args.domain, truncation_height=args.T)
 
 
 def number(text: str):
@@ -102,7 +98,6 @@ def _cmd_eval(args) -> int:
     m = ModuliPoint.from_tau(complex(args.tau))
     t0 = time.time()
     sv = lambda_rs(pair, m)
-    lat = invariants_g(m)
     results = {
         "t": sv.t,
         "wp_p": sv.wp_p,
@@ -112,13 +107,13 @@ def _cmd_eval(args) -> int:
         "alpha": sv.alpha,
     }
     inputs = {"r": pair.r, "s": pair.s, "tau": m.tau}
-    _emit(_report("eval", inputs, results, t0, est_error=lat.est_error), args)
+    _emit(_report("eval", inputs, results, t0, est_error=sv.est_error), args)
     return 0
 
 
 def _cmd_zeros(args) -> int:
     pair = _pair(args)
-    d = _domain(args)
+    d = DomainSpec(args.domain)
     t0 = time.time()
     w = winding_count(pair, d)
     certs = locate_zeros(pair, d, expected=w)
@@ -155,15 +150,8 @@ def _cmd_count(args) -> int:
         "poles_per_solution": per,
     }
     if N <= MAX_N:
-        v = valence_check(N)
-        results["valence"] = {
-            "interior": v["interior_count"],
-            "cusp": v["nu_inf_formula"],
-            "total": v["interior_count"] + v["nu_inf_formula"],
-            "cusp_order_slope": v["nu_inf_slope"],
-            "balance_exact": v["balance_exact"],
-        }
-        results["merge_events"] = v["merge_events"]
+        results["valence"] = valence_check(N)
+        results["merge_events"] = results["valence"].pop("merge_events")
     _emit(_report("count", {"N": N}, results, t0), args)
     return 0
 
@@ -214,7 +202,7 @@ def _scan_tau(args, pair: TorsionPair, nx: int, ny: int) -> list[str]:
 
 
 def _scan_winding(args, nx: int, ny: int) -> list[str]:
-    d = _domain(args)
+    d = DomainSpec(args.domain)
     x0, x1 = args.re_min, args.re_max
     y0, y1 = args.im_min, args.im_max
     rs = [x0 + (x1 - x0) * i / max(nx - 1, 1) for i in range(nx)]
@@ -277,7 +265,6 @@ _FLAGS = {
     "--s": dict(type=number, default=None),
     "--tau": dict(type=number, default=None, help="complex a+bi, Im > 0"),
     "--domain": dict(choices=("F0", "F", "F2"), default="F0"),
-    "--T": dict(type=float, default=10.0, help="truncation height"),
     "--out": dict(type=str, default=None),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--mode": dict(choices=("z2", "winding"), default="z2"),
@@ -292,13 +279,13 @@ _FLAGS = {
 # Each subcommand accepts exactly the flags its handler reads.
 _SUBCOMMANDS = (
     ("eval", "lambda_{r,s}, t, wp(p) at (r, s, tau)", ("--r", "--s", "--tau", "--out")),
-    ("zeros", "locate zeros of Z2 over a domain", ("--r", "--s", "--domain", "--T", "--out")),
+    ("zeros", "locate zeros of Z2 over a domain", ("--r", "--s", "--domain", "--out")),
     ("count", "pole-count formulas and valence for N", ("--N", "--out")),
     ("orbits", "orbit classification for Q_N", ("--N", "--out")),
     (
         "scan",
         "CSV grid of Z2 or windings",
-        ("--mode", "--r", "--s", "--domain", "--T", "--re-min", "--re-max",
+        ("--mode", "--r", "--s", "--domain", "--re-min", "--re-max",
          "--im-min", "--im-max", "--nx", "--ny", "--out", "--format"),
     ),
     ("verify", "run the acceptance suite", ()),

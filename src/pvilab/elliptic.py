@@ -47,6 +47,11 @@ class LatticeData:
     g3: complex
     est_error: float
 
+    @property
+    def t(self) -> complex:
+        """The Gamma(2)-invariant cover map t = (e3 - e1)/(e2 - e1)."""
+        return (self.e3 - self.e1) / (self.e2 - self.e1)
+
 
 def _as_point(m) -> ModuliPoint:
     if isinstance(m, ModuliPoint):

@@ -17,7 +17,6 @@ import math
 from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Union
 
 from .errors import DepthExceeded, InternalError
 from .modular import ModularMatrix
@@ -78,22 +77,20 @@ def _prime_divisors(n: int) -> list[int]:
     return primes
 
 
-def euler_phi(n: Union[int, Fraction, float]) -> int:
-    """Euler totient, extended by 0 to non-integer arguments."""
-    if isinstance(n, float):
-        if n != int(n):
-            return 0
-        n = int(n)
-    if isinstance(n, Fraction):
-        if n.denominator != 1:
-            return 0
-        n = int(n)
+def euler_phi(n: int) -> int:
+    """Euler totient of a positive integer."""
     if n < 1:
         raise ValueError("argument must be positive")
     result = n
     for p in _prime_divisors(n):
         result -= result // p
     return result
+
+
+def _nu_infinity(N: int) -> int:
+    """The order of M_N at the cusp, phi(N) + phi(N/2), with phi(N/2) = 0
+    for odd N."""
+    return euler_phi(N) + (euler_phi(N // 2) if N % 2 == 0 else 0)
 
 
 def enumerate_qn(N: int) -> list[RationalPair]:
@@ -124,7 +121,7 @@ def p_of_n(N: int) -> int:
     size = qn_size(N)
     if size % 4 != 0:
         raise InternalError(f"|Q_{N}| = {size} is not divisible by 4")
-    return size // 4 - (euler_phi(N) + euler_phi(Fraction(N, 2)))
+    return size // 4 - _nu_infinity(N)
 
 
 def pole_count(N: int) -> tuple[int, int]:

@@ -1,4 +1,5 @@
-"""The Hecke form Z_{r,s}, the weight-3 form Z2_{r,s}, and the product M_N.
+"""The Hecke form Z_{r,s}, the weight-3 form Z2_{r,s}, and log|M_N|, M_N the
+product of Z2 over Q_N.
 
 Z_{r,s}(tau)  = zeta(r + s*tau | tau) - r*eta1(tau) - s*eta2(tau)
 Z2_{r,s}(tau) = Z^3 - 3*wp(r + s*tau)*Z - wp'(r + s*tau)
@@ -450,17 +451,8 @@ def z2_stable_many(pairs, taus, counts) -> tuple[np.ndarray, np.ndarray]:
 
 
 # ---------------------------------------------------------------------------
-# The modular product M_N
+# The modular product M_N, in log-magnitude
 # ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class MnValue:
-    """M_N(tau) in log-magnitude form: value = exp(log_abs + i*arg)."""
-
-    log_abs: float
-    arg: float
-    raw: Optional[complex]
 
 
 # Bounded: each N holds |Q_N| pairs for the process.
@@ -474,20 +466,20 @@ def _qn_pairs(N: int) -> tuple[TorsionPair, ...]:
     )
 
 
-def m_n(N: int, m) -> MnValue:
-    """Product of Z2_{r,s} over all (r, s) in Q_N, accumulated in log space.
+def m_n(N: int, m) -> float:
+    """log|M_N(tau)|, M_N the product of Z2_{r,s} over all (r, s) in Q_N;
+    -inf when a factor is exactly 0.
 
-    Factors are visited in sorted index order, so the reduction is
-    deterministic.  Each factor is ``z2_stable``'s value by the cusp rule,
-    with the tau-only lattice prologue, and with it the reduction, computed
-    once for all factors.
+    Factors are visited in sorted index order, so the sum is deterministic.
+    Each factor is ``z2_stable``'s value by the cusp rule, with the tau-only
+    lattice prologue, and with it the reduction, computed once for all
+    factors.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
     tau = _as_point(m).tau
     consts = _kernels.lattice_constants(tau)
     log_abs = 0.0
-    arg = 0.0
     for pair in _qn_pairs(N):
         series = _on_series(pair, consts)
         if series is not None:
@@ -498,10 +490,6 @@ def m_n(N: int, m) -> MnValue:
             val = _off_lattice(_kernels.premodular_from(r, s, tau, consts))[3]
         av = abs(val)
         if av == 0.0:
-            return MnValue(log_abs=-math.inf, arg=0.0, raw=0.0 + 0j)
+            return -math.inf
         log_abs += math.log(av)
-        arg = math.remainder(arg + cmath.phase(val), 2.0 * _PI)
-    raw: Optional[complex] = None
-    if abs(log_abs) < 700.0:
-        raw = cmath.exp(complex(log_abs, arg))
-    return MnValue(log_abs=log_abs, arg=arg, raw=raw)
+    return log_abs

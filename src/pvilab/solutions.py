@@ -51,7 +51,8 @@ def _is_inf(x: Optional[complex]) -> bool:
 
 @dataclass(frozen=True)
 class SolutionValue:
-    """lambda_{r,s} at one tau, with the moduli data used to compute it."""
+    """lambda_{r,s} at one tau, with the moduli data used to compute it and
+    the ``est_error`` of its lattice values."""
 
     tau: ModuliPoint
     t: complex
@@ -60,13 +61,12 @@ class SolutionValue:
     is_pole: bool
     branch_note: str
     alpha: complex
+    est_error: float
 
 
 def t_of_tau(m) -> complex:
     """The Gamma(2)-invariant cover map t = (e3 - e1)/(e2 - e1)."""
-    m = _as_point(m)
-    lat = invariants_g(m)
-    return (lat.e3 - lat.e1) / (lat.e2 - lat.e1)
+    return invariants_g(m).t
 
 
 def _lattice_shift(pair: TorsionPair, tau: complex):
@@ -132,7 +132,6 @@ def lambda_rs(p: TorsionPair, m) -> SolutionValue:
     """Full solution value at tau: t, wp(p), lambda and pole flag."""
     m = _as_point(m)
     lat = invariants_g(m)
-    t = (lat.e3 - lat.e1) / (lat.e2 - lat.e1)
     wpp_val = wp_of_p(p, m)
     if _is_inf(wpp_val):
         lam = _INF
@@ -143,12 +142,13 @@ def lambda_rs(p: TorsionPair, m) -> SolutionValue:
     r, s = p.as_complex()
     return SolutionValue(
         tau=m,
-        t=t,
+        t=lat.t,
         wp_p=wpp_val,
         lam=lam,
         is_pole=pole,
         branch_note=branch_copy(m.tau),
         alpha=r + s * m.tau,
+        est_error=lat.est_error,
     )
 
 

@@ -10,12 +10,14 @@ import pytest
 
 from pvilab._backend import backend_name
 from pvilab.cli import main
+from pvilab.locator import valence_check
 from pvilab.orbits import p_of_n
 from pvilab.report import (
     Report,
     format_complex,
     parse_complex,
     parse_rational_or_float,
+    to_jsonable,
 )
 
 
@@ -84,6 +86,21 @@ def test_eval_determinism(tmp_path):
     assert json.loads(a)["results"] == json.loads(Report.from_json(b).to_json())["results"]
 
 
+def test_eval_makes_one_lattice_values_call(tmp_path, monkeypatch):
+    # t, lambda and est_error all read lambda_rs's one LatticeData
+    from pvilab import _kernels
+
+    calls = []
+    kernel = _kernels.lattice_values
+    monkeypatch.setattr(
+        _kernels, "lattice_values", lambda tau: calls.append(tau) or kernel(tau)
+    )
+    code, text = run_cli(["eval", "--r", "1/4", "--s", "0", "--tau", "0+1.5i"], tmp_path)
+    assert code == 0
+    assert calls == [1.5j]
+    assert "est_error" in json.loads(text)["diagnostics"]
+
+
 # --- count ------------------------------------------------------------------
 
 
@@ -116,6 +133,14 @@ def test_count_reports_the_valence_past_n_12(tmp_path):
     res = Report.from_json(text).results
     assert res["valence"]["interior"] == 30 == res["P"]
     assert res["valence"]["balance_exact"] is True
+
+
+def test_count_reports_the_valence_record_as_computed(tmp_path):
+    code, text = run_cli(["count", "--N", "6"], tmp_path)
+    assert code == 0
+    res = json.loads(text)["results"]
+    reported = dict(res["valence"], merge_events=res["merge_events"])
+    assert reported == to_jsonable(valence_check(6))
 
 
 def test_count_past_the_cap_reports_no_valence(tmp_path):
@@ -324,6 +349,8 @@ def test_subcommands_reject_flags_they_do_not_read():
     assert main(["eval", "--r", "1/4", "--s", "0", "--tau", "0+1.5i", "--N", "3"]) == 1
     assert main(["orbits", "--N", "6", "--domain", "F"]) == 1
     assert main(["zeros", "--r", "0.6", "--s", "0.3", "--tau", "0+1i"]) == 1
+    assert main(["zeros", "--r", "0.6", "--s", "0.3", "--T", "12"]) == 1
+    assert main(["scan", "--mode", "winding", "--T", "12"]) == 1
     assert main(["scan", "--N", "3"]) == 1
     assert main(["verify", "--out", "x.json"]) == 1
 

@@ -1,7 +1,6 @@
 """Exact integer combinatorics: Q_N, totients, pole counts, orbits."""
 
 import math
-from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -11,6 +10,7 @@ from pvilab.errors import DepthExceeded
 from pvilab.modular import ModularMatrix
 from pvilab.orbits import (
     RationalPair,
+    _nu_infinity,
     classify_orbit,
     enumerate_qn,
     euler_phi,
@@ -32,11 +32,11 @@ def test_phi_small_values():
     assert euler_phi(97) == 96
 
 
-def test_phi_zero_on_non_integers():
-    assert euler_phi(Fraction(5, 2)) == 0
-    assert euler_phi(3.5) == 0
-    assert euler_phi(Fraction(7, 2)) == 0
-    assert euler_phi(4.0) == 2
+def test_nu_infinity_at_odd_and_even_n():
+    # phi(N) + phi(N/2), the second term only for even N
+    assert _nu_infinity(5) == 4
+    assert _nu_infinity(8) == 6
+    assert _nu_infinity(12) == 6
 
 
 @settings(max_examples=60, deadline=None)
