@@ -42,11 +42,18 @@ and hunts only the +-classes of Q_N in D1:
 classes are carried one-to-one onto the classes with a zero in F, so a
 third of the classes yields every zero of M_N over F, with no merging.
 
-The hunt takes a list of pairs and hands each stage's samples for all of
-them to the kernel at once: one call per start grid, one per refinement
-round of the isolating squares.  A point's value does not depend on what
-shares its batch, so each pair's certificate is the one it gets when hunted
-alone.
+The hunt has two stages, each taking a list of pairs.  The grid stage
+(``_grid_zeros``) hands the start-grid samples of all its pairs to the
+kernel at once, one call per grid level, and runs Newton from each pair's
+best samples; the square stage (``_check_squares``) phase-tracks the
+isolating squares of all the certificates, one kernel call per refinement
+round.  A point's value does not depend on what shares its batch, so each
+pair's certificate is the one it gets when hunted alone.  ``locate_zeros``
+runs both stages on its one or two pairs.  ``count_mn_zeros`` runs the grid
+stage on its first D1 class only: the zero moves smoothly with (r, s), so
+each later class starts Newton from the zero of its nearest solved class
+(continuation in (r, s)), and only the classes where that start fails go
+to the grid stage, in one batch, before one square stage over all of them.
 """
 
 from __future__ import annotations
@@ -471,18 +478,27 @@ def _rect_pieces(tau0: complex, h: float) -> list:
     ]
 
 
-def _zeros_in_f0(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
-    """The one zero of Z2 in F0 of each pair, or None: a pair has it exactly
-    when its window representative lies in one of the triangles D1, D2, D3.
+def _f0_zero_from(pair: TorsionPair, tau_start: complex) -> Optional[ZeroCertificate]:
+    """Newton's zero of Z2_pair from tau_start if it lies inside F0 (margin
+    1e-9), else None; a start where Newton stalls or leaves the upper
+    half-plane gives None too."""
+    try:
+        cert = _certify(pair, tau_start, "F0")
+    except (PviLabError, ArithmeticError):
+        return None
+    return cert if F0.contains(cert.tau0, margin=1e-9) else None
+
+
+def _grid_zeros(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
+    """The grid stage of the F0 hunt: the one zero of Z2 in F0 of each pair,
+    or None, with no isolation check yet.  A pair has that zero exactly when
+    its window representative lies in one of the triangles D1, D2, D3.
 
     Each start grid is evaluated in one kernel batch for every pair still
     hunting.  Newton then runs per pair from the 8 best points of its grid
     (best by |Z2|/scale); the first result inside F0 is the zero, and the
-    pairs it eludes go on to the next, finer grid.  Each zero whose square
-    of half-width 0.04 fits in F0 must then wind once around it; all the
-    squares are phase-tracked in one pass.  A pair that no start resolves
-    raises before any square is tracked.  The one-pair hunt is the
-    one-element case.
+    pairs it eludes go on to the next, finer grid.  A pair that no start
+    resolves raises.
     """
     certs: list[Optional[ZeroCertificate]] = [None] * len(pairs)
     hunting = [
@@ -501,12 +517,8 @@ def _zeros_in_f0(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
         still = []
         for i, q in zip(hunting, quality):
             for tau_start in grid[np.argsort(q)[:8]]:
-                try:
-                    cert = _certify(pairs[i], complex(tau_start), "F0")
-                except (PviLabError, ArithmeticError):
-                    # Newton stalled or walked out of the upper half-plane
-                    continue
-                if F0.contains(cert.tau0, margin=1e-9):
+                cert = _f0_zero_from(pairs[i], complex(tau_start))
+                if cert is not None:
                     certs[i] = cert
                     break
             else:
@@ -516,6 +528,13 @@ def _zeros_in_f0(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
         raise IncoherentWinding(
             f"no Newton start found the zero of {pairs[hunting[0]]} in F0"
         )
+    return certs
+
+
+def _check_squares(certs: list[Optional[ZeroCertificate]]) -> None:
+    """The square stage of the F0 hunt: each zero whose square of half-width
+    0.04 fits in F0 must wind once around it.  All the squares are
+    phase-tracked in one pass."""
     h = 0.04
     corners = h * np.array([-1 - 1j, 1 + 1j, -1 + 1j, 1 - 1j])
     boxed = [
@@ -536,6 +555,42 @@ def _zeros_in_f0(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
             raise IncoherentWinding(
                 f"cell check around {c.tau0} did not isolate one zero"
             )
+
+
+def _zeros_in_f0(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
+    """The one zero of Z2 in F0 of each pair, or None: the grid stage
+    (``_grid_zeros``), then the square stage (``_check_squares``).  A pair
+    that no start resolves raises before any square is tracked.  The
+    one-pair hunt is the one-element case."""
+    certs = _grid_zeros(pairs)
+    _check_squares(certs)
+    return certs
+
+
+def _continued_zeros(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
+    """The one zero of Z2 in F0 of each pair, or None, by continuation in
+    (r, s): only the first pair is hunted on the start grids.  Each later
+    pair starts Newton from the zero of its nearest already-solved pair, by
+    distance between their ``reduced_real`` window points (ties, up to
+    rounding, go to the lower index), since the zero moves smoothly with
+    (r, s).  A pair whose start stalls or lands outside F0, or that has no
+    solved pair before it, is left to the grid stage, which hunts all of
+    them in one batch afterwards; then the square stage checks every
+    certificate at once.
+    """
+    certs = _grid_zeros(pairs[:1]) + [None] * (len(pairs) - 1)
+    where = np.array([p.reduced_real() for p in pairs])
+    solved = [i for i, c in enumerate(certs[:1]) if c is not None]
+    misses = []
+    for k in range(1, len(pairs)):
+        if solved:
+            d2 = np.sum((where[solved] - where[k]) ** 2, axis=1)
+            near = solved[int(np.argmax(d2 <= d2.min() * (1.0 + 1e-9)))]
+            certs[k] = _f0_zero_from(pairs[k], certs[near].tau0)
+        (misses if certs[k] is None else solved).append(k)
+    for k, cert in zip(misses, _grid_zeros([pairs[k] for k in misses])):
+        certs[k] = cert
+    _check_squares(certs)
     return certs
 
 
@@ -614,15 +669,18 @@ def count_mn_zeros(N: int) -> MnZeroReport:
     Works per +-class of Q_N, whose pairs are real: each class has at most
     one zero in F0, present exactly when its window representative lies in
     one of the three open triangles D1, D2, D3.  Only the D1 classes are
-    hunted, in one ``_zeros_in_f0`` batch.  ``reduce_to_shifted_domain``
-    takes each F0 zero tau0 into F by some gamma, where gamma.tau0 is a zero
-    of the class that ``transport_pair`` carries the pair to by gamma: Q_N
-    is closed under SL(2, Z), and the D1 classes are carried one-to-one onto
-    the classes with a zero in F, so P(N) = 2 * #(D1 classes).  A zero that
-    gamma moves gets one Newton polish for its class (a zero already in F
-    keeps its hunt certificate).  Two D1 classes carried to one class, or a
-    polished zero that F's ownership rule puts outside F, raise
-    ``IncoherentWinding``: nothing is merged.
+    hunted, by ``_continued_zeros``: the first on the start grids, every
+    later one by Newton from the zero of its nearest solved class, with the
+    grids as the fallback, and all isolating squares in one pass.
+    ``reduce_to_shifted_domain`` takes each F0 zero tau0 into F by some
+    gamma, where gamma.tau0 is a zero of the class that ``transport_pair``
+    carries the pair to by gamma: Q_N is closed under SL(2, Z), and the D1
+    classes are carried one-to-one onto the classes with a zero in F, so
+    P(N) = 2 * #(D1 classes).  A zero that gamma moves gets one Newton
+    polish for its class (a zero already in F keeps its hunt certificate).
+    Two D1 classes carried to one class, or a polished zero that F's
+    ownership rule puts outside F, raise ``IncoherentWinding``: nothing is
+    merged.
 
     Every certificate counts with multiplicity 2 for its +- pair.
     """
@@ -634,7 +692,7 @@ def count_mn_zeros(N: int) -> MnZeroReport:
     d1 = [k for k, p in enumerate(pairs) if classify_triangle(p).tag == "D1"]
     found: dict[int, ZeroCertificate] = {}
     source: dict[int, int] = {}
-    for k, cert in zip(d1, _zeros_in_f0([pairs[k] for k in d1])):
+    for k, cert in zip(d1, _continued_zeros([pairs[k] for k in d1])):
         if cert is None:
             continue
         tau, g = reduce_to_shifted_domain(cert.tau0)

@@ -152,8 +152,14 @@ class TorsionPair:
             )
         return complex(self.r).real, complex(self.s).real, 1
 
-    def as_complex(self) -> tuple[complex, complex]:
+    # m_n reads the complex form on every factor of every call, and for
+    # Fraction pairs each conversion is a Fraction division.
+    @cached_property
+    def _complex(self) -> tuple[complex, complex]:
         return complex(self.r), complex(self.s)
+
+    def as_complex(self) -> tuple[complex, complex]:
+        return self._complex
 
     def reduced_real(self) -> tuple[float, float]:
         """Representative of +-(r, s) mod Z^2 in the window [0,1) x [0,1/2].
@@ -161,11 +167,12 @@ class TorsionPair:
         Only meaningful for real pairs.
         """
         if self.exact:
-            r = Fraction(self.r) % 1
-            s = Fraction(self.s) % 1
-            if 2 * s > 1:
-                r, s = (-r) % 1, (-s) % 1
-            return float(r), float(s)
+            # in the integers of each lowest-terms Fraction: k/n mod 1 is
+            # (k mod n)/n, and int / int is correctly rounded like float()
+            (a, m), (b, n) = self.r.as_integer_ratio(), self.s.as_integer_ratio()
+            if 2 * (b % n) > n:
+                a, b = -a, -b
+            return a % m / m, b % n / n
         r, s = self.as_complex()
         r, s = r.real % 1.0, s.real % 1.0
         if s > 0.5 + 1e-15:

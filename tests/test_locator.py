@@ -477,7 +477,18 @@ def test_batched_hunt_raises_for_a_pair_no_start_resolves(monkeypatch):
 
 @pytest.mark.parametrize(
     "N,count",
-    [(3, 0), (4, 0), (5, 2), (6, 2), (7, 6), (12, 18), (17, 56), (24, 84), (77, 1380)],
+    [
+        (3, 0),
+        (4, 0),
+        (5, 2),
+        (6, 2),
+        (7, 6),
+        (12, 18),
+        (17, 56),
+        (24, 84),
+        (77, 1380),
+        (120, 2256),
+    ],
 )
 def test_mn_zero_count_over_modular_domain(N, count):
     rep = count_mn_zeros(N)
@@ -529,6 +540,90 @@ def test_p_of_n_is_twice_the_d1_classes():
         assert len(tagged) == len(_d1_classes(N))
 
 
+def _d1_pairs(N):
+    return [
+        TorsionPair.of(c.r, c.s)
+        for c in pm_class_reps(N)
+        if classify_triangle(TorsionPair.of(c.r, c.s)).tag == "D1"
+    ]
+
+
+def test_mn_zero_count_evaluates_one_start_grid(monkeypatch):
+    # only the first D1 class is hunted on the start grid; the other eight
+    # classes of N = 12 start Newton from a solved neighbour's zero
+    points, in_squares = [], []
+    batch, phase = locator.z2_stable_many, locator._phase_along_pieces
+
+    def counted(pairs, taus, counts):
+        if not in_squares:
+            points.append(len(taus))
+        return batch(pairs, taus, counts)
+
+    def squares(pairs, pieces, n0):
+        in_squares.append(True)
+        try:
+            return phase(pairs, pieces, n0)
+        finally:
+            in_squares.pop()
+
+    monkeypatch.setattr(locator, "z2_stable_many", counted)
+    monkeypatch.setattr(locator, "_phase_along_pieces", squares)
+    rep = count_mn_zeros(12)
+    grid = locator._interior_grid(F0, 29, 25)
+    assert len(_d1_pairs(12)) == 9 and len(grid) == 444
+    assert points == [444]
+    assert rep.interior_count == p_of_n(12)
+
+
+def _grid_starts():
+    return {
+        complex(t) for nx, ny in ((29, 25), (57, 49), (113, 97))
+        for t in locator._interior_grid(F0, nx, ny)
+    }
+
+
+def _assert_count_equals_the_grid_hunt(N):
+    # below N = 36 every D1 zero lies in F, so each certificate is the F0
+    # hunt's own, relabelled to F
+    rep = count_mn_zeros(N)
+    hunted = locator._zeros_in_f0(_d1_pairs(N))
+    assert rep.interior_count == p_of_n(N)
+    assert rep.certificates == [replace(c, region="F") for c in hunted]
+
+
+@pytest.mark.parametrize("N", [7, 12])
+def test_mn_zero_count_falls_back_to_the_grid_when_continuation_stalls(N, monkeypatch):
+    grid, newton, stalled = _grid_starts(), locator._newton_z2, []
+
+    def stalls_off_the_grid(pair, tau0):
+        if tau0 not in grid:
+            stalled.append(pair)
+            raise NewtonStall("no convergence")
+        return newton(pair, tau0)
+
+    monkeypatch.setattr(locator, "_newton_z2", stalls_off_the_grid)
+    _assert_count_equals_the_grid_hunt(N)
+    assert stalled == _d1_pairs(N)[1:]
+
+
+@pytest.mark.parametrize("N", [7, 12])
+def test_mn_zero_count_falls_back_to_the_grid_outside_f0(N, monkeypatch):
+    # a continuation start whose Newton result lies outside F0 (here moved
+    # by 1) is not taken for the zero
+    grid, newton, moved = _grid_starts(), locator._newton_z2, []
+
+    def leaves_f0_off_the_grid(pair, tau0):
+        out = newton(pair, tau0)
+        if tau0 in grid:
+            return out
+        moved.append(pair)
+        return (out[0] + 1.0, *out[1:])
+
+    monkeypatch.setattr(locator, "_newton_z2", leaves_f0_off_the_grid)
+    _assert_count_equals_the_grid_hunt(N)
+    assert moved == _d1_pairs(N)[1:]
+
+
 def test_mn_zero_count_keeps_two_classes_at_one_point(monkeypatch):
     # two distinct classes whose F0 zeros coincide in F both count, and the
     # coincidence is reported as one merge event; only D1 classes are hunted
@@ -541,7 +636,7 @@ def test_mn_zero_count_keeps_two_classes_at_one_point(monkeypatch):
             for i, p in enumerate(pairs)
         ]
 
-    monkeypatch.setattr(locator, "_zeros_in_f0", two_at_one_point)
+    monkeypatch.setattr(locator, "_continued_zeros", two_at_one_point)
     a, b = [
         c for c in pm_class_reps(7) if classify_triangle(TorsionPair.of(c.r, c.s)).tag == "D1"
     ][:2]

@@ -59,10 +59,44 @@ def test_pair_flags_are_cached_without_changing_equality(monkeypatch):
         a.r = 0.5
 
 
+def test_pair_complex_form_is_cached_without_changing_equality(monkeypatch):
+    calls = []
+    to_complex = Fraction.__complex__
+    monkeypatch.setattr(
+        Fraction, "__complex__", lambda x: calls.append(x) or to_complex(x)
+    )
+    for r, s in ((Fraction(2, 7), Fraction(5, 7)), (0.3 + 0.1j, 0.2)):
+        a, b = TorsionPair.of(r, s), TorsionPair.of(r, s)
+        before = hash(a)
+        form = a.as_complex()
+        n_calls = len(calls)
+        assert a.as_complex() is form and len(calls) == n_calls
+        assert "_complex" in vars(a)
+        assert form == (complex(r), complex(s))
+        assert hash(a) == before == hash(b) and a == b
+        assert b.as_complex() == form
+    # the first pair's two Fractions converted once per pair, plus the
+    # reference; the float pair converts none
+    assert len(calls) == 3 * 2
+
+
 def test_window_reduction():
     r, s = TorsionPair.of(0.8, 0.7).reduced_real()
     # (0.8, 0.7) ~ -(0.8, 0.7) ~ (0.2, 0.3) in the s <= 1/2 window
     assert abs(r - 0.2) < 1e-12 and abs(s - 0.3) < 1e-12
+
+
+def test_exact_window_reduction_matches_fractions():
+    # the integer rule against Fraction arithmetic, signs and s = 1/2 included
+    for N in range(1, 13):
+        for k1 in range(-2 * N, 2 * N + 1):
+            for k2 in range(-2 * N, 2 * N + 1):
+                r, s = Fraction(k1, N), Fraction(k2, N)
+                wr, ws = r % 1, s % 1
+                if 2 * ws > 1:
+                    wr, ws = (-r) % 1, (-s) % 1
+                window = TorsionPair.of(r, s).reduced_real()
+                assert window == (float(wr), float(ws)), (r, s)
 
 
 # --- hecke_Z ----------------------------------------------------------------
