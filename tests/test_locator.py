@@ -575,6 +575,33 @@ def test_mn_zero_count_evaluates_one_start_grid(monkeypatch):
     assert rep.interior_count == p_of_n(12)
 
 
+def test_continuation_starts_from_the_nearest_solved_class(monkeypatch):
+    # each later D1 class of N = 30 starts Newton from the zero of the
+    # earlier class nearest it in the window, the lower index on ties, by
+    # exact Fraction distances; below N = 36 no zero is moved into F, so
+    # the certificates are the F0 zeros
+    N, grid, newton, starts = 30, _grid_starts(), locator._newton_z2, {}
+
+    def recorded(pair, tau0):
+        if tau0 not in grid:
+            starts.setdefault(pair, tau0)
+        return newton(pair, tau0)
+
+    monkeypatch.setattr(locator, "_newton_z2", recorded)
+    zeros = {c.torsion: c.tau0 for c in count_mn_zeros(N).certificates}
+
+    def window(p):
+        r, s = p.r % 1, p.s % 1
+        return ((-r) % 1, (-s) % 1) if 2 * s > 1 else (r, s)
+
+    pairs = _d1_pairs(N)
+    points = [window(p) for p in pairs]
+    for k in range(1, len(pairs)):
+        d2 = [(a - points[k][0]) ** 2 + (b - points[k][1]) ** 2 for a, b in points[:k]]
+        assert starts[pairs[k]] == zeros[pairs[d2.index(min(d2))]]
+    assert len(starts) == len(pairs) - 1
+
+
 def _grid_starts():
     return {
         complex(t) for nx, ny in ((29, 25), (57, 49), (113, 97))
