@@ -290,8 +290,22 @@ def premodular_at(r, s, tau):
 # The batch kernel: NumPy, array at a time, whatever the backend
 # ---------------------------------------------------------------------------
 
-# Points per block of ``z2_many``; bounds the kernel's working set.
-_BLOCK = 1024
+# Points per block of ``z2_many``; bounds the kernel's working set, whose
+# largest part is one table of K rows by 6 * _BLOCK complex values.
+_BLOCK = 512
+
+# Per-row constants of the series, k = 1 .. _KMAX - 1, formed with Python
+# floats exactly as the scalar kernels form them: the wp weight k, the wp'
+# weight k*k*(-1/2)i and the E2 weight 24k, negated; then the weights of the
+# two stop tests, k*k and 504*k**5, and their thresholds.
+_KS = [float(k) for k in range(1, _KMAX)]
+_W_WP = np.array([complex(k) for k in _KS])[:, None]
+_W_WPP = np.array([(k * k) * (-0.5j) for k in _KS])[:, None]
+_W_E2 = np.array([complex(-24.0 * k) for k in _KS])[:, None]
+_STOP = np.array([[k * k for k in _KS], [504.0 * k**5 for k in _KS]])[:, :, None]
+_STOP_BELOW = np.array([1e-19, 1e-18])[:, None]
+# Row 0 of the term table: the starts of the wp, wp', zeta and E2 sums.
+_SUM_START = np.array([0.0, 0.0, 0.0, 1.0])[:, None]
 
 
 def reduce_tau_many(tau):
@@ -321,23 +335,81 @@ def reduce_tau_many(tau):
     return t, a, b, c, d
 
 
-def _e2_many(q):
-    """E2 at reduced nomes q, summed until every point passes the stop test
-    of ``lattice_constants``'s Eisenstein series."""
-    e2 = np.ones_like(q)
-    qk = np.ones_like(q)
-    for k in range(1, _KMAX):
-        qk = qk * q
-        kf = float(k)
-        e2 -= 24.0 * kf * (qk / (1.0 - qk))
-        if k >= 6 and np.all(504.0 * kf**5 * np.abs(qk) < 1e-18):
-            break
-    return e2
+def _rows_guess(base):
+    """First k >= 6 at which k*k*3*rho**k < 1e-19 and 504*k**5*rho_q**k <
+    1e-18, rho the largest modulus in the (3, n) table of bases and rho_q
+    that of its q row: about where both stop tests pass, since a power's
+    modulus is rho**k up to rounding (_KMAX - 1 for NaN or rho >= 1)."""
+    mod = np.abs(base)
+    rho, rho_q = float(mod.max()), float(mod[2].max())
+    for k in range(6, _KMAX - 1):
+        if 3.0 * k * k * rho**k < 1e-19 and 504.0 * k**5 * rho_q**k < 1e-18:
+            return k
+    return _KMAX - 1
 
 
-def _wz_series_many(z, tau, q):
-    """``wz_series`` for arrays: (wp, wp', zeta - eta1*z) at reduced
-    (z, tau), summed until every point passes wz_series's stop test."""
+def _passes(tab, lo, hi):
+    """(2, hi - lo + 1) booleans: whether every point of the table passes
+    the wz and the E2 stop test at rows k = lo .. hi (lo >= 6).  Slot 1 of
+    the moduli takes (|a_k| + |b_k|) + |q_k|, in the scalar test's order,
+    beside slot 2's |q_k|; a test passes where its block maximum does, and
+    NaN fails, as in the scalar loop."""
+    mod = np.abs(tab[:3, lo : hi + 1])
+    np.add(mod[0], mod[1], out=mod[1])
+    np.add(mod[1], mod[2], out=mod[1])
+    return np.max(_STOP[:, lo - 1 : hi] * mod[1:], axis=2) < _STOP_BELOW
+
+
+def _power_rows(base):
+    """One (6, K + 1, n) table whose slots 0-2 hold the running products of
+    the (3, n) bases a1, b1, q in rows k = 0 .. K, slots 3-5 left for the
+    terms, and the stop rows of the two series.
+
+    Row k is row k - 1 times the bases, one multiply per row, so every entry
+    is the scalar kernels' running product.  The stop rows are the first
+    k >= 6 at which every point passes the scalar test: k^2 (|a_k| + |b_k|
+    + |q_k|) < 1e-19 for wp, wp', zeta (k_wz) and 504 k^5 |q_k| < 1e-18 for
+    E2 (k_e2), each _KMAX - 1 when it never comes.  K is first guessed from
+    the largest base modulus.  Past k = 6 a point's test values fall by a
+    factor below 1/10 per row, since every base modulus is below
+    exp(-pi sqrt(3)/2) after reduction, so a test fails up to its stop row
+    and passes after it: only the rows around the guess are tested, with
+    more rows where that window does not show the step.
+    """
+    last = _KMAX - 1
+    rows = _rows_guess(base)
+    tab = np.empty((6, rows + 1, base.shape[1]), dtype=np.complex128)
+    tab[:3, 0] = 1.0
+    done = 0
+    lo = max(6, rows - 2)
+    while True:
+        for k in range(done + 1, rows + 1):
+            np.multiply(tab[:3, k - 1], base, out=tab[:3, k])
+        done = rows
+        passed = _passes(tab, lo, rows)
+        if lo > 6 and passed[:, 0].any():
+            lo = 6
+            continue
+        if rows == last or passed[:, -1].all():
+            found = passed.any(axis=1)
+            k_wz, k_e2 = np.where(found, lo + passed.argmax(axis=1), last).tolist()
+            return tab, k_wz, k_e2
+        rows = min(2 * rows, last)
+        grown = np.empty((6, rows + 1, base.shape[1]), dtype=np.complex128)
+        grown[:, : done + 1] = tab
+        tab = grown
+
+
+def _series_many(z, tau, q):
+    """``wz_series`` and E2 of ``lattice_constants`` for arrays: (wp, wp',
+    zeta - eta1*z, E2) at reduced (z, tau) and nome q.
+
+    Both series come from one table (``_power_rows``): its power rows are
+    turned into term rows in place, by table operations with the operands
+    and order of the scalar loops, and the term rows are added in k order,
+    so each sum is the one the scalar loop forms.  E2's terms are negated
+    and added, which rounds exactly as subtracting them.
+    """
     up = z.imag >= 0.0
     u = np.exp(2j * _PI * np.where(up, z, -z))
     one_m_u = 1.0 - u
@@ -350,44 +422,57 @@ def _wz_series_many(z, tau, q):
     wpp = -2.0 * _PI * pi2 * cot * inv_sin2
     zt = _PI * cot
 
-    a1 = np.exp(2j * _PI * (tau + z))
-    b1 = np.exp(2j * _PI * (tau - z))
-    ak = np.ones_like(z)
-    bk = np.ones_like(z)
-    qk = np.ones_like(z)
-    s_wp = np.zeros_like(z)
-    s_wpp = np.zeros_like(z)
-    s_zt = np.zeros_like(z)
-    for k in range(1, _KMAX):
-        ak = ak * a1
-        bk = bk * b1
-        qk = qk * q
-        inv = 1.0 / (1.0 - qk)
-        kf = float(k)
-        diff = ak - bk
-        s_wp += kf * (0.5 * (ak + bk) - qk) * inv
-        s_wpp += (kf * kf) * (-0.5j) * diff * inv
-        s_zt += diff * inv
-        if k >= 6:
-            m = np.abs(ak) + np.abs(bk) + np.abs(qk)
-            if np.all(kf * kf * m < 1e-19):
-                break
+    # A one-point block gets a second, equal column, so that no table
+    # operation runs along k: NumPy's strided loops round complex products
+    # unlike the contiguous ones the loop form's arrays ran.
+    n = q.shape[0]
+    base = np.empty((3, n), dtype=np.complex128)
+    np.exp(2j * _PI * (tau + z), out=base[0])
+    np.exp(2j * _PI * (tau - z), out=base[1])
+    base[2] = q
+    base = np.repeat(base, 2, axis=1) if n == 1 else base
+    tab, k_wz, k_e2 = _power_rows(base)
+    rows = max(k_wz, k_e2)
+
+    # rows 1..rows of the slots: a_k, b_k, q_k become the wp, wp', zeta
+    # terms, slot 3 the negated E2 term, slot 4 1/(1 - q_k), slot 5 a_k - b_k
+    t_wp, t_wpp, t_zt, t_e2, inv, diff = tab[:, 1 : rows + 1]
+    ak, bk, qk = t_wp[:k_wz], t_wpp[:k_wz], t_zt
+    np.subtract(1.0, qk, out=inv)
+    np.divide(qk[:k_e2], inv[:k_e2], out=t_e2[:k_e2])
+    np.multiply(_W_E2[:k_e2], t_e2[:k_e2], out=t_e2[:k_e2])
+    inv, diff = inv[:k_wz], diff[:k_wz]
+    np.divide(1.0, inv, out=inv)
+    np.subtract(ak, bk, out=diff)
+    np.add(ak, bk, out=ak)
+    np.multiply(0.5, ak, out=ak)
+    np.subtract(ak, qk[:k_wz], out=ak)
+    np.multiply(_W_WP[:k_wz], ak, out=ak)
+    np.multiply(ak, inv, out=ak)
+    np.multiply(_W_WPP[:k_wz], diff, out=bk)
+    np.multiply(bk, inv, out=bk)
+    np.multiply(diff, inv, out=qk[:k_wz])
+
+    # row 0 holds the sums' starts and a series' rows past its stop add 0;
+    # the reduction along k runs over rows of points, one row after another
+    tab[:4, 0] = _SUM_START
+    tab[:3, k_wz + 1 :] = 0.0
+    tab[3, k_e2 + 1 :] = 0.0
+    s_wp, s_wpp, s_zt, e2 = np.add.reduce(tab[:4, : rows + 1], axis=1)[:, :n]
     wp += -8.0 * pi2 * s_wp
     wpp += 16.0 * _PI * pi2 * s_wpp
     zt += -2j * _PI * s_zt
-    return wp, wpp, zt
+    return wp, wpp, zt, e2
 
 
 def _z2_block(r, s, tau, reduced):
-    """(Z2, scale) of ``premodular_at`` at each point of a reduced block."""
+    """(Z2, scale) of ``premodular_at`` at each point of a reduced block: the
+    scalar path's steps on arrays, both q-series from one table of powers
+    (``_series_many``)."""
     tred, _, _, c, d = reduced
     qred = np.exp(2j * _PI * tred)
-    eta1_r = _PI * _PI / 3.0 * _e2_many(qred)
     j = c * tau + d
     j2 = j * j
-    eta1 = eta1_r / j2 + 2j * _PI * c / j
-    eta2 = tau * eta1 - 2j * _PI
-    eta2_r = tred * eta1_r - 2j * _PI
 
     # reduce_z of alpha/j; after the tau reduction a point within 1e-12 of
     # the lattice can only be near the cell's centre 0, so |z0| is the
@@ -400,7 +485,11 @@ def _z2_block(r, s, tau, reduced):
     z0 = zr - m - n * tred
     hit = np.abs(z0) < 1e-12
 
-    wp_r, wpp_r, zt_part = _wz_series_many(z0, tred, qred)
+    wp_r, wpp_r, zt_part, e2 = _series_many(z0, tred, qred)
+    eta1_r = _PI * _PI / 3.0 * e2
+    eta1 = eta1_r / j2 + 2j * _PI * c / j
+    eta2 = tau * eta1 - 2j * _PI
+    eta2_r = tred * eta1_r - 2j * _PI
     zeta_r = zt_part + eta1_r * (z0 + m) + eta2_r * n
     wp = wp_r / j2
     wpp = wpp_r / (j2 * j)

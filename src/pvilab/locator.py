@@ -323,6 +323,17 @@ def _piece_points(piece: tuple, t: np.ndarray) -> np.ndarray:
     return c + rad * np.exp(1j * (th0 + t * (th1 - th0)))
 
 
+def _split_points(lo: np.ndarray, hi: np.ndarray, steps: np.ndarray) -> np.ndarray:
+    """The inner points that cut each segment [lo, hi] into 2^m equal
+    parts, m = ceil(log2(2 |step| / MAX_PHASE_STEP)): enough that a phase
+    step spread evenly over the parts is at most MAX_PHASE_STEP / 2."""
+    parts = np.exp2(np.ceil(np.log2(2.0 * np.abs(steps) / MAX_PHASE_STEP))).astype(np.int64)
+    seg = np.repeat(np.arange(parts.size), parts - 1)
+    start = np.cumsum(parts - 1) - (parts - 1)
+    j = np.arange(seg.size) - start[seg] + 1
+    return lo[seg] + (hi[seg] - lo[seg]) * (j / parts[seg])
+
+
 def _phase_along_pieces(
     pairs: list[TorsionPair], pieces: list, n0: int
 ) -> list[tuple[float, complex, complex]]:
@@ -379,7 +390,7 @@ def _phase_along_pieces(
             if not bad.any():
                 results[i] = (float(np.sum(steps)), complex(v[0]), complex(v[-1]))
                 continue
-            new_t[i] = 0.5 * (t[:-1][bad] + t[1:][bad])
+            new_t[i] = _split_points(t[:-1][bad], t[1:][bad], steps[bad])
             still.append(i)
         live = still
     for exc in errors:
@@ -663,13 +674,29 @@ def _merge_events(N: int, certs: list[ZeroCertificate]) -> list[tuple]:
     return [(key(certs[i]), key(certs[j]), certs[j].tau0) for j, i in sorted(close)]
 
 
+def _d1_classes(reps: list) -> list[int]:
+    """The indices of the +-classes in D1 among ``pm_class_reps`` of one N,
+    in order: ``classify_triangle``'s D1 test in the integers k1, k2 of each
+    class's window representative, the element of the class with 0 < k2 <
+    N/2 (D1 is N/2 < k1 < N, 0 < k2 < N/2, k1 + k2 > N)."""
+    d1 = []
+    for k, rep in enumerate(reps):
+        n, k1, k2 = rep.N, rep.k1, rep.k2
+        if 2 * k2 > n:
+            k1, k2 = -k1 % n, -k2 % n
+        if n < 2 * k1 and 0 < 2 * k2 < n and k1 + k2 > n:
+            d1.append(k)
+    return d1
+
+
 def count_mn_zeros(N: int) -> MnZeroReport:
     """Zeros of M_N = prod Z2 over F, with multiplicity.
 
     Works per +-class of Q_N, whose pairs are real: each class has at most
     one zero in F0, present exactly when its window representative lies in
-    one of the three open triangles D1, D2, D3.  Only the D1 classes are
-    hunted, by ``_continued_zeros``: the first on the start grids, every
+    one of the three open triangles D1, D2, D3.  Only the D1 classes
+    (``_d1_classes``) are hunted, by ``_continued_zeros``: the first on the
+    start grids, every
     later one by Newton from the zero of its nearest solved class, with the
     grids as the fallback, and all isolating squares in one pass.
     ``reduce_to_shifted_domain`` takes each F0 zero tau0 into F by some
@@ -688,11 +715,11 @@ def count_mn_zeros(N: int) -> MnZeroReport:
         raise DomainError(f"desk-scale N only (3 <= N <= {MAX_N})")
     reps = pm_class_reps(N)
     index = {(rep.k1, rep.k2): k for k, rep in enumerate(reps)}
-    pairs = [TorsionPair.of(rep.r, rep.s) for rep in reps]
-    d1 = [k for k, p in enumerate(pairs) if classify_triangle(p).tag == "D1"]
+    pair = lambda k: TorsionPair.of(reps[k].r, reps[k].s)
+    d1 = _d1_classes(reps)
     found: dict[int, ZeroCertificate] = {}
     source: dict[int, int] = {}
-    for k, cert in zip(d1, _continued_zeros([pairs[k] for k in d1])):
+    for k, cert in zip(d1, _continued_zeros([pair(k) for k in d1])):
         if cert is None:
             continue
         tau, g = reduce_to_shifted_domain(cert.tau0)
@@ -700,16 +727,17 @@ def count_mn_zeros(N: int) -> MnZeroReport:
         j = index[min((k1 % N, k2 % N), (-k1 % N, -k2 % N))]
         if j in source:
             raise IncoherentWinding(
-                f"D1 classes {pairs[source[j]]} and {pairs[k]} carry to one "
-                f"class {pairs[j]} in F"
+                f"D1 classes {pair(source[j])} and {cert.torsion} carry to one "
+                f"class {pair(j)} in F"
             )
         source[j] = k
         if g != IDENTITY:
-            cert = _certify(pairs[j], tau, "F")
+            target = pair(j)
+            cert = _certify(target, tau, "F")
             if reduce_to_shifted_domain(cert.tau0)[1] != IDENTITY:
                 raise IncoherentWinding(
-                    f"zero {cert.tau0} of {pairs[j]}, carried from the F0 zero "
-                    f"of {pairs[k]}, does not lie in F"
+                    f"zero {cert.tau0} of {target}, carried from the F0 zero "
+                    f"of {pair(k)}, does not lie in F"
                 )
         found[j] = replace(cert, region="F")
     certs = [found[j] for j in sorted(found)]

@@ -382,9 +382,6 @@ def orbit_brute_force(N: int, max_depth: int = 24) -> list[frozenset]:
 
 
 def pm_class_reps(N: int) -> list[RationalPair]:
-    """One representative per +-class of Q_N (lexicographic minimum)."""
-    reps = {}
-    for pr in enumerate_qn(N):
-        c = pr.pm_canonical()
-        reps[(c.k1, c.k2)] = c
-    return [reps[k] for k in sorted(reps)]
+    """One representative per +-class of Q_N (lexicographic minimum), in
+    lexicographic order: the pairs of Q_N not above their negation."""
+    return [p for p in enumerate_qn(N) if (p.k1, p.k2) <= (-p.k1 % N, -p.k2 % N)]

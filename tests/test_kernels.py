@@ -190,3 +190,149 @@ def test_grouped_stable_batch_matches_per_pair_calls():
     # the series is not vacuous: both cusp pairs move off the kernel's values
     for k in (0, 2):
         assert not np.array_equal(ref[k][0], _batch(pairs[k], taus[k])[0])
+
+
+# ---------------------------------------------------------------------------
+# z2_many against the row-by-row loop form of the series, bit for bit
+# ---------------------------------------------------------------------------
+
+
+def _reference_block(r, s, tau, reduced):
+    """(Z2, scale) of one block in the loop form: one pass per term k with
+    arrays of the block's points, E2 in its own loop, each loop run until
+    every point passes its stop test."""
+    pi, kmax = math.pi, _kernels._KMAX
+    tred, _, _, c, d = reduced
+    qred = np.exp(2j * pi * tred)
+
+    e2 = np.ones_like(qred)
+    qk = np.ones_like(qred)
+    for k in range(1, kmax):
+        qk = qk * qred
+        kf = float(k)
+        e2 -= 24.0 * kf * (qk / (1.0 - qk))
+        if k >= 6 and np.all(504.0 * kf**5 * np.abs(qk) < 1e-18):
+            break
+    eta1_r = pi * pi / 3.0 * e2
+    j = c * tau + d
+    j2 = j * j
+    eta1 = eta1_r / j2 + 2j * pi * c / j
+    eta2 = tau * eta1 - 2j * pi
+    eta2_r = tred * eta1_r - 2j * pi
+
+    zr = (r + s * tau) / j
+    y = zr.imag / tred.imag
+    x = zr.real - y * tred.real
+    m = np.floor(x + 0.5)
+    n = np.floor(y + 0.5)
+    z = zr - m - n * tred
+    hit = np.abs(z) < 1e-12
+
+    up = z.imag >= 0.0
+    u = np.exp(2j * pi * np.where(up, z, -z))
+    one_m_u = 1.0 - u
+    cot = 1j * (1.0 + u) / one_m_u
+    cot = np.where(up, -cot, cot)
+    inv_sin2 = -4.0 * u / (one_m_u * one_m_u)
+    pi2 = pi * pi
+    wp = pi2 * (-1.0 / 3.0) + pi2 * inv_sin2
+    wpp = -2.0 * pi * pi2 * cot * inv_sin2
+    zt = pi * cot
+    a1 = np.exp(2j * pi * (tred + z))
+    b1 = np.exp(2j * pi * (tred - z))
+    ak = np.ones_like(z)
+    bk = np.ones_like(z)
+    qk = np.ones_like(z)
+    s_wp = np.zeros_like(z)
+    s_wpp = np.zeros_like(z)
+    s_zt = np.zeros_like(z)
+    for k in range(1, kmax):
+        ak = ak * a1
+        bk = bk * b1
+        qk = qk * qred
+        inv = 1.0 / (1.0 - qk)
+        kf = float(k)
+        diff = ak - bk
+        s_wp += kf * (0.5 * (ak + bk) - qk) * inv
+        s_wpp += (kf * kf) * (-0.5j) * diff * inv
+        s_zt += diff * inv
+        if k >= 6 and np.all(kf * kf * (np.abs(ak) + np.abs(bk) + np.abs(qk)) < 1e-19):
+            break
+    wp += -8.0 * pi2 * s_wp
+    wpp += 16.0 * pi * pi2 * s_wpp
+    zt += -2j * pi * s_zt
+
+    zeta_r = zt + eta1_r * (z + m) + eta2_r * n
+    wp = wp / j2
+    wpp = wpp / (j2 * j)
+    z = zeta_r / j - r * eta1 - s * eta2
+    z2 = z * z * z - 3.0 * wp * z - wpp
+    az = np.abs(z)
+    scale = az**3 + 3.0 * np.abs(wp) * az + np.abs(wpp)
+    z2[hit] = complex(math.nan, math.nan)
+    scale[hit] = math.nan
+    return z2, scale
+
+
+def _reference_many(r, s, taus):
+    """``z2_many`` with ``_reference_block`` on the same blocks."""
+    reduced = _kernels.reduce_tau_many(taus)
+    out = [np.empty(len(taus), dtype=np.complex128), np.empty(len(taus))]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, len(taus), _kernels._BLOCK):
+            part = slice(lo, lo + _kernels._BLOCK)
+            block = [x[part] for x in reduced]
+            out[0][part], out[1][part] = _reference_block(r[part], s[part], taus[part], block)
+    return out
+
+
+def _same_bits(a, b):
+    return np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+@pytest.fixture(scope="module")
+def mixed_points():
+    """About 20k (r, s, tau) with r, s per point: tau anywhere above the real
+    axis down to Im 0.03, tau near the arc |tau| = 1 of the standard domain
+    (reduced Im near sqrt(3)/2, where the series are longest), tau with Im
+    up to 12 (where the powers underflow), pairs with complex parts, and
+    lattice hits."""
+    rng = np.random.default_rng(20261017)
+    n = 20000
+    im = np.exp(rng.uniform(math.log(0.03), math.log(10.0), n))
+    taus = rng.uniform(-2.0, 2.0, n) + 1j * im
+    arc = np.exp(1j * rng.uniform(math.pi / 3, 2 * math.pi / 3, 4000))
+    taus[:4000] = arc * (1.0 + rng.uniform(0.0, 1e-3, 4000))
+    taus[4000:5000] = rng.uniform(-0.5, 0.5, 1000) + 1j * rng.uniform(10.0, 12.0, 1000)
+    r = rng.uniform(-1.0, 1.0, n) + 0j
+    s = rng.uniform(-1.0, 1.0, n) + 0j
+    r[5000:6000] += 1j * rng.uniform(-0.3, 0.3, 1000)
+    s[5000:6000] += 1j * rng.uniform(-0.3, 0.3, 1000)
+    # alpha = r + s*tau = 0 on a sprinkling of points
+    r[6000:6100] = -0.5 * taus[6000:6100]
+    s[6000:6100] = 0.5
+    order = rng.permutation(n)
+    return r[order], s[order], taus[order]
+
+
+@pytest.mark.parametrize("size", [1, 2, 255, 256, 257, 511, 512, 513, 1000])
+def test_z2_many_equals_the_loop_form_bit_for_bit(size, mixed_points):
+    r, s, taus = mixed_points
+    # one- and two-point calls over a share of the points, larger calls
+    # over all of them
+    stop = 300 if size <= 2 else len(taus)
+    for lo in range(0, stop, size):
+        part = slice(lo, min(lo + size, stop))
+        got = _kernels.z2_many(r[part], s[part], taus[part], _kernels.reduce_tau_many(taus[part]))
+        want = _reference_many(r[part], s[part], taus[part])
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), (size, lo)
+
+
+def test_one_point_call_equals_its_value_in_a_large_batch(mixed_points):
+    r, s, taus = mixed_points
+    vals, scales = _kernels.z2_many(r, s, taus, _kernels.reduce_tau_many(taus))
+    assert np.isnan(vals).sum() >= 50
+    for i in range(0, len(taus), 97):
+        part = slice(i, i + 1)
+        one = _kernels.z2_many(r[part], s[part], taus[part], _kernels.reduce_tau_many(taus[part]))
+        assert _same_bits(one[0], vals[part]) and _same_bits(one[1], scales[part]), i

@@ -139,6 +139,63 @@ def test_winding_evaluates_initial_samples_of_all_pieces_at_once(monkeypatch):
     assert round(_winding_over(pieces, pair, n0=17)) == winding_count(pair, F0)
     assert sizes[0] == 17 * len(numeric)
 
+# The 22 (r, s) of the first round of perfbench's triangle_sweep at seed 1,
+# with their windings over F0, F and F2 as segment halving found them.
+SWEEP_ROUND_ONE = [
+    ((13, 28), (3, 7), (0, 0, 1)),
+    ((6, 11), (9, 22), (1, 0, 2)),
+    ((1, 5), (1, 5), (1, 0, 1)),
+    ((11, 15), (19, 60), (1, 1, 2)),
+    ((1, 11), (5, 11), (0, 0, 0)),
+    ((8, 29), (23, 58), (0, 0, 1)),
+    ((4, 5), (2, 5), (1, 1, 1)),
+    ((4, 23), (11, 46), (1, 0, 1)),
+    ((1, 4), (3, 32), (1, 0, 2)),
+    ((7, 12), (1, 8), (1, 0, 2)),
+    ((5, 6), (3, 10), (1, 1, 2)),
+    ((12, 25), (12, 25), (0, 0, 1)),
+    ((1, 8), (1, 16), (1, 0, 2)),
+    ((13, 16), (1, 16), (1, 0, 2)),
+    ((4, 5), (1, 10), (1, 0, 1)),
+    ((9, 25), (6, 25), (0, 0, 1)),
+    ((5, 12), (11, 24), (0, 0, 1)),
+    ((15, 17), (9, 34), (1, 1, 2)),
+    ((4, 5), (1, 10), (1, 0, 1)),
+    ((1, 7), (3, 14), (1, 0, 1)),
+    ((17, 27), (7, 27), (1, 0, 2)),
+    ((4, 5), (2, 5), (1, 1, 1)),
+]
+
+
+@pytest.mark.parametrize("r,s,windings", SWEEP_ROUND_ONE)
+def test_steep_segments_split_in_one_round(r, s, windings, monkeypatch):
+    # a segment whose phase step is too steep is cut into enough equal
+    # parts at once, so every winding settles within three kernel batches
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return z2_stable_many(*args)
+
+    monkeypatch.setattr(locator, "z2_stable_many", counted)
+    pair = TorsionPair.of(Fraction(*r), Fraction(*s))
+    for d, w in zip((F0, F, F2), windings):
+        calls.clear()
+        assert winding_count(pair, d) == w
+        assert len(calls) <= 3, (d.kind, calls)
+
+
+def test_split_points_cut_a_segment_into_equal_parts():
+    # steps just over MAX_PHASE_STEP, 2.5 times it and pi: 4, 8 and 16
+    # parts, each with a step of at most MAX_PHASE_STEP / 2 when spread evenly
+    lo, hi = np.array([0.0, 0.5, 0.25]), np.array([0.25, 0.75, 0.5])
+    steps = np.array([1.01, -2.5, 8.0]) * locator.MAX_PHASE_STEP
+    got = locator._split_points(lo, hi, steps)
+    want = np.concatenate(
+        [np.arange(1, 4) / 16, 0.5 + np.arange(1, 8) / 32, 0.25 + np.arange(1, 16) / 64]
+    )
+    assert np.array_equal(got, want)
+
 
 def test_winding_with_degenerate_cusp_directions():
     # r + s = 1/2 forces an excised disk at the cusp 1; r = 0 at the cusp 0
@@ -540,6 +597,19 @@ def test_p_of_n_is_twice_the_d1_classes():
         assert len(tagged) == len(_d1_classes(N))
 
 
+def test_d1_class_list_is_the_classify_triangle_filter():
+    # count_mn_zeros picks its D1 classes in integers: they are the classes
+    # classify_triangle tags D1, in pm_class_reps order, for every N it takes
+    for N in range(3, locator.MAX_N + 1):
+        reps = pm_class_reps(N)
+        tagged = [
+            k
+            for k, c in enumerate(reps)
+            if classify_triangle(TorsionPair.of(c.r, c.s)).tag == "D1"
+        ]
+        assert locator._d1_classes(reps) == tagged
+
+
 def _d1_pairs(N):
     return [
         TorsionPair.of(c.r, c.s)
@@ -676,18 +746,16 @@ def test_mn_zero_count_raises_for_two_classes_carried_to_one(monkeypatch):
     # a D2 class hunted as if in D1: its F0 zero is carried to the F zero of
     # a class a D1 class already owns
     N = 7
-    extra = next(
-        TorsionPair.of(c.r, c.s)
-        for c in pm_class_reps(N)
-        if classify_triangle(TorsionPair.of(c.r, c.s)).tag == "D2"
-    )
-    classify = locator.classify_triangle
+    reps = pm_class_reps(N)
+    pairs = [TorsionPair.of(c.r, c.s) for c in reps]
+    extra = next(k for k, p in enumerate(pairs) if classify_triangle(p).tag == "D2")
+    d1_classes = locator._d1_classes
 
-    def d2_class_as_d1(p):
-        return locator.TrianglePosition("D1") if p == extra else classify(p)
+    def with_d2_class(reps):
+        return sorted(d1_classes(reps) + [extra])
 
-    monkeypatch.setattr(locator, "classify_triangle", d2_class_as_d1)
-    one_class = f"and {re.escape(str(extra))} carry to one class"
+    monkeypatch.setattr(locator, "_d1_classes", with_d2_class)
+    one_class = f"and {re.escape(str(pairs[extra]))} carry to one class"
     with pytest.raises(IncoherentWinding, match=one_class):
         count_mn_zeros(N)
 
