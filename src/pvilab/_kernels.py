@@ -14,12 +14,17 @@ one tau, such as ``m_n``, calls ``premodular_from`` and runs the prologue
 once.  The batch kernel ``z2_many`` is NumPy
 code under either backend: it runs the same steps on arrays of tau, in
 blocks of at most ``_BLOCK`` points, with r and s given per point.  Each
-point leaves ``reduce_tau_many`` where ``reduce_tau`` stops.  The series
-loops run until every point of the block passes the scalar kernel's stop
-test; past that test a term is below 1e-19 and falls geometrically with the
-ones after it, far under half an ulp of the sums it joins, so a point's
-result does not depend on what shares its batch.  The strategy for a point
-tau in the upper half-plane:
+point leaves ``reduce_tau_many`` where ``reduce_tau`` stops.  A block's
+series are not summed term by term: the powers of its three bases fill the
+rows k of one table, one multiply per row, every term of both series is a
+table operation, and the rows are added in k order, each series up to the
+first row at which every point of the block passes the scalar kernel's
+stop test.  So a call costs a few dozen NumPy operations whatever its size,
+and every value is the one the row-by-row loop gives, bit for bit.  Past
+the stop test a term is below 1e-19 and falls geometrically with the ones
+after it, far under half an ulp of the sums it joins, so a point's result
+does not depend on what shares its batch.  The strategy for a point tau in
+the upper half-plane:
 
 1. reduce tau to the standard fundamental domain {|Re| <= 1/2, |tau| >= 1}
    with an integer matrix, so the nome q = exp(2*pi*i*tau_red) satisfies
@@ -296,8 +301,9 @@ _BLOCK = 512
 
 # Per-row constants of the series, k = 1 .. _KMAX - 1, formed with Python
 # floats exactly as the scalar kernels form them: the wp weight k, the wp'
-# weight k*k*(-1/2)i and the E2 weight 24k, negated; then the weights of the
-# two stop tests, k*k and 504*k**5, and their thresholds.
+# weight k*k*(-1/2)i and the E2 weight -24k (E2's terms are added negated);
+# then the weights of the two stop tests, k*k and 504*k**5, and their
+# thresholds.
 _KS = [float(k) for k in range(1, _KMAX)]
 _W_WP = np.array([complex(k) for k in _KS])[:, None]
 _W_WPP = np.array([(k * k) * (-0.5j) for k in _KS])[:, None]
@@ -348,16 +354,16 @@ def _rows_guess(base):
     return _KMAX - 1
 
 
-def _passes(tab, lo, hi):
-    """(2, hi - lo + 1) booleans: whether every point of the table passes
-    the wz and the E2 stop test at rows k = lo .. hi (lo >= 6).  Slot 1 of
-    the moduli takes (|a_k| + |b_k|) + |q_k|, in the scalar test's order,
-    beside slot 2's |q_k|; a test passes where its block maximum does, and
-    NaN fails, as in the scalar loop."""
-    mod = np.abs(tab[:3, lo : hi + 1])
+def _passes(tab, rows):
+    """(2, rows - 5) booleans: whether every point of the table passes the
+    wz and the E2 stop test at rows k = 6 .. rows.  Slot 1 of the moduli
+    takes (|a_k| + |b_k|) + |q_k|, in the scalar test's order, beside slot
+    2's |q_k|; a test passes where its block maximum does, and NaN fails, as
+    in the scalar loop."""
+    mod = np.abs(tab[:3, 6 : rows + 1])
     np.add(mod[0], mod[1], out=mod[1])
     np.add(mod[1], mod[2], out=mod[1])
-    return np.max(_STOP[:, lo - 1 : hi] * mod[1:], axis=2) < _STOP_BELOW
+    return np.max(_STOP[:, 5:rows] * mod[1:], axis=2) < _STOP_BELOW
 
 
 def _power_rows(base):
@@ -370,29 +376,21 @@ def _power_rows(base):
     k >= 6 at which every point passes the scalar test: k^2 (|a_k| + |b_k|
     + |q_k|) < 1e-19 for wp, wp', zeta (k_wz) and 504 k^5 |q_k| < 1e-18 for
     E2 (k_e2), each _KMAX - 1 when it never comes.  K is first guessed from
-    the largest base modulus.  Past k = 6 a point's test values fall by a
-    factor below 1/10 per row, since every base modulus is below
-    exp(-pi sqrt(3)/2) after reduction, so a test fails up to its stop row
-    and passes after it: only the rows around the guess are tested, with
-    more rows where that window does not show the step.
+    the largest base modulus, and doubled while a test has not passed.
     """
     last = _KMAX - 1
     rows = _rows_guess(base)
     tab = np.empty((6, rows + 1, base.shape[1]), dtype=np.complex128)
     tab[:3, 0] = 1.0
     done = 0
-    lo = max(6, rows - 2)
     while True:
         for k in range(done + 1, rows + 1):
             np.multiply(tab[:3, k - 1], base, out=tab[:3, k])
         done = rows
-        passed = _passes(tab, lo, rows)
-        if lo > 6 and passed[:, 0].any():
-            lo = 6
-            continue
-        if rows == last or passed[:, -1].all():
-            found = passed.any(axis=1)
-            k_wz, k_e2 = np.where(found, lo + passed.argmax(axis=1), last).tolist()
+        passed = _passes(tab, rows)
+        found = passed.any(axis=1)
+        if rows == last or found.all():
+            k_wz, k_e2 = np.where(found, 6 + passed.argmax(axis=1), last).tolist()
             return tab, k_wz, k_e2
         rows = min(2 * rows, last)
         grown = np.empty((6, rows + 1, base.shape[1]), dtype=np.complex128)
@@ -467,8 +465,8 @@ def _series_many(z, tau, q):
 
 def _z2_block(r, s, tau, reduced):
     """(Z2, scale) of ``premodular_at`` at each point of a reduced block: the
-    scalar path's steps on arrays, both q-series from one table of powers
-    (``_series_many``)."""
+    scalar path's steps on arrays, with wp, wp', zeta and E2 summed from one
+    table of powers and terms (``_series_many``)."""
     tred, _, _, c, d = reduced
     qred = np.exp(2j * _PI * tred)
     j = c * tau + d

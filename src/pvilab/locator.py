@@ -6,7 +6,9 @@ cancellation noise, so every sample meets one clearance test, |Z2| >=
 BOUNDARY_RTOL * scale; the cusp orders come from the ``TorsionPair``.
 
 Winding numbers come from adaptive phase tracking of Z2 along the domain
-boundary: the phase step between consecutive samples is bisected until it is
+boundary: a segment whose phase step between consecutive samples exceeds
+pi/8 is cut, in one round, into as many equal parts (a power of two) as
+bring the step down to about pi/16, and rounds repeat until every step is
 below pi/8, so unwrapping is unambiguous.  The cusp at infinity is closed
 analytically: the leading behaviour c*q^ord contributes exactly
 2*pi*ord*(Re change) across the cap, which is added instead of sampled.
@@ -89,7 +91,7 @@ WINDING_SLACK = 0.05
 _CUSP_CLEARANCE = 0.03
 # Radius of the disk excised around a cusp where Z2 vanishes.
 _EXCISION_RADIUS = 0.12
-# Bisection rounds allowed per boundary piece before the phase is declared
+# Refinement rounds allowed per boundary piece before the phase is declared
 # incoherent.
 _MAX_REFINE_ROUNDS = 18
 # Largest N whose zeros of M_N over F ``count_mn_zeros`` counts, and so the
@@ -340,8 +342,10 @@ def _phase_along_pieces(
     """Accumulated phase change of Z2 along each numeric boundary piece, with
     its first and last sample values; piece i follows Z2 of ``pairs[i]``.
 
-    Each piece starts from n0 samples and bisects every segment whose phase
-    step exceeds MAX_PHASE_STEP, until none does.  The new samples of one
+    Each piece starts from n0 samples and cuts every segment whose phase
+    step exceeds MAX_PHASE_STEP into equal parts (``_split_points``), until
+    no step does; a step that ``np.angle`` wrapped into (-pi, pi] may get
+    too few parts, and the next round cuts it again.  The new samples of one
     round of all pieces, whatever their pairs, go to ``z2_stable_many`` in
     one batch; a sample with |Z2| below BOUNDARY_RTOL times its scale fails
     its piece.  Pieces do not interact, so the error raised is that of the
@@ -696,9 +700,9 @@ def count_mn_zeros(N: int) -> MnZeroReport:
     one zero in F0, present exactly when its window representative lies in
     one of the three open triangles D1, D2, D3.  Only the D1 classes
     (``_d1_classes``) are hunted, by ``_continued_zeros``: the first on the
-    start grids, every
-    later one by Newton from the zero of its nearest solved class, with the
-    grids as the fallback, and all isolating squares in one pass.
+    start grids, every later one by Newton from the zero of its nearest
+    solved class, with the grids as the fallback, and all isolating squares
+    in one pass.
     ``reduce_to_shifted_domain`` takes each F0 zero tau0 into F by some
     gamma, where gamma.tau0 is a zero of the class that ``transport_pair``
     carries the pair to by gamma: Q_N is closed under SL(2, Z), and the D1

@@ -336,3 +336,15 @@ def test_one_point_call_equals_its_value_in_a_large_batch(mixed_points):
         part = slice(i, i + 1)
         one = _kernels.z2_many(r[part], s[part], taus[part], _kernels.reduce_tau_many(taus[part]))
         assert _same_bits(one[0], vals[part]) and _same_bits(one[1], scales[part]), i
+
+
+def test_too_short_a_row_guess_grows_the_table(mixed_points, monkeypatch):
+    # the table starts at the guessed stop row and is extended while a stop
+    # test has not passed; the rows it adds are the loop's rows
+    monkeypatch.setattr(_kernels, "_rows_guess", lambda base: 6)
+    r, s, taus = mixed_points
+    for lo in range(0, 2000, 500):
+        part = slice(lo, lo + 500)
+        got = _kernels.z2_many(r[part], s[part], taus[part], _kernels.reduce_tau_many(taus[part]))
+        want = _reference_many(r[part], s[part], taus[part])
+        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), lo
