@@ -348,6 +348,8 @@ def _rows_guess(base):
     modulus is rho**k up to rounding (_KMAX - 1 for NaN or rho >= 1)."""
     mod = np.abs(base)
     rho, rho_q = float(mod.max()), float(mod[2].max())
+    if not rho < 1.0:
+        return _KMAX - 1
     for k in range(6, _KMAX - 1):
         if 3.0 * k * k * rho**k < 1e-19 and 504.0 * k**5 * rho_q**k < 1e-18:
             return k
@@ -421,8 +423,9 @@ def _series_many(z, tau, q):
     zt = _PI * cot
 
     # A one-point block gets a second, equal column, so that no table
-    # operation runs along k: NumPy's strided loops round complex products
-    # unlike the contiguous ones the loop form's arrays ran.
+    # operation or sum runs along k: NumPy's strided loops round complex
+    # products unlike the contiguous ones the loop form's arrays ran, and
+    # its sums along a contiguous axis are pairwise.
     n = q.shape[0]
     base = np.empty((3, n), dtype=np.complex128)
     np.exp(2j * _PI * (tau + z), out=base[0])
@@ -452,7 +455,8 @@ def _series_many(z, tau, q):
     np.multiply(diff, inv, out=qk[:k_wz])
 
     # row 0 holds the sums' starts and a series' rows past its stop add 0;
-    # the reduction along k runs over rows of points, one row after another
+    # with the points as the inner axis, NumPy reduces along k by adding
+    # whole rows in k order, as the loop form did
     tab[:4, 0] = _SUM_START
     tab[:3, k_wz + 1 :] = 0.0
     tab[3, k_e2 + 1 :] = 0.0
