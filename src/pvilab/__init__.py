@@ -9,7 +9,7 @@ the exact torsion-orbit combinatorics behind the pole-count formulas.
 
 __version__ = "0.1.0"
 
-from ._backend import backend_name
+from ._kernels import backend_name
 from .elliptic import (
     LatticeData,
     ModuliPoint,

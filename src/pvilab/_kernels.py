@@ -1,30 +1,28 @@
 """Numeric kernels: Fourier (q-) series for Weierstrass functions.
 
 Two paths share one evaluation strategy.  The scalar kernels
-(``premodular_at``, ``lattice_values`` and the helpers they call) are
-nopython-compatible and wrapped by ``@njit``, which compiles them when
-numba is installed and is the identity otherwise (see ``_backend``); Newton
-steps, ``m_n`` and ``lambda_rs`` use them.  Every scalar value of wp runs
-one path: the tau-only prologue ``lattice_constants`` followed by the
-per-argument part ``elliptic_from`` (steps 2-4 below).  ``elliptic_at`` is
-that pair at one z, ``lattice_values`` takes e1, e2, e3 from it at the three
-half-periods on one prologue, and ``premodular_from`` builds Z and Z2 on it;
+(``premodular_at``, ``lattice_values`` and the helpers they call) are plain
+Python on complex floats; Newton steps, ``m_n`` and ``lambda_rs`` use
+them.  Every scalar value of wp runs one path: the tau-only prologue
+``lattice_constants`` followed by the per-argument part ``elliptic_from``
+(steps 2-4 below).  ``elliptic_at`` is that pair at one z,
+``lattice_values`` takes e1, e2, e3 from it at the three half-periods on
+one prologue, and ``premodular_from`` builds Z and Z2 on it;
 ``premodular_at`` runs the prologue first, so a caller with many pairs at
 one tau, such as ``m_n``, calls ``premodular_from`` and runs the prologue
-once.  The batch kernel ``z2_many`` is NumPy
-code under either backend: it runs the same steps on arrays of tau, in
-blocks of at most ``_BLOCK`` points, with r and s given per point.  Each
-point leaves ``reduce_tau_many`` where ``reduce_tau`` stops.  A block's
-series are not summed term by term: the powers of its three bases fill the
-rows k of one table, one multiply per row, every term of both series is a
-table operation, and the rows are added in k order, each series up to the
-first row at which every point of the block passes the scalar kernel's
-stop test.  So a call costs a few dozen NumPy operations whatever its size,
-and every value is the one the row-by-row loop gives, bit for bit.  Past
-the stop test a term is below 1e-19 and falls geometrically with the ones
-after it, far under half an ulp of the sums it joins, so a point's result
-does not depend on what shares its batch.  The strategy for a point tau in
-the upper half-plane:
+once.  The batch kernel ``z2_many`` is NumPy code: it runs the same steps
+on arrays of tau, in blocks of at most ``_BLOCK`` points, with r and s
+given per point.  Each point leaves ``reduce_tau_many`` where
+``reduce_tau`` stops.  A block's series are not summed term by term: the
+powers of its three bases fill the rows k of one table, one multiply per
+row, every term of both series is a table operation, and the rows are added
+in k order, each series up to the first row at which every point of the
+block passes the scalar kernel's stop test.  So a call costs a few dozen
+NumPy operations whatever its size, and every value is the one the
+row-by-row loop gives, bit for bit.  Past the stop test a term is below
+1e-19 and falls geometrically with the ones after it, far under half an ulp
+of the sums it joins, so a point's result does not depend on what shares
+its batch.  The strategy for a point tau in the upper half-plane:
 
 1. reduce tau to the standard fundamental domain {|Re| <= 1/2, |tau| >= 1}
    with an integer matrix, so the nome q = exp(2*pi*i*tau_red) satisfies
@@ -50,8 +48,6 @@ import math
 
 import numpy as np
 
-from ._backend import njit
-
 _PI = math.pi
 _EPS = 2.220446049250313e-16
 
@@ -60,7 +56,6 @@ _EPS = 2.220446049250313e-16
 _KMAX = 400
 
 
-@njit
 def reduce_tau(tau):
     """Reduce tau into {|Re| <= 1/2, |tau| >= 1}.
 
@@ -89,7 +84,6 @@ def reduce_tau(tau):
     return t, a, b, c, d
 
 
-@njit
 def reduce_z(z, tau):
     """Translate z by the lattice Z + Z*tau into the centred cell.
 
@@ -115,7 +109,6 @@ def reduce_z(z, tau):
     return z0, m, n, dist, bm, bn
 
 
-@njit
 def wz_series(z, tau, q):
     """wp, wp', and the eta1-free part of zeta at reduced (z, tau).
 
@@ -167,7 +160,6 @@ def wz_series(z, tau, q):
     return wp, wpp, zt, tail
 
 
-@njit
 def lattice_constants(tau):
     """Reduce tau and carry the lattice constants back through the weight laws.
 
@@ -210,7 +202,6 @@ def lattice_constants(tau):
     return tred, qred, j, eta1_r, eta1, eta2, g2, g3, tail, (a, b, c, d)
 
 
-@njit
 def elliptic_from(z, tau, consts):
     """``elliptic_at`` with its lattice prologue given: consts is
     ``lattice_constants(tau)``, which depends on tau alone.  Slot 8 of the
@@ -234,7 +225,6 @@ def elliptic_from(z, tau, consts):
     return wp, wpp, zeta, eta1, eta2, g2, g3, dist, tail
 
 
-@njit
 def elliptic_at(z, tau):
     """Full evaluation bundle at arbitrary (z, tau), Im tau > 0.
 
@@ -246,7 +236,6 @@ def elliptic_at(z, tau):
     return elliptic_from(z, tau, lattice_constants(tau))
 
 
-@njit
 def lattice_values(tau):
     """Quasi-periods, invariants and half-period values at tau.
 
@@ -265,7 +254,6 @@ def lattice_values(tau):
     return eta1, eta2, g2, g3, e1, e2, e3, err
 
 
-@njit
 def premodular_from(r, s, tau, consts):
     """``premodular_at`` with its lattice prologue given: consts is
     ``lattice_constants(tau)``, so a caller evaluating many pairs at one tau
@@ -278,7 +266,6 @@ def premodular_from(r, s, tau, consts):
     return z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, consts
 
 
-@njit
 def premodular_at(r, s, tau):
     """Hecke form and premodular form for torsion parameters (r, s) at tau.
 
@@ -292,7 +279,7 @@ def premodular_at(r, s, tau):
 
 
 # ---------------------------------------------------------------------------
-# The batch kernel: NumPy, array at a time, whatever the backend
+# The batch kernel: NumPy, array at a time
 # ---------------------------------------------------------------------------
 
 # Points per block of ``z2_many``; bounds the kernel's working set, whose
@@ -509,9 +496,9 @@ def z2_many(r, s, taus, reduced):
     an array: two new arrays (NaN at lattice hits).
 
     r and s are arrays with one value per point, so one call can serve many
-    pairs; ``reduced`` is the caller's ``reduce_tau_many(taus)``.  NumPy
-    code under either backend.  A point's result depends on its own
-    (r, s, tau) alone: it is the same in any batch.
+    pairs; ``reduced`` is the caller's ``reduce_tau_many(taus)``.  A point's
+    result depends on its own (r, s, tau) alone: it is the same in any
+    batch.
     """
     n = taus.shape[0]
     vals = np.empty(n, dtype=np.complex128)
@@ -524,13 +511,12 @@ def z2_many(r, s, taus, reduced):
     return vals, scales
 
 
+def backend_name() -> str:
+    """The kernels' label in reports and benchmark records: always
+    "numpy", the one path there is."""
+    return "numpy"
+
+
 def warmup():
-    """Force JIT compilation of every scalar kernel (no-op without numba)."""
-    tau = complex(0.1, 1.3)
-    reduce_tau(tau)
-    reduce_z(complex(0.3, 0.2), tau)
-    lattice_constants(tau)
-    elliptic_at(complex(0.3, 0.2), tau)
-    lattice_values(tau)
-    premodular_at(complex(0.3, 0.0), complex(0.2, 0.0), tau)
-    premodular_from(complex(0.3, 0.0), complex(0.2, 0.0), tau, lattice_constants(tau))
+    """Nothing to prepare: the kernels are ready on import.  Kept for
+    callers that still call it before timing."""

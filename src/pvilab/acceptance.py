@@ -17,7 +17,6 @@ from fractions import Fraction
 
 import numpy as np
 
-from . import _kernels
 from .elliptic import ModuliPoint, invariants_g, weierstrass_p, weierstrass_zeta
 from .locator import (
     F0,
@@ -437,7 +436,6 @@ ALL_CRITERIA = [
 
 def run_all(echo=print) -> list[CriterionResult]:
     """Run the whole suite, printing one pass/fail line per criterion."""
-    _kernels.warmup()
     results = []
     for crit in ALL_CRITERIA:
         res = crit()

@@ -21,7 +21,7 @@ import time
 from fractions import Fraction
 
 from . import __version__
-from ._backend import backend_name
+from ._kernels import backend_name
 from .errors import (
     BoundaryTooClose,
     DomainError,
@@ -70,7 +70,7 @@ def _pair(args) -> TorsionPair:
 
 def _report(command: str, inputs: dict, results: dict, t0: float, **diagnostics) -> Report:
     """The report of one subcommand; its diagnostics always carry the
-    backend in effect and the wall time since t0."""
+    kernels' backend label and the wall time since t0."""
     diagnostics["backend"] = backend_name()
     diagnostics["timings"] = {command: time.time() - t0}
     return Report(

@@ -1,13 +1,7 @@
+"""Shared fixtures: a seeded NumPy generator for the randomised tests."""
+
 import numpy as np
 import pytest
-
-from pvilab import _kernels
-
-
-@pytest.fixture(scope="session", autouse=True)
-def _warm_kernels():
-    """Compile the JIT kernels once so timed tests measure compute only."""
-    _kernels.warmup()
 
 
 @pytest.fixture

@@ -3,8 +3,8 @@
 Each test runs its criterion at the stated tolerance through the shared
 implementation in pvilab.acceptance (the same code the ``pvilab verify``
 subcommand executes) and prints the one-line pass/fail verdict.  Runtime
-budgets are asserted per criterion; JIT compilation happens in the session
-warmup fixture, outside the timed regions.
+budgets are asserted per criterion; the kernels are plain Python and NumPy,
+so nothing is compiled before the timed regions.
 """
 
 import pytest

@@ -8,7 +8,7 @@ from fractions import Fraction
 
 import pytest
 
-from pvilab._backend import backend_name
+from pvilab._kernels import backend_name
 from pvilab.cli import main
 from pvilab.locator import valence_check
 from pvilab.orbits import p_of_n

@@ -1,9 +1,9 @@
 """Frozen CLI outputs: the SHA-256 of each report payload and CSV grid.
 
 Report hashes drop ``diagnostics.timings`` (wall time) and
-``diagnostics.backend`` (which kernel backend imported), so they hold on
-every machine whose float arithmetic matches; everything else a report says
-is covered byte for byte.  A refactor that changes any number, key or
+``diagnostics.backend`` (a constant label, "numpy", kept for benchmark
+records), so they hold on every machine whose float arithmetic matches;
+everything else a report says is covered byte for byte.  A refactor that changes any number, key or
 formatting in these outputs fails here.
 """
 
