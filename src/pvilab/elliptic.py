@@ -11,7 +11,7 @@ All functions are pure; ModuliPoint and LatticeData are frozen.
 
 from __future__ import annotations
 
-import math
+import cmath
 from dataclasses import dataclass
 
 from . import _kernels
@@ -29,8 +29,8 @@ class ModuliPoint:
     @classmethod
     def from_tau(cls, tau: complex) -> "ModuliPoint":
         tau = complex(tau)
-        if not (tau.imag > 0.0) or not math.isfinite(tau.imag):
-            raise DomainError(f"Im tau must be positive, got tau = {tau}")
+        if not (tau.imag > 0.0 and cmath.isfinite(tau)):
+            raise DomainError(f"tau must be finite with Im tau > 0, got tau = {tau}")
         return cls(tau=tau)
 
 

@@ -48,7 +48,7 @@ import numpy as np
 
 from . import _kernels
 from .elliptic import _as_point
-from .errors import Degenerate, NearLattice
+from .errors import Degenerate, DomainError, NearLattice
 from .orbits import enumerate_qn
 
 _PI = math.pi
@@ -184,7 +184,10 @@ class TorsionPair:
         def norm(x):
             if isinstance(x, (Fraction, int)):
                 return Fraction(x)
-            return complex(x)
+            x = complex(x)
+            if not cmath.isfinite(x):
+                raise DomainError(f"r and s must be finite, got {x}")
+            return x
 
         return cls(norm(r), norm(s))
 

@@ -298,6 +298,22 @@ def test_malformed_number_is_usage_error(flag, text, capsys):
     assert f"argument {flag}: invalid number value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--r", "--s", "--tau"])
+@pytest.mark.parametrize("bad", ["nan", "inf"])
+def test_non_finite_number_is_a_domain_error(flag, bad, capsys):
+    argv = {"--r": "1/4", "--s": "0", "--tau": "0+1.2i"}
+    argv[flag] = f"{bad}+1i" if flag == "--tau" else bad
+    assert main(["eval"] + [a for kv in argv.items() for a in kv]) == 1
+    err = capsys.readouterr().err
+    assert "error: DomainError" in err
+    assert "Traceback" not in err
+
+
+def test_non_finite_pair_is_a_domain_error_for_zeros(capsys):
+    assert main(["zeros", "--r", "0.6", "--s", "inf"]) == 1
+    assert "error: DomainError" in capsys.readouterr().err
+
+
 def test_verify_prints_summary_and_exit_code(monkeypatch, capsys):
     from pvilab import acceptance
     from pvilab.acceptance import CriterionResult

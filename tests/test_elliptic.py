@@ -34,6 +34,16 @@ def test_moduli_point_rejects_lower_half_plane():
         ModuliPoint.from_tau(0.3)
 
 
+@pytest.mark.parametrize(
+    "tau",
+    [complex(math.nan, 1.0), complex(math.inf, 1.0), complex(-math.inf, 1.0),
+     complex(0.0, math.nan), complex(0.0, math.inf)],
+)
+def test_moduli_point_rejects_non_finite_tau(tau):
+    with pytest.raises(DomainError):
+        ModuliPoint.from_tau(tau)
+
+
 # --- weierstrass_p ----------------------------------------------------------
 
 

@@ -10,7 +10,7 @@ import pytest
 
 from pvilab import oracles, premodular
 from pvilab.elliptic import ModuliPoint, invariants_g
-from pvilab.errors import Degenerate, NearLattice
+from pvilab.errors import Degenerate, DomainError, NearLattice
 from pvilab.modular import ModularMatrix, transport_pair
 from pvilab.orbits import enumerate_qn
 from pvilab.premodular import (
@@ -37,6 +37,16 @@ def test_degenerate_pairs_flagged():
     assert TorsionPair.of(3, -2).degenerate
     assert not TorsionPair.of(Fraction(1, 4), 0).degenerate
     assert not TorsionPair.of(0.3, 0.2).degenerate
+
+
+@pytest.mark.parametrize(
+    "r,s",
+    [(math.nan, 0.2), (0.3, math.inf), (-math.inf, Fraction(1, 3)),
+     (complex(0.3, math.nan), 0.2), (Fraction(1, 4), complex(math.inf, 0.0))],
+)
+def test_non_finite_pair_rejected(r, s):
+    with pytest.raises(DomainError):
+        TorsionPair.of(r, s)
 
 
 def test_pair_flags_are_cached_without_changing_equality(monkeypatch):
