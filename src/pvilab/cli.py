@@ -62,6 +62,15 @@ def number(text: str):
         raise ValueError(str(exc)) from exc
 
 
+def grid_size(text: str) -> int:
+    """argparse type of --nx and --ny: an integer >= 1, so that an empty
+    grid is a usage error."""
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"grid size must be >= 1, got {n}")
+    return n
+
+
 def _pair(args) -> TorsionPair:
     if args.r is None or args.s is None:
         raise DomainError("--r and --s are required")
@@ -272,8 +281,8 @@ _FLAGS = {
     "--re-max": dict(type=float, default=1.0),
     "--im-min": dict(type=float, default=0.1),
     "--im-max": dict(type=float, default=2.0),
-    "--nx": dict(type=int, default=21),
-    "--ny": dict(type=int, default=21),
+    "--nx": dict(type=grid_size, default=21),
+    "--ny": dict(type=grid_size, default=21),
 }
 
 # Each subcommand accepts exactly the flags its handler reads.

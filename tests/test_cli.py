@@ -298,6 +298,18 @@ def test_malformed_number_is_usage_error(flag, text, capsys):
     assert f"argument {flag}: invalid number value" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag", ["--nx", "--ny"])
+@pytest.mark.parametrize("size", ["0", "-1"])
+def test_empty_scan_grid_is_usage_error(flag, size, tmp_path, capsys):
+    argv = {"--nx": "2", "--ny": "3"}
+    argv[flag] = size
+    out = tmp_path / "grid.csv"
+    base = ["scan", "--mode", "z2", "--r", "0.3", "--s", "0.2", "--out", str(out)]
+    assert main(base + [a for kv in argv.items() for a in kv]) == 1
+    assert f"argument {flag}: invalid grid_size value" in capsys.readouterr().err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("flag", ["--r", "--s", "--tau"])
 @pytest.mark.parametrize("bad", ["nan", "inf"])
 def test_non_finite_number_is_a_domain_error(flag, bad, capsys):
