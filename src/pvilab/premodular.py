@@ -15,9 +15,9 @@ kernels reduce tau to tau' = gamma.tau, gamma = [[a, b], [c, d]]; with
 j = c*tau + d the pair rides along as r' = a*r - b*s, s' = d*s - c*r, and
 Z2_{r,s}(tau) = j^-3 Z2_{r',s'}(tau').  Where s' is in (1/2)Z the direct
 value is cancellation noise and Z2 is S(p')/j^3, S the carried pair's
-``cusp_series`` at p' = exp(pi*i*tau'), |p'| <= exp(-pi*sqrt(3)/2), with
-scale sum |c_n||p'|^n / |j|^3 (reduce, then sum the q-series: Johansson,
-arXiv:1806.06725); elsewhere the kernel's direct value stands.
+``z2_cusp_expansion`` at p' = exp(pi*i*tau'), |p'| <= exp(-pi*sqrt(3)/2),
+with scale sum |c_n||p'|^n / |j|^3 (reduce, then sum the q-series:
+Johansson, arXiv:1806.06725); elsewhere the kernel's direct value stands.
 
 Off the series, ``z2_with_derivative`` gives dZ2/dtau in closed form from
 one kernel call.  The derivative is total along z = r + s*tau with (r, s)
@@ -114,17 +114,6 @@ class TorsionPair:
         if s == 0:
             return complex(-48.0 * _PI**3 * math.sin(2.0 * _PI * r)), Fraction(1)
         return complex(-12.0 * _PI**3 * math.sin(2.0 * _PI * r)), Fraction(1, 2)
-
-    @cached_property
-    def cusp_series(self) -> Optional[np.ndarray]:
-        """The read-only ``z2_cusp_expansion`` if the pair is real, usable and
-        of positive order at infinity, else None: the series the cusp rule
-        sums (through the bounded cache ``_series_of``) for a carried pair."""
-        if not self.is_real or self.degenerate or self.cusp[1] == 0:
-            return None
-        coeffs = z2_cusp_expansion(self)
-        coeffs.flags.writeable = False
-        return coeffs
 
     @cached_property
     def cusp_orders(self) -> tuple[Fraction, ...]:
@@ -388,9 +377,10 @@ def z2_cusp_expansion(p: TorsionPair) -> np.ndarray:
 
 @lru_cache(maxsize=1024)
 def _series_of(r, s) -> tuple[tuple, tuple]:
-    """Horner-ordered coefficients of the carried pair's ``cusp_series`` and
-    their magnitudes, once per carried pair (r, s) in a bounded cache."""
-    coeffs = TorsionPair.of(r, s).cusp_series[::-1]
+    """Horner-ordered coefficients of the carried pair's
+    ``z2_cusp_expansion`` and their magnitudes, once per carried pair (r, s)
+    in a bounded cache."""
+    coeffs = z2_cusp_expansion(TorsionPair.of(r, s))[::-1]
     return tuple(coeffs.tolist()), tuple(np.abs(coeffs).tolist())
 
 
