@@ -2,27 +2,25 @@
 
 Two paths share one evaluation strategy.  The scalar kernels
 (``premodular_at``, ``lattice_values`` and the helpers they call) are plain
-Python on complex floats; Newton steps, ``m_n`` and ``lambda_rs`` use
-them.  Every scalar value of wp runs one path: the tau-only prologue
+Python on complex floats; Newton steps and ``lambda_rs`` use them.  Every
+scalar value of wp runs one path: the tau-only prologue
 ``lattice_constants`` followed by the per-argument part ``elliptic_from``
 (steps 2-4 below).  ``elliptic_at`` is that pair at one z,
 ``lattice_values`` takes e1, e2, e3 from it at the three half-periods on
-one prologue, and ``premodular_from`` builds Z and Z2 on it;
-``premodular_at`` runs the prologue first, so a caller with many pairs at
-one tau, such as ``m_n``, calls ``premodular_from`` and runs the prologue
-once.  The batch kernel ``z2_many`` is NumPy code: it runs the same steps
-on arrays of tau, in blocks of at most ``_BLOCK`` points, with r and s
-given per point.  Each point leaves ``reduce_tau_many`` where
-``reduce_tau`` stops.  A block's series are not summed term by term: the
-powers of its three bases fill the rows k of one table, one multiply per
-row, every term of both series is a table operation, and the rows are added
-in k order, each series up to the first row at which every point of the
-block passes the scalar kernel's stop test.  So a call costs a few dozen
-NumPy operations whatever its size, and every value is the one the
-row-by-row loop gives, bit for bit.  Past the stop test a term is below
-1e-19 and falls geometrically with the ones after it, far under half an ulp
-of the sums it joins, so a point's result does not depend on what shares
-its batch.  The strategy for a point tau in the upper half-plane:
+one prologue, and ``premodular_at`` builds Z and Z2 on it.  The batch
+kernel ``z2_many`` is NumPy code: it runs the same steps on arrays of tau,
+in blocks of at most ``_BLOCK`` points, with r and s given per point.  Each
+point leaves ``reduce_tau_many`` where ``reduce_tau`` stops.  A block's
+series are not summed term by term: the powers of its three bases fill the
+rows k of one table, one multiply per row, every term of both series is a
+table operation, and the rows are added in k order, each series up to the
+first row at which every point of the block passes the scalar kernel's stop
+test.  So a call costs a few dozen NumPy operations whatever its size, and
+every value is the one the row-by-row loop gives, bit for bit.  Past the
+stop test a term is below 1e-19 and falls geometrically with the ones after
+it, far under half an ulp of the sums it joins, so a point's result does
+not depend on what shares its batch.  The strategy for a point tau in the
+upper half-plane:
 
 1. reduce tau to the standard fundamental domain {|Re| <= 1/2, |tau| >= 1}
    with an integer matrix, so the nome q = exp(2*pi*i*tau_red) satisfies
@@ -254,18 +252,6 @@ def lattice_values(tau):
     return eta1, eta2, g2, g3, e1, e2, e3, err
 
 
-def premodular_from(r, s, tau, consts):
-    """``premodular_at`` with its lattice prologue given: consts is
-    ``lattice_constants(tau)``, so a caller evaluating many pairs at one tau
-    computes it once."""
-    alpha = r + s * tau
-    wp, wpp, zeta, eta1, eta2, g2, g3, dist, _ = elliptic_from(alpha, tau, consts)
-    z = zeta - r * eta1 - s * eta2
-    z2 = z * z * z - 3.0 * wp * z - wpp
-    scale = abs(z) ** 3 + 3.0 * abs(wp) * abs(z) + abs(wpp)
-    return z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, consts
-
-
 def premodular_at(r, s, tau):
     """Hecke form and premodular form for torsion parameters (r, s) at tau.
 
@@ -275,7 +261,12 @@ def premodular_at(r, s, tau):
     distance of alpha = r + s*tau from the lattice and consts the
     ``lattice_constants(tau)`` used.  NaN values when dist < 1e-12.
     """
-    return premodular_from(r, s, tau, lattice_constants(tau))
+    consts = lattice_constants(tau)
+    wp, wpp, zeta, eta1, eta2, g2, g3, dist, _ = elliptic_from(r + s * tau, tau, consts)
+    z = zeta - r * eta1 - s * eta2
+    z2 = z * z * z - 3.0 * wp * z - wpp
+    scale = abs(z) ** 3 + 3.0 * abs(wp) * abs(z) + abs(wpp)
+    return z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, consts
 
 
 # ---------------------------------------------------------------------------

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 import time
 from fractions import Fraction
@@ -69,6 +70,15 @@ def grid_size(text: str) -> int:
     if n < 1:
         raise ValueError(f"grid size must be >= 1, got {n}")
     return n
+
+
+def finite(text: str) -> float:
+    """argparse type of --re-min, --re-max, --im-min and --im-max: a finite
+    float, so that a NaN or infinite bound is a usage error."""
+    x = float(text)
+    if not math.isfinite(x):
+        raise ValueError(f"bound must be finite, got {x}")
+    return x
 
 
 def _pair(args) -> TorsionPair:
@@ -277,10 +287,10 @@ _FLAGS = {
     "--out": dict(type=str, default=None),
     "--format": dict(choices=("json", "csv"), default="json"),
     "--mode": dict(choices=("z2", "winding"), default="z2"),
-    "--re-min": dict(type=float, default=0.0),
-    "--re-max": dict(type=float, default=1.0),
-    "--im-min": dict(type=float, default=0.1),
-    "--im-max": dict(type=float, default=2.0),
+    "--re-min": dict(type=finite, default=0.0),
+    "--re-max": dict(type=finite, default=1.0),
+    "--im-min": dict(type=finite, default=0.1),
+    "--im-max": dict(type=finite, default=2.0),
     "--nx": dict(type=grid_size, default=21),
     "--ny": dict(type=grid_size, default=21),
 }

@@ -71,7 +71,7 @@ import numpy as np
 from .elliptic import ModuliPoint
 from .errors import BoundaryTooClose, DomainError, IncoherentWinding, PviLabError
 from .modular import IDENTITY, reduce_to_shifted_domain, transport_pair
-from .orbits import _nu_infinity, pm_class_reps, qn_size
+from .orbits import _nu_infinity, pm_class_reps, pm_key, qn_size
 from .premodular import TorsionPair, m_n, z2_stable_many
 from .solutions import _newton_z2
 
@@ -177,36 +177,44 @@ def classify_triangle(p: TorsionPair) -> TrianglePosition:
     triangles partitioning [0,1] x [0,1/2].
 
     Exact for rational pairs, in the integers of the pair's ``_carry``
-    (x, y, n) = n*(r, s): the window is taken mod n and every comparison
-    below is scaled by 2n, so the edges 1/2 and 1 are n and 2n (degenerate
-    pairs, which have no carry, lie on an edge); floats get a 1e-12 guard
-    band mapped to "boundary".
+    (``_integer_triangle``; degenerate pairs, which have no carry, lie on an
+    edge); floats get a 1e-12 guard band mapped to "boundary".
     """
     if not p.is_real:
         raise DomainError("triangle classification needs a real pair")
-    if p.exact:
-        if p._carry is None:
-            return TrianglePosition("boundary")
-        x, y, n = p._carry
-        r, s = x % n, y % n
-        if 2 * s > n:
-            r, s = -r % n, -s % n
-        r, s, one, half, on_edge = 2 * r, 2 * s, 2 * n, n, lambda e: e == 0
-    else:
+    if not p.exact:
         r, s = p.reduced_real()
-        one, half, on_edge = 1.0, 0.5, lambda e: abs(e) < 1e-12
+        return TrianglePosition(_triangle(r, s, 1.0, 0.5, lambda e: abs(e) < 1e-12))
+    if p._carry is None:
+        return TrianglePosition("boundary")
+    return TrianglePosition(_integer_triangle(*p._carry))
+
+
+def _integer_triangle(x: int, y: int, n: int) -> str:
+    """The triangle tag of the window representative of +-(x, y)/n, in
+    integers: the window is taken mod n and every comparison is scaled by
+    2n, so the edges 1/2 and 1 are n and 2n."""
+    r, s = x % n, y % n
+    if 2 * s > n:
+        r, s = -r % n, -s % n
+    return _triangle(2 * r, 2 * s, 2 * n, n, lambda e: e == 0)
+
+
+def _triangle(r, s, one, half, on_edge) -> str:
+    """The tag of a window point (r, s): "boundary" where ``on_edge`` holds
+    for one of the edges, else the open triangle it lies in."""
     edges = (r, r - half, r - one, s, s - half, r + s - half, r + s - one)
     if any(on_edge(e) for e in edges):
-        return TrianglePosition("boundary")
+        return "boundary"
     if 0 < r < half and 0 < s < half and r + s > half:
-        return TrianglePosition("D0")
+        return "D0"
     if half < r < one and 0 < s < half and r + s > one:
-        return TrianglePosition("D1")
+        return "D1"
     if half < r < one and 0 < s < half and r + s < one:
-        return TrianglePosition("D2")
+        return "D2"
     if r > 0 and s > 0 and r + s < half:
-        return TrianglePosition("D3")
-    return TrianglePosition("outside")
+        return "D3"
+    return "outside"
 
 
 # ---------------------------------------------------------------------------
@@ -680,17 +688,10 @@ def _merge_events(N: int, certs: list[ZeroCertificate]) -> list[tuple]:
 
 def _d1_classes(reps: list) -> list[int]:
     """The indices of the +-classes in D1 among ``pm_class_reps`` of one N,
-    in order: ``classify_triangle``'s D1 test in the integers k1, k2 of each
-    class's window representative, the element of the class with 0 < k2 <
-    N/2 (D1 is N/2 < k1 < N, 0 < k2 < N/2, k1 + k2 > N)."""
-    d1 = []
-    for k, rep in enumerate(reps):
-        n, k1, k2 = rep.N, rep.k1, rep.k2
-        if 2 * k2 > n:
-            k1, k2 = -k1 % n, -k2 % n
-        if n < 2 * k1 and 0 < 2 * k2 < n and k1 + k2 > n:
-            d1.append(k)
-    return d1
+    in order: ``classify_triangle``'s integer rule on each class's k1, k2,
+    with no ``TorsionPair`` built."""
+    tags = (_integer_triangle(rep.k1, rep.k2, rep.N) for rep in reps)
+    return [k for k, tag in enumerate(tags) if tag == "D1"]
 
 
 def count_mn_zeros(N: int) -> MnZeroReport:
@@ -728,7 +729,7 @@ def count_mn_zeros(N: int) -> MnZeroReport:
             continue
         tau, g = reduce_to_shifted_domain(cert.tau0)
         k1, k2 = transport_pair(reps[k].k1, reps[k].k2, g)
-        j = index[min((k1 % N, k2 % N), (-k1 % N, -k2 % N))]
+        j = index[pm_key(k1, k2, N)]
         if j in source:
             raise IncoherentWinding(
                 f"D1 classes {pair(source[j])} and {cert.torsion} carry to one "

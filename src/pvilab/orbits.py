@@ -52,13 +52,16 @@ class RationalPair:
         """Numerators of the row vector (s, r)."""
         return (self.k2, self.k1)
 
-    def negated(self) -> "RationalPair":
-        return RationalPair((-self.k1) % self.N, (-self.k2) % self.N, self.N)
-
     def pm_canonical(self) -> "RationalPair":
         """Lexicographically smaller of the pair and its negation."""
-        neg = self.negated()
-        return min(self, neg, key=lambda p: (p.k1, p.k2))
+        return RationalPair(*pm_key(self.k1, self.k2, self.N), self.N)
+
+
+def pm_key(k1: int, k2: int, N: int) -> tuple[int, int]:
+    """The key of the +-class of (k1, k2)/N: min((k1, k2), (-k1, -k2)) mod N,
+    the numerators of its lexicographically smallest element."""
+    k1, k2 = k1 % N, k2 % N
+    return min((k1, k2), (-k1 % N, -k2 % N))
 
 
 def _prime_divisors(n: int) -> list[int]:
@@ -384,4 +387,4 @@ def orbit_brute_force(N: int, max_depth: int = 24) -> list[frozenset]:
 def pm_class_reps(N: int) -> list[RationalPair]:
     """One representative per +-class of Q_N (lexicographic minimum), in
     lexicographic order: the pairs of Q_N not above their negation."""
-    return [p for p in enumerate_qn(N) if (p.k1, p.k2) <= (-p.k1 % N, -p.k2 % N)]
+    return [p for p in enumerate_qn(N) if pm_key(p.k1, p.k2, N) == (p.k1, p.k2)]

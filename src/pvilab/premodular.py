@@ -9,10 +9,11 @@ Z transforms with weight 1 and Z2 with weight 3 under tau -> gamma.tau with
 identically zero on the three half-period parameter pairs and identically
 infinite on integer pairs; those are rejected as Degenerate.
 
-One cusp rule (``z2_stable``, ``z2_stable_many``, ``z2_with_derivative``,
-``m_n``) reads Z2; ``z2`` and ``z2_with_scale`` are the direct kernel.  The
-kernels reduce tau to tau' = gamma.tau, gamma = [[a, b], [c, d]]; with
-j = c*tau + d the pair rides along as r' = a*r - b*s, s' = d*s - c*r, and
+One cusp rule (``z2_stable``, ``z2_stable_many``, ``z2_with_derivative``)
+reads Z2, and ``m_n`` takes its factors from ``z2_stable_many``; ``z2`` and
+``z2_with_scale`` are the direct kernel.  The kernels reduce tau to
+tau' = gamma.tau, gamma = [[a, b], [c, d]]; with j = c*tau + d the pair
+rides along as r' = a*r - b*s, s' = d*s - c*r, and
 Z2_{r,s}(tau) = j^-3 Z2_{r',s'}(tau').  Where s' is in (1/2)Z the direct
 value is cancellation noise and Z2 is S(p')/j^3, S the carried pair's
 ``z2_cusp_expansion`` at p' = exp(pi*i*tau'), |p'| <= exp(-pi*sqrt(3)/2),
@@ -48,7 +49,7 @@ import numpy as np
 
 from . import _kernels
 from .elliptic import _as_point
-from .errors import Degenerate, DomainError, NearLattice
+from .errors import Degenerate, DomainError, InternalError, NearLattice
 from .orbits import enumerate_qn
 
 _PI = math.pi
@@ -141,8 +142,9 @@ class TorsionPair:
             )
         return complex(self.r).real, complex(self.s).real, 1
 
-    # m_n reads the complex form on every factor of every call, and for
-    # Fraction pairs each conversion is a Fraction division.
+    # z2_stable_many reads the complex form of every pair on every call (for
+    # m_n, all of Q_N), and for Fraction pairs each conversion is a Fraction
+    # division.
     @cached_property
     def _complex(self) -> tuple[complex, complex]:
         return complex(self.r), complex(self.s)
@@ -212,14 +214,8 @@ def _premodular_at(p: TorsionPair, m) -> tuple:
     """The ``premodular_at`` bundle for a usable pair, refusing alpha within
     NEAR_LATTICE_DIST of the lattice."""
     _check_usable(p)
-    m = _as_point(m)
     r, s = p.as_complex()
-    return _off_lattice(_kernels.premodular_at(r, s, m.tau))
-
-
-def _off_lattice(values: tuple) -> tuple:
-    """A ``premodular_at`` bundle, unless its alpha lies within
-    NEAR_LATTICE_DIST of the lattice."""
+    values = _kernels.premodular_at(r, s, _as_point(m).tau)
     dist = values[9]
     if dist < NEAR_LATTICE_DIST:
         raise NearLattice(
@@ -470,26 +466,21 @@ def m_n(N: int, m) -> float:
     """log|M_N(tau)|, M_N the product of Z2_{r,s} over all (r, s) in Q_N;
     -inf when a factor is exactly 0.
 
-    Factors are visited in sorted index order, so the sum is deterministic.
-    Each factor is ``z2_stable``'s value by the cusp rule, with the tau-only
-    lattice prologue, and with it the reduction, computed once for all
-    factors.
+    The factors are ``z2_stable_many``'s values, from one call over Q_N at
+    tau, and their logs are summed as one array in ``enumerate_qn`` order,
+    so the sum is deterministic.  No pair of Q_N is degenerate or near the
+    lattice: a primitive pair with N >= 3 is not in (1/2)Z^2, and r + s*tau
+    stays at least sqrt(3)/(2N) from the lattice in the reduced cell.  So a
+    NaN factor is a fault, and raises InternalError.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
     tau = _as_point(m).tau
-    consts = _kernels.lattice_constants(tau)
-    log_abs = 0.0
-    for pair in _qn_pairs(N):
-        series = _on_series(pair, consts)
-        if series is not None:
-            val = series[0]
-        else:
-            _check_usable(pair)
-            r, s = pair.as_complex()
-            val = _off_lattice(_kernels.premodular_from(r, s, tau, consts))[3]
-        av = abs(val)
-        if av == 0.0:
-            return -math.inf
-        log_abs += math.log(av)
-    return log_abs
+    pairs = _qn_pairs(N)
+    vals, _ = z2_stable_many(pairs, np.full(len(pairs), tau), [1] * len(pairs))
+    mags = np.abs(vals)
+    if np.isnan(mags).any():
+        raise InternalError(f"a factor of M_{N} is NaN at tau = {tau}")
+    if not mags.all():
+        return -math.inf
+    return float(np.log(mags).sum())

@@ -7,9 +7,12 @@ budgets are asserted per criterion; the kernels are plain Python and NumPy,
 so nothing is compiled before the timed regions.
 """
 
+import math
+
 import pytest
 
 from pvilab import acceptance
+from pvilab.premodular import z2_stable_many
 
 BUDGETS = {
     1: 5.0,
@@ -36,3 +39,14 @@ def test_criterion(number):
         f"criterion {number} exceeded its runtime budget: "
         f"{result.runtime:.1f}s > {BUDGETS[number]}s"
     )
+
+
+def test_criterion_8_fails_on_a_nan(monkeypatch):
+    # a NaN sample fails the clearance test instead of passing unseen
+    def with_nan(pairs, taus, counts):
+        vals, scales = z2_stable_many(pairs, taus, counts)
+        vals[0] = complex(math.nan, math.nan)
+        return vals, scales
+
+    monkeypatch.setattr(acceptance, "z2_stable_many", with_nan)
+    assert not acceptance.criterion_8().passed

@@ -321,6 +321,20 @@ def test_non_finite_number_is_a_domain_error(flag, bad, capsys):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("mode", ["z2", "winding"])
+@pytest.mark.parametrize("flag", ["--re-min", "--re-max", "--im-min", "--im-max"])
+@pytest.mark.parametrize("bad", ["nan", "inf", "-inf"])
+def test_non_finite_scan_bound_is_usage_error(mode, flag, bad, tmp_path, capsys):
+    out = tmp_path / "grid.csv"
+    argv = ["scan", "--mode", mode, "--r", "0.3", "--s", "0.2", f"{flag}={bad}",
+            "--nx", "2", "--ny", "2", "--out", str(out)]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert f"argument {flag}: invalid finite value" in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
 def test_non_finite_pair_is_a_domain_error_for_zeros(capsys):
     assert main(["zeros", "--r", "0.6", "--s", "inf"]) == 1
     assert "error: DomainError" in capsys.readouterr().err

@@ -61,11 +61,11 @@ REPORTS = [
     ),
     (
         ["count", "--N", "8"],
-        "e9517e013e399349744ede10ac5c83d69cb3a784195879dfb6158ca4e58f6ae5",
+        "adf10fe899d1333864eebdc526f6cfa91946bc23ff59e36dc7852c156f04c279",
     ),
     (
         ["count", "--N", "12"],
-        "28940059f58bbc7a5063d88fd528ade1f558d652d8928771ef104123af6e94c5",
+        "b7d8ec3bf26836ba3f5256c6720fb9bb0efb2f833f1077621fd0cc662f0e68f6",
     ),
     (
         ["orbits", "--N", "6"],

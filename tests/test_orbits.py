@@ -17,6 +17,7 @@ from pvilab.orbits import (
     orbit_brute_force,
     p_of_n,
     pm_class_reps,
+    pm_key,
     pole_count,
     qn_size,
 )
@@ -185,6 +186,15 @@ def test_pm_class_reps_cover():
         assert rep.pm_canonical() == rep
         seen.add(rep.row())
     assert len(seen) == len(reps)
+
+
+def test_pm_key_is_the_smaller_element_of_the_class():
+    for N in (3, 8, 12):
+        for p in enumerate_qn(N):
+            neg = (-p.k1 % N, -p.k2 % N)
+            key = pm_key(p.k1, p.k2, N)
+            assert key == pm_key(*neg, N) == pm_key(p.k1 - N, p.k2 + 2 * N, N)
+            assert key == min((p.k1, p.k2), neg)
 
 
 # --- RationalPair -----------------------------------------------------------

@@ -10,7 +10,7 @@ import pytest
 
 from pvilab import oracles, premodular
 from pvilab.elliptic import ModuliPoint, invariants_g
-from pvilab.errors import Degenerate, DomainError, NearLattice
+from pvilab.errors import Degenerate, DomainError, InternalError, NearLattice
 from pvilab.modular import ModularMatrix, transport_pair
 from pvilab.orbits import enumerate_qn
 from pvilab.premodular import (
@@ -21,6 +21,7 @@ from pvilab.premodular import (
     z2,
     z2_cusp_expansion,
     z2_stable,
+    z2_stable_many,
     z2_with_derivative,
 )
 
@@ -388,8 +389,19 @@ def test_mn_translation_invariance():
 
 
 def _mn_fresh_pairs(N, m):
-    # m_n's loop with a new TorsionPair per factor: the reference that the
-    # cached pair table must reproduce bit for bit
+    # m_n's batch read with a new TorsionPair per factor: the reference that
+    # the cached pair table must reproduce bit for bit
+    pairs = [
+        TorsionPair.of(Fraction(rp.k1, N), Fraction(rp.k2, N)) for rp in enumerate_qn(N)
+    ]
+    vals, _ = z2_stable_many(pairs, np.full(len(pairs), m.tau), [1] * len(pairs))
+    if not vals.all():
+        return -math.inf
+    return float(np.log(np.abs(vals)).sum())
+
+
+def _mn_scalar(N, m):
+    # log|M_N| from one scalar z2_stable call per factor
     log_abs = 0.0
     for rp in enumerate_qn(N):
         val, _ = z2_stable(TorsionPair.of(Fraction(rp.k1, N), Fraction(rp.k2, N)), m)
@@ -399,17 +411,39 @@ def _mn_fresh_pairs(N, m):
     return log_abs
 
 
+_MN_TAUS = (8j, 10j, 12j, 1j, cmath.exp(1j * PI / 3))
+
+
 def test_mn_matches_fresh_pairs_bit_for_bit():
     # the heights valence_check evaluates M_N at, a third height, and the
     # corner points i and rho
-    taus = (8j, 10j, 12j, 1j, cmath.exp(1j * PI / 3))
     for N in range(3, 13):
-        for tau in taus:
+        for tau in _MN_TAUS:
             m = ModuliPoint.from_tau(tau)
             expected = _mn_fresh_pairs(N, m)
             # a repeat call reads the same cached pair table
             assert m_n(N, m) == expected
             assert m_n(N, m) == expected
+
+
+def test_mn_matches_the_scalar_product():
+    # the batch factors against scalar z2_stable calls: |M_N| agrees to
+    # 1e-12 relative, expm1 of the difference of the logs
+    for N in range(3, 13):
+        for tau in _MN_TAUS:
+            m = ModuliPoint.from_tau(tau)
+            assert abs(math.expm1(m_n(N, m) - _mn_scalar(N, m))) <= 1e-12
+
+
+def test_mn_raises_on_a_nan_factor(monkeypatch):
+    def with_nan(pairs, taus, counts):
+        vals, scales = z2_stable_many(pairs, taus, counts)
+        vals[-1] = complex(math.nan, 0.0)
+        return vals, scales
+
+    monkeypatch.setattr(premodular, "z2_stable_many", with_nan)
+    with pytest.raises(InternalError):
+        m_n(5, ModuliPoint.from_tau(1.5j))
 
 
 # --- non-simultaneous vanishing (checked at a real zero) ---------------------
