@@ -71,6 +71,11 @@ REPORTS = [
         ["orbits", "--N", "6"],
         "933bd30c3644d84bacf4fa92a9c90ce30ef34bb4598770824387329be165390a",
     ),
+    # odd N: one class, reached through the odd-N witness choices
+    (
+        ["orbits", "--N", "7"],
+        "6379c9e93ec8a3bcfcfce7689afb4325ecbe13464025b52f2857a69ca86375c9",
+    ),
 ]
 
 GRIDS = [

@@ -1,5 +1,6 @@
 """Exact integer combinatorics: Q_N, totients, pole counts, orbits."""
 
+import hashlib
 import math
 
 import pytest
@@ -114,6 +115,23 @@ def test_classify_verified_for_all_n_up_to_24():
             img = rep.gamma_witness.act_rows(rep.representative.row())
             assert (p.k2 - img[0]) % N == 0
             assert (p.k1 - img[1]) % N == 0
+
+
+def test_witnesses_are_frozen():
+    # every witness, representative and shift of classify_orbit for
+    # N = 3..40, hashed: a refactor of the construction must reproduce them
+    h = hashlib.sha256()
+    for N in range(3, 41):
+        for p in enumerate_qn(N):
+            rep = classify_orbit(p)
+            record = (
+                N, p.k1, p.k2, rep.gamma_witness.as_tuple(),
+                rep.representative.k1, rep.representative.k2, rep.shift,
+            )
+            h.update(repr(record).encode())
+    assert h.hexdigest() == (
+        "4343f037f3c4e5bd5a6e1e40700a5fce9f875eede1c2d80ed1323075ae267b75"
+    )
 
 
 def test_odd_n_representatives_all_connect():
