@@ -66,7 +66,6 @@ from .premodular import (
 from .solutions import (
     SolutionValue,
     lambda_rs,
-    t_of_tau,
     wp_of_p,
 )
 
@@ -108,7 +107,6 @@ __all__ = [
     "qn_size",
     "RationalPair",
     "SolutionValue",
-    "t_of_tau",
     "TorsionPair",
     "transport_pair",
     "TrianglePosition",

@@ -4,11 +4,14 @@ Everything here is integer/rational arithmetic; no floats.  Parameter pairs
 ride as row vectors (s, r) = (k2, k1)/N and the level-2 group acts on the
 right, matching ``modular.transport_pair``.
 
-The orbit classifier follows the constructive parity case analysis on
-(m1, m2) = (k1, k2)/gcd and on (L, N): each case produces an explicit
-witness chain gamma = gamma2 . gamma1 in Gamma(2) connecting the input to
-one of the three representatives (0, 1/N), (1/N, 0), (1/N, 1/N), and the
-resulting congruence is re-verified exactly before the report is returned.
+The orbit classifier rests on one parity rule (Diamond & Shurman, A First
+Course in Modular Forms, sec. 1.2): a coprime row (u, v) is row . gamma for
+a gamma in Gamma(2), with row (1, 0), (0, 1) or (1, 1) as (u, v) is
+(odd, even), (even, odd) or (odd, odd).  The witness gamma = gamma2 . gamma1
+takes gamma1 from (m2, m1) = (k2, k1)/L, L the gcd, and gamma2 from one of
+(L, L - N), (L, N), (N, L); the rule's row for gamma2 is the representative
+(0, 1/N), (1/N, 0) or (1/N, 1/N), and the resulting congruence is
+re-verified exactly before the report is returned.
 """
 
 from __future__ import annotations
@@ -152,14 +155,6 @@ def pole_count(N: int) -> tuple[int, int]:
 # Constructive orbit classification
 # ---------------------------------------------------------------------------
 
-_REPRESENTATIVES = {
-    # keyed by the row vector (s', r') in units of 1/N
-    (1, 0): "(0,1/N)",
-    (0, 1): "(1/N,0)",
-    (1, 1): "(1/N,1/N)",
-}
-
-
 @dataclass(frozen=True)
 class OrbitReport:
     """Witnessed classification of a torsion pair under Gamma(2) and +-."""
@@ -205,17 +200,10 @@ def _gamma2_first_row(A: int, B: int) -> ModularMatrix:
 
 def _gamma2_second_row(C: int, D: int) -> ModularMatrix:
     """gamma in Gamma(2) with second row (C, D); needs C even, D odd,
-    gcd(C, D) = 1."""
+    gcd(C, D) = 1.  The completion of first row (D, C), transposed."""
     assert C % 2 == 0 and D % 2 == 1 and math.gcd(C, D) == 1
-    g, x, y = _xgcd(D, C)
-    if g == -1:
-        x, y = -x, -y
-    # x'*D - y'*C = 1 with x' = x, y' = -y
-    xx, yy = x, -y
-    if yy % 2 != 0:  # shift y' by D (odd); x' follows by C
-        yy += D
-        xx += C
-    m = ModularMatrix(xx, yy, C, D)
+    m = _gamma2_first_row(D, C)
+    m = ModularMatrix(m.d, m.c, C, D)
     if not m.in_gamma2:
         raise InternalError(f"second-row construction left Gamma(2): {m}")
     return m
@@ -247,11 +235,28 @@ def _gamma2_column_sums(P: int, Q: int) -> ModularMatrix:
     return m
 
 
+def _gamma2_with_row(u: int, v: int) -> tuple[ModularMatrix, tuple[int, int]]:
+    """(gamma, row) with gamma in Gamma(2) and row . gamma = (u, v); needs
+    gcd(u, v) = 1.  The parities of (u, v) fix both: (odd, even) takes row
+    (1, 0), (even, odd) row (0, 1) and (odd, odd) row (1, 1)."""
+    if v % 2 == 0:
+        return _gamma2_first_row(u, v), (1, 0)
+    if u % 2 == 0:
+        return _gamma2_second_row(u, v), (0, 1)
+    return _gamma2_column_sums(u, v), (1, 1)
+
+
 def classify_orbit(p: RationalPair) -> OrbitReport:
     """Representative and exact Gamma(2) witness for a primitive pair.
 
-    The congruence (s, r) == sign * (s', r') . gamma mod Z^2 is re-verified
-    in integer arithmetic; failure raises InternalError.
+    With L = gcd(k1, k2) and (m1, m2) = (k1, k2)/L, the witness is
+    gamma = gamma2 . gamma1 with both factors from ``_gamma2_with_row``:
+    gamma1 from (m2, m1) with row1, so it carries (L/N) row1 to the row
+    (s, r), and gamma2 from whichever of (L, L - N), (L, N), (N, L) is
+    L row1 mod N, as m1 and m2 are both odd, m1 is even or m2 is even.  The
+    row of gamma2 is N times the representative's.  The congruence
+    (s, r) == sign * (s', r') . gamma mod Z^2 is re-verified in
+    integer arithmetic; failure raises InternalError.
     """
     N = p.N
     k1, k2 = p.k1, p.k2
@@ -260,43 +265,13 @@ def classify_orbit(p: RationalPair) -> OrbitReport:
         raise InternalError("zero pair cannot be classified")
     m1, m2 = k1 // L, k2 // L
 
+    gamma1, _ = _gamma2_with_row(m2, m1)
     if m1 % 2 == 1 and m2 % 2 == 1:
-        # both odd: route through the diagonal pair (L/N, L/N)
-        gamma1 = _gamma2_column_sums(m2, m1)
-        if N % 2 == 1:
-            if L % 2 == 1:
-                gamma2 = _gamma2_first_row(L, L - N)
-                rep_row = (1, 0)
-            else:
-                gamma2 = _gamma2_second_row(L, L - N)
-                rep_row = (0, 1)
-        else:
-            gamma2 = _gamma2_column_sums(L, L - N)
-            rep_row = (1, 1)
+        gamma2, rep_row = _gamma2_with_row(L, L - N)
     elif m1 % 2 == 0:
-        # m1 even, m2 odd: route through (L/N, 0)
-        gamma1 = _gamma2_first_row(m2, m1)
-        if N % 2 == 0:
-            gamma2 = _gamma2_first_row(L, N)
-            rep_row = (1, 0)
-        elif L % 2 == 0:
-            gamma2 = _gamma2_second_row(L, N)
-            rep_row = (0, 1)
-        else:
-            gamma2 = _gamma2_column_sums(L, N)
-            rep_row = (1, 1)
+        gamma2, rep_row = _gamma2_with_row(L, N)
     else:
-        # m2 even, m1 odd: route through (0, L/N)
-        gamma1 = _gamma2_second_row(m2, m1)
-        if N % 2 == 0:
-            gamma2 = _gamma2_second_row(N, L)
-            rep_row = (0, 1)
-        elif L % 2 == 0:
-            gamma2 = _gamma2_first_row(N, L)
-            rep_row = (1, 0)
-        else:
-            gamma2 = _gamma2_column_sums(N, L)
-            rep_row = (1, 1)
+        gamma2, rep_row = _gamma2_with_row(N, L)
 
     gamma = gamma2 @ gamma1
     rep_s, rep_r = rep_row
@@ -346,13 +321,11 @@ def orbit_brute_force(N: int, max_depth: int = 24) -> list[frozenset]:
     if N < 3:
         raise ValueError("N must be >= 3")
     all_pairs = enumerate_qn(N)
-    canon = {}
-    for pr in all_pairs:
-        canon[pr.row()] = pr.pm_canonical().row()
 
     def canonical(row):
-        k2, k1 = row[0] % N, row[1] % N
-        return canon[(k2, k1)]
+        # the row (s, r) of the pair that keys the +-class of row
+        k1, k2 = pm_key(row[1], row[0], N)
+        return (k2, k1)
 
     seen_global: set = set()
     classes: list[frozenset] = []

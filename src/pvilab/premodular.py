@@ -243,13 +243,15 @@ def z2_with_scale(p: TorsionPair, m) -> tuple[complex, float]:
 
 
 def z2_with_derivative(p: TorsionPair, m) -> tuple[complex, float, complex]:
-    """``z2_stable`` together with dZ2/dtau: from the same cusp series where
-    the rule takes it, else in closed form from the one kernel call (module
-    docstring).  Newton's step reads it instead of differencing Z2."""
+    """Z2, its scale and dZ2/dtau by the cusp rule (module docstring): the
+    carried pair's series where the rule applies, else the kernel's direct
+    value with dZ2/dtau in closed form from the one kernel call.  Newton's
+    step reads it instead of differencing Z2."""
     z, wp, wpp, z2v, g2, _, eta1, _, scale, _, consts = _premodular_at(p, m)
-    series = _on_series(p, consts)
-    if series is not None:
-        return series
+    tred, _, j, *_, gamma = consts
+    carried = _carried(p, *gamma)
+    if carried is not None:
+        return _series_at(_series_of(*carried), cmath.exp(1j * _PI * tred), j, gamma[2])
     dz = -(wpp + 2.0 * z * (wp + eta1)) / _FOUR_PI_I
     dwp = (4.0 * wp * wp - 4.0 * eta1 * wp - 2.0 * g2 / 3.0 + 2.0 * z * wpp) / _FOUR_PI_I
     dwpp = (
@@ -396,22 +398,10 @@ def _series_at(series, pp, j, c):
     return val / j3, scale / abs(j3), deriv
 
 
-def _on_series(p: TorsionPair, consts):
-    """``_series_at`` for p at the tau whose ``lattice_constants`` are
-    consts, when the cusp rule takes the series there; else None."""
-    tred, _, j, *_, gamma = consts
-    carried = _carried(p, *gamma)
-    if carried is None:
-        return None
-    return _series_at(_series_of(*carried), cmath.exp(1j * _PI * tred), j, gamma[2])
-
-
 def z2_stable(p: TorsionPair, m) -> tuple[complex, float]:
-    """Z2 and its scale by the cusp rule (module docstring): the carried
-    pair's series where the rule applies, else the kernel's direct value."""
-    values = _premodular_at(p, m)
-    series = _on_series(p, values[10])
-    return series[:2] if series is not None else (values[3], values[8])
+    """Z2 and its scale by the cusp rule: ``z2_with_derivative`` without
+    the derivative."""
+    return z2_with_derivative(p, m)[:2]
 
 
 def z2_stable_many(pairs, taus, counts) -> tuple[np.ndarray, np.ndarray]:

@@ -1,10 +1,10 @@
-"""Closed-form solution values: the cover map t(tau), wp(p_{r,s}(tau)|tau)
-and lambda_{r,s}(t), whose ``is_pole`` flag is the one pole decision.
+"""Closed-form solution values: wp(p_{r,s}(tau)|tau) and lambda_{r,s}(t),
+whose ``is_pole`` flag is the one pole decision.
 
 wp(p) = wp(alpha) + [3 wp'(alpha) Z^2 + (12 wp(alpha)^2 - g2) Z
                        + 3 wp(alpha) wp'(alpha)] / (2 Z2),
 with alpha = r + s*tau, Z the Hecke form and Z2 its weight-3 cube
-combination.  The map to the t-plane is
+combination.  The map to the t-plane, t from ``LatticeData.t``, is
 
     t = (e3 - e1)/(e2 - e1),    lambda = (wp(p) - e1)/(e2 - e1).
 
@@ -62,11 +62,6 @@ class SolutionValue:
     branch_note: str
     alpha: complex
     est_error: float
-
-
-def t_of_tau(m) -> complex:
-    """The Gamma(2)-invariant cover map t = (e3 - e1)/(e2 - e1)."""
-    return invariants_g(m).t
 
 
 def _lattice_shift(pair: TorsionPair, tau: complex):

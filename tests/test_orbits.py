@@ -11,6 +11,7 @@ from pvilab.errors import DepthExceeded
 from pvilab.modular import ModularMatrix
 from pvilab.orbits import (
     RationalPair,
+    _gamma2_with_row,
     _nu_infinity,
     classify_orbit,
     enumerate_qn,
@@ -115,6 +116,17 @@ def test_classify_verified_for_all_n_up_to_24():
             img = rep.gamma_witness.act_rows(rep.representative.row())
             assert (p.k2 - img[0]) % N == 0
             assert (p.k1 - img[1]) % N == 0
+
+
+@pytest.mark.parametrize("u", range(-50, 51))
+def test_gamma2_with_row_meets_its_contract(u):
+    # every coprime (u, v) is row . gamma for gamma in Gamma(2), exactly
+    for v in range(-50, 51):
+        if math.gcd(u, v) != 1:
+            continue
+        gamma, row = _gamma2_with_row(u, v)
+        assert gamma.in_gamma2
+        assert gamma.act_rows(row) == (u, v)
 
 
 def test_witnesses_are_frozen():

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from pvilab import solutions
-from pvilab.elliptic import ModuliPoint
+from pvilab.elliptic import ModuliPoint, invariants_g
 from pvilab.errors import Degenerate, NewtonStall
 from pvilab.premodular import TorsionPair, z2_stable, z2_with_scale
 from pvilab.solutions import (
@@ -15,7 +15,6 @@ from pvilab.solutions import (
     _wp_of_p_direct,
     _wp_of_p_expansion,
     lambda_rs,
-    t_of_tau,
     wp_of_p,
 )
 
@@ -24,29 +23,29 @@ QUARTER = Fraction(1, 4)
 THIRD = Fraction(1, 3)
 
 
-# --- t_of_tau ---------------------------------------------------------------
+# --- LatticeData.t ----------------------------------------------------------
 
 
 def test_t_on_imaginary_axis_is_in_unit_interval():
-    t = t_of_tau(ModuliPoint.from_tau(1j))
+    t = invariants_g(ModuliPoint.from_tau(1j)).t
     assert abs(t.imag) < 1e-12
     assert 0 < t.real < 1
     for y in (0.4, 0.9, 2.3):
-        t = t_of_tau(ModuliPoint.from_tau(1j * y))
+        t = invariants_g(ModuliPoint.from_tau(1j * y)).t
         assert abs(t.imag) < 1e-10 and 0 < t.real < 1
 
 
 def test_t_level_two_periodicity():
     tau = 0.3 + 1.1j
-    a = t_of_tau(ModuliPoint.from_tau(tau))
-    b = t_of_tau(ModuliPoint.from_tau(tau + 2))
+    a = invariants_g(ModuliPoint.from_tau(tau)).t
+    b = invariants_g(ModuliPoint.from_tau(tau + 2)).t
     assert abs(a - b) <= 1e-12 * abs(a)
 
 
 def test_t_unit_translation_inverts():
     tau = 0.4 + 1.2j
-    a = t_of_tau(ModuliPoint.from_tau(tau))
-    b = t_of_tau(ModuliPoint.from_tau(tau - 1))
+    a = invariants_g(ModuliPoint.from_tau(tau)).t
+    b = invariants_g(ModuliPoint.from_tau(tau - 1)).t
     assert abs(b - 1 / a) <= 1e-11 * abs(b)
 
 
