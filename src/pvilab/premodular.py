@@ -10,15 +10,28 @@ identically zero on the three half-period parameter pairs and identically
 infinite on integer pairs; those are rejected as Degenerate.
 
 One cusp rule (``z2_stable``, ``z2_stable_many``, ``z2_with_derivative``)
-reads Z2, and ``m_n`` takes its factors from ``z2_stable_many``; ``z2`` and
-``z2_with_scale`` are the direct kernel.  The kernels reduce tau to
-tau' = gamma.tau, gamma = [[a, b], [c, d]]; with j = c*tau + d the pair
-rides along as r' = a*r - b*s, s' = d*s - c*r, and
+reads Z2; ``z2`` and ``z2_with_scale`` are the direct kernel.  The kernels
+reduce tau to tau' = gamma.tau, gamma = [[a, b], [c, d]]; with
+j = c*tau + d the pair rides along as r' = a*r - b*s, s' = d*s - c*r, and
 Z2_{r,s}(tau) = j^-3 Z2_{r',s'}(tau').  Where s' is in (1/2)Z the direct
 value is cancellation noise and Z2 is S(p')/j^3, S the carried pair's
 ``z2_cusp_expansion`` at p' = exp(pi*i*tau'), |p'| <= exp(-pi*sqrt(3)/2),
 with scale sum |c_n||p'|^n / |j|^3 (reduce, then sum the q-series:
 Johansson, arXiv:1806.06725); elsewhere the kernel's direct value stands.
+
+Each point sums only the terms of S that its own |p'| needs: the first K at
+which a bound on the dropped tail sum_{n >= K} |c_n||p'|^n is at most 1e-24
+of the scale, so far below half an ulp that the cut sum is the full one bit
+for bit (K is at most 25 at Im tau' = sqrt(3)/2 and at most 5 at
+Im tau' >= 8).  The bound's limits on |p'| are cached with each carried
+pair's coefficients, so a point's K is a count of comparisons.  In a batch
+the shorter coefficient rows are padded with zeros at the top, so a point's
+value does not depend on what shares its batch.
+
+The batch path is one array core, ``_cusp_rule``: the test s' in (1/2)Z and
+the carried pair are array arithmetic on the pairs' carries, in integers
+for exact pairs.  ``z2_stable_many`` feeds it from ``TorsionPair``s, and
+``m_n`` from Q_N as integer arrays (k1, k2), cached per N.
 
 Off the series, ``z2_with_derivative`` gives dZ2/dtau in closed form from
 one kernel call.  The derivative is total along z = r + s*tau with (r, s)
@@ -55,9 +68,17 @@ from .orbits import enumerate_qn
 _PI = math.pi
 _FOUR_PI_I = 4j * math.pi
 NEAR_LATTICE_DIST = 1e-8
-# Terms of the cusp series; at |p'| <= exp(-pi*sqrt(3)/2) ~ 0.066 the last
-# is far below round-off.
+# The cap on the terms of the cusp series: at |p'| <= exp(-pi*sqrt(3)/2)
+# ~ 0.066 the 48th is far below round-off.  Each point sums fewer, as many as
+# its own |p'| needs (``_term_limits``).
 _CUSP_TERMS = 48
+# |p'| at the lowest reduced points, Im tau' = sqrt(3)/2.
+_P_MAX = math.exp(-_PI * math.sqrt(3.0) / 2.0)
+# A point's series is cut where the dropped tail is at most this fraction of
+# its scale.  The cut must sit far below half an ulp, not near it: at 1e-17,
+# up to a third of the carried pairs' values at one tau moved in their last
+# bits.
+_CUT_TAIL = 1e-24
 
 Rational = Union[int, Fraction]
 
@@ -142,9 +163,8 @@ class TorsionPair:
             )
         return complex(self.r).real, complex(self.s).real, 1
 
-    # z2_stable_many reads the complex form of every pair on every call (for
-    # m_n, all of Q_N), and for Fraction pairs each conversion is a Fraction
-    # division.
+    # z2_stable_many reads the complex form of every pair on every call, and
+    # for Fraction pairs each conversion is a Fraction division.
     @cached_property
     def _complex(self) -> tuple[complex, complex]:
         return complex(self.r), complex(self.s)
@@ -251,7 +271,9 @@ def z2_with_derivative(p: TorsionPair, m) -> tuple[complex, float, complex]:
     tred, _, j, *_, gamma = consts
     carried = _carried(p, *gamma)
     if carried is not None:
-        return _series_at(_series_of(*carried), cmath.exp(1j * _PI * tred), j, gamma[2])
+        rc, sc = carried
+        row = _series_of(*(rc.as_integer_ratio() if p.exact else (rc, 1)), int(2 * sc))
+        return _series_at(*row, cmath.exp(1j * _PI * tred), j, gamma[2])
     dz = -(wpp + 2.0 * z * (wp + eta1)) / _FOUR_PI_I
     dwp = (4.0 * wp * wp - 4.0 * eta1 * wp - 2.0 * g2 / 3.0 + 2.0 * z * wpp) / _FOUR_PI_I
     dwpp = (
@@ -374,26 +396,85 @@ def z2_cusp_expansion(p: TorsionPair) -> np.ndarray:
 
 
 @lru_cache(maxsize=1024)
-def _series_of(r, s) -> tuple[tuple, tuple]:
-    """Horner-ordered coefficients of the carried pair's
-    ``z2_cusp_expansion`` and their magnitudes, once per carried pair (r, s)
-    in a bounded cache."""
-    coeffs = z2_cusp_expansion(TorsionPair.of(r, s))[::-1]
-    return tuple(coeffs.tolist()), tuple(np.abs(coeffs).tolist())
+def _series_of(k, n, half) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The ``z2_cusp_expansion`` of the carried pair (k/n, half/2) by
+    ascending power, its magnitudes and its ``_term_limits``, as read-only
+    arrays, once per carried pair in a bounded cache: exact, k/n in lowest
+    terms, for integers k and n; in floats, (k, half/2), for a float pair,
+    which has n = 1."""
+    if n == 1:
+        pair = TorsionPair.of(k, half / 2)
+    else:
+        pair = TorsionPair.of(Fraction(k, n), Fraction(half, 2))
+    coeffs = z2_cusp_expansion(pair)
+    # hypot rounds as Python's abs does; NumPy's complex abs of a contiguous
+    # array may round otherwise
+    mags = np.hypot(coeffs.real, coeffs.imag)
+    row = coeffs, mags, _term_limits(mags)
+    for part in row:
+        part.flags.writeable = False
+    return row
 
 
-def _series_at(series, pp, j, c):
-    """(Z2, scale, dZ2/dtau) = (S/j^3, sum |c_n||p'|^n / |j|^3,
-    (pi*i*p'*S'/j^2 - 3*c*S/j)/j^3) from a ``_series_of`` S at p' = pp, for
-    j = c*tau + d; on scalars, or on arrays with a coefficient row per point."""
-    coeffs, mags = series
+def _term_limits(mags) -> np.ndarray:
+    """Nondecreasing limits[K], K < _CUSP_TERMS, such that a point with
+    |p'| = a sums the first #{K : limits[K] < a} terms of the series whose
+    coefficient magnitudes are ``mags``.
+
+    For a <= _P_MAX the tail from power K is at most a^K B_K, with
+    B_K = sum_{n >= K} mags[n] _P_MAX^(n - K), and the scale is at least its
+    lead term mags[L] a^L.  So K terms leave a tail of at most _CUT_TAIL of
+    the scale once a^(K - L) <= _CUT_TAIL mags[L] / B_K, that is below a
+    limit for each K > L; the running maximum of those limits makes the
+    count of limits below a the first K that suffices."""
+    powers = _P_MAX ** np.arange(_CUSP_TERMS)
+    bound = np.cumsum((mags * powers)[::-1])[::-1] / powers
+    lead = int(np.flatnonzero(mags)[0])
+    limits = np.zeros(_CUSP_TERMS)
+    with np.errstate(divide="ignore"):
+        # an empty tail (zero bound) has no limit
+        limits[lead + 1 :] = (_CUT_TAIL * mags[lead] / bound[lead + 1 :]) ** (
+            1.0 / np.arange(1, _CUSP_TERMS - lead)
+        )
+    return np.maximum.accumulate(limits)
+
+
+def _terms_needed(limits, ap) -> np.ndarray:
+    """The terms each point sums, from its row of ``_term_limits`` and its
+    |p'| = ap."""
+    return np.add.reduce(limits < ap[:, None], axis=1)
+
+
+def _series_at(coeffs, mags, limits, pp, j, c=None):
+    """(Z2, scale) = (S/j^3, sum |c_n||p'|^n / |j|^3) for j = c*tau + d, S
+    the series with coefficients ``coeffs`` by ascending power, their
+    magnitudes ``mags`` and term limits ``limits``: a ``_series_of`` row at
+    a scalar p' = pp, or arrays with a row per point.  Given c, also
+    dZ2/dtau = (pi*i*p'*S'/j^2 - 3*c*S/j)/j^3.
+
+    Each point's Horner sum runs over its first ``_terms_needed`` terms.  In
+    a batch the loop runs the largest count, with each shorter row padded
+    with zeros at the top: the steps before a point's own terms leave its
+    sums exactly zero, so its value is the one it has alone."""
     ap = abs(pp)
+    if isinstance(pp, np.ndarray):
+        keep = _terms_needed(limits, ap)
+        top = np.arange(keep.max()) < keep[:, None]
+        coeffs = np.where(top, coeffs[:, : top.shape[1]], 0.0).T
+        mags = np.where(top, mags[:, : top.shape[1]], 0.0).T
+    else:
+        # the count of limits below ap, as _terms_needed counts them
+        keep = np.searchsorted(limits, ap)
+        coeffs, mags = coeffs[:keep].tolist(), mags[:keep].tolist()
     val = dval = scale = 0.0
-    for cf, mg in zip(coeffs, mags):
-        dval = dval * pp + val
+    for cf, mg in zip(coeffs[::-1], mags[::-1]):
+        if c is not None:
+            dval = dval * pp + val
         val = val * pp + cf
         scale = scale * ap + mg
     j3 = j * j * j
+    if c is None:
+        return val / j3, scale / abs(j3)
     deriv = (1j * _PI * pp * dval / (j * j) - 3.0 * c * val / j) / j3
     return val / j3, scale / abs(j3), deriv
 
@@ -404,36 +485,61 @@ def z2_stable(p: TorsionPair, m) -> tuple[complex, float]:
     return z2_with_derivative(p, m)[:2]
 
 
-def z2_stable_many(pairs, taus, counts) -> tuple[np.ndarray, np.ndarray]:
-    """``z2_stable`` at every tau of an array, as (values, scales).
+def _cusp_rule(taus, r, s, x, y, n) -> tuple[np.ndarray, np.ndarray]:
+    """Z2 and its scale at every tau of an array by the cusp rule, as
+    (values, scales).
 
-    The pairs own consecutive runs of taus: ``counts[k]`` of them for
-    ``pairs[k]``.  The taus are reduced once, for one kernel call and for
-    ``_carried``'s test as array arithmetic, whose points take their carried
-    pair's series.  Lattice hits give NaN instead of raising.
+    Point i evaluates the pair (r[i], s[i]) whose ``TorsionPair._carry`` is
+    (x[i], y[i], n[i]), so that s' = t/n with t = d*y - c*x.  An exact pair
+    carries integers, and s' is in (1/2)Z when n divides 2t; a float pair
+    carries floats with n = 1, and 2t must lie within the 1e-12 guard band
+    of ``_carried``; a pair no series serves carries NaN.  The taus are
+    reduced once, for one kernel call and for the test, and the points it
+    passes take their carried pair's series, whose rows are fetched once
+    per carried pair and gathered as arrays.  Lattice hits give NaN instead
+    of raising.
     """
-    taus = np.ascontiguousarray(taus, dtype=np.complex128)
     reduced = tred, a, b, c, d = _kernels.reduce_tau_many(taus)
-    # a pair no series serves carries NaN, which the test below never picks
-    rows = [(*q.as_complex(), *(q._carry or (math.nan, math.nan, 1))) for q in pairs]
-    r, s, x, y, n = (np.repeat(col, counts) for col in zip(*rows))
     vals, scales = _kernels.z2_many(r, s, taus, reduced)
     t = d * y - c * x
-    if all(q.exact and q._carry for q in pairs):
-        on = (2 * t) % n == 0
-    else:
-        on = np.abs(2.0 * t / n - np.rint(2.0 * t / n)) < 2e-12
-    if on.any():
-        idx = np.flatnonzero(on)
-        owners = np.searchsorted(np.cumsum(counts), idx, side="right")
-        series = [
-            _series_of(*_carried(pairs[o], *(int(v[i]) for v in (a, b, c, d))))
-            for o, i in zip(owners, idx)
-        ]
-        coeffs = tuple(np.array(col).T for col in zip(*series))
-        pp, j = np.exp(1j * _PI * tred[on]), c[on] * taus[on] + d[on]
-        vals[on], scales[on], _ = _series_at(coeffs, pp, j, c[on])
+    on = (2 * t) % n == 0
+    if t.dtype.kind == "f":
+        on = np.where(n == 1, np.abs(2.0 * t - np.rint(2.0 * t)) < 2e-12, on)
+    if not on.any():
+        return vals, scales
+    idx = np.flatnonzero(on)
+    n, t = n[idx], t[idx]
+    # the carried pair (r', s') = (k/n, half/2), k = (a*x - b*y) mod n (mod 1
+    # for a float pair, whose n is 1), grouped by its value
+    k = (a[idx] * x[idx] - b[idx] * y[idx]) % n
+    half = np.rint(2 * (t % n) / n) % 2
+    _, first, owner = np.unique(
+        k / n + 1j * (half + 2 * (n == 1)), return_index=True, return_inverse=True
+    )
+    rows = []
+    for kc, nc, hc in zip(k[first].tolist(), n[first].tolist(), half[first].tolist()):
+        # an exact pair's key is in lowest terms; a float pair's k stays
+        g = 1 if nc == 1 else math.gcd(int(kc), nc)
+        rows.append(_series_of(kc if nc == 1 else int(kc) // g, nc // g, int(hc)))
+    coeffs, mags, limits = (np.stack(col)[owner.reshape(-1)] for col in zip(*rows))
+    pp = np.exp(1j * _PI * tred[idx])
+    vals[idx], scales[idx] = _series_at(
+        coeffs, mags, limits, pp, c[idx] * taus[idx] + d[idx]
+    )
     return vals, scales
+
+
+def z2_stable_many(pairs, taus, counts) -> tuple[np.ndarray, np.ndarray]:
+    """``z2_stable`` at every tau of an array, as (values, scales), by
+    ``_cusp_rule``.
+
+    The pairs own consecutive runs of taus: ``counts[k]`` of them for
+    ``pairs[k]``.  Lattice hits give NaN instead of raising.
+    """
+    taus = np.ascontiguousarray(taus, dtype=np.complex128)
+    # a pair no series serves carries NaN, which the rule's test never picks
+    rows = [(*q.as_complex(), *(q._carry or (math.nan, math.nan, 1))) for q in pairs]
+    return _cusp_rule(taus, *(np.repeat(col, counts) for col in zip(*rows)))
 
 
 # ---------------------------------------------------------------------------
@@ -441,33 +547,34 @@ def z2_stable_many(pairs, taus, counts) -> tuple[np.ndarray, np.ndarray]:
 # ---------------------------------------------------------------------------
 
 
-# Bounded: each N holds |Q_N| pairs for the process.
+# Bounded: each N holds two integer arrays of |Q_N| entries for the process.
 @lru_cache(maxsize=32)
-def _qn_pairs(N: int) -> tuple[TorsionPair, ...]:
-    """Q_N as exact TorsionPairs in ``enumerate_qn`` order, built once per N
-    so that each pair's cached properties are computed once, not per call."""
-    return tuple(
-        TorsionPair.of(Fraction(rp.k1, rp.N), Fraction(rp.k2, rp.N))
-        for rp in enumerate_qn(N)
-    )
+def _qn_table(N: int) -> tuple[np.ndarray, np.ndarray]:
+    """Q_N as read-only integer arrays (k1, k2), in ``enumerate_qn`` order."""
+    k1, k2 = np.array([(rp.k1, rp.k2) for rp in enumerate_qn(N)], dtype=np.int64).T.copy()
+    k1.flags.writeable = k2.flags.writeable = False
+    return k1, k2
 
 
 def m_n(N: int, m) -> float:
     """log|M_N(tau)|, M_N the product of Z2_{r,s} over all (r, s) in Q_N;
     -inf when a factor is exactly 0.
 
-    The factors are ``z2_stable_many``'s values, from one call over Q_N at
-    tau, and their logs are summed as one array in ``enumerate_qn`` order,
-    so the sum is deterministic.  No pair of Q_N is degenerate or near the
-    lattice: a primitive pair with N >= 3 is not in (1/2)Z^2, and r + s*tau
-    stays at least sqrt(3)/(2N) from the lattice in the reduced cell.  So a
-    NaN factor is a fault, and raises InternalError.
+    The factors come from one ``_cusp_rule`` call over Q_N at tau, each pair
+    (k1/N, k2/N) carrying (k1, k2, N) in integers, and their logs are summed
+    as one array in ``enumerate_qn`` order, so the sum is deterministic.  No
+    pair of Q_N is degenerate or near the lattice: a primitive pair with
+    N >= 3 is not in (1/2)Z^2, and r + s*tau stays at least sqrt(3)/(2N)
+    from the lattice in the reduced cell.  So a NaN factor is a fault, and
+    raises InternalError.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
     tau = _as_point(m).tau
-    pairs = _qn_pairs(N)
-    vals, _ = z2_stable_many(pairs, np.full(len(pairs), tau), [1] * len(pairs))
+    k1, k2 = _qn_table(N)
+    size = k1.size
+    r, s = ((k / N).astype(np.complex128) for k in (k1, k2))
+    vals, _ = _cusp_rule(np.full(size, tau), r, s, k1, k2, np.full(size, N))
     mags = np.abs(vals)
     if np.isnan(mags).any():
         raise InternalError(f"a factor of M_{N} is NaN at tau = {tau}")

@@ -33,7 +33,14 @@ from pvilab.locator import (
     winding_count,
 )
 from pvilab.modular import reduce_to_shifted_domain, reduce_to_standard, transport_pair
-from pvilab.orbits import enumerate_qn, p_of_n, pm_class_reps, pole_count, qn_size
+from pvilab.orbits import (
+    enumerate_qn,
+    euler_phi,
+    p_of_n,
+    pm_class_reps,
+    pole_count,
+    qn_size,
+)
 from pvilab.premodular import (
     TorsionPair,
     cusp_asymptotic,
@@ -776,9 +783,18 @@ def test_mn_zero_count_raises_for_a_polished_zero_outside_f(monkeypatch):
 
 
 def test_result_ii_four_pole_free_solutions():
-    # the paper's result (ii): over 3 <= N <= 5000, P(N) = 0 exactly at N = 3
-    # and N = 4, with one solution and three, so four pole-free solutions;
-    # M_N has no located zero over F at either
+    # the paper's result (ii): P(N) = 0 exactly at N = 3 and N = 4, with one
+    # solution and three, so four pole-free solutions; M_N has no located
+    # zero over F at either.  For every N: |Q_N| = N^2 prod_{p | N} (1 - 1/p^2)
+    # >= N^2 / zeta(2) = 6 N^2 / pi^2, and phi(N) + phi(N/2) <= N + N/2, so
+    # P(N) = |Q_N|/4 - phi(N) - phi(N/2) >= 3 N (N - pi^2) / (2 pi^2) > 0 for
+    # N >= 10.  P(5..9) > 0 is checked directly, and the enumeration up to
+    # 5000 checks the bound.
+    assert all(p_of_n(N) > 0 for N in range(5, 10)) and 10 > PI**2
+    for N in range(3, 5001):
+        phis = euler_phi(N) + (euler_phi(N // 2) if N % 2 == 0 else 0)
+        assert qn_size(N) * PI**2 >= 6 * N * N and 2 * phis <= 3 * N
+        assert p_of_n(N) >= 3 * N * (N - PI**2) / (2 * PI**2)
     pole_free = [N for N in range(3, 5001) if p_of_n(N) == 0]
     assert pole_free == [3, 4]
     assert [pole_count(N) for N in pole_free] == [(1, 0), (3, 0)]

@@ -370,6 +370,72 @@ def test_cusp_expansion_is_built_once_per_pair(monkeypatch):
     assert built == [pair, TorsionPair.of(Fraction(5, 6), Fraction(1, 2))]
 
 
+def _horner_full(coeffs, pp, j, c):
+    """The cusp series summed over all its terms by the Horner loop that the
+    per-point cut replaced: the reference the cut must reproduce bit for
+    bit.  One row of coefficients at a scalar pp, or a row per point; the
+    magnitudes rounded as Python's abs rounds them."""
+    if np.ndim(pp) == 0:
+        coeffs = coeffs.tolist()
+        terms = zip(coeffs[::-1], [abs(cf) for cf in coeffs][::-1])
+    else:
+        terms = zip(coeffs.T[::-1], np.hypot(coeffs.real, coeffs.imag).T[::-1])
+    ap = abs(pp)
+    val = dval = scale = 0.0
+    for cf, mg in terms:
+        dval = dval * pp + val
+        val = val * pp + cf
+        scale = scale * ap + mg
+    j3 = j * j * j
+    deriv = (1j * PI * pp * dval / (j * j) - 3.0 * c * val / j) / j3
+    return val / j3, scale / abs(j3), deriv
+
+
+def test_cut_cusp_series_is_the_full_sum_bit_for_bit():
+    # every carried pair of Q_N for N <= 40 (r' = k/N, s' in {0, 1/2}), at 28
+    # reduced points each from the corner rho up to Im tau' = 12, in one
+    # shuffled batch and one scalar call per point
+    keys = sorted(
+        {
+            (*Fraction(rp.k1, N).as_integer_ratio(), 2 * rp.k2 // N)
+            for N in range(3, 41)
+            for rp in enumerate_qn(N)
+            if (2 * rp.k2) % N == 0
+        }
+    )
+    assert len(keys) == 742
+    rng = np.random.default_rng(20261019)
+    per_pair = 28
+    x = rng.uniform(-0.5, 0.5, (len(keys), per_pair))
+    floor = np.sqrt(1.0 - x * x)
+    y = floor + (12.0 - floor) * rng.uniform(0.0, 1.0, x.shape) ** 3
+    x[:, :2], y[:, :2] = 0.5, math.sqrt(3.0) / 2.0  # rho itself
+    x[:, 2], y[:, 2] = 0.0, 12.0
+    order = rng.permutation(x.size)
+    taus = (x + 1j * y).ravel()[order]
+    owner = np.repeat(np.arange(len(keys)), per_pair)[order]
+    rows = [np.stack(col)[owner] for col in zip(*map(premodular._series_of, *zip(*keys)))]
+    pp = np.exp(1j * PI * taus)
+    j, c = 2.0 * taus + 1.0, np.full(taus.size, 2)
+    assert taus.size >= 20000
+
+    # the cut is real: at most 25 of the 48 terms, and 5 from Im tau' = 8 up
+    terms = premodular._terms_needed(rows[2], np.abs(pp))
+    assert terms.max() <= 25 and terms[taus.imag >= 8.0].max() <= 5
+
+    full = _horner_full(rows[0], pp, j, c)
+    # with c, the derivative too, as Newton reads it; without, as the batch
+    # cusp rule reads it
+    for cut in (premodular._series_at(*rows, pp, j, c), premodular._series_at(*rows, pp, j)):
+        for got, want in zip(cut, full):
+            assert np.array_equal(got, want)
+    for i in range(taus.size):
+        args = complex(pp[i]), complex(j[i]), 2
+        assert premodular._series_at(*(row[i] for row in rows), *args) == _horner_full(
+            rows[0][i], *args
+        )
+
+
 # --- m_n --------------------------------------------------------------------
 
 
@@ -390,7 +456,7 @@ def test_mn_translation_invariance():
 
 def _mn_fresh_pairs(N, m):
     # m_n's batch read with a new TorsionPair per factor: the reference that
-    # the cached pair table must reproduce bit for bit
+    # the cached integer table must reproduce bit for bit
     pairs = [
         TorsionPair.of(Fraction(rp.k1, N), Fraction(rp.k2, N)) for rp in enumerate_qn(N)
     ]
@@ -415,15 +481,17 @@ _MN_TAUS = (8j, 10j, 12j, 1j, cmath.exp(1j * PI / 3))
 
 
 def test_mn_matches_fresh_pairs_bit_for_bit():
-    # the heights valence_check evaluates M_N at, a third height, and the
-    # corner points i and rho
-    for N in range(3, 13):
-        for tau in _MN_TAUS:
-            m = ModuliPoint.from_tau(tau)
-            expected = _mn_fresh_pairs(N, m)
-            # a repeat call reads the same cached pair table
-            assert m_n(N, m) == expected
-            assert m_n(N, m) == expected
+    # the integer Q_N table against TorsionPairs: at the heights
+    # valence_check evaluates M_N at, a third height, and the corner points
+    # i and rho; and at the two heights for N = 40 and for valence's cap
+    cases = [(N, tau) for N in range(3, 13) for tau in _MN_TAUS]
+    cases += [(N, tau) for N in (40, 120) for tau in (8j, 12j)]
+    for N, tau in cases:
+        m = ModuliPoint.from_tau(tau)
+        expected = _mn_fresh_pairs(N, m)
+        # a repeat call reads the same cached table
+        assert m_n(N, m) == expected
+        assert m_n(N, m) == expected
 
 
 def test_mn_matches_the_scalar_product():
@@ -436,12 +504,15 @@ def test_mn_matches_the_scalar_product():
 
 
 def test_mn_raises_on_a_nan_factor(monkeypatch):
-    def with_nan(pairs, taus, counts):
-        vals, scales = z2_stable_many(pairs, taus, counts)
+    # m_n takes its factors from the cusp-rule core
+    rule = premodular._cusp_rule
+
+    def with_nan(*args):
+        vals, scales = rule(*args)
         vals[-1] = complex(math.nan, 0.0)
         return vals, scales
 
-    monkeypatch.setattr(premodular, "z2_stable_many", with_nan)
+    monkeypatch.setattr(premodular, "_cusp_rule", with_nan)
     with pytest.raises(InternalError):
         m_n(5, ModuliPoint.from_tau(1.5j))
 
