@@ -503,11 +503,11 @@ def z2_many(r, s, taus, reduced):
 
 
 def backend_name() -> str:
-    """The kernels' label in reports and benchmark records: always
-    "numpy", the one path there is."""
+    """The kernels' label in benchmark records: always "numpy", the one
+    path there is.  Its only caller is ``perfbench/run.py``."""
     return "numpy"
 
 
 def warmup():
-    """Nothing to prepare: the kernels are ready on import.  Kept for
-    callers that still call it before timing."""
+    """Nothing to prepare: the kernels are ready on import.  Its only
+    caller is ``perfbench/run.py``, which calls it before timing."""

@@ -17,12 +17,12 @@ from __future__ import annotations
 import argparse
 import functools
 import math
+import os
 import sys
 import time
 from fractions import Fraction
 
 from . import __version__
-from ._kernels import backend_name
 from .errors import (
     BoundaryTooClose,
     DomainError,
@@ -88,9 +88,8 @@ def _pair(args) -> TorsionPair:
 
 
 def _report(command: str, inputs: dict, results: dict, t0: float, **diagnostics) -> Report:
-    """The report of one subcommand; its diagnostics always carry the
-    kernels' backend label and the wall time since t0."""
-    diagnostics["backend"] = backend_name()
+    """The report of one subcommand; its diagnostics always carry the wall
+    time since t0."""
     diagnostics["timings"] = {command: time.time() - t0}
     return Report(
         command=command,
@@ -138,19 +137,18 @@ def _cmd_zeros(args) -> int:
     certs = locate_zeros(pair, d, expected=w)
     results = {
         "winding": w,
-        "triangle": classify_triangle(pair).tag if pair.is_real else "complex",
+        "triangle": classify_triangle(pair).tag,
         "zeros": [
             {
                 "tau0": c.tau0,
                 "residual": c.residual,
                 "dz_mag": c.dz_mag,
                 "newton_iters": c.newton_iters,
-                "region": c.region,
             }
             for c in certs
         ],
     }
-    inputs = {"r": pair.r, "s": pair.s, "domain": d.kind, "T": d.truncation_height}
+    inputs = {"r": pair.r, "s": pair.s, "domain": d.kind}
     _emit(_report("zeros", inputs, results, t0), args)
     return 0
 
@@ -192,9 +190,7 @@ def _cmd_orbits(args) -> int:
                     Fraction(rep.representative.k2, N),
                 ],
                 "gamma": list(rep.gamma_witness.as_tuple()),
-                "sign": rep.sign,
                 "shift": list(rep.shift),
-                "verified": rep.verified,
             }
         )
     results = {
@@ -344,7 +340,14 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 1 if exc.code not in (0, None) else 0
     try:
-        return _DISPATCH[args.cmd](args)
+        code = _DISPATCH[args.cmd](args)
+        sys.stdout.flush()
+        return code
+    except BrokenPipeError:
+        # the reader closed stdout; point it at devnull so that the flush at
+        # exit does not raise again (the SIGPIPE note of the signal module)
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
     except (BoundaryTooClose, IncoherentWinding) as exc:
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2

@@ -63,7 +63,7 @@ from __future__ import annotations
 import cmath
 import functools
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -148,12 +148,11 @@ class ZeroCertificate:
     residual: float
     dz_mag: float
     newton_iters: int
-    region: str
     torsion: TorsionPair
     scale: float
 
 
-def _certify(pair: TorsionPair, tau_start: complex, region: str) -> ZeroCertificate:
+def _certify(pair: TorsionPair, tau_start: complex) -> ZeroCertificate:
     """Newton-polish a zero of Z2_pair from tau_start into a certificate."""
     tau0, resid, dz, iters, scale = _newton_z2(pair, tau_start)
     return ZeroCertificate(
@@ -161,7 +160,6 @@ def _certify(pair: TorsionPair, tau_start: complex, region: str) -> ZeroCertific
         residual=resid,
         dz_mag=dz,
         newton_iters=iters,
-        region=region,
         torsion=pair,
         scale=scale,
     )
@@ -506,7 +504,7 @@ def _f0_zero_from(pair: TorsionPair, tau_start: complex) -> Optional[ZeroCertifi
     1e-9), else None; a start where Newton stalls or leaves the upper
     half-plane gives None too."""
     try:
-        cert = _certify(pair, tau_start, "F0")
+        cert = _certify(pair, tau_start)
     except (PviLabError, ArithmeticError):
         return None
     return cert if F0.contains(cert.tau0, margin=1e-9) else None
@@ -635,8 +633,8 @@ def locate_zeros(
         return []
     hunts = [p, TorsionPair.of(p.r + p.s, p.s)] if d.kind == "F2" else [p]
     own, *partner = _zeros_in_f0(hunts)
-    found = [] if own is None else [replace(own, region=d.kind)]
-    found += [_certify(p, c.tau0 + 1.0, "F2") for c in partner if c is not None]
+    found = [] if own is None else [own]
+    found += [_certify(p, c.tau0 + 1.0) for c in partner if c is not None]
     certs = [c for c in found if d.contains(c.tau0, margin=1e-9)]
     if len(certs) != w:
         raise IncoherentWinding(
@@ -659,7 +657,6 @@ class MnZeroReport:
     distinct classes whose certificates lie within 1e-8 of each other.
     """
 
-    N: int
     interior_count: int
     certificates: list[ZeroCertificate] = field(default_factory=list)
     merge_events: list[tuple] = field(default_factory=list)
@@ -738,15 +735,15 @@ def count_mn_zeros(N: int) -> MnZeroReport:
         source[j] = k
         if g != IDENTITY:
             target = pair(j)
-            cert = _certify(target, tau, "F")
+            cert = _certify(target, tau)
             if reduce_to_shifted_domain(cert.tau0)[1] != IDENTITY:
                 raise IncoherentWinding(
                     f"zero {cert.tau0} of {target}, carried from the F0 zero "
                     f"of {pair(k)}, does not lie in F"
                 )
-        found[j] = replace(cert, region="F")
+        found[j] = cert
     certs = [found[j] for j in sorted(found)]
-    return MnZeroReport(N, 2 * len(certs), certs, _merge_events(N, certs))
+    return MnZeroReport(2 * len(certs), certs, _merge_events(N, certs))
 
 
 def valence_check(N: int) -> dict:

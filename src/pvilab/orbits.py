@@ -159,12 +159,9 @@ def pole_count(N: int) -> tuple[int, int]:
 class OrbitReport:
     """Witnessed classification of a torsion pair under Gamma(2) and +-."""
 
-    input: RationalPair
     representative: RationalPair
     gamma_witness: ModularMatrix
-    sign: int
     shift: tuple[int, int]
-    verified: bool
 
 
 def _xgcd(a: int, b: int) -> tuple[int, int, int]:
@@ -255,8 +252,8 @@ def classify_orbit(p: RationalPair) -> OrbitReport:
     (s, r), and gamma2 from whichever of (L, L - N), (L, N), (N, L) is
     L row1 mod N, as m1 and m2 are both odd, m1 is even or m2 is even.  The
     row of gamma2 is N times the representative's.  The congruence
-    (s, r) == sign * (s', r') . gamma mod Z^2 is re-verified in
-    integer arithmetic; failure raises InternalError.
+    (s, r) == (s', r') . gamma mod Z^2 is re-verified in integer
+    arithmetic; failure raises InternalError.
     """
     N = p.N
     k1, k2 = p.k1, p.k2
@@ -288,14 +285,7 @@ def classify_orbit(p: RationalPair) -> OrbitReport:
     shift = (ds // N, dr // N)
     if not gamma.in_gamma2:
         raise InternalError(f"witness chain left Gamma(2) for {p}")
-    return OrbitReport(
-        input=p,
-        representative=representative,
-        gamma_witness=gamma,
-        sign=1,
-        shift=shift,
-        verified=True,
-    )
+    return OrbitReport(representative, gamma, shift)
 
 
 # ---------------------------------------------------------------------------
@@ -310,13 +300,17 @@ _GENERATORS = (
 )
 
 
-def orbit_brute_force(N: int, max_depth: int = 24) -> list[frozenset]:
+# BFS layers allowed per class before ``orbit_brute_force`` gives up.
+_MAX_BFS_DEPTH = 24
+
+
+def orbit_brute_force(N: int) -> list[frozenset]:
     """Partition of Q_N/+- under the right action of Gamma(2).
 
     BFS over the generator set {[[1,2],[0,1]], [[1,0],[2,1]]} and inverses
     acting on (s, r) row vectors mod Z^2, quotiented by the central +-.
-    Raises DepthExceeded when a class has not stabilised within max_depth
-    BFS layers.
+    Raises DepthExceeded when a class has not stabilised within
+    _MAX_BFS_DEPTH BFS layers.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
@@ -337,9 +331,9 @@ def orbit_brute_force(N: int, max_depth: int = 24) -> list[frozenset]:
         frontier = deque([start])
         depth = 0
         while frontier:
-            if depth > max_depth:
+            if depth > _MAX_BFS_DEPTH:
                 raise DepthExceeded(
-                    f"orbit BFS for N={N} exceeded depth {max_depth}"
+                    f"orbit BFS for N={N} exceeded depth {_MAX_BFS_DEPTH}"
                 )
             next_frontier = deque()
             while frontier:

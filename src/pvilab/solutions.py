@@ -51,10 +51,9 @@ def _is_inf(x: Optional[complex]) -> bool:
 
 @dataclass(frozen=True)
 class SolutionValue:
-    """lambda_{r,s} at one tau, with the moduli data used to compute it and
-    the ``est_error`` of its lattice values."""
+    """lambda_{r,s} at one tau, with t, wp(p), alpha and the branch copy
+    used to compute it and the ``est_error`` of its lattice values."""
 
-    tau: ModuliPoint
     t: complex
     wp_p: complex
     lam: complex
@@ -136,7 +135,6 @@ def lambda_rs(p: TorsionPair, m) -> SolutionValue:
         pole = False
     r, s = p.as_complex()
     return SolutionValue(
-        tau=m,
         t=lat.t,
         wp_p=wpp_val,
         lam=lam,

@@ -8,7 +8,6 @@ from fractions import Fraction
 
 import pytest
 
-from pvilab._kernels import backend_name
 from pvilab.cli import main
 from pvilab.locator import valence_check
 from pvilab.orbits import p_of_n
@@ -161,7 +160,9 @@ def test_orbits_n6(tmp_path):
     assert res["classes"] == 3
     reps = {tuple(e["representative"]) for e in res["elements"]}
     assert reps == {("0/1", "1/6"), ("1/6", "0/1"), ("1/6", "1/6")}
-    assert all(e["verified"] for e in res["elements"])
+    assert all(
+        set(e) == {"pair", "representative", "gamma", "shift"} for e in res["elements"]
+    )
 
 
 # --- zeros ------------------------------------------------------------------
@@ -258,7 +259,8 @@ def test_scan_json_reports_backend_and_timings(tmp_path, capsys):
     printed = capsys.readouterr().out
     rep = Report.from_json(printed[printed.index("{"):])
     assert rep.results == {"rows": 4}
-    assert rep.diagnostics["backend"] == backend_name()
+    # one kernel path, so no backend label
+    assert "backend" not in rep.diagnostics
     assert set(rep.diagnostics["timings"]) == {"scan"}
 
 
@@ -276,7 +278,8 @@ def test_reports_record_backend_and_timings(argv, tmp_path):
     code, text = run_cli(argv, tmp_path)
     assert code == 0
     rep = Report.from_json(text)
-    assert rep.diagnostics["backend"] == backend_name()
+    # one kernel path, so no backend label
+    assert "backend" not in rep.diagnostics
     assert set(rep.diagnostics["timings"]) == {argv[0]}
 
 
@@ -343,6 +346,7 @@ def test_non_finite_pair_is_a_domain_error_for_zeros(capsys):
 def test_verify_prints_summary_and_exit_code(monkeypatch, capsys):
     from pvilab import acceptance
     from pvilab.acceptance import CriterionResult
+    from pvilab.errors import InternalError
 
     def passing():
         return CriterionResult(1, "stub pass", True, 0.0)
@@ -363,6 +367,18 @@ def test_verify_prints_summary_and_exit_code(monkeypatch, capsys):
     assert [line for line in out if line.startswith("    ")] == [
         f"    detail {i}" for i in range(8)
     ]
+    # a criterion that raises fails with the error as its detail, and the
+    # criteria after it still run
+    def raising():
+        raise InternalError("witness check failed")
+
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [raising, passing])
+    assert main(["verify"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert out[-1] == "1/2 criteria passed"
+    assert out[0].startswith("criterion 1 [FAIL] raising (")
+    assert out[1] == "    InternalError: witness check failed"
+    assert out[2] == "criterion 1 [PASS] stub pass (0.00s)"
 
 
 def test_lower_half_plane_tau_is_a_domain_error(capsys):
@@ -421,3 +437,18 @@ def test_cli_entry_point_installed():
     assert out.returncode == 0
     data = json.loads(out.stdout)
     assert data["results"]["P"] == 0
+
+
+def test_closed_pipe_exits_1_without_a_traceback():
+    # the reader takes one line and closes the pipe, as "| head -1" does;
+    # the report is far larger than a pipe buffer, so the write hits it
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "pvilab", "orbits", "--N", "40"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+    )
+    assert proc.stdout.readline() == b"{\n"
+    proc.stdout.close()
+    err = proc.stderr.read().decode()
+    assert proc.wait() == 1
+    assert "Traceback" not in err

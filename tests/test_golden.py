@@ -1,9 +1,8 @@
 """Frozen CLI outputs: the SHA-256 of each report payload and CSV grid.
 
-Report hashes drop ``diagnostics.timings`` (wall time) and
-``diagnostics.backend`` (a constant label, "numpy", kept for benchmark
-records), so they hold on every machine whose float arithmetic matches;
-everything else a report says is covered byte for byte.  A refactor that changes any number, key or
+Report hashes drop ``diagnostics.timings`` (wall time), so they hold on every
+machine whose float arithmetic matches; everything else a report says is
+covered byte for byte.  A refactor that changes any number, key or
 formatting in these outputs fails here.
 """
 
@@ -30,34 +29,34 @@ REPORTS = [
     ),
     (
         ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F0"],
-        "0c529927ac004a5e3216155e676a0b2412c985a56ad0fba30a4a23fc77423f7d",
+        "3b584e55d4eef659dfefbf52e0be7f976931103fa95a6c6e58faa881f7f96b02",
     ),
     (
         ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F"],
-        "a44f055c1d6318c6c1e944a938567fac812a1c7e7ee4045f51b7729647e85720",
+        "447d7c2cd85ea6f322a5058a17e6490f302e6d1150c5664a5c2e8440ae48b5c8",
     ),
     (
         ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F2"],
-        "496099e81a11d7367e0856931e3787e8c5296d0414c2965c54ba6b16ac6a4287",
+        "e83b23fe3921169de08d58139a7f24a8551c4aa457d9694439feae7b23e927a6",
     ),
     (
         ["zeros", "--r", "1/5", "--s", "1/5", "--domain", "F"],
-        "b6081db7a57204f8d0fbc6e961486b21bf0db1bd37442b03bc727474c7ba8b64",
+        "8064d98c342881010163bbbe67a76aec0ae3ca62360b343c2947e418e1295bfa",
     ),
     # winding 1 over F: the one case whose zero lies inside F
     (
         ["zeros", "--r", "4/5", "--s", "3/10", "--domain", "F"],
-        "d93601eea736d1e2e6bc16a11e30c46c3c7d0dec7516aa2fdc92738067ec7ac5",
+        "7d6b0dd85f35058046280871ca8b009a22901383a4dc9d7b37418e7439a3ed21",
     ),
     # s = 1/2: cusp series inside the contour, order-1/2 cap at infinity
     (
         ["zeros", "--r", "1/5", "--s", "1/2", "--domain", "F0"],
-        "3247d98367b23c1aaff97e1cc7e777de901bfa873dd54c8ce5b81fdbbf287947",
+        "fd6af74164f636b9d77fbfde027526491f9df234a4ef414bfa71c9a9ad5ada50",
     ),
     # r = 1/2: degenerate direction at the cusp 1, excised disk, one zero
     (
         ["zeros", "--r", "1/2", "--s", "1/5", "--domain", "F2"],
-        "95d5ac699c2465ebbbbc9fe857f5d1081f38b2ca776e71e0f6a0b08eb7635d4a",
+        "38a2fa70ea4f62187214738019387d5fc6b1ed7ede073955eccd263cc88f2de3",
     ),
     (
         ["count", "--N", "8"],
@@ -69,12 +68,12 @@ REPORTS = [
     ),
     (
         ["orbits", "--N", "6"],
-        "933bd30c3644d84bacf4fa92a9c90ce30ef34bb4598770824387329be165390a",
+        "c72a5a9adc687487ae0287407d053144a8bb26189afdfefcfc196d51fb4e99d3",
     ),
     # odd N: one class, reached through the odd-N witness choices
     (
         ["orbits", "--N", "7"],
-        "6379c9e93ec8a3bcfcfce7689afb4325ecbe13464025b52f2857a69ca86375c9",
+        "3b3f5feeb5df9f08c4e24c02c74f43ec5b936aec42e0410bcc407ab264cd8c1c",
     ),
 ]
 
@@ -111,7 +110,6 @@ def test_report_payload_frozen(argv, digest, tmp_path):
     assert main(argv + ["--out", str(out)]) == 0
     payload = json.loads(out.read_text())
     payload["diagnostics"].pop("timings", None)
-    payload["diagnostics"].pop("backend", None)
     text = json.dumps(payload, sort_keys=True)
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 

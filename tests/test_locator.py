@@ -689,11 +689,11 @@ def _grid_starts():
 
 def _assert_count_equals_the_grid_hunt(N):
     # below N = 36 every D1 zero lies in F, so each certificate is the F0
-    # hunt's own, relabelled to F
+    # hunt's own
     rep = count_mn_zeros(N)
     hunted = locator._zeros_in_f0(_d1_pairs(N))
     assert rep.interior_count == p_of_n(N)
-    assert rep.certificates == [replace(c, region="F") for c in hunted]
+    assert rep.certificates == hunted
 
 
 @pytest.mark.parametrize("N", [7, 12])
@@ -737,7 +737,7 @@ def test_mn_zero_count_keeps_two_classes_at_one_point(monkeypatch):
 
     def two_at_one_point(pairs):
         return [
-            locator.ZeroCertificate(tau0, 0.0, 1.0, 1, "F0", p, 1.0) if i < 2 else None
+            locator.ZeroCertificate(tau0, 0.0, 1.0, 1, p, 1.0) if i < 2 else None
             for i, p in enumerate(pairs)
         ]
 
@@ -769,14 +769,21 @@ def test_mn_zero_count_raises_for_two_classes_carried_to_one(monkeypatch):
 
 
 def test_mn_zero_count_raises_for_a_polished_zero_outside_f(monkeypatch):
-    # N = 36 is the first N with a D1 zero outside F; its polished zero is
-    # moved by 1, which F's ownership rule puts outside F
-    certify = locator._certify
+    # N = 36 is the first N with a D1 zero outside F; its polished zero, the
+    # one certified after the F0 hunt returns, is moved by 1, which F's
+    # ownership rule puts outside F
+    certify, continued, hunted = locator._certify, locator._continued_zeros, []
 
-    def moved(pair, tau_start, region):
-        cert = certify(pair, tau_start, region)
-        return replace(cert, tau0=cert.tau0 + 1.0) if region == "F" else cert
+    def hunt(pairs):
+        certs = continued(pairs)
+        hunted.append(True)
+        return certs
 
+    def moved(pair, tau_start):
+        cert = certify(pair, tau_start)
+        return replace(cert, tau0=cert.tau0 + 1.0) if hunted else cert
+
+    monkeypatch.setattr(locator, "_continued_zeros", hunt)
     monkeypatch.setattr(locator, "_certify", moved)
     with pytest.raises(IncoherentWinding, match="does not lie in F"):
         count_mn_zeros(36)
