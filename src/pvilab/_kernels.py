@@ -13,14 +13,16 @@ in blocks of at most ``_BLOCK`` points, with r and s given per point.  Each
 point leaves ``reduce_tau_many`` where ``reduce_tau`` stops.  A block's
 series are not summed term by term: the powers of its three bases fill the
 rows k of one table, one multiply per row, every term of both series is a
-table operation, and the rows are added in k order, each series up to the
-first row at which every point of the block passes the scalar kernel's stop
-test.  So a call costs a few dozen NumPy operations whatever its size, and
-every value is the one the row-by-row loop gives, bit for bit.  Past the
-stop test a term is below 1e-19 and falls geometrically with the ones after
-it, far under half an ulp of the sums it joins, so a point's result does
-not depend on what shares its batch.  The strategy for a point tau in the
-upper half-plane:
+table operation, and the rows are added in k order, each series up to a
+row read off a bound: the first k >= 6 at which the scalar kernel's stop
+test passes with rho**k in place of every power's modulus, rho the block's
+largest base modulus raised past rounding.  No point of the block passes
+its stop test later, so a call costs a few dozen NumPy operations whatever
+its size, and every value is the one the row-by-row loop gives, bit for
+bit.  Past its stop test a term is below 1e-19 and falls geometrically
+with the ones after it, far under half an ulp of the sums it joins, so a
+point's result does not depend on what shares its batch.  The strategy for
+a point tau in the upper half-plane:
 
 1. reduce tau to the standard fundamental domain {|Re| <= 1/2, |tau| >= 1}
    with an integer matrix, so the nome q = exp(2*pi*i*tau_red) satisfies
@@ -52,6 +54,13 @@ _EPS = 2.220446049250313e-16
 # Series iteration cap; after fundamental-domain reduction ~20 terms reach
 # double precision, the cap only matters for pathological inputs.
 _KMAX = 400
+
+# The stop rule of both series: wp, wp' and zeta stop at the first k with
+# k*k*(|a_k| + |b_k| + |q_k|) < _WZ_BELOW, E2 at the first with
+# 504*k**5*|q_k| < _E2_BELOW, neither before _MIN_TERMS terms.
+_WZ_BELOW = 1e-19
+_E2_BELOW = 1e-18
+_MIN_TERMS = 6
 
 
 def reduce_tau(tau):
@@ -149,7 +158,7 @@ def wz_series(z, tau, q):
         s_wpp += (kf * kf) * (-0.5j) * (ak - bk) * inv
         s_zt += (ak - bk) * inv
         m = abs(ak) + abs(bk) + abs(qk)
-        if (kf * kf * m) < 1e-19 and k >= 6:
+        if (kf * kf * m) < _WZ_BELOW and k >= _MIN_TERMS:
             tail = kf * kf * m
             break
     wp += -8.0 * pi2 * s_wp
@@ -183,7 +192,7 @@ def lattice_constants(tau):
         e4 += 240.0 * k3 * f
         e6 -= 504.0 * k3 * kf * kf * f
         m = 504.0 * k3 * kf * kf * abs(qk)
-        if m < 1e-18 and k >= 6:
+        if m < _E2_BELOW and k >= _MIN_TERMS:
             tail = 2.0 * m
             break
     pi2 = _PI * _PI
@@ -279,15 +288,11 @@ _BLOCK = 512
 
 # Per-row constants of the series, k = 1 .. _KMAX - 1, formed with Python
 # floats exactly as the scalar kernels form them: the wp weight k, the wp'
-# weight k*k*(-1/2)i and the E2 weight -24k (E2's terms are added negated);
-# then the weights of the two stop tests, k*k and 504*k**5, and their
-# thresholds.
+# weight k*k*(-1/2)i and the E2 weight -24k (E2's terms are added negated).
 _KS = [float(k) for k in range(1, _KMAX)]
 _W_WP = np.array([complex(k) for k in _KS])[:, None]
 _W_WPP = np.array([(k * k) * (-0.5j) for k in _KS])[:, None]
 _W_E2 = np.array([complex(-24.0 * k) for k in _KS])[:, None]
-_STOP = np.array([[k * k for k in _KS], [504.0 * k**5 for k in _KS]])[:, :, None]
-_STOP_BELOW = np.array([1e-19, 1e-18])[:, None]
 # Row 0 of the term table: the starts of the wp, wp', zeta and E2 sums.
 _SUM_START = np.array([0.0, 0.0, 0.0, 1.0])[:, None]
 
@@ -319,70 +324,44 @@ def reduce_tau_many(tau):
     return t, a, b, c, d
 
 
-def _rows_guess(base):
-    """First k >= 6 at which k*k*3*rho**k < 1e-19 and 504*k**5*rho_q**k <
-    1e-18, rho the largest modulus in the (3, n) table of bases and rho_q
-    that of its q row: about where both stop tests pass, since a power's
-    modulus is rho**k up to rounding (_KMAX - 1 for NaN or rho >= 1)."""
-    mod = np.abs(base)
-    rho, rho_q = float(mod.max()), float(mod[2].max())
-    if not rho < 1.0:
-        return _KMAX - 1
-    for k in range(6, _KMAX - 1):
-        if 3.0 * k * k * rho**k < 1e-19 and 504.0 * k**5 * rho_q**k < 1e-18:
-            return k
+def _first_row(weight, rho, below):
+    """First k >= _MIN_TERMS at which weight(k) * rho**k < below; _KMAX - 1
+    if none comes, or rho is NaN or at least 1."""
+    if rho < 1.0:
+        for k in range(_MIN_TERMS, _KMAX - 1):
+            if weight(k) * rho**k < below:
+                return k
     return _KMAX - 1
 
 
-def _passes(tab, rows):
-    """(2, rows - 5) booleans: whether every point of the table passes the
-    wz and the E2 stop test at rows k = 6 .. rows.  Slot 1 of the moduli
-    takes (|a_k| + |b_k|) + |q_k|, in the scalar test's order, beside slot
-    2's |q_k|; a test passes where its block maximum does, and NaN fails, as
-    in the scalar loop."""
-    mod = np.abs(tab[:3, 6 : rows + 1])
-    np.add(mod[0], mod[1], out=mod[1])
-    np.add(mod[1], mod[2], out=mod[1])
-    return np.max(_STOP[:, 5:rows] * mod[1:], axis=2) < _STOP_BELOW
+def _stop_rows(base):
+    """The stop rows (k_wz, k_e2) of a block's two series from its (3, n)
+    bases a1, b1, q: the scalar stop tests with rho**k in place of the
+    powers' moduli, 3 rho**k for |a_k| + |b_k| + |q_k|, rho the largest
+    modulus of the bases and, for E2, of the q row.
 
-
-def _power_rows(base):
-    """One (6, K + 1, n) table whose slots 0-2 hold the running products of
-    the (3, n) bases a1, b1, q in rows k = 0 .. K, slots 3-5 left for the
-    terms, and the stop rows of the two series.
-
-    Row k is row k - 1 times the bases, one multiply per row, so every entry
-    is the scalar kernels' running product.  The stop rows are the first
-    k >= 6 at which every point passes the scalar test: k^2 (|a_k| + |b_k|
-    + |q_k|) < 1e-19 for wp, wp', zeta (k_wz) and 504 k^5 |q_k| < 1e-18 for
-    E2 (k_e2), each _KMAX - 1 when it never comes.  K is first guessed from
-    the largest base modulus, and doubled while a test has not passed.
+    Each rho is raised by 1e-12 of itself, so rho**k bounds the moduli of
+    the rounded running products for every k < _KMAX: no point of the block
+    passes its stop test after the row returned.  For reduced bases, all of
+    modulus at most exp(-pi*sqrt(3)/2), that row is at most one past the
+    first at which every point passes.
     """
-    last = _KMAX - 1
-    rows = _rows_guess(base)
-    tab = np.empty((6, rows + 1, base.shape[1]), dtype=np.complex128)
-    tab[:3, 0] = 1.0
-    done = 0
-    while True:
-        for k in range(done + 1, rows + 1):
-            np.multiply(tab[:3, k - 1], base, out=tab[:3, k])
-        done = rows
-        passed = _passes(tab, rows)
-        found = passed.any(axis=1)
-        if rows == last or found.all():
-            k_wz, k_e2 = np.where(found, 6 + passed.argmax(axis=1), last).tolist()
-            return tab, k_wz, k_e2
-        rows = min(2 * rows, last)
-        grown = np.empty((6, rows + 1, base.shape[1]), dtype=np.complex128)
-        grown[:, : done + 1] = tab
-        tab = grown
+    mod = np.abs(base)
+    rho, rho_q = (float(x) * (1.0 + 1e-12) for x in (mod.max(), mod[2].max()))
+    return (
+        _first_row(lambda k: 3.0 * k * k, rho, _WZ_BELOW),
+        _first_row(lambda k: 504.0 * k**5, rho_q, _E2_BELOW),
+    )
 
 
 def _series_many(z, tau, q):
     """``wz_series`` and E2 of ``lattice_constants`` for arrays: (wp, wp',
     zeta - eta1*z, E2) at reduced (z, tau) and nome q.
 
-    Both series come from one table (``_power_rows``): its power rows are
+    Both series come from one (6, K + 1, n) table: slots 0-2 of row k hold
+    the running products a_k, b_k, q_k, row k - 1 times the bases, one
+    multiply per row up to the larger stop row K of ``_stop_rows``, so every
+    entry is the scalar kernels' running product.  Those power rows are
     turned into term rows in place, by table operations with the operands
     and order of the scalar loops, and the term rows are added in k order,
     so each sum is the one the scalar loop forms.  E2's terms are negated
@@ -410,8 +389,12 @@ def _series_many(z, tau, q):
     np.exp(2j * _PI * (tau - z), out=base[1])
     base[2] = q
     base = np.repeat(base, 2, axis=1) if n == 1 else base
-    tab, k_wz, k_e2 = _power_rows(base)
+    k_wz, k_e2 = _stop_rows(base)
     rows = max(k_wz, k_e2)
+    tab = np.empty((6, rows + 1, base.shape[1]), dtype=np.complex128)
+    tab[:3, 0] = 1.0
+    for k in range(1, rows + 1):
+        np.multiply(tab[:3, k - 1], base, out=tab[:3, k])
 
     # rows 1..rows of the slots: a_k, b_k, q_k become the wp, wp', zeta
     # terms, slot 3 the negated E2 term, slot 4 1/(1 - q_k), slot 5 a_k - b_k

@@ -348,7 +348,9 @@ def main(argv=None) -> int:
         # exit does not raise again (the SIGPIPE note of the signal module)
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 1
-    except (BoundaryTooClose, IncoherentWinding) as exc:
+    except (BoundaryTooClose, IncoherentWinding, ArithmeticError) as exc:
+        # ArithmeticError: a kernel divides by a value that rounds or
+        # underflows to 0 at an extreme tau, such as e2 - e1 or j**2
         print(f"numerical failure: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 2
     except PviLabError as exc:

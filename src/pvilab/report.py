@@ -1,10 +1,11 @@
 """Deterministic JSON reports for the command-line front end.
 
 Serialisation rules: keys sorted, floats rendered as %.15e, complex numbers
-as "a+bi" strings, rationals as "p/q" strings.  A report parsed back from
-its own serialisation re-serialises byte-identically (float -> %.15e text ->
-float is idempotent after the first round trip).  Wall times are carried in
-``diagnostics.timings``, the one field that differs between two runs.
+as "a+bi" strings, rationals as "p/q" strings; any other value is a
+TypeError.  A report parsed back from its own serialisation
+(``Report(**json.loads(text))``) re-serialises byte-identically.  Wall
+times are carried in ``diagnostics.timings``, the one field that differs
+between two runs.
 """
 
 from __future__ import annotations
@@ -61,9 +62,9 @@ def to_jsonable(obj: Any) -> Any:
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [to_jsonable(v) for v in obj]
-    if hasattr(obj, "__dict__"):
-        return {k: to_jsonable(v) for k, v in vars(obj).items()}
-    return str(obj)
+    # str() of an arbitrary object may carry its memory address, which would
+    # make the report differ from run to run
+    raise TypeError(f"a report cannot hold a {type(obj).__name__}")
 
 
 @dataclass
@@ -85,14 +86,3 @@ class Report:
             "version": self.version,
         }
         return json.dumps(payload, sort_keys=True, indent=2)
-
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        raw = json.loads(text)
-        return cls(
-            command=raw["command"],
-            inputs=raw["inputs"],
-            results=raw["results"],
-            diagnostics=raw.get("diagnostics", {}),
-            version=raw.get("version", ""),
-        )

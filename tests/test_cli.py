@@ -58,6 +58,11 @@ def test_complex_round_trip_through_formatter():
         assert parse_complex(format_complex(z)) == z
 
 
+def test_report_refuses_a_value_it_cannot_write_deterministically():
+    with pytest.raises(TypeError, match="object"):
+        Report("eval", {}, {"value": object()}).to_json()
+
+
 # --- eval -------------------------------------------------------------------
 
 def test_eval_quarter_zero(tmp_path):
@@ -65,11 +70,11 @@ def test_eval_quarter_zero(tmp_path):
         ["eval", "--r", "1/4", "--s", "0", "--tau", "0+1.5i"], tmp_path
     )
     assert code == 0
-    rep = Report.from_json(text)
-    lam = parse_complex(rep.results["lambda"])
-    t = parse_complex(rep.results["t"])
+    rep = json.loads(text)
+    lam = parse_complex(rep["results"]["lambda"])
+    t = parse_complex(rep["results"]["t"])
     assert abs(9 * lam**2 - t) < 1e-9
-    assert rep.results["is_pole"] is False
+    assert rep["results"]["is_pole"] is False
 
 
 def test_eval_determinism(tmp_path):
@@ -81,8 +86,8 @@ def test_eval_determinism(tmp_path):
         payload["diagnostics"].pop("timings")
     assert pa == pb
     # round-trip: parse + re-serialise is byte-identical
-    assert Report.from_json(a).to_json() == Report.from_json(a).to_json()
-    assert json.loads(a)["results"] == json.loads(Report.from_json(b).to_json())["results"]
+    assert Report(**json.loads(a)).to_json() == a.rstrip("\n")
+    assert json.loads(a)["results"] == json.loads(Report(**json.loads(b)).to_json())["results"]
 
 
 def test_eval_makes_one_lattice_values_call(tmp_path, monkeypatch):
@@ -106,8 +111,8 @@ def test_eval_makes_one_lattice_values_call(tmp_path, monkeypatch):
 def test_count_n5(tmp_path):
     code, text = run_cli(["count", "--N", "5"], tmp_path)
     assert code == 0
-    rep = Report.from_json(text)
-    res = rep.results
+    rep = json.loads(text)
+    res = rep["results"]
     assert res["P"] == 2
     assert res["solutions"] == 1
     assert res["poles_per_solution"] == 6
@@ -120,7 +125,7 @@ def test_count_n5(tmp_path):
 def test_count_n8_formula_row(tmp_path):
     code, text = run_cli(["count", "--N", "8"], tmp_path)
     assert code == 0
-    res = Report.from_json(text).results
+    res = json.loads(text)["results"]
     assert res["P"] == 6
     assert res["solutions"] == 3
     assert res["poles_per_solution"] == 6
@@ -129,7 +134,7 @@ def test_count_n8_formula_row(tmp_path):
 def test_count_reports_the_valence_past_n_12(tmp_path):
     code, text = run_cli(["count", "--N", "13"], tmp_path)
     assert code == 0
-    res = Report.from_json(text).results
+    res = json.loads(text)["results"]
     assert res["valence"]["interior"] == 30 == res["P"]
     assert res["valence"]["balance_exact"] is True
 
@@ -145,7 +150,7 @@ def test_count_reports_the_valence_record_as_computed(tmp_path):
 def test_count_past_the_cap_reports_no_valence(tmp_path):
     code, text = run_cli(["count", "--N", "121"], tmp_path)
     assert code == 0
-    res = Report.from_json(text).results
+    res = json.loads(text)["results"]
     assert "valence" not in res and "merge_events" not in res
     assert res["P"] == p_of_n(121)
 
@@ -156,7 +161,7 @@ def test_count_past_the_cap_reports_no_valence(tmp_path):
 def test_orbits_n6(tmp_path):
     code, text = run_cli(["orbits", "--N", "6"], tmp_path)
     assert code == 0
-    res = Report.from_json(text).results
+    res = json.loads(text)["results"]
     assert res["classes"] == 3
     reps = {tuple(e["representative"]) for e in res["elements"]}
     assert reps == {("0/1", "1/6"), ("1/6", "0/1"), ("1/6", "1/6")}
@@ -173,7 +178,7 @@ def test_zeros_subcommand(tmp_path):
         ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F0"], tmp_path
     )
     assert code == 0
-    res = Report.from_json(text).results
+    res = json.loads(text)["results"]
     assert res["winding"] == 1
     assert len(res["zeros"]) == 1
     tau0 = parse_complex(res["zeros"][0]["tau0"])
@@ -257,11 +262,11 @@ def test_scan_json_reports_backend_and_timings(tmp_path, capsys):
     argv = ["scan", "--mode", "z2", "--r", "0.3", "--s", "0.2", "--nx", "2", "--ny", "2"]
     assert main(argv + ["--format", "json", "--out", str(out)]) == 0
     printed = capsys.readouterr().out
-    rep = Report.from_json(printed[printed.index("{"):])
-    assert rep.results == {"rows": 4}
+    rep = json.loads(printed[printed.index("{"):])
+    assert rep["results"] == {"rows": 4}
     # one kernel path, so no backend label
-    assert "backend" not in rep.diagnostics
-    assert set(rep.diagnostics["timings"]) == {"scan"}
+    assert "backend" not in rep["diagnostics"]
+    assert set(rep["diagnostics"]["timings"]) == {"scan"}
 
 
 @pytest.mark.parametrize(
@@ -277,10 +282,10 @@ def test_scan_json_reports_backend_and_timings(tmp_path, capsys):
 def test_reports_record_backend_and_timings(argv, tmp_path):
     code, text = run_cli(argv, tmp_path)
     assert code == 0
-    rep = Report.from_json(text)
+    rep = json.loads(text)
     # one kernel path, so no backend label
-    assert "backend" not in rep.diagnostics
-    assert set(rep.diagnostics["timings"]) == {argv[0]}
+    assert "backend" not in rep["diagnostics"]
+    assert set(rep["diagnostics"]["timings"]) == {argv[0]}
 
 
 # --- exit codes -------------------------------------------------------------
@@ -402,6 +407,25 @@ def test_numerical_failure_exit_code(monkeypatch):
     assert main(["count", "--N", "5"]) == 2
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        # e2 - e1 rounds to 0 in lambda_rs
+        ["eval", "--r", "0.3", "--s", "0.2", "--tau", "1+0.06i"],
+        # j**2 underflows in lattice_constants
+        ["eval", "--r", "1/4", "--s", "0", "--tau", "0+1e-200i"],
+        ["scan", "--mode", "z2", "--r", "0.3", "--s", "0.2", "--im-min", "1e-300",
+         "--im-max", "1e-300", "--nx", "2", "--ny", "1"],
+    ],
+    ids=["lambda_rs", "lattice_constants", "scan"],
+)
+def test_arithmetic_error_is_a_numerical_failure(argv, capsys):
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ZeroDivisionError: ")
+    assert "Traceback" not in err
+
+
 def test_subcommands_reject_flags_they_do_not_read():
     assert main(["count", "--N", "5", "--tol", "1"]) == 1
     assert main(["eval", "--r", "1/4", "--s", "0", "--tau", "0+1.5i", "--N", "3"]) == 1
@@ -418,13 +442,13 @@ def test_zeros_over_modular_and_level_two_domains(tmp_path):
         ["zeros", "--r", "1/5", "--s", "1/5", "--domain", "F"], tmp_path
     )
     assert code == 0
-    res = Report.from_json(text).results
+    res = json.loads(text)["results"]
     assert res["winding"] == 0  # its zero sits inside the excluded disk
     code, text = run_cli(
         ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F2"], tmp_path
     )
     assert code == 0
-    res = Report.from_json(text).results
+    res = json.loads(text)["results"]
     assert res["winding"] == 2 and len(res["zeros"]) == 2
 
 

@@ -338,13 +338,51 @@ def test_one_point_call_equals_its_value_in_a_large_batch(mixed_points):
         assert _same_bits(one[0], vals[part]) and _same_bits(one[1], scales[part]), i
 
 
-def test_too_short_a_row_guess_grows_the_table(mixed_points, monkeypatch):
-    # the table starts at the guessed stop row and is extended while a stop
-    # test has not passed; the rows it adds are the loop's rows
-    monkeypatch.setattr(_kernels, "_rows_guess", lambda base: 6)
-    r, s, taus = mixed_points
-    for lo in range(0, 2000, 500):
-        part = slice(lo, lo + 500)
-        got = _kernels.z2_many(r[part], s[part], taus[part], _kernels.reduce_tau_many(taus[part]))
-        want = _reference_many(r[part], s[part], taus[part])
-        assert _same_bits(got[0], want[0]) and _same_bits(got[1], want[1]), lo
+def _block_bases(r, s, taus):
+    """The (3, n) bases a1, b1, q of ``_series_many`` for one block."""
+    pi = math.pi
+    tred, _, _, c, d = _kernels.reduce_tau_many(taus)
+    zr = (r + s * taus) / (c * taus + d)
+    y = zr.imag / tred.imag
+    z = zr - np.floor(zr.real - y * tred.real + 0.5) - np.floor(y + 0.5) * tred
+    return np.exp(2j * pi * np.array([tred + z, tred - z, tred]))
+
+
+def _loop_stop_rows(base):
+    """The first rows at which every point of the block passes the wz and
+    the E2 stop test, read off the loop form's running products."""
+    last = _kernels._KMAX - 1
+    rows = [last, last]
+    power = np.ones_like(base)
+    for k in range(1, last):
+        power = power * base
+        mod = np.abs(power)
+        kf = float(k)
+        passed = (
+            np.all(kf * kf * (mod[0] + mod[1] + mod[2]) < 1e-19),
+            np.all(504.0 * kf**5 * mod[2] < 1e-18),
+        )
+        for i in (0, 1):
+            if k >= 6 and rows[i] == last and passed[i]:
+                rows[i] = k
+        if last not in rows:
+            break
+    return rows
+
+
+def test_stop_rows_bound_the_loop_form_by_at_most_one_row(mixed_points):
+    # blocks of the mixed points, then the three F0 start grids per pair
+    size, n = _kernels._BLOCK, len(mixed_points[2])
+    blocks = [[x[lo : lo + size] for x in mixed_points] for lo in range(0, n, size)]
+    for r, s in PAIRS:
+        r, s = TorsionPair.of(r, s).as_complex()
+        for nx, ny in GRID_SIZES:
+            grid = _interior_grid(F0, nx, ny)
+            for lo in range(0, len(grid), size):
+                part = grid[lo : lo + size]
+                blocks.append((np.full(len(part), r), np.full(len(part), s), part))
+    for r, s, taus in blocks:
+        base = _block_bases(r, s, taus)
+        bound = _kernels._stop_rows(base)
+        for k, k_bound in zip(_loop_stop_rows(base), bound):
+            assert k <= k_bound <= k + 1, (k, bound)
