@@ -44,18 +44,18 @@ and hunts only the +-classes of Q_N in D1:
 classes are carried one-to-one onto the classes with a zero in F, so a
 third of the classes yields every zero of M_N over F, with no merging.
 
-The hunt has two stages, each taking a list of pairs.  The grid stage
-(``_grid_zeros``) hands the start-grid samples of all its pairs to the
-kernel at once, one call per grid level, and runs Newton from each pair's
-best samples; the square stage (``_check_squares``) phase-tracks the
-isolating squares of all the certificates, one kernel call per refinement
-round.  A point's value does not depend on what shares its batch, so each
-pair's certificate is the one it gets when hunted alone.  ``locate_zeros``
-runs both stages on its one or two pairs.  ``count_mn_zeros`` runs the grid
-stage on its first D1 class only: the zero moves smoothly with (r, s), so
-each later class starts Newton from the zero of its nearest solved class
-(continuation in (r, s)), and only the classes where that start fails go
-to the grid stage, in one batch, before one square stage over all of them.
+A pair has its F0 zero exactly when its window representative lies in one
+of the open triangles D1, D2, D3, and inside a triangle the zero moves
+smoothly with (r, s).  So the hunt starts Newton once per pair, from the F0
+zero of its triangle's centroid pair (the triangle's anchor, found on first
+use).  The grid stage (``_grid_zeros``) hunts only the pairs whose anchor
+start stalls or lands outside F0, and the anchors themselves: it hands the
+start-grid samples of all its pairs to the kernel at once, one call per grid
+level, and runs Newton from each pair's best samples.  The square stage
+(``_check_squares``) then phase-tracks the isolating squares of all the
+certificates, one kernel call per refinement round.  A point's value does
+not depend on what shares its batch, and every start is fixed by the pair
+alone, so each pair's certificate is the one it gets when hunted alone.
 """
 
 from __future__ import annotations
@@ -64,6 +64,7 @@ import cmath
 import functools
 import math
 from dataclasses import dataclass, field
+from fractions import Fraction
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -510,10 +511,10 @@ def _f0_zero_from(pair: TorsionPair, tau_start: complex) -> Optional[ZeroCertifi
     return cert if F0.contains(cert.tau0, margin=1e-9) else None
 
 
-def _grid_zeros(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
+def _grid_zeros(pairs: list[TorsionPair]) -> list[ZeroCertificate]:
     """The grid stage of the F0 hunt: the one zero of Z2 in F0 of each pair,
-    or None, with no isolation check yet.  A pair has that zero exactly when
-    its window representative lies in one of the triangles D1, D2, D3.
+    every pair lying in one of the triangles D1, D2, D3, with no isolation
+    check yet.
 
     Each start grid is evaluated in one kernel batch for every pair still
     hunting.  Newton then runs per pair from the 8 best points of its grid
@@ -522,9 +523,7 @@ def _grid_zeros(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
     resolves raises.
     """
     certs: list[Optional[ZeroCertificate]] = [None] * len(pairs)
-    hunting = [
-        i for i, p in enumerate(pairs) if classify_triangle(p).tag in ("D1", "D2", "D3")
-    ]
+    hunting = list(range(len(pairs)))
     for nx, ny in ((29, 25), (57, 49), (113, 97)):
         if not hunting:
             break
@@ -550,6 +549,21 @@ def _grid_zeros(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
             f"no Newton start found the zero of {pairs[hunting[0]]} in F0"
         )
     return certs
+
+
+_CENTROIDS = {  # the centroid pair of each triangle whose pairs have an F0 zero
+    "D1": (Fraction(5, 6), Fraction(1, 3)),
+    "D2": (Fraction(2, 3), Fraction(1, 6)),
+    "D3": (Fraction(1, 6), Fraction(1, 6)),
+}
+
+
+@functools.cache
+def _anchor(tag: str) -> ZeroCertificate:
+    """The F0 zero of the centroid pair of triangle ``tag``, hunted by the
+    grid stage on first use: the one Newton start of every pair in that
+    triangle."""
+    return _grid_zeros([TorsionPair.of(*_CENTROIDS[tag])])[0]
 
 
 def _check_squares(certs: list[Optional[ZeroCertificate]]) -> None:
@@ -579,36 +593,19 @@ def _check_squares(certs: list[Optional[ZeroCertificate]]) -> None:
 
 
 def _zeros_in_f0(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
-    """The one zero of Z2 in F0 of each pair, or None: the grid stage
-    (``_grid_zeros``), then the square stage (``_check_squares``).  A pair
-    that no start resolves raises before any square is tracked.  The
-    one-pair hunt is the one-element case."""
-    certs = _grid_zeros(pairs)
-    _check_squares(certs)
-    return certs
-
-
-def _continued_zeros(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
-    """The one zero of Z2 in F0 of each pair, or None, by continuation in
-    (r, s): only the first pair is hunted on the start grids.  Each later
-    pair starts Newton from the zero of its nearest already-solved pair, by
-    distance between their ``reduced_real`` window points (ties, up to
-    rounding, go to the lower index), since the zero moves smoothly with
-    (r, s).  A pair whose start stalls or lands outside F0, or that has no
-    solved pair before it, is left to the grid stage, which hunts all of
-    them in one batch afterwards; then the square stage checks every
-    certificate at once.
-    """
-    certs = _grid_zeros(pairs[:1]) + [None] * (len(pairs) - 1)
-    where = np.array([p.reduced_real() for p in pairs])
-    solved = [i for i, c in enumerate(certs[:1]) if c is not None]
+    """The one zero of Z2 in F0 of each pair, or None: one Newton start from
+    the anchor zero of the pair's triangle, then the grid stage for the pairs
+    whose start fails, in one batch, then the square stage over every
+    certificate.  A pair that no start resolves raises before any square is
+    tracked."""
+    certs: list[Optional[ZeroCertificate]] = [None] * len(pairs)
     misses = []
-    for k in range(1, len(pairs)):
-        if solved:
-            d2 = np.sum((where[solved] - where[k]) ** 2, axis=1)
-            near = solved[int(np.argmax(d2 <= d2.min() * (1.0 + 1e-9)))]
-            certs[k] = _f0_zero_from(pairs[k], certs[near].tau0)
-        (misses if certs[k] is None else solved).append(k)
+    for k, p in enumerate(pairs):
+        tag = classify_triangle(p).tag
+        if tag in _CENTROIDS:
+            certs[k] = _f0_zero_from(p, _anchor(tag).tau0)
+            if certs[k] is None:
+                misses.append(k)
     for k, cert in zip(misses, _grid_zeros([pairs[k] for k in misses])):
         certs[k] = cert
     _check_squares(certs)
@@ -621,12 +618,12 @@ def locate_zeros(
     """All zeros of Z2_{r,s} inside the truncated domain, Newton-refined.
 
     Real pairs only, as for ``winding_count``.  The zeros come from one F0
-    hunt by the group action: F0 contains F, so the F0 zero of p is kept if
-    it lies in d; F2 is F0 together with F0 + 1, and Z2_{r,s}(tau + 1) =
-    Z2_{r+s,s}(tau), so over F2 the partner (r + s, s) is hunted in the same
-    batch and its F0 zero, moved by 1 and re-polished for p, follows.  The
-    count is required to equal the winding number of the domain boundary,
-    or ``expected`` when given.
+    hunt (``_zeros_in_f0``) by the group action: F0 contains F, so the F0
+    zero of p is kept if it lies in d; F2 is F0 together with F0 + 1, and
+    Z2_{r,s}(tau + 1) = Z2_{r+s,s}(tau), so over F2 the partner (r + s, s)
+    is hunted in the same batch and its F0 zero, moved by 1 and re-polished
+    for p, follows.  The count is required to equal the winding number of
+    the domain boundary, or ``expected`` when given.
     """
     w = winding_count(p, d) if expected is None else expected
     if w == 0:
@@ -697,10 +694,9 @@ def count_mn_zeros(N: int) -> MnZeroReport:
     Works per +-class of Q_N, whose pairs are real: each class has at most
     one zero in F0, present exactly when its window representative lies in
     one of the three open triangles D1, D2, D3.  Only the D1 classes
-    (``_d1_classes``) are hunted, by ``_continued_zeros``: the first on the
-    start grids, every later one by Newton from the zero of its nearest
-    solved class, with the grids as the fallback, and all isolating squares
-    in one pass.
+    (``_d1_classes``) are hunted, in one ``_zeros_in_f0`` batch: Newton from
+    the D1 anchor zero for each, the grids only for a start that fails, and
+    all isolating squares in one pass.
     ``reduce_to_shifted_domain`` takes each F0 zero tau0 into F by some
     gamma, where gamma.tau0 is a zero of the class that ``transport_pair``
     carries the pair to by gamma: Q_N is closed under SL(2, Z), and the D1
@@ -721,7 +717,7 @@ def count_mn_zeros(N: int) -> MnZeroReport:
     d1 = _d1_classes(reps)
     found: dict[int, ZeroCertificate] = {}
     source: dict[int, int] = {}
-    for k, cert in zip(d1, _continued_zeros([pair(k) for k in d1])):
+    for k, cert in zip(d1, _zeros_in_f0([pair(k) for k in d1])):
         if cert is None:
             continue
         tau, g = reduce_to_shifted_domain(cert.tau0)

@@ -29,7 +29,7 @@ REPORTS = [
     ),
     (
         ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F0"],
-        "3b584e55d4eef659dfefbf52e0be7f976931103fa95a6c6e58faa881f7f96b02",
+        "9652aa1a925be0e76d280d8d3bc328822bcf5bd75e6a6512b2cd69aa019e0f90",
     ),
     (
         ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F"],
@@ -37,7 +37,7 @@ REPORTS = [
     ),
     (
         ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F2"],
-        "e83b23fe3921169de08d58139a7f24a8551c4aa457d9694439feae7b23e927a6",
+        "821c67e01e1dffbf9eac6e2b42c51243f40322db9d70e05588a7640722b64c36",
     ),
     (
         ["zeros", "--r", "1/5", "--s", "1/5", "--domain", "F"],
@@ -46,7 +46,7 @@ REPORTS = [
     # winding 1 over F: the one case whose zero lies inside F
     (
         ["zeros", "--r", "4/5", "--s", "3/10", "--domain", "F"],
-        "7d6b0dd85f35058046280871ca8b009a22901383a4dc9d7b37418e7439a3ed21",
+        "7fe557c66688ce20f2ad61310be2a49cb0e5abf175db3f277649085601a0c743",
     ),
     # s = 1/2: cusp series inside the contour, order-1/2 cap at infinity
     (
@@ -56,7 +56,7 @@ REPORTS = [
     # r = 1/2: degenerate direction at the cusp 1, excised disk, one zero
     (
         ["zeros", "--r", "1/2", "--s", "1/5", "--domain", "F2"],
-        "38a2fa70ea4f62187214738019387d5fc6b1ed7ede073955eccd263cc88f2de3",
+        "482f1ab788cd740709619b998dcdf8fd23e4a46ab57fb4039852bfd3836406d5",
     ),
     (
         ["count", "--N", "8"],

@@ -4,6 +4,8 @@ import cmath
 import math
 import random
 import re
+import subprocess
+import sys
 from dataclasses import replace
 from fractions import Fraction
 
@@ -51,6 +53,19 @@ from pvilab.premodular import (
 )
 
 PI = math.pi
+
+
+@pytest.fixture
+def fresh_anchors():
+    # the triangle anchors are cached per process: a test that patches
+    # Newton finds its own, and none it found stays cached after it
+    locator._anchor.cache_clear()
+    yield
+    locator._anchor.cache_clear()
+
+
+def _warm_anchors():
+    return {tag: locator._anchor(tag).tau0 for tag in locator._CENTROIDS}
 
 
 # --- classify_triangle ------------------------------------------------------
@@ -401,6 +416,7 @@ def test_locate_d1_pair():
     assert F0.contains(certs[0].tau0, margin=1e-6)
 
 
+@pytest.mark.usefixtures("fresh_anchors")
 def test_locate_propagates_programming_errors(monkeypatch):
     # only typed numerical failures of a Newton start are skipped
     def broken(pair, tau0):
@@ -521,6 +537,7 @@ def test_batched_hunt_raises_for_a_square_that_winds_twice(monkeypatch):
         locator._zeros_in_f0(reps)
 
 
+@pytest.mark.usefixtures("fresh_anchors")
 def test_batched_hunt_raises_for_a_pair_no_start_resolves(monkeypatch):
     stuck = TorsionPair.of(0.9, 0.05)
     newton = locator._newton_z2
@@ -535,6 +552,79 @@ def test_batched_hunt_raises_for_a_pair_no_start_resolves(monkeypatch):
     no_start = re.escape(f"no Newton start found the zero of {stuck} in F0")
     with pytest.raises(IncoherentWinding, match=no_start):
         locator._zeros_in_f0(reps)
+
+
+def test_anchors_are_the_centroid_zeros():
+    # each anchor is the grid stage's F0 zero of its triangle's centroid pair
+    for tag, (r, s) in {
+        "D1": (Fraction(5, 6), Fraction(1, 3)),
+        "D2": (Fraction(2, 3), Fraction(1, 6)),
+        "D3": (Fraction(1, 6), Fraction(1, 6)),
+    }.items():
+        centroid = TorsionPair.of(r, s)
+        assert classify_triangle(centroid).tag == tag
+        anchor = locator._anchor(tag)
+        assert anchor == locator._grid_zeros([centroid])[0]
+        assert F0.contains(anchor.tau0, margin=1e-3)
+        assert locator._anchor(tag) is anchor
+
+
+def test_anchors_are_found_on_first_use_not_at_import():
+    code = "import pvilab.cli, pvilab.locator as m; print(m._anchor.cache_info().currsize)"
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert out.returncode == 0 and out.stdout.split() == ["0"], out.stderr
+
+
+@pytest.mark.usefixtures("fresh_anchors")
+def test_every_hunted_pair_starts_from_its_triangle_anchor(monkeypatch):
+    # every +-class of Q_N, N = 3..12 and 30, hunted in one batch: the first
+    # Newton start of each D1-D3 pair is its triangle's anchor zero, and no
+    # other pair is started at all
+    anchors, newton, starts = _warm_anchors(), locator._newton_z2, {}
+
+    def recorded(pair, tau0):
+        starts.setdefault(pair, tau0)
+        return newton(pair, tau0)
+
+    monkeypatch.setattr(locator, "_newton_z2", recorded)
+    pairs = [
+        TorsionPair.of(c.r, c.s) for N in [*range(3, 13), 30] for c in pm_class_reps(N)
+    ]
+    certs = locator._zeros_in_f0(pairs)
+    tags = [classify_triangle(p).tag for p in pairs]
+    assert {p: starts[p] for p, tag in zip(pairs, tags) if tag in anchors} == {
+        p: anchors[tag] for p, tag in zip(pairs, tags) if tag in anchors
+    }
+    assert len(starts) == sum(c is not None for c in certs) > 100
+
+
+def _triangle_pairs(m_max):
+    """The distinct pairs (k1/M, k2/2M), 0 < k1, k2 < M <= m_max, that lie
+    in D1, D2 or D3."""
+    pairs = (
+        TorsionPair.of(Fraction(k1, M), Fraction(k2, 2 * M))
+        for M in range(2, m_max + 1)
+        for k1 in range(1, M)
+        for k2 in range(1, M)
+    )
+    return [
+        p for p in dict.fromkeys(pairs) if classify_triangle(p).tag in ("D1", "D2", "D3")
+    ]
+
+
+@pytest.mark.parametrize("m_max", [12, pytest.param(30, marks=pytest.mark.slow)])
+def test_every_triangle_pair_resolves_from_its_anchor(m_max):
+    # the anchor start lands in F0 for every pair (no grid fallback), on
+    # the grid stage's zero to within the first-order spread of two Newton
+    # iterates stopped at |Z2| <= 1e-13 * scale: each lies within
+    # 1e-13 * scale / |Z2'| of the zero (largest ratio to the bound 0.49 for
+    # M <= 12, 0.73 for M <= 30, at (7/30, 1/5))
+    pairs = _triangle_pairs(m_max)
+    assert len(pairs) == {12: 272, 30: 5068}[m_max]
+    for p, grid in zip(pairs, locator._grid_zeros(pairs)):
+        cert = locator._f0_zero_from(p, locator._anchor(classify_triangle(p).tag).tau0)
+        assert cert is not None, p
+        assert abs(cert.tau0 - grid.tau0) <= 2e-13 * grid.scale / grid.dz_mag, p
 
 
 # --- count_mn_zeros / valence ----------------------------------------------
@@ -563,8 +653,15 @@ def test_mn_zero_count_over_modular_domain(N, count):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("N", range(13, locator.MAX_N + 1))
-def test_valence_bookkeeping_sweep(N):
+def test_valence_bookkeeping_sweep(N, monkeypatch):
+    # every D1 class resolves from the D1 anchor: the grid stage hunts none
+    _warm_anchors()
+    grid_zeros, gridded = locator._grid_zeros, []
+    monkeypatch.setattr(
+        locator, "_grid_zeros", lambda pairs: gridded.extend(pairs) or grid_zeros(pairs)
+    )
     v = valence_check(N)
+    assert gridded == []
     assert v["interior"] == p_of_n(N)
     assert v["balance_exact"]
     assert abs(v["cusp_order_slope"] - v["cusp"]) < 0.1
@@ -626,9 +723,10 @@ def _d1_pairs(N):
     ]
 
 
-def test_mn_zero_count_evaluates_one_start_grid(monkeypatch):
-    # only the first D1 class is hunted on the start grid; the other eight
-    # classes of N = 12 start Newton from a solved neighbour's zero
+def test_mn_zero_count_evaluates_no_start_grid(monkeypatch):
+    # with the anchors warm, every D1 class of N = 12 starts Newton from the
+    # D1 anchor and the kernel sees only the isolating squares' samples
+    _warm_anchors()
     points, in_squares = [], []
     batch, phase = locator.z2_stable_many, locator._phase_along_pieces
 
@@ -647,86 +745,54 @@ def test_mn_zero_count_evaluates_one_start_grid(monkeypatch):
     monkeypatch.setattr(locator, "z2_stable_many", counted)
     monkeypatch.setattr(locator, "_phase_along_pieces", squares)
     rep = count_mn_zeros(12)
-    grid = locator._interior_grid(F0, 29, 25)
-    assert len(_d1_pairs(12)) == 9 and len(grid) == 444
-    assert points == [444]
+    assert points == []
+    assert len(rep.certificates) == len(_d1_pairs(12)) == 9
     assert rep.interior_count == p_of_n(12)
-
-
-def test_continuation_starts_from_the_nearest_solved_class(monkeypatch):
-    # each later D1 class of N = 30 starts Newton from the zero of the
-    # earlier class nearest it in the window, the lower index on ties, by
-    # exact Fraction distances; below N = 36 no zero is moved into F, so
-    # the certificates are the F0 zeros
-    N, grid, newton, starts = 30, _grid_starts(), locator._newton_z2, {}
-
-    def recorded(pair, tau0):
-        if tau0 not in grid:
-            starts.setdefault(pair, tau0)
-        return newton(pair, tau0)
-
-    monkeypatch.setattr(locator, "_newton_z2", recorded)
-    zeros = {c.torsion: c.tau0 for c in count_mn_zeros(N).certificates}
-
-    def window(p):
-        r, s = p.r % 1, p.s % 1
-        return ((-r) % 1, (-s) % 1) if 2 * s > 1 else (r, s)
-
-    pairs = _d1_pairs(N)
-    points = [window(p) for p in pairs]
-    for k in range(1, len(pairs)):
-        d2 = [(a - points[k][0]) ** 2 + (b - points[k][1]) ** 2 for a, b in points[:k]]
-        assert starts[pairs[k]] == zeros[pairs[d2.index(min(d2))]]
-    assert len(starts) == len(pairs) - 1
-
-
-def _grid_starts():
-    return {
-        complex(t) for nx, ny in ((29, 25), (57, 49), (113, 97))
-        for t in locator._interior_grid(F0, nx, ny)
-    }
 
 
 def _assert_count_equals_the_grid_hunt(N):
     # below N = 36 every D1 zero lies in F, so each certificate is the F0
     # hunt's own
     rep = count_mn_zeros(N)
-    hunted = locator._zeros_in_f0(_d1_pairs(N))
     assert rep.interior_count == p_of_n(N)
-    assert rep.certificates == hunted
+    assert rep.certificates == locator._grid_zeros(_d1_pairs(N))
 
 
+@pytest.mark.usefixtures("fresh_anchors")
 @pytest.mark.parametrize("N", [7, 12])
 def test_mn_zero_count_falls_back_to_the_grid_when_continuation_stalls(N, monkeypatch):
-    grid, newton, stalled = _grid_starts(), locator._newton_z2, []
+    # Newton from the D1 anchor (a one-step continuation in (r, s) from the
+    # centroid pair) stalls for every class: the grid stage hunts them all
+    anchor, newton, stalled = _warm_anchors()["D1"], locator._newton_z2, []
 
-    def stalls_off_the_grid(pair, tau0):
-        if tau0 not in grid:
+    def stalls_from_the_anchor(pair, tau0):
+        if tau0 == anchor:
             stalled.append(pair)
             raise NewtonStall("no convergence")
         return newton(pair, tau0)
 
-    monkeypatch.setattr(locator, "_newton_z2", stalls_off_the_grid)
+    monkeypatch.setattr(locator, "_newton_z2", stalls_from_the_anchor)
     _assert_count_equals_the_grid_hunt(N)
-    assert stalled == _d1_pairs(N)[1:]
+    assert stalled == _d1_pairs(N)
 
 
+@pytest.mark.usefixtures("fresh_anchors")
 @pytest.mark.parametrize("N", [7, 12])
 def test_mn_zero_count_falls_back_to_the_grid_outside_f0(N, monkeypatch):
-    # a continuation start whose Newton result lies outside F0 (here moved
-    # by 1) is not taken for the zero
-    grid, newton, moved = _grid_starts(), locator._newton_z2, []
+    # an anchor start whose Newton result lies outside F0 (here moved by 1)
+    # is not taken for the zero
+    anchor, newton, moved = _warm_anchors()["D1"], locator._newton_z2, []
 
-    def leaves_f0_off_the_grid(pair, tau0):
+    def leaves_f0_from_the_anchor(pair, tau0):
         out = newton(pair, tau0)
-        if tau0 in grid:
+        if tau0 != anchor:
             return out
         moved.append(pair)
         return (out[0] + 1.0, *out[1:])
 
-    monkeypatch.setattr(locator, "_newton_z2", leaves_f0_off_the_grid)
+    monkeypatch.setattr(locator, "_newton_z2", leaves_f0_from_the_anchor)
     _assert_count_equals_the_grid_hunt(N)
-    assert moved == _d1_pairs(N)[1:]
+    assert moved == _d1_pairs(N)
 
 
 def test_mn_zero_count_keeps_two_classes_at_one_point(monkeypatch):
@@ -741,7 +807,7 @@ def test_mn_zero_count_keeps_two_classes_at_one_point(monkeypatch):
             for i, p in enumerate(pairs)
         ]
 
-    monkeypatch.setattr(locator, "_continued_zeros", two_at_one_point)
+    monkeypatch.setattr(locator, "_zeros_in_f0", two_at_one_point)
     a, b = [
         c for c in pm_class_reps(7) if classify_triangle(TorsionPair.of(c.r, c.s)).tag == "D1"
     ][:2]
@@ -768,14 +834,15 @@ def test_mn_zero_count_raises_for_two_classes_carried_to_one(monkeypatch):
         count_mn_zeros(N)
 
 
+@pytest.mark.usefixtures("fresh_anchors")
 def test_mn_zero_count_raises_for_a_polished_zero_outside_f(monkeypatch):
     # N = 36 is the first N with a D1 zero outside F; its polished zero, the
     # one certified after the F0 hunt returns, is moved by 1, which F's
     # ownership rule puts outside F
-    certify, continued, hunted = locator._certify, locator._continued_zeros, []
+    certify, zeros_in_f0, hunted = locator._certify, locator._zeros_in_f0, []
 
     def hunt(pairs):
-        certs = continued(pairs)
+        certs = zeros_in_f0(pairs)
         hunted.append(True)
         return certs
 
@@ -783,7 +850,7 @@ def test_mn_zero_count_raises_for_a_polished_zero_outside_f(monkeypatch):
         cert = certify(pair, tau_start)
         return replace(cert, tau0=cert.tau0 + 1.0) if hunted else cert
 
-    monkeypatch.setattr(locator, "_continued_zeros", hunt)
+    monkeypatch.setattr(locator, "_zeros_in_f0", hunt)
     monkeypatch.setattr(locator, "_certify", moved)
     with pytest.raises(IncoherentWinding, match="does not lie in F"):
         count_mn_zeros(36)
