@@ -9,9 +9,12 @@ Winding numbers come from adaptive phase tracking of Z2 along the domain
 boundary: a segment whose phase step between consecutive samples exceeds
 pi/8 is cut, in one round, into as many equal parts (a power of two) as
 bring the step down to about pi/16, and rounds repeat until every step is
-below pi/8, so unwrapping is unambiguous.  The cusp at infinity is closed
-analytically: the leading behaviour c*q^ord contributes exactly
-2*pi*ord*(Re change) across the cap, which is added instead of sampled.
+below pi/8, so unwrapping is unambiguous.  One tracker (``_windings``) does
+this for any number of closed contours at once, each with its own pair:
+their samples share one array, and each round is one kernel call.  The cusp
+at infinity is closed analytically: the leading behaviour c*q^ord
+contributes exactly 2*pi*ord*(Re change) across the cap, which is added
+instead of sampled.
 
 Real-axis cusps need case analysis.  Near a cusp x_c the form factors as
 
@@ -52,10 +55,10 @@ use).  The grid stage (``_grid_zeros``) hunts only the pairs whose anchor
 start stalls or lands outside F0, and the anchors themselves: it hands the
 start-grid samples of all its pairs to the kernel at once, one call per grid
 level, and runs Newton from each pair's best samples.  The square stage
-(``_check_squares``) then phase-tracks the isolating squares of all the
-certificates, one kernel call per refinement round.  A point's value does
-not depend on what shares its batch, and every start is fixed by the pair
-alone, so each pair's certificate is the one it gets when hunted alone.
+(``_check_squares``) then winds around the isolating squares of all the
+certificates in one ``_windings`` call.  A point's value does not depend on
+what shares its batch, and every start is fixed by the pair alone, so each
+pair's certificate is the one it gets when hunted alone.
 """
 
 from __future__ import annotations
@@ -324,119 +327,116 @@ def _build_contour(d: DomainSpec, pair: TorsionPair) -> list:
 # ---------------------------------------------------------------------------
 
 
-def _piece_points(piece: tuple, t: np.ndarray) -> np.ndarray:
-    if piece[0] == "seg":
-        _, z0, z1 = piece
-        return z0 + t * (z1 - z0)
-    _, c, rad, th0, th1 = piece
-    return c + rad * np.exp(1j * (th0 + t * (th1 - th0)))
-
-
-def _split_points(lo: np.ndarray, hi: np.ndarray, steps: np.ndarray) -> np.ndarray:
+def _split_points(
+    lo: np.ndarray, hi: np.ndarray, steps: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
     """The inner points that cut each segment [lo, hi] into 2^m equal
     parts, m = ceil(log2(2 |step| / MAX_PHASE_STEP)): enough that a phase
-    step spread evenly over the parts is at most MAX_PHASE_STEP / 2."""
+    step spread evenly over the parts is at most MAX_PHASE_STEP / 2.  Also
+    returns the index of the segment each point cuts."""
     parts = np.exp2(np.ceil(np.log2(2.0 * np.abs(steps) / MAX_PHASE_STEP))).astype(np.int64)
     seg = np.repeat(np.arange(parts.size), parts - 1)
     start = np.cumsum(parts - 1) - (parts - 1)
     j = np.arange(seg.size) - start[seg] + 1
-    return lo[seg] + (hi[seg] - lo[seg]) * (j / parts[seg])
+    return lo[seg] + (hi[seg] - lo[seg]) * (j / parts[seg]), seg
 
 
-def _phase_along_pieces(
-    pairs: list[TorsionPair], pieces: list, n0: int
-) -> list[tuple[float, complex, complex]]:
-    """Accumulated phase change of Z2 along each numeric boundary piece, with
-    its first and last sample values; piece i follows Z2 of ``pairs[i]``.
+def _windings(pairs: list[TorsionPair], contours: list[list], n0: int) -> list[float]:
+    """The total phase (in turns) of Z2 of ``pairs[k]`` around the closed
+    piecewise contour ``contours[k]``, jumps included, for every k at once.
 
-    Each piece starts from n0 samples and cuts every segment whose phase
-    step exceeds MAX_PHASE_STEP into equal parts (``_split_points``), until
-    no step does; a step that ``np.angle`` wrapped into (-pi, pi] may get
-    too few parts, and the next round cuts it again.  The new samples of one
-    round of all pieces, whatever their pairs, go to ``z2_stable_many`` in
-    one batch; a sample with |Z2| below BOUNDARY_RTOL times its scale fails
-    its piece.  Pieces do not interact, so the error raised is that of the
-    first failing piece in contour order, as if the pieces were refined one
-    after the other.
+    The samples of all the numeric pieces, numbered in contour order, live
+    in one array sorted by (piece, t), n0 per piece at first.  Each round
+    sends the new samples to ``z2_stable_many`` in one batch, merges them in
+    with one sort, and cuts every segment whose phase step exceeds
+    MAX_PHASE_STEP into equal parts (``_split_points``) until none does; a
+    step that ``np.angle`` wrapped into (-pi, pi] may get too few parts,
+    and the next round cuts it again.  A sample with |Z2| below
+    BOUNDARY_RTOL times its scale fails its piece, as does a piece still
+    cut after _MAX_REFINE_ROUNDS rounds; the error raised is that of the
+    first failing piece in contour order, and the pieces after it stop.
+    Seams, jumps and sums are taken per contour, so each contour's turns
+    are the ones it gets alone.
     """
-    n = len(pieces)
-    ts = [np.empty(0)] * n
-    vals = [np.empty(0, dtype=np.complex128)] * n
-    new_t = [np.linspace(0.0, 1.0, n0)] * n
-    results: list = [None] * n
-    errors: list = [None] * n
-    live = list(range(n))
+    if not contours:
+        return []
+    pieces, owner, joined, jumps, closed = [], [], [], [0.0] * len(contours), []
+    for k, contour in enumerate(contours):
+        seam = False  # True right after a numeric piece, whose end the next starts at
+        for piece in contour:
+            if isinstance(piece, _Jump):
+                jumps[k] += piece.delta
+            else:
+                pieces.append(piece)
+                owner.append(k)
+                joined.append(seam)
+            seam = not isinstance(piece, _Jump)
+        closed.append(seam)
+    owner, joined = np.array(owner), np.array(joined)
+    # a ("seg", z0, z1) is z0 + t (z1 - z0), an ("arc", c, rad, th0, th1)
+    # is c + rad e^{i (th0 + t (th1 - th0))}
+    rows = [
+        (False, p[1], p[2] - p[1], 0.0, 0.0, 0.0)
+        if p[0] == "seg"
+        else (True, p[1], 0j, p[2], p[3], p[4] - p[3])
+        for p in pieces
+    ]
+    on_arc, base, span, rad, th0, dth = (np.array(col) for col in zip(*rows))
+
+    def points(at: np.ndarray, t: np.ndarray) -> np.ndarray:
+        out = np.empty(at.size, dtype=np.complex128)
+        arc = on_arc[at]
+        g, h = at[~arc], at[arc]
+        out[~arc] = base[g] + t[~arc] * span[g]
+        out[arc] = base[h] + rad[h] * np.exp(1j * (th0[h] + t[arc] * dth[h]))
+        return out
+
+    at, t, v = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.complex128)
+    new_at = np.repeat(np.arange(len(pieces)), n0)
+    new_t = np.tile(np.linspace(0.0, 1.0, n0), len(pieces))
+    error: Optional[PviLabError] = None
+    limit = len(pieces)  # the first failing piece; it and those after it stop
     for rnd in range(_MAX_REFINE_ROUNDS + 1):
-        if not live:
+        taus = points(new_at, new_t)
+        counts = np.bincount(owner[new_at], minlength=len(contours))
+        new_v, scales = z2_stable_many(pairs, taus, counts)
+        close = np.abs(new_v) < BOUNDARY_RTOL * scales
+        if close.any():
+            k = int(np.argmax(close))
+            limit = int(new_at[k])
+            error = BoundaryTooClose(
+                f"|Z2| = {abs(new_v[k]):.3e} below clearance on boundary piece "
+                f"{pieces[limit][0]} at tau = {taus[k]} (scale {scales[k]:.3e})"
+            )
+            keep = new_at < limit
+            new_at, new_t, new_v = new_at[keep], new_t[keep], new_v[keep]
+        at, t, v = (np.concatenate(x) for x in ((at, new_at), (t, new_t), (v, new_v)))
+        order = np.lexsort((t, at))
+        at, t, v = at[order], t[order], v[order]
+        if rnd == _MAX_REFINE_ROUNDS:
+            if new_at.size:
+                limit = int(new_at[0])
+                error = IncoherentWinding(
+                    f"phase refinement did not settle on piece {pieces[limit][0]} "
+                    f"for {pairs[owner[limit]]}"
+                )
             break
-        taus = [_piece_points(pieces[i], new_t[i]) for i in live]
-        points = np.concatenate(taus)
-        batch = z2_stable_many([pairs[i] for i in live], points, [len(x) for x in taus])
-        still = []
-        lo = 0
-        for i, piece_taus in zip(live, taus):
-            hi = lo + len(piece_taus)
-            new, scales = (a[lo:hi] for a in batch)
-            lo = hi
-            close = np.abs(new) < BOUNDARY_RTOL * scales
-            if close.any():
-                k = int(np.argmax(close))
-                errors[i] = BoundaryTooClose(
-                    f"|Z2| = {abs(new[k]):.3e} below clearance on boundary piece "
-                    f"{pieces[i][0]} at tau = {piece_taus[k]} (scale {scales[k]:.3e})"
-                )
-                continue
-            t = np.concatenate([ts[i], new_t[i]])
-            order = np.argsort(t)
-            ts[i] = t = t[order]
-            vals[i] = v = np.concatenate([vals[i], new])[order]
-            if rnd == _MAX_REFINE_ROUNDS:
-                errors[i] = IncoherentWinding(
-                    f"phase refinement did not settle on piece {pieces[i][0]} "
-                    f"for {pairs[i]}"
-                )
-                continue
-            steps = np.angle(v[1:] / v[:-1])
-            bad = np.abs(steps) > MAX_PHASE_STEP
-            if not bad.any():
-                results[i] = (float(np.sum(steps)), complex(v[0]), complex(v[-1]))
-                continue
-            new_t[i] = _split_points(t[:-1][bad], t[1:][bad], steps[bad])
-            still.append(i)
-        live = still
-    for exc in errors:
-        if exc is not None:
-            raise exc
-    return results
-
-
-def _turns(pieces: list, phases) -> float:
-    """Total phase (in turns) around a closed piecewise contour, given the
-    ``_phase_along_pieces`` results of its numeric pieces in order."""
-    total = 0.0
-    prev_val: Optional[complex] = None
-    first_val: Optional[complex] = None
-    for piece in pieces:
-        if isinstance(piece, _Jump):
-            total += piece.delta
-            prev_val = None
-            continue
-        dphi, v0, v1 = next(phases)
-        if prev_val is not None:
-            total += float(np.angle(v0 / prev_val))
-        if first_val is None:
-            first_val = v0
-        total += dphi
-        prev_val = v1
-    if prev_val is not None and first_val is not None:
-        total += float(np.angle(first_val / prev_val))
-    return total / _TWO_PI
-
-
-def _winding_over(pieces: list, pair: TorsionPair, n0: int = 17) -> float:
-    """Total phase (in turns) of Z2_pair around a closed piecewise contour."""
-    numeric = [piece for piece in pieces if not isinstance(piece, _Jump)]
-    return _turns(pieces, iter(_phase_along_pieces([pair] * len(numeric), numeric, n0)))
+        steps = np.angle(v[1:] / v[:-1])
+        inner = at[1:] == at[:-1]
+        bad = inner & (np.abs(steps) > MAX_PHASE_STEP) & (at[1:] < limit)
+        if not bad.any():
+            break
+        new_t, seg = _split_points(t[:-1][bad], t[1:][bad], steps[bad])
+        new_at = at[1:][bad][seg]
+    if error is not None:
+        raise error
+    counted = inner | joined[at[1:]]
+    contour_of = owner[at]
+    total = np.bincount(contour_of[1:][counted], steps[counted], len(contours))
+    first = np.searchsorted(contour_of, np.arange(len(contours)))
+    last = np.searchsorted(contour_of, np.arange(len(contours)), side="right") - 1
+    total += np.where(closed, np.angle(v[first] / v[last]), 0.0) + jumps
+    return (total / _TWO_PI).tolist()
 
 
 def _integer_turns(turns: float, what: str) -> int:
@@ -460,7 +460,7 @@ def winding_count(p: TorsionPair, d: DomainSpec) -> int:
         raise DomainError("winding counts are restricted to real pairs")
     if p.degenerate:
         raise DomainError("degenerate pairs have no meaningful winding")
-    turns = _winding_over(_build_contour(d, p), p)
+    (turns,) = _windings([p], [_build_contour(d, p)], 17)
     return _integer_turns(turns, f"for {p} over {d.kind}")
 
 
@@ -577,16 +577,11 @@ def _check_squares(certs: list[Optional[ZeroCertificate]]) -> None:
         for c in certs
         if c is not None and F0.contains(c.tau0 + corners, margin=1e-6).all()
     ]
-    squares = [_rect_pieces(c.tau0, h) for c in boxed]
-    phases = iter(
-        _phase_along_pieces(
-            [c.torsion for c, sq in zip(boxed, squares) for _ in sq],
-            [piece for sq in squares for piece in sq],
-            9,
-        )
+    turns = _windings(
+        [c.torsion for c in boxed], [_rect_pieces(c.tau0, h) for c in boxed], 9
     )
-    for c, sq in zip(boxed, squares):
-        if _integer_turns(_turns(sq, phases), "around a rectangle") != 1:
+    for c, t in zip(boxed, turns):
+        if _integer_turns(t, "around a rectangle") != 1:
             raise IncoherentWinding(
                 f"cell check around {c.tau0} did not isolate one zero"
             )

@@ -374,7 +374,8 @@ def z2_cusp_expansion(p: TorsionPair) -> np.ndarray:
     Coefficients below the leading power (p^2 for s = 0, p^1 for s = 1/2)
     vanish identically; their numerical residue is round-off from the
     coefficient-level cancellation and is zeroed after a sanity check, so
-    evaluating the series near the cusp never sees it.
+    evaluating the series near the cusp never sees it.  The check raises
+    NearLattice for (r, 0) with small r (from 1/1665): its terms grow like 1/r^3.
     """
     order = p.cusp[1]
     if order == 0:
@@ -387,8 +388,8 @@ def z2_cusp_expansion(p: TorsionPair) -> np.ndarray:
     lead = 1 if half else 2
     floor_scale = float(np.max(np.abs(z2c))) + 1.0
     for n in range(lead):
-        if abs(z2c[n]) > 1e-9 * floor_scale:  # pragma: no cover - sanity guard
-            raise ValueError(
+        if abs(z2c[n]) > 1e-9 * floor_scale:
+            raise NearLattice(
                 f"sub-leading cusp coefficient p^{n} failed to cancel: {z2c[n]}"
             )
         z2c[n] = 0.0

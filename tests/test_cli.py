@@ -348,6 +348,13 @@ def test_non_finite_pair_is_a_domain_error_for_zeros(capsys):
     assert "error: DomainError" in capsys.readouterr().err
 
 
+def test_cusp_series_guard_is_a_typed_error_for_zeros(capsys):
+    assert main(["zeros", "--r", "1/10000", "--s", "0", "--domain", "F0"]) == 1
+    err = capsys.readouterr().err
+    assert "error: NearLattice" in err
+    assert "Traceback" not in err
+
+
 def test_verify_prints_summary_and_exit_code(monkeypatch, capsys):
     from pvilab import acceptance
     from pvilab.acceptance import CriterionResult

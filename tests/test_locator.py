@@ -27,7 +27,7 @@ from pvilab.locator import (
     F2,
     DomainSpec,
     _build_contour,
-    _winding_over,
+    _windings,
     classify_triangle,
     count_mn_zeros,
     locate_zeros,
@@ -142,8 +142,8 @@ def test_winding_requires_real_pair():
 def test_winding_invariant_under_density_doubling():
     pair = TorsionPair.of(0.62, 0.17)
     pieces = _build_contour(F0, pair)
-    coarse = _winding_over(pieces, pair, n0=17)
-    fine = _winding_over(pieces, pair, n0=34)
+    (coarse,) = _windings([pair], [pieces], 17)
+    (fine,) = _windings([pair], [pieces], 34)
     assert round(coarse) == round(fine)
     assert abs(coarse - fine) < 0.02
 
@@ -159,7 +159,7 @@ def test_winding_evaluates_initial_samples_of_all_pieces_at_once(monkeypatch):
         return z2_stable_many(p, taus, counts)
 
     monkeypatch.setattr(locator, "z2_stable_many", counted)
-    assert round(_winding_over(pieces, pair, n0=17)) == winding_count(pair, F0)
+    assert round(_windings([pair], [pieces], 17)[0]) == winding_count(pair, F0)
     assert sizes[0] == 17 * len(numeric)
 
 # The 22 (r, s) of the first round of perfbench's triangle_sweep at seed 1,
@@ -213,11 +213,12 @@ def test_split_points_cut_a_segment_into_equal_parts():
     # parts, each with a step of at most MAX_PHASE_STEP / 2 when spread evenly
     lo, hi = np.array([0.0, 0.5, 0.25]), np.array([0.25, 0.75, 0.5])
     steps = np.array([1.01, -2.5, 8.0]) * locator.MAX_PHASE_STEP
-    got = locator._split_points(lo, hi, steps)
+    got, seg = locator._split_points(lo, hi, steps)
     want = np.concatenate(
         [np.arange(1, 4) / 16, 0.5 + np.arange(1, 8) / 32, 0.25 + np.arange(1, 16) / 64]
     )
     assert np.array_equal(got, want)
+    assert np.array_equal(seg, np.repeat([0, 1, 2], [3, 7, 15]))
 
 
 def test_winding_with_degenerate_cusp_directions():
@@ -244,39 +245,85 @@ def test_float_pair_just_off_a_cusp_edge_never_winds_silently_wrong(s):
     assert w == 1
 
 
+# a pair whose synthetic Z2 reads 2 wherever the first pair's reads 1
+_OTHER = TorsionPair.of(0.9, 0.05)
+
+
+def _synthetic_z2(pairs, taus, counts):
+    # 1 on Re = 3, 0 on Re = 5 (fails the clearance check in the first
+    # round), and a sign flip at Im = 1.5 on Re = 7 (no bisection resolves
+    # it, so refinement runs out of rounds); _OTHER reads 2 where it reads 1
+    owners = np.repeat(np.array(pairs, dtype=object), counts)
+    vals = np.where(owners == _OTHER, 2.0, 1.0).astype(np.complex128)
+    vals[taus.real == 5.0] = 0.0
+    vals[(taus.real == 7.0) & (taus.imag > 1.5)] *= -1.0
+    return vals, np.ones(len(taus))
+
+
+_GOOD, _CLOSE, _FLIP = (("seg", complex(x, 1.0), complex(x, 2.0)) for x in (3.0, 5.0, 7.0))
+
+
 def test_phase_tracking_raises_the_first_failing_piece(monkeypatch):
-    # synthetic Z2: 1 on Re = 3, 0 on Re = 5 (fails the clearance check in
-    # the first round), and a sign flip at Im = 1.5 on Re = 7 (no bisection
-    # resolves it, so refinement runs out of rounds); a second pair reads 2
-    # wherever the first reads 1
-    other = TorsionPair.of(0.9, 0.05)
-
-    def fake(pairs, taus, counts):
-        owners = np.repeat(np.array(pairs, dtype=object), counts)
-        vals = np.where(owners == other, 2.0, 1.0).astype(np.complex128)
-        vals[taus.real == 5.0] = 0.0
-        vals[(taus.real == 7.0) & (taus.imag > 1.5)] *= -1.0
-        return vals, np.ones(len(taus))
-
-    monkeypatch.setattr(locator, "z2_stable_many", fake)
-    pair = TorsionPair.of(0.6, 0.3)
-    good, close, flip = (("seg", complex(x, 1.0), complex(x, 2.0)) for x in (3.0, 5.0, 7.0))
-    assert locator._phase_along_pieces([pair], [good], 9) == [(0.0, 1, 1)]
+    monkeypatch.setattr(locator, "z2_stable_many", _synthetic_z2)
+    pair, other = TorsionPair.of(0.6, 0.3), _OTHER
+    good, close, flip = _GOOD, _CLOSE, _FLIP
+    assert _windings([pair], [[good]], 9) == [0.0]
     with pytest.raises(BoundaryTooClose):
-        locator._phase_along_pieces([pair] * 3, [good, close, flip], 9)
+        _windings([pair], [[good, close, flip]], 9)
     with pytest.raises(IncoherentWinding, match="did not settle"):
-        locator._phase_along_pieces([pair] * 3, [good, flip, close], 9)
-    # two pairs in one batch: each piece follows its own pair, and the first
-    # failing piece in contour order is still the error raised
-    assert locator._phase_along_pieces([pair, other], [good, good], 9) == [
-        (0.0, 1, 1),
-        (0.0, 2, 2),
-    ]
+        _windings([pair], [[good, flip, close]], 9)
+    # two pairs in one batch: each contour follows its own pair, and the
+    # first failing piece in contour order is still the error raised
+    assert _windings([pair, other], [[good], [good]], 9) == [0.0, 0.0]
     with pytest.raises(BoundaryTooClose):
-        locator._phase_along_pieces([other, pair, other], [good, close, flip], 9)
+        _windings([other, pair, other], [[good], [close], [flip]], 9)
     settle = f"did not settle .* for {re.escape(str(other))}"
     with pytest.raises(IncoherentWinding, match=settle):
-        locator._phase_along_pieces([pair, other, pair], [good, flip, close], 9)
+        _windings([pair, other, pair], [[good], [flip], [close]], 9)
+
+
+def test_an_earlier_contours_error_wins_over_a_later_contours_earlier_failure(
+    monkeypatch,
+):
+    # the second contour fails its clearance check in the first round, the
+    # first one only when refinement runs out of rounds
+    monkeypatch.setattr(locator, "z2_stable_many", _synthetic_z2)
+    pair = TorsionPair.of(0.6, 0.3)
+    with pytest.raises(IncoherentWinding, match="did not settle"):
+        _windings([pair, pair], [[_GOOD, _FLIP], [_CLOSE]], 9)
+    with pytest.raises(IncoherentWinding, match="did not settle"):
+        _windings([pair, _OTHER], [[_FLIP], [_GOOD, _CLOSE]], 9)
+    with pytest.raises(BoundaryTooClose):
+        _windings([pair, pair], [[_CLOSE], [_GOOD, _FLIP]], 9)
+
+
+def test_one_windings_pass_gives_each_contour_its_lone_turns():
+    # F0, F and F2 contours of several pairs, and squares around their F0
+    # zeros and around a point that is no zero, tracked in one pass
+    pairs = [
+        TorsionPair.of(r, s)
+        for r, s in (
+            (0.6, 0.3),
+            (0.1, 0.2),
+            (0.9, 0.05),
+            (Fraction(1, 4), Fraction(1, 4)),
+            (Fraction(1, 2), Fraction(1, 5)),
+            (Fraction(10, 13), Fraction(1, 13)),
+        )
+    ]
+    jobs = [(p, _build_contour(d, p)) for p in pairs for d in (F0, F, F2)]
+    jobs += [
+        (c.torsion, locator._rect_pieces(c.tau0, 0.04))
+        for p in pairs
+        for c in locate_zeros(p, F0)
+    ]
+    jobs.append((pairs[0], locator._rect_pieces(0.5 + 2.0j, 0.04)))
+    together = _windings([p for p, _ in jobs], [c for _, c in jobs], 17)
+    assert together == [_windings([p], [c], 17)[0] for p, c in jobs]
+    windings = [winding_count(p, d) for p in pairs for d in (F0, F, F2)]
+    squares = len(jobs) - len(windings) - 1
+    assert [round(t) for t in together] == windings + [1] * squares + [0]
+    assert squares >= 4
 
 
 def test_winding_gap_radius_independence(monkeypatch):
@@ -523,15 +570,14 @@ def test_batched_hunt_raises_for_a_square_that_winds_twice(monkeypatch):
     # the second zero's isolating square is made to wind twice
     reps = [TorsionPair.of(r, s) for r, s in ((0.6, 0.3), (0.9, 0.05), (0.1, 0.2))]
     second = locator._zeros_in_f0([reps[1]])[0]
-    phase = locator._phase_along_pieces
+    windings = locator._windings
 
-    def second_square_winds_twice(pairs, pieces, n0):
-        out = phase(pairs, pieces, n0)
-        dphi, v0, v1 = out[4]
-        out[4] = (dphi + 2.0 * PI, v0, v1)
+    def second_square_winds_twice(pairs, contours, n0):
+        out = windings(pairs, contours, n0)
+        out[1] += 1.0
         return out
 
-    monkeypatch.setattr(locator, "_phase_along_pieces", second_square_winds_twice)
+    monkeypatch.setattr(locator, "_windings", second_square_winds_twice)
     square = re.escape(f"cell check around {second.tau0} did not isolate one zero")
     with pytest.raises(IncoherentWinding, match=square):
         locator._zeros_in_f0(reps)
@@ -728,22 +774,22 @@ def test_mn_zero_count_evaluates_no_start_grid(monkeypatch):
     # D1 anchor and the kernel sees only the isolating squares' samples
     _warm_anchors()
     points, in_squares = [], []
-    batch, phase = locator.z2_stable_many, locator._phase_along_pieces
+    batch, windings = locator.z2_stable_many, locator._windings
 
     def counted(pairs, taus, counts):
         if not in_squares:
             points.append(len(taus))
         return batch(pairs, taus, counts)
 
-    def squares(pairs, pieces, n0):
+    def squares(pairs, contours, n0):
         in_squares.append(True)
         try:
-            return phase(pairs, pieces, n0)
+            return windings(pairs, contours, n0)
         finally:
             in_squares.pop()
 
     monkeypatch.setattr(locator, "z2_stable_many", counted)
-    monkeypatch.setattr(locator, "_phase_along_pieces", squares)
+    monkeypatch.setattr(locator, "_windings", squares)
     rep = count_mn_zeros(12)
     assert points == []
     assert len(rep.certificates) == len(_d1_pairs(12)) == 9

@@ -334,6 +334,14 @@ def test_cusp_expansion_matches_direct_at_moderate_height():
             assert abs(series - direct) <= 1e-9 * max(abs(direct), 1e-3)
 
 
+def test_cusp_expansion_guard_raises_near_lattice_for_small_r():
+    # for (r, 0) the p^0 coefficient sums terms of size 1/r^3 to zero; its
+    # round-off first exceeds the guard at r = 1/1665
+    z2_cusp_expansion(TorsionPair.of(Fraction(1, 1664), 0))
+    with pytest.raises(NearLattice, match="failed to cancel"):
+        z2_cusp_expansion(TorsionPair.of(Fraction(1, 1665), 0))
+
+
 def test_z2_stable_at_large_height():
     # direct evaluation is cancellation noise at 20i for s = 0; the stable
     # path reproduces the leading coefficient to full precision
