@@ -253,22 +253,21 @@ def _cmd_scan(args) -> int:
             "rect": [args.re_min, args.re_max, args.im_min, args.im_max],
         }
     csv_text = "\n".join([CSV_HEADER] + rows) + "\n"
-    if args.format == "csv" or args.out:
-        path = args.out or "scan.csv"
-        with open(path, "w") as fh:
+    # stdout carries one document: the CSV, or the report when the CSV has
+    # its own file
+    if args.out:
+        with open(args.out, "w") as fh:
             fh.write(csv_text)
-        print(f"wrote {len(rows)} rows to {path}")
+        print(_report("scan", inputs, {"rows": len(rows)}, t0).to_json())
     else:
         print(csv_text, end="")
-    if args.format == "json":
-        print(_report("scan", inputs, {"rows": len(rows)}, t0).to_json())
     return 0
 
 
 def _cmd_verify(args) -> int:
     from .acceptance import run_all
 
-    results = run_all(echo=print)
+    results = run_all()
     n_failed = sum(1 for r in results if not r.passed)
     print(f"{len(results) - n_failed}/{len(results)} criteria passed")
     return 0 if n_failed == 0 else 3
@@ -281,7 +280,6 @@ _FLAGS = {
     "--tau": dict(type=number, default=None, help="complex a+bi, Im > 0"),
     "--domain": dict(choices=("F0", "F", "F2"), default="F0"),
     "--out": dict(type=str, default=None),
-    "--format": dict(choices=("json", "csv"), default="json"),
     "--mode": dict(choices=("z2", "winding"), default="z2"),
     "--re-min": dict(type=finite, default=0.0),
     "--re-max": dict(type=finite, default=1.0),
@@ -301,7 +299,7 @@ _SUBCOMMANDS = (
         "scan",
         "CSV grid of Z2 or windings",
         ("--mode", "--r", "--s", "--domain", "--re-min", "--re-max",
-         "--im-min", "--im-max", "--nx", "--ny", "--out", "--format"),
+         "--im-min", "--im-max", "--nx", "--ny", "--out"),
     ),
     ("verify", "run the acceptance suite", ()),
 )

@@ -587,16 +587,18 @@ def _check_squares(certs: list[Optional[ZeroCertificate]]) -> None:
             )
 
 
-def _zeros_in_f0(pairs: list[TorsionPair]) -> list[Optional[ZeroCertificate]]:
+def _zeros_in_f0(
+    pairs: list[TorsionPair], tags: list[str]
+) -> list[Optional[ZeroCertificate]]:
     """The one zero of Z2 in F0 of each pair, or None: one Newton start from
-    the anchor zero of the pair's triangle, then the grid stage for the pairs
-    whose start fails, in one batch, then the square stage over every
-    certificate.  A pair that no start resolves raises before any square is
-    tracked."""
+    the anchor zero of the pair's triangle (``tags[k]`` is the
+    ``classify_triangle`` tag of ``pairs[k]``, which the caller knows), then
+    the grid stage for the pairs whose start fails, in one batch, then the
+    square stage over every certificate.  A pair that no start resolves
+    raises before any square is tracked."""
     certs: list[Optional[ZeroCertificate]] = [None] * len(pairs)
     misses = []
-    for k, p in enumerate(pairs):
-        tag = classify_triangle(p).tag
+    for k, (p, tag) in enumerate(zip(pairs, tags)):
         if tag in _CENTROIDS:
             certs[k] = _f0_zero_from(p, _anchor(tag).tau0)
             if certs[k] is None:
@@ -624,7 +626,7 @@ def locate_zeros(
     if w == 0:
         return []
     hunts = [p, TorsionPair.of(p.r + p.s, p.s)] if d.kind == "F2" else [p]
-    own, *partner = _zeros_in_f0(hunts)
+    own, *partner = _zeros_in_f0(hunts, [classify_triangle(h).tag for h in hunts])
     found = [] if own is None else [own]
     found += [_certify(p, c.tau0 + 1.0) for c in partner if c is not None]
     certs = [c for c in found if d.contains(c.tau0, margin=1e-9)]
@@ -712,7 +714,7 @@ def count_mn_zeros(N: int) -> MnZeroReport:
     d1 = _d1_classes(reps)
     found: dict[int, ZeroCertificate] = {}
     source: dict[int, int] = {}
-    for k, cert in zip(d1, _zeros_in_f0([pair(k) for k in d1])):
+    for k, cert in zip(d1, _zeros_in_f0([pair(k) for k in d1], ["D1"] * len(d1))):
         if cert is None:
             continue
         tau, g = reduce_to_shifted_domain(cert.tau0)

@@ -1,10 +1,11 @@
 """Acceptance gate: one test per numbered criterion.
 
-Each test runs its criterion at the stated tolerance through the shared
-implementation in pvilab.acceptance (the same code the ``pvilab verify``
-subcommand executes) and prints the one-line pass/fail verdict.  Runtime
-budgets are asserted per criterion; the kernels are plain Python and NumPy,
-so nothing is compiled before the timed regions.
+Each test runs its criterion at the stated tolerance through
+``pvilab.acceptance.run`` (the harness that ``pvilab verify`` runs over the
+whole table) and prints the one-line pass/fail verdict.  Runtime budgets
+are asserted per criterion; the kernels are plain Python and NumPy, so
+nothing is compiled before the timed regions.  The tests after those
+check that a broken input makes a criterion fail rather than pass.
 """
 
 import math
@@ -12,7 +13,7 @@ import math
 import pytest
 
 from pvilab import acceptance
-from pvilab.premodular import z2_stable_many
+from pvilab.premodular import cusp_asymptotic, z2_stable_many
 
 BUDGETS = {
     1: 5.0,
@@ -29,8 +30,7 @@ BUDGETS = {
 
 @pytest.mark.parametrize("number", sorted(BUDGETS))
 def test_criterion(number):
-    func = acceptance.ALL_CRITERIA[number - 1]
-    result = func()
+    result = acceptance.run(number)
     print(result.line())
     for d in result.details[:10]:
         print("   ", d)
@@ -49,4 +49,29 @@ def test_criterion_8_fails_on_a_nan(monkeypatch):
         return vals, scales
 
     monkeypatch.setattr(acceptance, "z2_stable_many", with_nan)
-    assert not acceptance.criterion_8().passed
+    assert not acceptance.run(8).passed
+
+
+def test_criterion_4_fails_when_no_grid_pair_is_checked(monkeypatch):
+    # every grid pair read as on an edge: no pair is checked, which fails
+    # instead of passing with nothing to check
+    class OnEdge:
+        tag = "boundary"
+
+    monkeypatch.setattr(acceptance, "classify_triangle", lambda pair: OnEdge)
+    result = acceptance.run(4)
+    assert result.details == ["0 interior grid samples checked, expected 196"]
+
+
+def test_criterion_3_records_a_wrong_cusp_order(monkeypatch):
+    # a wrong order in the leading-term table is a failure, not an
+    # AssertionError that ends the suite
+    def wrong_order(pair):
+        lead, order = cusp_asymptotic(pair)
+        return lead, order + 1
+
+    monkeypatch.setattr(acceptance, "cusp_asymptotic", wrong_order)
+    result = acceptance.run(3)
+    assert not result.passed
+    assert any(d.startswith("s=0 cusp order 2 != 1 at r=") for d in result.details)
+

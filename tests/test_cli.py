@@ -260,13 +260,26 @@ def test_scan_winding_csv(tmp_path):
 def test_scan_json_reports_backend_and_timings(tmp_path, capsys):
     out = tmp_path / "scan.csv"
     argv = ["scan", "--mode", "z2", "--r", "0.3", "--s", "0.2", "--nx", "2", "--ny", "2"]
-    assert main(argv + ["--format", "json", "--out", str(out)]) == 0
-    printed = capsys.readouterr().out
-    rep = json.loads(printed[printed.index("{"):])
+    assert main(argv + ["--out", str(out)]) == 0
+    # with --out, stdout is the report alone
+    rep = json.loads(capsys.readouterr().out)
     assert rep["results"] == {"rows": 4}
     # one kernel path, so no backend label
     assert "backend" not in rep["diagnostics"]
     assert set(rep["diagnostics"]["timings"]) == {"scan"}
+
+
+def test_scan_without_out_prints_the_csv_alone(tmp_path, monkeypatch, capsys):
+    # stdout is the header and one 6-field row per grid point, and no file
+    # is written
+    monkeypatch.chdir(tmp_path)
+    argv = ["scan", "--mode", "z2", "--r", "0.3", "--s", "0.2", "--nx", "3", "--ny", "2"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "re,im,value_re,value_im,abs,winding"
+    assert len(lines) == 1 + 3 * 2
+    assert all(len(line.split(",")) == 6 for line in lines)
+    assert list(tmp_path.iterdir()) == []
 
 
 @pytest.mark.parametrize(
@@ -357,14 +370,10 @@ def test_cusp_series_guard_is_a_typed_error_for_zeros(capsys):
 
 def test_verify_prints_summary_and_exit_code(monkeypatch, capsys):
     from pvilab import acceptance
-    from pvilab.acceptance import CriterionResult
     from pvilab.errors import InternalError
 
-    def passing():
-        return CriterionResult(1, "stub pass", True, 0.0)
-
-    def failing():
-        return CriterionResult(2, "stub fail", False, 0.0, [f"detail {i}" for i in range(12)])
+    passing = ("stub pass", lambda: [])
+    failing = ("stub fail", lambda: [f"detail {i}" for i in range(12)])
 
     monkeypatch.setattr(acceptance, "ALL_CRITERIA", [passing, passing])
     assert main(["verify"]) == 0
@@ -384,13 +393,32 @@ def test_verify_prints_summary_and_exit_code(monkeypatch, capsys):
     def raising():
         raise InternalError("witness check failed")
 
-    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [raising, passing])
+    monkeypatch.setattr(acceptance, "ALL_CRITERIA", [("raising", raising), passing])
     assert main(["verify"]) == 3
     out = capsys.readouterr().out.splitlines()
     assert out[-1] == "1/2 criteria passed"
     assert out[0].startswith("criterion 1 [FAIL] raising (")
     assert out[1] == "    InternalError: witness check failed"
-    assert out[2] == "criterion 1 [PASS] stub pass (0.00s)"
+    assert out[2] == "criterion 2 [PASS] stub pass (0.00s)"
+
+
+def test_verify_goes_on_after_a_numerical_failure(monkeypatch, capsys):
+    # an ArithmeticError fails its criterion, not the whole verify run
+    from pvilab import acceptance
+
+    ran = []
+    monkeypatch.setattr(
+        acceptance,
+        "ALL_CRITERIA",
+        [("divides", lambda: [1 / 0]), ("passes", lambda: ran.append(True) or [])],
+    )
+    assert main(["verify"]) == 3
+    out = capsys.readouterr().out.splitlines()
+    assert ran == [True]
+    assert out[0].startswith("criterion 1 [FAIL] divides (")
+    assert out[1] == "    ZeroDivisionError: division by zero"
+    assert out[2].startswith("criterion 2 [PASS] passes (")
+    assert out[-1] == "1/2 criteria passed"
 
 
 def test_lower_half_plane_tau_is_a_domain_error(capsys):
@@ -441,6 +469,7 @@ def test_subcommands_reject_flags_they_do_not_read():
     assert main(["zeros", "--r", "0.6", "--s", "0.3", "--T", "12"]) == 1
     assert main(["scan", "--mode", "winding", "--T", "12"]) == 1
     assert main(["scan", "--N", "3"]) == 1
+    assert main(["scan", "--format", "csv"]) == 1
     assert main(["verify", "--out", "x.json"]) == 1
 
 

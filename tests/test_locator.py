@@ -558,18 +558,23 @@ def test_zeros_over_f_and_f2_follow_from_f0(r, s):
 # --- the batched F0 hunt ----------------------------------------------------
 
 
+def _hunt(pairs):
+    """``_zeros_in_f0`` of ``pairs``, each tagged by ``classify_triangle``."""
+    return locator._zeros_in_f0(pairs, [classify_triangle(p).tag for p in pairs])
+
+
 def test_batched_hunt_equals_one_pair_hunts():
     # every +-class rep of Q_N, N = 3..12, hunted in one batch and one by one
     reps = [TorsionPair.of(c.r, c.s) for N in range(3, 13) for c in pm_class_reps(N)]
-    batched = locator._zeros_in_f0(reps)
-    assert batched == [locator._zeros_in_f0([p])[0] for p in reps]
+    batched = _hunt(reps)
+    assert batched == [_hunt([p])[0] for p in reps]
     assert sum(c is not None for c in batched) > 50
 
 
 def test_batched_hunt_raises_for_a_square_that_winds_twice(monkeypatch):
     # the second zero's isolating square is made to wind twice
     reps = [TorsionPair.of(r, s) for r, s in ((0.6, 0.3), (0.9, 0.05), (0.1, 0.2))]
-    second = locator._zeros_in_f0([reps[1]])[0]
+    second = _hunt([reps[1]])[0]
     windings = locator._windings
 
     def second_square_winds_twice(pairs, contours, n0):
@@ -580,7 +585,7 @@ def test_batched_hunt_raises_for_a_square_that_winds_twice(monkeypatch):
     monkeypatch.setattr(locator, "_windings", second_square_winds_twice)
     square = re.escape(f"cell check around {second.tau0} did not isolate one zero")
     with pytest.raises(IncoherentWinding, match=square):
-        locator._zeros_in_f0(reps)
+        _hunt(reps)
 
 
 @pytest.mark.usefixtures("fresh_anchors")
@@ -597,7 +602,7 @@ def test_batched_hunt_raises_for_a_pair_no_start_resolves(monkeypatch):
     reps = [TorsionPair.of(0.6, 0.3), stuck, TorsionPair.of(0.1, 0.2)]
     no_start = re.escape(f"no Newton start found the zero of {stuck} in F0")
     with pytest.raises(IncoherentWinding, match=no_start):
-        locator._zeros_in_f0(reps)
+        _hunt(reps)
 
 
 def test_anchors_are_the_centroid_zeros():
@@ -636,8 +641,8 @@ def test_every_hunted_pair_starts_from_its_triangle_anchor(monkeypatch):
     pairs = [
         TorsionPair.of(c.r, c.s) for N in [*range(3, 13), 30] for c in pm_class_reps(N)
     ]
-    certs = locator._zeros_in_f0(pairs)
     tags = [classify_triangle(p).tag for p in pairs]
+    certs = locator._zeros_in_f0(pairs, tags)
     assert {p: starts[p] for p, tag in zip(pairs, tags) if tag in anchors} == {
         p: anchors[tag] for p, tag in zip(pairs, tags) if tag in anchors
     }
@@ -796,6 +801,16 @@ def test_mn_zero_count_evaluates_no_start_grid(monkeypatch):
     assert rep.interior_count == p_of_n(12)
 
 
+def test_mn_zero_count_classifies_no_pair(monkeypatch):
+    # the D1 classes are picked in integers and handed to the hunt with
+    # their tag, so no TorsionPair is classified again
+    def refuses(pair):
+        raise AssertionError(f"classified {pair}")
+
+    monkeypatch.setattr(locator, "classify_triangle", refuses)
+    assert count_mn_zeros(12).interior_count == p_of_n(12)
+
+
 def _assert_count_equals_the_grid_hunt(N):
     # below N = 36 every D1 zero lies in F, so each certificate is the F0
     # hunt's own
@@ -847,7 +862,7 @@ def test_mn_zero_count_keeps_two_classes_at_one_point(monkeypatch):
     # over F, and N = 7 is the first N with two of them
     tau0 = 0.5 + 1.2j
 
-    def two_at_one_point(pairs):
+    def two_at_one_point(pairs, tags):
         return [
             locator.ZeroCertificate(tau0, 0.0, 1.0, 1, p, 1.0) if i < 2 else None
             for i, p in enumerate(pairs)
@@ -887,8 +902,8 @@ def test_mn_zero_count_raises_for_a_polished_zero_outside_f(monkeypatch):
     # ownership rule puts outside F
     certify, zeros_in_f0, hunted = locator._certify, locator._zeros_in_f0, []
 
-    def hunt(pairs):
-        certs = zeros_in_f0(pairs)
+    def hunt(pairs, tags):
+        certs = zeros_in_f0(pairs, tags)
         hunted.append(True)
         return certs
 
