@@ -4,25 +4,26 @@ Two paths share one evaluation strategy.  The scalar kernels
 (``premodular_at``, ``lattice_values`` and the helpers they call) are plain
 Python on complex floats; Newton steps and ``lambda_rs`` use them.  Every
 scalar value of wp runs one path: the tau-only prologue
-``lattice_constants`` followed by the per-argument part ``elliptic_from``
-(steps 2-4 below).  ``elliptic_at`` is that pair at one z,
-``lattice_values`` takes e1, e2, e3 from it at the three half-periods on
-one prologue, and ``premodular_at`` builds Z and Z2 on it.  The batch
-kernel ``z2_many`` is NumPy code: it runs the same steps on arrays of tau,
-in blocks of at most ``_BLOCK`` points, with r and s given per point.  Each
-point leaves ``reduce_tau_many`` where ``reduce_tau`` stops.  A block's
-series are not summed term by term: the powers of its three bases fill the
-rows k of one table, one multiply per row, every term of both series is a
-table operation, and the rows are added in k order, each series up to a
-row read off a bound: the first k >= 6 at which the scalar kernel's stop
-test passes with rho**k in place of every power's modulus, rho the block's
-largest base modulus raised past rounding.  No point of the block passes
-its stop test later, so a call costs a few dozen NumPy operations whatever
-its size, and every value is the one the row-by-row loop gives, bit for
-bit.  Past its stop test a term is below 1e-19 and falls geometrically
-with the ones after it, far under half an ulp of the sums it joins, so a
-point's result does not depend on what shares its batch.  The strategy for
-a point tau in the upper half-plane:
+``lattice_constants``, which ``elliptic.ModuliPoint`` computes once as its
+``frame``, then the per-argument part ``elliptic_from`` (steps 2-4 below)
+on that frame.  No scalar kernel computes the frame: ``lattice_values``
+takes e1, e2, e3 from ``elliptic_from`` at the three half-periods, and
+``premodular_at`` builds Z and Z2 on it.  The batch kernel ``z2_many`` is
+NumPy code: it runs the same steps on arrays of tau, in blocks of at most
+``_BLOCK`` points, with r and s given per point.  Each point leaves
+``reduce_tau_many`` where ``reduce_tau`` stops.  A block's series are not
+summed term by term: the powers of its three bases fill the rows k of one
+table, one multiply per row, every term of both series is a table
+operation, and the rows are added in k order, each series up to a row read
+off a bound: the first k >= 6 at which the scalar kernel's stop test passes
+with rho**k in place of every power's modulus, rho the block's largest base
+modulus raised past rounding.  No point of the block passes its stop test
+later, so a call costs a few dozen NumPy operations whatever its size, and
+every value is the one the row-by-row loop gives, bit for bit.  Past its
+stop test a term is below 1e-19 and falls geometrically with the ones after
+it, far under half an ulp of the sums it joins, so a point's result does
+not depend on what shares its batch.  The strategy for a point tau in the
+upper half-plane:
 
 1. reduce tau to the standard fundamental domain {|Re| <= 1/2, |tau| >= 1}
    with an integer matrix, so the nome q = exp(2*pi*i*tau_red) satisfies
@@ -209,12 +210,13 @@ def lattice_constants(tau):
     return tred, qred, j, eta1_r, eta1, eta2, g2, g3, tail, (a, b, c, d)
 
 
-def elliptic_from(z, tau, consts):
-    """``elliptic_at`` with its lattice prologue given: consts is
-    ``lattice_constants(tau)``, which depends on tau alone.  Slot 8 of the
-    bundle is the ``wz_series`` tail, which ``lattice_values`` sums into its
-    err."""
-    tred, qred, j, eta1_r, eta1, eta2, g2, g3, _, _ = consts
+def elliptic_from(z, frame):
+    """(wp, wp', zeta, dist, tail) at z on the lattice whose prologue is
+    frame, ``lattice_constants(tau)``: dist is the reduced-cell distance of
+    z from the lattice and tail the truncation tail of ``wz_series`` at the
+    reduced argument.  When dist < 1e-12 the series values (and tail) are
+    NaN; callers must check dist before trusting them."""
+    tred, qred, j, eta1_r, _, _, _, _, _, _ = frame
     eta2_r = tred * eta1_r - 2j * _PI
     j2 = j * j
 
@@ -222,60 +224,42 @@ def elliptic_from(z, tau, consts):
     z0, m, n, dist, _, _ = reduce_z(zr, tred)
     if dist < 1e-12:
         nan = complex(math.nan, math.nan)
-        return nan, nan, nan, eta1, eta2, g2, g3, dist, math.nan
+        return nan, nan, nan, dist, math.nan
 
     wp_r, wpp_r, zt_part, tail = wz_series(z0, tred, qred)
     zeta_r = zt_part + eta1_r * (z0 + m) + eta2_r * n
-    wp = wp_r / j2
-    wpp = wpp_r / (j2 * j)
-    zeta = zeta_r / j
-    return wp, wpp, zeta, eta1, eta2, g2, g3, dist, tail
+    return wp_r / j2, wpp_r / (j2 * j), zeta_r / j, dist, tail
 
 
-def elliptic_at(z, tau):
-    """Full evaluation bundle at arbitrary (z, tau), Im tau > 0.
+def lattice_values(tau, frame):
+    """Half-period values at tau on its prologue frame.
 
-    Returns (wp, wp', zeta, eta1, eta2, g2, g3, dist, tail) where dist is the
-    reduced-cell distance of z from the lattice and tail the truncation tail
-    of ``wz_series`` at the reduced argument.  When dist < 1e-12 the series
-    values (and tail) are NaN; callers must check dist before trusting them.
+    Returns (e1, e2, e3, err): wp at the half-periods 1/2, tau/2,
+    (1 + tau)/2 from ``elliptic_from``, and err, which sums the three series
+    tails, the frame's Eisenstein tail and a 10 eps amplification term.
     """
-    return elliptic_from(z, tau, lattice_constants(tau))
-
-
-def lattice_values(tau):
-    """Quasi-periods, invariants and half-period values at tau.
-
-    Returns (eta1, eta2, g2, g3, e1, e2, e3, err): e1, e2, e3 are wp at the
-    half-periods 1/2, tau/2, (1 + tau)/2 from ``elliptic_from`` on one
-    ``lattice_constants(tau)``, and err sums the three series tails, the
-    Eisenstein tail and a 10 eps amplification term.
-    """
-    consts = lattice_constants(tau)
-    _, _, _, _, eta1, eta2, g2, g3, tail_e, _ = consts
-    e1, _, _, _, _, _, _, _, t1 = elliptic_from(complex(0.5, 0.0), tau, consts)
-    e2, _, _, _, _, _, _, _, t2 = elliptic_from(0.5 * tau, tau, consts)
-    e3, _, _, _, _, _, _, _, t3 = elliptic_from(0.5 * (1.0 + tau), tau, consts)
+    _, _, _, _, eta1, _, g2, _, tail_e, _ = frame
+    e1, _, _, _, t1 = elliptic_from(complex(0.5, 0.0), frame)
+    e2, _, _, _, t2 = elliptic_from(0.5 * tau, frame)
+    e3, _, _, _, t3 = elliptic_from(0.5 * (1.0 + tau), frame)
     amp = abs(e1) + abs(e2) + abs(e3) + abs(g2) + abs(eta1) + 1.0
     err = t1 + t2 + t3 + tail_e + 10.0 * _EPS * amp
-    return eta1, eta2, g2, g3, e1, e2, e3, err
+    return e1, e2, e3, err
 
 
-def premodular_at(r, s, tau):
-    """Hecke form and premodular form for torsion parameters (r, s) at tau.
+def premodular_at(r, s, tau, frame):
+    """Hecke and premodular forms of (r, s) at tau, on tau's prologue frame.
 
-    Returns (Z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, consts)
-    where z2 = Z^3 - 3*wp*Z - wpp, scale = |Z|^3 + 3|wp||Z| + |wpp| (the
-    three-term combination's natural magnitude), dist is the reduced-cell
-    distance of alpha = r + s*tau from the lattice and consts the
-    ``lattice_constants(tau)`` used.  NaN values when dist < 1e-12.
+    Returns (Z, wp, wpp, z2, scale, dist) where z2 = Z^3 - 3*wp*Z - wpp,
+    scale = |Z|^3 + 3|wp||Z| + |wpp| (the three-term combination's natural
+    magnitude) and dist is the reduced-cell distance of alpha = r + s*tau
+    from the lattice.  NaN values when dist < 1e-12.
     """
-    consts = lattice_constants(tau)
-    wp, wpp, zeta, eta1, eta2, g2, g3, dist, _ = elliptic_from(r + s * tau, tau, consts)
-    z = zeta - r * eta1 - s * eta2
+    wp, wpp, zeta, dist, _ = elliptic_from(r + s * tau, frame)
+    z = zeta - r * frame[4] - s * frame[5]  # eta1, eta2
     z2 = z * z * z - 3.0 * wp * z - wpp
     scale = abs(z) ** 3 + 3.0 * abs(wp) * abs(z) + abs(wpp)
-    return z, wp, wpp, z2, g2, g3, eta1, eta2, scale, dist, consts
+    return z, wp, wpp, z2, scale, dist
 
 
 # ---------------------------------------------------------------------------

@@ -131,7 +131,7 @@ def _cmd_eval(args) -> int:
 
 def _cmd_zeros(args) -> int:
     pair = _pair(args)
-    d = DomainSpec(args.domain)
+    d = DomainSpec(args.domain or "F0")
     t0 = time.time()
     w = winding_count(pair, d)
     certs = locate_zeros(pair, d, expected=w)
@@ -216,8 +216,7 @@ def _scan_tau(args, pair: TorsionPair, nx: int, ny: int) -> list[str]:
     return rows
 
 
-def _scan_winding(args, nx: int, ny: int) -> list[str]:
-    d = DomainSpec(args.domain)
+def _scan_winding(args, d: DomainSpec, nx: int, ny: int) -> list[str]:
     x0, x1 = args.re_min, args.re_max
     y0, y1 = args.im_min, args.im_max
     rs = [x0 + (x1 - x0) * i / max(nx - 1, 1) for i in range(nx)]
@@ -237,6 +236,8 @@ def _cmd_scan(args) -> int:
     nx, ny = args.nx, args.ny
     t0 = time.time()
     if args.mode == "z2":
+        if args.domain is not None:
+            raise DomainError("--domain is read in --mode winding only")
         pair = _pair(args)
         rows = _scan_tau(args, pair, nx, ny)
         inputs = {
@@ -246,10 +247,13 @@ def _cmd_scan(args) -> int:
             "rect": [args.re_min, args.re_max, args.im_min, args.im_max],
         }
     else:
-        rows = _scan_winding(args, nx, ny)
+        if args.r is not None or args.s is not None:
+            raise DomainError("--r and --s are read in --mode z2 only")
+        d = DomainSpec(args.domain or "F0")
+        rows = _scan_winding(args, d, nx, ny)
         inputs = {
             "mode": "winding",
-            "domain": args.domain,
+            "domain": d.kind,
             "rect": [args.re_min, args.re_max, args.im_min, args.im_max],
         }
     csv_text = "\n".join([CSV_HEADER] + rows) + "\n"
@@ -278,7 +282,7 @@ _FLAGS = {
     "--r": dict(type=number, default=None, help="rational p/q, float or a+bi"),
     "--s": dict(type=number, default=None),
     "--tau": dict(type=number, default=None, help="complex a+bi, Im > 0"),
-    "--domain": dict(choices=("F0", "F", "F2"), default="F0"),
+    "--domain": dict(choices=("F0", "F", "F2"), default=None, help="F0 if omitted"),
     "--out": dict(type=str, default=None),
     "--mode": dict(choices=("z2", "winding"), default="z2"),
     "--re-min": dict(type=finite, default=0.0),

@@ -20,11 +20,26 @@ from .errors import DomainError, NearSingular
 NEAR_SINGULAR_DIST = 1e-8
 
 
+class _Frame:
+    """``ModuliPoint.frame``: having no __set__, it runs once per point, and
+    the frame it stores in ``__dict__`` answers later reads.  Before Python
+    3.12 functools.cached_property also takes a lock, once per Newton step."""
+
+    def __get__(self, m, owner=None):
+        if m is None:
+            return self
+        frame = m.__dict__["frame"] = _kernels.lattice_constants(m.tau)
+        return frame
+
+
 @dataclass(frozen=True)
 class ModuliPoint:
-    """A point tau in the upper half-plane."""
+    """A point tau in the upper half-plane.  Its ``frame`` is the prologue
+    ``_kernels.lattice_constants(tau)`` of every scalar read at the point; it
+    is not a field, so ==, hash and repr see tau alone."""
 
     tau: complex
+    frame = _Frame()
 
     @classmethod
     def from_tau(cls, tau: complex) -> "ModuliPoint":
@@ -60,12 +75,12 @@ def _as_point(m) -> ModuliPoint:
 
 
 def _elliptic_at(z: complex, m) -> tuple:
-    """The ``elliptic_at`` bundle, refusing z within NEAR_SINGULAR_DIST of
-    the lattice after reduction."""
+    """The ``elliptic_from`` bundle on the point's frame, refusing z within
+    NEAR_SINGULAR_DIST of the lattice after reduction."""
     m = _as_point(m)
     z = complex(z)
-    values = _kernels.elliptic_at(z, m.tau)
-    dist = values[7]
+    values = _kernels.elliptic_from(z, m.frame)
+    dist = values[3]
     if dist < NEAR_SINGULAR_DIST:
         raise NearSingular(
             f"z = {z} is within {dist:.3e} of the lattice for tau = {m.tau}"
@@ -94,7 +109,8 @@ def weierstrass_zeta(z: complex, m) -> complex:
 def invariants_g(m) -> LatticeData:
     """Invariants g2, g3, half-period values e_k and quasi-periods at tau."""
     m = _as_point(m)
-    eta1, eta2, g2, g3, e1, e2, e3, err = _kernels.lattice_values(m.tau)
+    _, _, _, _, eta1, eta2, g2, g3, _, _ = m.frame
+    e1, e2, e3, err = _kernels.lattice_values(m.tau, m.frame)
     return LatticeData(
         eta1=eta1, eta2=eta2, e1=e1, e2=e2, e3=e3, g2=g2, g3=g3, est_error=err
     )

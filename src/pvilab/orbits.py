@@ -134,21 +134,14 @@ def pole_count(N: int) -> tuple[int, int]:
     """(number of solutions, poles per solution) for the D_N parameter set.
 
     Odd N: one solution with 3|Q_N|/4 - 3 phi(N) poles; even N: three
-    solutions with |Q_N|/4 - phi(N) - phi(N/2) poles each.  Cross-checked
-    against 3 P(N) / P(N).
+    solutions with |Q_N|/4 - phi(N) - phi(N/2) poles each.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
     size = qn_size(N)
     if N % 2 == 1:
-        poles = 3 * size // 4 - 3 * euler_phi(N)
-        if poles != 3 * p_of_n(N):
-            raise InternalError("odd-N pole count disagrees with 3 P(N)")
-        return (1, poles)
-    poles = size // 4 - (euler_phi(N) + euler_phi(N // 2))
-    if poles != p_of_n(N):
-        raise InternalError("even-N pole count disagrees with P(N)")
-    return (3, poles)
+        return (1, 3 * size // 4 - 3 * euler_phi(N))
+    return (3, size // 4 - (euler_phi(N) + euler_phi(N // 2)))
 
 
 # ---------------------------------------------------------------------------

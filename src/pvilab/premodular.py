@@ -61,7 +61,7 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .elliptic import _as_point
+from .elliptic import ModuliPoint, _as_point
 from .errors import Degenerate, DomainError, InternalError, NearLattice
 from .orbits import enumerate_qn
 
@@ -230,13 +230,13 @@ def _check_usable(p: TorsionPair):
         raise Degenerate(f"(r, s) = {p.r, p.s} is a half-period pair: Z2 == 0")
 
 
-def _premodular_at(p: TorsionPair, m) -> tuple:
-    """The ``premodular_at`` bundle for a usable pair, refusing alpha within
-    NEAR_LATTICE_DIST of the lattice."""
+def _premodular_at(p: TorsionPair, m: ModuliPoint) -> tuple:
+    """The ``premodular_at`` bundle for a usable pair at a point, refusing
+    alpha within NEAR_LATTICE_DIST of the lattice."""
     _check_usable(p)
     r, s = p.as_complex()
-    values = _kernels.premodular_at(r, s, _as_point(m).tau)
-    dist = values[9]
+    values = _kernels.premodular_at(r, s, m.tau, m.frame)
+    dist = values[5]
     if dist < NEAR_LATTICE_DIST:
         raise NearLattice(
             f"alpha = r + s*tau is within {dist:.3e} of the lattice; "
@@ -247,7 +247,7 @@ def _premodular_at(p: TorsionPair, m) -> tuple:
 
 def hecke_Z(p: TorsionPair, m) -> complex:
     """Z_{r,s}(tau) = zeta(r + s*tau) - r*eta1 - s*eta2."""
-    return _premodular_at(p, m)[0]
+    return _premodular_at(p, _as_point(m))[0]
 
 
 def z2(p: TorsionPair, m) -> complex:
@@ -258,8 +258,8 @@ def z2(p: TorsionPair, m) -> complex:
 
 def z2_with_scale(p: TorsionPair, m) -> tuple[complex, float]:
     """The kernel's direct Z2 and its natural magnitude |Z|^3+3|wp Z|+|wp'|."""
-    values = _premodular_at(p, m)
-    return values[3], values[8]
+    values = _premodular_at(p, _as_point(m))
+    return values[3], values[4]
 
 
 def z2_with_derivative(p: TorsionPair, m) -> tuple[complex, float, complex]:
@@ -267,8 +267,9 @@ def z2_with_derivative(p: TorsionPair, m) -> tuple[complex, float, complex]:
     carried pair's series where the rule applies, else the kernel's direct
     value with dZ2/dtau in closed form from the one kernel call.  Newton's
     step reads it instead of differencing Z2."""
-    z, wp, wpp, z2v, g2, _, eta1, _, scale, _, consts = _premodular_at(p, m)
-    tred, _, j, *_, gamma = consts
+    m = _as_point(m)
+    z, wp, wpp, z2v, scale, _ = _premodular_at(p, m)
+    tred, _, j, _, eta1, _, g2, _, _, gamma = m.frame
     carried = _carried(p, *gamma)
     if carried is not None:
         rc, sc = carried

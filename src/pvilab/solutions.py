@@ -78,7 +78,8 @@ def _lattice_shift(pair: TorsionPair, tau: complex):
 
 def _wp_of_p_direct(pair: TorsionPair, m: ModuliPoint) -> complex:
     r, s = pair.as_complex()
-    z, wp, wpp, z2v, g2, _, _, _, scale, *_ = _kernels.premodular_at(r, s, m.tau)
+    z, wp, wpp, z2v, scale, _ = _kernels.premodular_at(r, s, m.tau, m.frame)
+    g2 = m.frame[6]
     if abs(z2v) <= Z2_ZERO_RTOL * scale:
         return _INF
     num = 3.0 * wpp * z * z + (12.0 * wp * wp - g2) * z + 3.0 * wp * wpp
@@ -95,7 +96,7 @@ def _wp_of_p_expansion(pair: TorsionPair, m: ModuliPoint) -> complex:
                 + (g2/20 + 2 g2/135 + g3/(6 c0^2) - c0^4/81) a^2 + O(a^3).
     """
     rt, st, a = _lattice_shift(pair, m.tau)
-    *_, eta1, eta2, g2, g3, _, _ = _kernels.lattice_constants(m.tau)
+    _, _, _, _, eta1, eta2, g2, g3, _, _ = m.frame
     c0 = rt * eta1 + st * eta2
     if abs(c0) < 1e-10:
         raise Degenerate(

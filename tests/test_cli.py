@@ -97,7 +97,9 @@ def test_eval_makes_one_lattice_values_call(tmp_path, monkeypatch):
     calls = []
     kernel = _kernels.lattice_values
     monkeypatch.setattr(
-        _kernels, "lattice_values", lambda tau: calls.append(tau) or kernel(tau)
+        _kernels,
+        "lattice_values",
+        lambda tau, frame: calls.append(tau) or kernel(tau, frame),
     )
     code, text = run_cli(["eval", "--r", "1/4", "--s", "0", "--tau", "0+1.5i"], tmp_path)
     assert code == 0
@@ -468,6 +470,8 @@ def test_subcommands_reject_flags_they_do_not_read():
     assert main(["zeros", "--r", "0.6", "--s", "0.3", "--tau", "0+1i"]) == 1
     assert main(["zeros", "--r", "0.6", "--s", "0.3", "--T", "12"]) == 1
     assert main(["scan", "--mode", "winding", "--T", "12"]) == 1
+    assert main(["scan", "--mode", "winding", "--r", "0.3", "--s", "0.2"]) == 1
+    assert main(["scan", "--mode", "z2", "--r", "0.3", "--s", "0.2", "--domain", "F2"]) == 1
     assert main(["scan", "--N", "3"]) == 1
     assert main(["scan", "--format", "csv"]) == 1
     assert main(["verify", "--out", "x.json"]) == 1

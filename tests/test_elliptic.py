@@ -5,6 +5,7 @@ in pvilab.oracles (three box sizes, tail-extrapolated) and pasted here; the
 oracle code stays in the repo so they can be regenerated.
 """
 
+import dataclasses
 import math
 
 import numpy as np
@@ -12,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pvilab import oracles
+from pvilab import _kernels, oracles
 from pvilab.elliptic import (
     ModuliPoint,
     invariants_g,
@@ -20,6 +21,8 @@ from pvilab.elliptic import (
     weierstrass_zeta,
 )
 from pvilab.errors import DomainError, NearSingular
+from pvilab.premodular import TorsionPair, hecke_Z, z2_with_derivative
+from pvilab.solutions import lambda_rs
 
 PI = math.pi
 
@@ -42,6 +45,46 @@ def test_moduli_point_rejects_lower_half_plane():
 def test_moduli_point_rejects_non_finite_tau(tau):
     with pytest.raises(DomainError):
         ModuliPoint.from_tau(tau)
+
+
+# --- the lattice frame ------------------------------------------------------
+
+
+@pytest.fixture
+def prologue_calls(monkeypatch):
+    """The taus at which ``_kernels.lattice_constants`` runs."""
+    calls = []
+    kernel = _kernels.lattice_constants
+    monkeypatch.setattr(
+        _kernels, "lattice_constants", lambda tau: calls.append(tau) or kernel(tau)
+    )
+    return calls
+
+
+def test_lambda_rs_computes_the_prologue_once(prologue_calls):
+    lambda_rs(TorsionPair.of(0.3, 0.2), 0.1 + 1.2j)
+    assert prologue_calls == [0.1 + 1.2j]
+
+
+def test_reads_on_one_point_share_one_prologue(prologue_calls):
+    m = ModuliPoint.from_tau(0.2 + 0.9j)
+    pair = TorsionPair.of(0.6, 0.3)
+    invariants_g(m)
+    weierstrass_p(0.31 + 0.24j, m)
+    weierstrass_zeta(0.31 + 0.24j, m)
+    hecke_Z(pair, m)
+    z2_with_derivative(pair, m)
+    assert prologue_calls == [m.tau]
+
+
+def test_frame_is_not_part_of_the_point():
+    read = ModuliPoint.from_tau(0.2 + 0.9j)
+    read.frame
+    fresh = ModuliPoint.from_tau(0.2 + 0.9j)
+    assert read == fresh
+    assert hash(read) == hash(fresh)
+    assert repr(read) == repr(fresh)
+    assert [f.name for f in dataclasses.fields(ModuliPoint)] == ["tau"]
 
 
 # --- weierstrass_p ----------------------------------------------------------

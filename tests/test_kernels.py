@@ -37,8 +37,11 @@ def _batch(pair, taus):
 
 def _scalar(pair, taus):
     r, s = pair.as_complex()
-    out = [_kernels.premodular_at(r, s, complex(t)) for t in taus]
-    return np.array([o[3] for o in out]), np.array([o[8] for o in out])
+    out = []
+    for t in taus:
+        t = complex(t)
+        out.append(_kernels.premodular_at(r, s, t, _kernels.lattice_constants(t)))
+    return np.array([o[3] for o in out]), np.array([o[4] for o in out])
 
 
 def _reduced_cusp_attenuation(pair, taus):

@@ -1011,9 +1011,9 @@ def test_valence_takes_series_factors_without_a_kernel_call(monkeypatch):
 
     calls = []
     kernel = _kernels.premodular_at
-    def counted(r, s, tau):
+    def counted(r, s, tau, frame):
         calls.append((s, tau))
-        return kernel(r, s, tau)
+        return kernel(r, s, tau, frame)
 
     monkeypatch.setattr(_kernels, "premodular_at", counted)
     valence_check(6)
@@ -1033,7 +1033,9 @@ def test_simplicity_and_numerator_bound_at_located_zeros():
         for c in certs:
             assert c.dz_mag > 1e-6 * c.scale
             rr, ss = c.torsion.as_complex()
-            zv, wp, wpp, z2v, g2, g3, *_ = _kernels.premodular_at(rr, ss, c.tau0)
+            m = ModuliPoint.from_tau(c.tau0)
+            zv, wp, wpp, z2v, *_ = _kernels.premodular_at(rr, ss, m.tau, m.frame)
+            g2 = m.frame[6]
             num = 3 * wpp * zv**2 + (12 * wp**2 - g2) * zv + 3 * wp * wpp
             num_scale = (
                 3 * abs(wpp) * abs(zv) ** 2

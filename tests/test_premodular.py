@@ -538,7 +538,8 @@ def test_numerator_nonzero_at_a_zero_of_z2():
     from pvilab import _kernels
 
     r, s = pair.as_complex()
-    zv, wp, wpp, z2v, g2, g3, *_ = _kernels.premodular_at(r, s, cert.tau0)
+    zv, wp, wpp, z2v, *_ = _kernels.premodular_at(r, s, m.tau, m.frame)
+    g2 = lat.g2
     num = 3 * wpp * zv**2 + (12 * wp**2 - g2) * zv + 3 * wp * wpp
     scale = 3 * abs(wpp) * abs(zv) ** 2 + abs(12 * wp**2 - g2) * abs(zv) + 3 * abs(
         wp
