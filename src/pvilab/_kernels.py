@@ -6,9 +6,12 @@ Python on complex floats; Newton steps and ``lambda_rs`` use them.  Every
 scalar value of wp runs one path: the tau-only prologue
 ``lattice_constants``, which ``elliptic.ModuliPoint`` computes once as its
 ``frame``, then the per-argument part ``elliptic_from`` (steps 2-4 below)
-on that frame.  No scalar kernel computes the frame: ``lattice_values``
-takes e1, e2, e3 from ``elliptic_from`` at the three half-periods, and
-``premodular_at`` builds Z and Z2 on it.  The batch kernel ``z2_many`` is
+on that frame.  No scalar kernel computes the frame: ``premodular_at``
+builds Z and Z2 on it, and ``lattice_values`` sums no wp series at all: it
+takes e1, e2, e3 from the theta constants at the frame's reduced nome
+(``_thetas``, about five terms) and carries them back by the frame's
+matrix.  The theta constants stay out of the frame: every Newton step
+builds a frame and never reads them.  The batch kernel ``z2_many`` is
 NumPy code: it runs the same steps on arrays of tau, in blocks of at most
 ``_BLOCK`` points, with r and s given per point.  Each point leaves
 ``reduce_tau_many`` where ``reduce_tau`` stops.  A block's series are not
@@ -62,6 +65,9 @@ _KMAX = 400
 _WZ_BELOW = 1e-19
 _E2_BELOW = 1e-18
 _MIN_TERMS = 6
+# The theta constants of ``_thetas`` stop at the first n with
+# |q'^(n*n)| < _THETA_BELOW; their terms only fall, so no minimum applies.
+_THETA_BELOW = 1e-19
 
 
 def reduce_tau(tau):
@@ -231,19 +237,81 @@ def elliptic_from(z, frame):
     return wp_r / j2, wpp_r / (j2 * j), zeta_r / j, dist, tail
 
 
+def _thetas(frame):
+    """theta_2^4, theta_3^4 and theta_4^4 at the frame's reduced nome
+    q' = exp(i*pi*tau_red), and a bound on the truncation error of each.
+
+    theta_3 and theta_4 are 1 + 2*sum (+-1)^n q'^(n*n) over n >= 1, and
+    theta_2^4 = 16 q' (sum_{n>=0} q'^(n*(n+1)))^4, which needs no q'^(1/4).
+    After the reduction |q'| <= exp(-pi*sqrt(3)/2) ~ 0.066, so the sums stop
+    after about five terms.
+    """
+    qr = cmath.exp(1j * _PI * frame[0])
+    q2 = qr * qr
+    step = qr  # q'^(2n - 1)
+    sq = 1.0 + 0j  # q'^(n*n)
+    qn = 1.0 + 0j  # q'^n
+    s2 = 1.0 + 0j
+    s3 = 0.0 + 0j
+    s4 = 0.0 + 0j
+    tail = 0.0
+    for n in range(1, _KMAX):
+        sq = sq * step
+        step = step * q2
+        qn = qn * qr
+        s2 += sq * qn
+        s3 += sq
+        s4 += -sq if n & 1 else sq
+        m = abs(sq)
+        if m < _THETA_BELOW:
+            # the terms after n sum to far less than m; the fourth powers
+            # amplify an error in a sum by less than 16
+            tail = 16.0 * m
+            break
+    th3 = 1.0 + 2.0 * s3
+    th4 = 1.0 + 2.0 * s4
+    th3 *= th3
+    th4 *= th4
+    s2 *= s2
+    return 16.0 * qr * s2 * s2, th3 * th3, th4 * th4, tail
+
+
 def lattice_values(tau, frame):
     """Half-period values at tau on its prologue frame.
 
-    Returns (e1, e2, e3, err): wp at the half-periods 1/2, tau/2,
-    (1 + tau)/2 from ``elliptic_from``, and err, which sums the three series
-    tails, the frame's Eisenstein tail and a 10 eps amplification term.
+    Returns (e1, e2, e3, err): wp at the half-periods 1/2, tau/2 and
+    (1 + tau)/2, and err, which sums the theta constants' tail carried to
+    tau, the frame's Eisenstein tail (behind g2, g3 and the eta) and a
+    10 eps amplification term.  tau itself is not read: the frame holds it.
+
+    The values come from the theta constants of ``_thetas`` in the reduced
+    frame (DLMF 23.6.2-4 with periods 1 and tau_red):
+
+        wp(1/2)             =  pi^2/3 (theta_2^4 + 2 theta_4^4)
+        wp(tau_red/2)       = -pi^2/3 (2 theta_2^4 + theta_4^4)
+        wp((1 + tau_red)/2) =  pi^2/3 (theta_2^4 - theta_4^4)
+
+    The frame's gamma = (a, b, c, d) takes the half-period 1/2 of tau to
+    (a - c*tau_red)/2 up to the reduced lattice, tau/2 to (d*tau_red - b)/2
+    and (1 + tau)/2 to their sum, so each e_k is the reduced value whose
+    parities match, divided by j^2 (weight 2).
     """
-    _, _, _, _, eta1, _, g2, _, tail_e, _ = frame
-    e1, _, _, _, t1 = elliptic_from(complex(0.5, 0.0), frame)
-    e2, _, _, _, t2 = elliptic_from(0.5 * tau, frame)
-    e3, _, _, _, t3 = elliptic_from(0.5 * (1.0 + tau), frame)
+    _, _, j, _, eta1, _, g2, _, tail_e, (a, b, c, d) = frame
+    th2, _, th4, tail = _thetas(frame)
+    pi2_3 = _PI * _PI / 3.0
+    # indexed by parity (x, y) of the half-period (x + y*tau_red)/2 as
+    # x + 2y - 1: (1, 0), (0, 1), (1, 1)
+    half = (
+        pi2_3 * (th2 + 2.0 * th4),
+        -pi2_3 * (2.0 * th2 + th4),
+        pi2_3 * (th2 - th4),
+    )
+    j2 = j * j
+    e1 = half[a % 2 + 2 * (c % 2) - 1] / j2
+    e2 = half[b % 2 + 2 * (d % 2) - 1] / j2
+    e3 = half[(a + b) % 2 + 2 * ((c + d) % 2) - 1] / j2
     amp = abs(e1) + abs(e2) + abs(e3) + abs(g2) + abs(eta1) + 1.0
-    err = t1 + t2 + t3 + tail_e + 10.0 * _EPS * amp
+    err = 3.0 * pi2_3 * tail / abs(j2) + tail_e + 10.0 * _EPS * amp
     return e1, e2, e3, err
 
 

@@ -93,13 +93,19 @@ _SNAP = 1e-9
 
 
 def reduce_to_shifted_domain(tau: complex) -> tuple[complex, ModularMatrix]:
-    """Reduce tau into F = {0 <= Re < 1, |tau| >= 1, |tau - 1| > 1} + {rho}.
+    """Reduce tau into F = {0 <= Re < 1, |tau| >= 1, |tau - 1| > 1} + {rho}:
+    ``reduce_to_standard``, then ``_shift_into_f``."""
+    return _shift_into_f(*reduce_to_standard(tau))
 
-    Works from the standard domain: points with Re < 0 are translated by one.
-    ``_SNAP`` absorbs float fuzz on the circular edges; ownership follows the
-    domain definition (left arc in, right arc out).
+
+def _shift_into_f(t: complex, g: ModularMatrix) -> tuple[complex, ModularMatrix]:
+    """Move t = g.tau from the standard domain into F; returns (t', g') with
+    g'.tau = t'.
+
+    Points with Re < 0 are translated by one.  ``_SNAP`` absorbs float fuzz
+    on the circular edges; ownership follows the domain definition (left arc
+    in, right arc out).
     """
-    t, g = reduce_to_standard(tau)
     if t.real >= -_SNAP:
         return t, g
     if abs(abs(t) - 1.0) <= _SNAP:
@@ -136,11 +142,15 @@ def gamma2_coset_label(g: ModularMatrix) -> str:
     return _MOD2_TO_LABEL[_mod2_key(g)]
 
 
-def branch_copy(tau: complex) -> str:
-    """Label of the Gamma(2) fundamental-domain copy containing tau.
+def branch_copy(m) -> str:
+    """Label of the Gamma(2) fundamental-domain copy containing the
+    ``elliptic.ModuliPoint`` m.
 
     With F_2 = union of rep.F over the six coset representatives, tau lies in
-    the copy labelled by the coset of g^{-1}, where g.tau is in F.
+    the copy labelled by the coset of g^{-1}, where g.tau is in F.  The
+    point's frame already holds its reduction into the standard domain, so
+    only the shift into F is left.
     """
-    _, g = reduce_to_shifted_domain(tau)
+    frame = m.frame
+    _, g = _shift_into_f(frame[0], ModularMatrix(*frame[9]))
     return gamma2_coset_label(g.inverse())

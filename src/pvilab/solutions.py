@@ -140,7 +140,7 @@ def lambda_rs(p: TorsionPair, m) -> SolutionValue:
         wp_p=wpp_val,
         lam=lam,
         is_pole=pole,
-        branch_note=branch_copy(m.tau),
+        branch_note=branch_copy(m),
         alpha=r + s * m.tau,
         est_error=lat.est_error,
     )

@@ -21,6 +21,7 @@ from pvilab.elliptic import (
     weierstrass_zeta,
 )
 from pvilab.errors import DomainError, NearSingular
+from pvilab.modular import _COSET_REPS, ModularMatrix, gamma2_coset_label
 from pvilab.premodular import TorsionPair, hecke_Z, z2_with_derivative
 from pvilab.solutions import lambda_rs
 
@@ -219,6 +220,70 @@ def test_g3_vanishes_on_square_lattice():
 def test_est_error_is_small_and_positive():
     lat = invariants_g(ModuliPoint.from_tau(0.3 + 0.8j))
     assert 0 <= lat.est_error < 1e-9
+
+
+def _eval_taus(rng, n):
+    """n taus drawn as the point_eval benchmark draws them: |Re| <= 2 and
+    Im log-uniform over [0.05, 5]."""
+    lo, hi = math.log(0.05), math.log(5.0)
+    return [complex(rng.uniform(-2.0, 2.0), math.exp(rng.uniform(lo, hi))) for _ in range(n)]
+
+
+def test_half_period_values_equal_wp_in_every_coset(rng):
+    # the theta path picks each e_k's reduced value by the parities of the
+    # frame's gamma; wp at the half-period itself reads no such table
+    cosets = set()
+    for tau in _eval_taus(rng, 300):
+        m = ModuliPoint.from_tau(tau)
+        cosets.add(gamma2_coset_label(ModularMatrix(*m.frame[9])))
+        lat = invariants_g(m)
+        scale = abs(lat.e1) + abs(lat.e2) + abs(lat.e3)
+        for e, z in ((lat.e1, 0.5), (lat.e2, 0.5 * tau), (lat.e3, 0.5 * (1.0 + tau))):
+            assert abs(weierstrass_p(z, m)[0] - e) <= 1e-14 * scale, (tau, z)
+    assert cosets == set(_COSET_REPS)
+
+
+def test_half_period_values_sum_no_wp_series(monkeypatch):
+    def no_series(*args):
+        raise AssertionError("wz_series called")
+
+    monkeypatch.setattr(_kernels, "wz_series", no_series)
+    lat = invariants_g(ModuliPoint.from_tau(0.37 + 0.81j))
+    assert all(math.isfinite(abs(e)) for e in (lat.e1, lat.e2, lat.e3))
+
+
+def _half_period_values_mp(tau, mpmath):
+    """e1, e2, e3 at tau itself, from 30-digit theta constants at
+    q = exp(i*pi*tau) (DLMF 23.6.2-4), with no reduction of tau."""
+    with mpmath.workdps(30):
+        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
+        th2 = mpmath.jtheta(2, 0, q) ** 4
+        th4 = mpmath.jtheta(4, 0, q) ** 4
+        c = mpmath.pi**2 / 3
+        return [complex(v) for v in (c * (th2 + 2 * th4), -c * (2 * th2 + th4), c * (th2 - th4))]
+
+
+def test_est_error_bounds_half_period_error_against_theta_oracle(rng):
+    mpmath = pytest.importorskip("mpmath")
+    taus = _eval_taus(rng, 40)
+    # reduced heights 2 to 8: tau = n - 1/tau' with tau' = x + iy
+    taus += [
+        int(rng.integers(-1, 2)) - 1.0 / complex(rng.uniform(-0.5, 0.5), rng.uniform(2.0, 8.0))
+        for _ in range(10)
+    ]
+    # near the cusps +-1, where e2 - e1 rounds to 0 at 1 + 0.06i
+    taus += [
+        complex(sign + rng.uniform(-1e-3, 1e-3), 0.06 * (1.0 + rng.uniform(-1e-3, 1e-3)))
+        for sign in (-1.0, 1.0)
+        for _ in range(3)
+    ]
+    taus += [1.0 + 0.06j, -1.0 + 0.06j]
+    assert sum(_kernels.reduce_tau(tau)[0].imag > 2.0 for tau in taus) >= 15
+    for tau in taus:
+        lat = invariants_g(ModuliPoint.from_tau(tau))
+        ref = _half_period_values_mp(tau, mpmath)
+        for e, e_ref in zip((lat.e1, lat.e2, lat.e3), ref):
+            assert abs(e - e_ref) <= lat.est_error, (tau, abs(e - e_ref), lat.est_error)
 
 
 # --- invariants & properties ------------------------------------------------

@@ -16,16 +16,16 @@ from pvilab.cli import main
 REPORTS = [
     (
         ["eval", "--r", "1/4", "--s", "0", "--tau", "0+1.5i"],
-        "d2a7096331ba55f09600a0f1bac9e5e6e1056192a1c6c46556b9f51494da8438",
+        "66856f9937aa1c9e2613b59225a7bac17cc64508796809df53237c979a3bf15e",
     ),
     (
         ["eval", "--r", "1/3", "--s", "0", "--tau", "0.2+1.2i"],
-        "dcfd084fe5e3f378387003c1d7c7b66726ef52e943ac113565a25e4ce8406db3",
+        "dbf5cea5d848f34bc17d12e544233bc72f94a533695bb007d6502bab006ded37",
     ),
     # |alpha - lattice| = 1e-3, below EXPANSION_SWITCH: the Laurent path
     (
         ["eval", "--r=-0.099-0.6i", "--s", "1/2", "--tau", "0.2+1.2i"],
-        "8bcc53d2aa7e76faf0a3eb9c69fe8a7b9c62049ae5f8951c42d5d94d25882b23",
+        "f5c9752ff91e8a8499d40b951ca1a216c380bb788d706705e8d8b4bd42331ff6",
     ),
     (
         ["zeros", "--r", "0.6", "--s", "0.3", "--domain", "F0"],
