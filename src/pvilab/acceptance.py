@@ -21,13 +21,7 @@ import numpy as np
 
 from .elliptic import ModuliPoint, invariants_g, weierstrass_p, weierstrass_zeta
 from .errors import PviLabError
-from .locator import (
-    F0,
-    classify_triangle,
-    locate_zeros,
-    valence_check,
-    winding_count,
-)
+from .locator import F0, _winding_counts, _zeros_in_f0, classify_triangle, valence_check
 from .modular import ModularMatrix, transport_pair
 from .orbits import (
     _xgcd,
@@ -185,35 +179,39 @@ def criterion_3() -> list[str]:
 def criterion_4() -> list[str]:
     """Triangle dichotomy over a 15x15 parameter grid: winding over F0 is 1
     exactly on the three pole triangles and 0 on the non-pole triangle;
-    every located zero is interior and simple."""
+    every located zero is interior and simple.  The windings are tracked in
+    one pass and the zeros hunted in one batch."""
     details = []
-    checked = 0
+    pairs, tags = [], []
     for i in range(1, 16):
         for jj in range(1, 16):
-            r = Fraction(i, 16)
-            s = Fraction(jj, 32)
-            pair = TorsionPair.of(r, s)
+            pair = TorsionPair.of(Fraction(i, 16), Fraction(jj, 32))
             tag = classify_triangle(pair).tag
-            if tag in ("boundary", "outside"):
-                continue
-            checked += 1
-            w = winding_count(pair, F0)
-            expect = 0 if tag == "D0" else 1
-            if w != expect:
-                details.append(f"winding {w} != {expect} at (r,s)=({r},{s}) [{tag}]")
-                continue
-            if w == 1:
-                cert = locate_zeros(pair, F0, expected=1)[0]
-                interior = F0.contains(cert.tau0, margin=1e-6)
-                simple = cert.dz_mag > 1e-6 * cert.scale
-                if not (interior and simple):
-                    details.append(
-                        f"zero at {cert.tau0} for ({r},{s}): interior={interior}, "
-                        f"dz={cert.dz_mag:.3e}"
-                    )
+            if tag not in ("boundary", "outside"):
+                pairs.append(pair)
+                tags.append(tag)
+    poles = []
+    for pair, tag, w in zip(pairs, tags, _winding_counts(pairs, F0)):
+        expect = 0 if tag == "D0" else 1
+        if w != expect:
+            details.append(
+                f"winding {w} != {expect} at (r,s)=({pair.r},{pair.s}) [{tag}]"
+            )
+        elif w == 1:
+            poles.append((pair, tag))
+    # every pole pair lies in D1, D2 or D3, so each gets its zero or raises
+    certs = _zeros_in_f0([pair for pair, _ in poles], [tag for _, tag in poles])
+    for (pair, _), cert in zip(poles, certs):
+        interior = F0.contains(cert.tau0, margin=1e-6)
+        simple = cert.dz_mag > 1e-6 * cert.scale
+        if not (interior and simple):
+            details.append(
+                f"zero at {cert.tau0} for ({pair.r},{pair.s}): interior={interior}, "
+                f"dz={cert.dz_mag:.3e}"
+            )
     # 49 pairs off the edges in each of D0, D1, D2 and D3
-    if checked != 196:
-        details.append(f"{checked} interior grid samples checked, expected 196")
+    if len(pairs) != 196:
+        details.append(f"{len(pairs)} interior grid samples checked, expected 196")
     return details
 
 

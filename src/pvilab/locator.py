@@ -41,11 +41,16 @@ zero of a real pair (the triangle dichotomy).  ``locate_zeros`` takes a
 pair's zeros over F and F2 from it by the group action: F is a subset of
 F0, and F2 is F0 together with F0 + 1, where Z2_{r,s}(tau + 1) =
 Z2_{r+s,s}(tau).  ``count_mn_zeros`` counts the zeros of M_N over F alone
-and hunts only the +-classes of Q_N in D1:
+and takes them only from the +-classes of Q_N in D1:
 ``modular.reduce_to_shifted_domain`` takes each of their F0 zeros into F,
 ``modular.transport_pair`` carries the pair by the same gamma, and the D1
 classes are carried one-to-one onto the classes with a zero in F, so a
 third of the classes yields every zero of M_N over F, with no merging.
+Half of the D1 classes are hunted: for real pairs
+Z2_{r,s}(1 - conj tau) = conj Z2_{r+s,-s}(tau), so the mirror class
+(-k1 - k2, k2) of a D1 class, again in D1, has its zero at 1 - conj tau0,
+where one Newton step certifies it.  ``valence_check`` reads M_N at both
+of its heights from one cusp-rule call over Q_N.
 
 A pair has its F0 zero exactly when its window representative lies in one
 of the open triangles D1, D2, D3, and inside a triangle the zero moves
@@ -72,11 +77,10 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
-from .elliptic import ModuliPoint
 from .errors import BoundaryTooClose, DomainError, IncoherentWinding, PviLabError
 from .modular import IDENTITY, reduce_to_shifted_domain, transport_pair
 from .orbits import _nu_infinity, pm_class_reps, pm_key, qn_size
-from .premodular import TorsionPair, m_n, z2_stable_many
+from .premodular import TorsionPair, _log_mn, z2_stable_many
 from .solutions import _newton_z2
 
 _PI = math.pi
@@ -456,12 +460,19 @@ def winding_count(p: TorsionPair, d: DomainSpec) -> int:
     Real parameter pairs only: the cusp corrections come from the stated
     leading behaviour, and boundary non-vanishing is only guaranteed there.
     """
-    if not p.is_real:
-        raise DomainError("winding counts are restricted to real pairs")
-    if p.degenerate:
-        raise DomainError("degenerate pairs have no meaningful winding")
-    (turns,) = _windings([p], [_build_contour(d, p)], 17)
-    return _integer_turns(turns, f"for {p} over {d.kind}")
+    return _winding_counts([p], d)[0]
+
+
+def _winding_counts(pairs: list[TorsionPair], d: DomainSpec) -> list[int]:
+    """``winding_count`` of every pair over d, all the boundaries tracked in
+    one ``_windings`` pass."""
+    for p in pairs:
+        if not p.is_real:
+            raise DomainError("winding counts are restricted to real pairs")
+        if p.degenerate:
+            raise DomainError("degenerate pairs have no meaningful winding")
+    turns = _windings(pairs, [_build_contour(d, p) for p in pairs], 17)
+    return [_integer_turns(t, f"for {p} over {d.kind}") for p, t in zip(pairs, turns)]
 
 
 # ---------------------------------------------------------------------------
@@ -685,21 +696,52 @@ def _d1_classes(reps: list) -> list[int]:
     return [k for k, tag in enumerate(tags) if tag == "D1"]
 
 
+def _mirror_zero(pair: TorsionPair, cert: ZeroCertificate) -> ZeroCertificate:
+    """The F0 zero of ``pair``, the mirror class (-k1 - k2, k2) of the class
+    (k1, k2) of ``cert``, without a hunt of its own.
+
+    For real pairs Z2_{r,s}(1 - conj tau) = conj Z2_{r+s,-s}(tau), so the
+    mirror class has its zero at 1 - conj tau0, where Newton polishes it in
+    one step.  Each of the two certificates lies within 1e-13 * scale / |Z2'|
+    of its zero, so the polished zero must lie within twice that of the
+    start; one that does not, or that Newton does not find in F0, raises
+    ``IncoherentWinding``.  The reflection maps the isolating square of
+    ``cert`` onto one around the polished zero, so none is tracked."""
+    start = 1.0 - cert.tau0.conjugate()
+    mirrored = _f0_zero_from(pair, start)
+    if mirrored is None or (
+        abs(mirrored.tau0 - start) > 2e-13 * mirrored.scale / mirrored.dz_mag
+    ):
+        raise IncoherentWinding(
+            f"Newton from {start}, the mirror of the F0 zero of {cert.torsion}, "
+            f"does not keep to a zero of {pair} in F0"
+        )
+    return mirrored
+
+
 def count_mn_zeros(N: int) -> MnZeroReport:
     """Zeros of M_N = prod Z2 over F, with multiplicity.
 
     Works per +-class of Q_N, whose pairs are real: each class has at most
     one zero in F0, present exactly when its window representative lies in
     one of the three open triangles D1, D2, D3.  Only the D1 classes
-    (``_d1_classes``) are hunted, in one ``_zeros_in_f0`` batch: Newton from
-    the D1 anchor zero for each, the grids only for a start that fails, and
-    all isolating squares in one pass.
+    (``_d1_classes``) have zeros that are carried into F, and half of them
+    are hunted: the mirror tau -> 1 - conj tau maps F0 onto itself and takes
+    the zero of the class (k1, k2) to that of its mirror class
+    (-k1 - k2, k2), again a D1 class.  One class of each mirror pair, each
+    class that is its own mirror, and each class whose mirror is not a D1
+    class are hunted in one ``_zeros_in_f0`` batch: Newton from the D1
+    anchor zero for each, the grids only for a start that fails, and all
+    isolating squares in one pass.  The other class of each pair takes its
+    zero from the hunted one (``_mirror_zero``).  A class that is its own
+    mirror has its zero on Re tau = 1/2, to within Newton's stop bound
+    1e-13 * scale / |Z2'|, or ``IncoherentWinding`` is raised.
     ``reduce_to_shifted_domain`` takes each F0 zero tau0 into F by some
     gamma, where gamma.tau0 is a zero of the class that ``transport_pair``
     carries the pair to by gamma: Q_N is closed under SL(2, Z), and the D1
     classes are carried one-to-one onto the classes with a zero in F, so
     P(N) = 2 * #(D1 classes).  A zero that gamma moves gets one Newton
-    polish for its class (a zero already in F keeps its hunt certificate).
+    polish for its class (a zero already in F keeps its F0 certificate).
     Two D1 classes carried to one class, or a polished zero that F's
     ownership rule puts outside F, raise ``IncoherentWinding``: nothing is
     merged.
@@ -712,11 +754,27 @@ def count_mn_zeros(N: int) -> MnZeroReport:
     index = {(rep.k1, rep.k2): k for k, rep in enumerate(reps)}
     pair = lambda k: TorsionPair.of(reps[k].r, reps[k].s)
     d1 = _d1_classes(reps)
+    mirror = {k: index[pm_key(-reps[k].k1 - reps[k].k2, reps[k].k2, N)] for k in d1}
+    # the first of each mirror pair, and every class with no D1 mirror
+    hunted = [k for k in d1 if mirror[k] >= k or mirror[k] not in mirror]
+    hunt = _zeros_in_f0([pair(k) for k in hunted], ["D1"] * len(hunted))
+    zeros = dict(zip(hunted, hunt))
     found: dict[int, ZeroCertificate] = {}
     source: dict[int, int] = {}
-    for k, cert in zip(d1, _zeros_in_f0([pair(k) for k in d1], ["D1"] * len(d1))):
+    for k in d1:
+        cert = zeros.get(k)
+        if k not in zeros and zeros[mirror[k]] is not None:
+            # the later class of a mirror pair, whose first was hunted
+            cert = _mirror_zero(pair(k), zeros[mirror[k]])
         if cert is None:
             continue
+        if mirror[k] == k and (
+            abs(cert.tau0.real - 0.5) > 1e-13 * cert.scale / cert.dz_mag
+        ):
+            raise IncoherentWinding(
+                f"the F0 zero {cert.tau0} of {cert.torsion}, its own mirror class, "
+                "is off Re tau = 1/2"
+            )
         tau, g = reduce_to_shifted_domain(cert.tau0)
         k1, k2 = transport_pair(reps[k].k1, reps[k].k2, g)
         j = index[pm_key(k1, k2, N)]
@@ -746,16 +804,16 @@ def valence_check(N: int) -> dict:
     The interior zeros over F (``count_mn_zeros``) plus the cusp order
     nu_infinity = phi(N) + phi(N/2) must equal |Q_N|/4 (``balance_exact``);
     ``cusp_order_slope`` measures the cusp order independently, as the decay
-    slope of log|M_N(iT)| between the heights 8 and 12.  N is capped as in
-    ``count_mn_zeros``.
+    slope of log|M_N(iT)| between the heights 8 and 12, both read from one
+    ``_log_mn`` call.  N is capped as in ``count_mn_zeros``.
     """
     report = count_mn_zeros(N)
     interior = report.interior_count
     cusp = _nu_infinity(N)
 
     heights = (8.0, 12.0)
-    logs = [m_n(N, ModuliPoint.from_tau(1j * t)) for t in heights]
-    slope = (logs[0] - logs[1]) / (_TWO_PI * (heights[1] - heights[0]))
+    logs = _log_mn(N, [1j * t for t in heights])
+    slope = float(logs[0] - logs[1]) / (_TWO_PI * (heights[1] - heights[0]))
     return {
         "interior": interior,
         "cusp": cusp,

@@ -31,7 +31,8 @@ value does not depend on what shares its batch.
 The batch path is one array core, ``_cusp_rule``: the test s' in (1/2)Z and
 the carried pair are array arithmetic on the pairs' carries, in integers
 for exact pairs.  ``z2_stable_many`` feeds it from ``TorsionPair``s, and
-``m_n`` from Q_N as integer arrays (k1, k2), cached per N.
+``_log_mn`` (behind ``m_n``) from Q_N as integer arrays (k1, k2), cached per
+N, at any number of taus in one call.
 
 Off the series, ``z2_with_derivative`` gives dZ2/dtau in closed form from
 one kernel call.  The derivative is total along z = r + s*tau with (r, s)
@@ -560,26 +561,35 @@ def _qn_table(N: int) -> tuple[np.ndarray, np.ndarray]:
 
 def m_n(N: int, m) -> float:
     """log|M_N(tau)|, M_N the product of Z2_{r,s} over all (r, s) in Q_N;
-    -inf when a factor is exactly 0.
+    -inf when a factor is exactly 0: ``_log_mn`` at the one tau."""
+    return float(_log_mn(N, [_as_point(m).tau])[0])
 
-    The factors come from one ``_cusp_rule`` call over Q_N at tau, each pair
-    (k1/N, k2/N) carrying (k1, k2, N) in integers, and their logs are summed
-    as one array in ``enumerate_qn`` order, so the sum is deterministic.  No
-    pair of Q_N is degenerate or near the lattice: a primitive pair with
+
+def _log_mn(N: int, taus) -> np.ndarray:
+    """log|M_N| at every tau of a sequence, from one ``_cusp_rule`` call over
+    Q_N at all of them.
+
+    Each pair (k1/N, k2/N) carries (k1, k2, N) in integers, and the logs of
+    the factors at one tau are summed as one array in ``enumerate_qn``
+    order, so each sum is deterministic and is the one that tau gets alone.
+    No pair of Q_N is degenerate or near the lattice: a primitive pair with
     N >= 3 is not in (1/2)Z^2, and r + s*tau stays at least sqrt(3)/(2N)
     from the lattice in the reduced cell.  So a NaN factor is a fault, and
     raises InternalError.
     """
     if N < 3:
         raise ValueError("N must be >= 3")
-    tau = _as_point(m).tau
+    taus = np.asarray(taus, dtype=np.complex128)
     k1, k2 = _qn_table(N)
-    size = k1.size
-    r, s = ((k / N).astype(np.complex128) for k in (k1, k2))
-    vals, _ = _cusp_rule(np.full(size, tau), r, s, k1, k2, np.full(size, N))
-    mags = np.abs(vals)
-    if np.isnan(mags).any():
-        raise InternalError(f"a factor of M_{N} is NaN at tau = {tau}")
-    if not mags.all():
-        return -math.inf
-    return float(np.log(mags).sum())
+    size, count = k1.size, taus.size
+    r, s = ((np.tile(k, count) / N).astype(np.complex128) for k in (k1, k2))
+    vals, _ = _cusp_rule(
+        np.repeat(taus, size), r, s, np.tile(k1, count), np.tile(k2, count),
+        np.full(size * count, N),
+    )
+    logs = np.empty(count)
+    for i, mags in enumerate(np.abs(vals).reshape(count, size)):
+        if np.isnan(mags).any():
+            raise InternalError(f"a factor of M_{N} is NaN at tau = {taus[i]}")
+        logs[i] = np.log(mags).sum() if mags.all() else -math.inf
+    return logs

@@ -12,7 +12,7 @@ import math
 
 import pytest
 
-from pvilab import acceptance
+from pvilab import acceptance, locator
 from pvilab.premodular import cusp_asymptotic, z2_stable_many
 
 BUDGETS = {
@@ -61,6 +61,27 @@ def test_criterion_4_fails_when_no_grid_pair_is_checked(monkeypatch):
     monkeypatch.setattr(acceptance, "classify_triangle", lambda pair: OnEdge)
     result = acceptance.run(4)
     assert result.details == ["0 interior grid samples checked, expected 196"]
+
+
+def test_criterion_4_tracks_its_windings_in_one_pass(monkeypatch):
+    # the 196 boundaries in one _windings pass, then the zeros of the 147
+    # pairs with winding 1 in one hunt, whose isolating squares are the
+    # second and last pass
+    passes, hunts = [], []
+    windings, zeros_in_f0 = locator._windings, acceptance._zeros_in_f0
+
+    def tracked(pairs, contours, n0):
+        passes.append(len(contours))
+        return windings(pairs, contours, n0)
+
+    def hunted(pairs, tags):
+        hunts.append(len(pairs))
+        return zeros_in_f0(pairs, tags)
+
+    monkeypatch.setattr(locator, "_windings", tracked)
+    monkeypatch.setattr(acceptance, "_zeros_in_f0", hunted)
+    assert acceptance.run(4).passed
+    assert (passes, hunts) == ([196, 147], [147])
 
 
 def test_criterion_3_records_a_wrong_cusp_order(monkeypatch):

@@ -40,6 +40,7 @@ from pvilab.orbits import (
     euler_phi,
     p_of_n,
     pm_class_reps,
+    pm_key,
     pole_count,
     qn_size,
 )
@@ -811,19 +812,58 @@ def test_mn_zero_count_classifies_no_pair(monkeypatch):
     assert count_mn_zeros(12).interior_count == p_of_n(12)
 
 
+def _mirror_split(N):
+    """The D1 classes of Q_N as count_mn_zeros splits them: the hunted
+    classes, the first of each mirror pair {(k1, k2), (-k1 - k2, k2)} in
+    ``pm_class_reps`` order and each class that is its own mirror; and
+    (class, hunted mirror) for the other class of each pair, whose zero is
+    mirrored."""
+    reps = pm_class_reps(N)
+    keys = [(c.k1, c.k2) for c in reps]
+    d1 = [
+        k for k, c in enumerate(reps) if classify_triangle(TorsionPair.of(c.r, c.s)).tag == "D1"
+    ]
+    pair = lambda k: TorsionPair.of(reps[k].r, reps[k].s)
+    hunted, mirrored = [], []
+    for k in d1:
+        m = keys.index(pm_key(-reps[k].k1 - reps[k].k2, reps[k].k2, N))
+        assert m in d1
+        if m >= k:
+            hunted.append(pair(k))
+        else:
+            mirrored.append((pair(k), pair(m)))
+    return hunted, mirrored
+
+
+def _assert_mirrored(cert, hunted):
+    # the mirror bound: each of two Newton iterates stopped at
+    # |Z2| <= 1e-13 * scale lies within 1e-13 * scale / |Z2'| of its zero
+    bound = 2e-13 * cert.scale / cert.dz_mag
+    assert abs(cert.tau0 - (1.0 - hunted.tau0.conjugate())) <= bound, cert.torsion
+
+
 def _assert_count_equals_the_grid_hunt(N):
     # below N = 36 every D1 zero lies in F, so each certificate is the F0
-    # hunt's own
+    # zero of its class: the grid stage's for a hunted class, and the
+    # mirror 1 - conj tau0 of its hunted mirror's zero for the other class
+    # of a mirror pair
     rep = count_mn_zeros(N)
     assert rep.interior_count == p_of_n(N)
-    assert rep.certificates == locator._grid_zeros(_d1_pairs(N))
+    hunted, mirrored = _mirror_split(N)
+    certs = {c.torsion: c for c in rep.certificates}
+    assert len(certs) == len(rep.certificates) == len(hunted) + len(mirrored)
+    assert [certs[p] for p in hunted] == locator._grid_zeros(hunted)
+    for p, q in mirrored:
+        _assert_mirrored(certs[p], certs[q])
+    return hunted
 
 
 @pytest.mark.usefixtures("fresh_anchors")
 @pytest.mark.parametrize("N", [7, 12])
 def test_mn_zero_count_falls_back_to_the_grid_when_continuation_stalls(N, monkeypatch):
     # Newton from the D1 anchor (a one-step continuation in (r, s) from the
-    # centroid pair) stalls for every class: the grid stage hunts them all
+    # centroid pair) stalls for every hunted class: the grid stage hunts
+    # them all
     anchor, newton, stalled = _warm_anchors()["D1"], locator._newton_z2, []
 
     def stalls_from_the_anchor(pair, tau0):
@@ -833,8 +873,8 @@ def test_mn_zero_count_falls_back_to_the_grid_when_continuation_stalls(N, monkey
         return newton(pair, tau0)
 
     monkeypatch.setattr(locator, "_newton_z2", stalls_from_the_anchor)
-    _assert_count_equals_the_grid_hunt(N)
-    assert stalled == _d1_pairs(N)
+    hunted = _assert_count_equals_the_grid_hunt(N)
+    assert stalled == hunted
 
 
 @pytest.mark.usefixtures("fresh_anchors")
@@ -852,14 +892,17 @@ def test_mn_zero_count_falls_back_to_the_grid_outside_f0(N, monkeypatch):
         return (out[0] + 1.0, *out[1:])
 
     monkeypatch.setattr(locator, "_newton_z2", leaves_f0_from_the_anchor)
-    _assert_count_equals_the_grid_hunt(N)
-    assert moved == _d1_pairs(N)
+    hunted = _assert_count_equals_the_grid_hunt(N)
+    assert moved == hunted
 
 
 def test_mn_zero_count_keeps_two_classes_at_one_point(monkeypatch):
-    # two distinct classes whose F0 zeros coincide in F both count, and the
-    # coincidence is reported as one merge event; only D1 classes are hunted
-    # over F, and N = 7 is the first N with two of them
+    # distinct classes whose F0 zeros coincide in F all count, and each two
+    # of them are reported as one merge event; only D1 classes are hunted
+    # over F, and N = 7 is the first N with two hunted ones.  Both are put
+    # at a point of Re tau = 1/2, which the mirror fixes, and Newton takes
+    # every start for a zero, so the third D1 class, mirrored from the
+    # first, lands there too
     tau0 = 0.5 + 1.2j
 
     def two_at_one_point(pairs, tags):
@@ -869,12 +912,80 @@ def test_mn_zero_count_keeps_two_classes_at_one_point(monkeypatch):
         ]
 
     monkeypatch.setattr(locator, "_zeros_in_f0", two_at_one_point)
-    a, b = [
-        c for c in pm_class_reps(7) if classify_triangle(TorsionPair.of(c.r, c.s)).tag == "D1"
-    ][:2]
+    monkeypatch.setattr(locator, "_newton_z2", lambda pair, tau: (tau, 0.0, 1.0, 1, 1.0))
+    hunted, mirrored = _mirror_split(7)
+    assert len(hunted) == 2 and [q for _, q in mirrored] == hunted[:1]
+    a, b, c = [
+        (rp.k1, rp.k2)
+        for rp in pm_class_reps(7)
+        if classify_triangle(TorsionPair.of(rp.r, rp.s)).tag == "D1"
+    ]
     rep = count_mn_zeros(7)
-    assert rep.interior_count == 4
-    assert rep.merge_events == [((a.k1, a.k2), (b.k1, b.k2), tau0)]
+    assert rep.interior_count == 6
+    assert rep.merge_events == [(a, b, tau0), (a, c, tau0), (b, c, tau0)]
+
+
+def _assert_hunted_and_mirrored_zeros_agree(N):
+    # every D1 class hunted on its own, in one batch: the zero of the other
+    # class of a mirror pair, and its certificate from the mirror, lie
+    # within the mirror bound of 1 - conj tau0 of the hunted class's zero;
+    # a class that is its own mirror has its zero on Re tau = 1/2
+    hunted, mirrored = _mirror_split(N)
+    pairs = hunted + [p for p, _ in mirrored]
+    certs = dict(zip(pairs, locator._zeros_in_f0(pairs, ["D1"] * len(pairs))))
+    for p, q in mirrored:
+        _assert_mirrored(certs[p], certs[q])
+        _assert_mirrored(locator._mirror_zero(p, certs[q]), certs[q])
+    own = set(hunted) - {q for _, q in mirrored}
+    for p in own:
+        c = certs[p]
+        assert abs(c.tau0.real - 0.5) <= 1e-13 * c.scale / c.dz_mag, p
+    return len(own), len(mirrored)
+
+
+def test_hunted_and_mirrored_zeros_agree():
+    own = mirrored = 0
+    for N in range(3, 41):
+        n_own, n_mirrored = _assert_hunted_and_mirrored_zeros_agree(N)
+        own, mirrored = own + n_own, mirrored + n_mirrored
+    assert sum(p_of_n(N) for N in range(3, 41)) == 2 * (own + 2 * mirrored)
+    assert mirrored > own > 0
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("N", range(41, locator.MAX_N + 1))
+def test_hunted_and_mirrored_zeros_agree_sweep(N):
+    _assert_hunted_and_mirrored_zeros_agree(N)
+
+
+def _hunt_moved_by(step, monkeypatch):
+    # every hunted zero of count_mn_zeros moved by ``step``
+    zeros_in_f0 = locator._zeros_in_f0
+
+    def moved(pairs, tags):
+        return [replace(c, tau0=c.tau0 + step) for c in zeros_in_f0(pairs, tags)]
+
+    monkeypatch.setattr(locator, "_zeros_in_f0", moved)
+
+
+def test_mn_zero_count_raises_for_a_mirror_class_off_its_line(monkeypatch):
+    # N = 7 has one D1 class that is its own mirror, (1, 5)
+    _hunt_moved_by(1e-9, monkeypatch)
+    own = re.escape(f"{TorsionPair.of(Fraction(1, 7), Fraction(5, 7))}, its own mirror class")
+    with pytest.raises(IncoherentWinding, match=own + r", is off Re tau = 1/2"):
+        count_mn_zeros(7)
+
+
+def test_mn_zero_count_raises_for_a_mirrored_zero_off_the_mirror(monkeypatch):
+    # the hunted zero of (1, 4) moved up by 1e-9: Newton from its mirror
+    # finds the zero of (2, 4) 1e-9 away, far outside the mirror bound
+    _hunt_moved_by(1e-9j, monkeypatch)
+    hunted, mirrored = (TorsionPair.of(Fraction(k, 7), Fraction(4, 7)) for k in (1, 2))
+    off = re.escape(
+        f"the mirror of the F0 zero of {hunted}, does not keep to a zero of {mirrored} in F0"
+    )
+    with pytest.raises(IncoherentWinding, match=off):
+        count_mn_zeros(7)
 
 
 def test_mn_zero_count_raises_for_two_classes_carried_to_one(monkeypatch):
@@ -996,12 +1107,19 @@ def test_valence_builds_each_cusp_expansion_once(N, monkeypatch):
 
 @pytest.mark.parametrize("N", [5, 12])
 def test_valence_evaluates_m_n_twice(N, monkeypatch):
-    # M_N is taken only at the two heights the slope reads
-    taus = []
-    mn = locator.m_n
-    monkeypatch.setattr(locator, "m_n", lambda n, m: taus.append(m.tau) or mn(n, m))
+    # M_N is taken only at the two heights the slope reads, both in one
+    # cusp-rule call over Q_N
+    calls = []
+    rule = premodular._cusp_rule
+
+    def recorded(taus, *args):
+        calls.append(taus.tolist())
+        return rule(taus, *args)
+
+    monkeypatch.setattr(premodular, "_cusp_rule", recorded)
     valence_check(N)
-    assert taus == [8j, 12j]
+    on_axis = [taus for taus in calls if 8j in taus or 12j in taus]
+    assert on_axis == [[8j] * qn_size(N) + [12j] * qn_size(N)]
 
 
 def test_valence_takes_series_factors_without_a_kernel_call(monkeypatch):

@@ -444,6 +444,41 @@ def test_cut_cusp_series_is_the_full_sum_bit_for_bit():
         )
 
 
+def _f0_taus(rng, n):
+    """n points of F0 below Im tau = 5, log-uniform in height."""
+    taus = []
+    while len(taus) < n:
+        tau = complex(rng.uniform(0.0, 1.0), math.exp(rng.uniform(math.log(0.05), math.log(5.0))))
+        if abs(tau - 0.5) >= 0.5:
+            taus.append(tau)
+    return taus
+
+
+def test_z2_mirror_identity(rng):
+    # Z2_{r,s}(1 - conj tau) = conj Z2_{r+s,-s}(tau) for real pairs, through
+    # the scalar and the batch cusp rule: count_mn_zeros takes the zero of
+    # the mirror class (-k1 - k2, k2) from it.  The exact pairs include
+    # s = 0 and s = 1/2, whose series the rule sums in the frame of infinity
+    pairs = [TorsionPair.of(*rng.uniform(0.0, 1.0, 2)) for _ in range(40)]
+    pairs += [
+        TorsionPair.of(Fraction(k1, N), Fraction(k2, N))
+        for N in (5, 8, 12)
+        for k1, k2 in ((1, 0), (1, N // 2), (N - 1, 2), (2, N - 3))
+    ]
+    taus = _f0_taus(rng, len(pairs))
+    mirrored = [TorsionPair.of(p.r + p.s, -p.s) for p in pairs]
+    images = [1.0 - tau.conjugate() for tau in taus]
+    counts = [1] * len(pairs)
+    vals, scales = z2_stable_many(pairs, np.array(images), counts)
+    mvals, mscales = z2_stable_many(mirrored, np.array(taus), counts)
+    assert np.all(np.abs(vals - mvals.conj()) <= 1e-13 * scales)
+    assert np.all(np.abs(scales - mscales) <= 1e-13 * scales)
+    for p, q, tau, image in zip(pairs, mirrored, taus, images):
+        val, scale = z2_stable(p, ModuliPoint.from_tau(image))
+        mval, _ = z2_stable(q, ModuliPoint.from_tau(tau))
+        assert abs(val - mval.conjugate()) <= 1e-13 * scale, (p, tau)
+
+
 # --- m_n --------------------------------------------------------------------
 
 
@@ -509,6 +544,15 @@ def test_mn_matches_the_scalar_product():
         for tau in _MN_TAUS:
             m = ModuliPoint.from_tau(tau)
             assert abs(math.expm1(m_n(N, m) - _mn_scalar(N, m))) <= 1e-12
+
+
+def test_log_mn_at_both_heights_is_two_m_n_calls_bit_for_bit():
+    # valence_check reads M_N at 8i and 12i from one _log_mn call; each
+    # height gets the value m_n gives it alone, so cusp_order_slope and the
+    # count digests do not depend on the batch
+    for N in range(3, 41):
+        logs = premodular._log_mn(N, [8j, 12j])
+        assert logs.tolist() == [m_n(N, ModuliPoint.from_tau(tau)) for tau in (8j, 12j)]
 
 
 def test_mn_raises_on_a_nan_factor(monkeypatch):
