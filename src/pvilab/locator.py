@@ -16,6 +16,19 @@ at infinity is closed analytically: the leading behaviour c*q^ord
 contributes exactly 2*pi*ord*(Re change) across the cap, which is added
 instead of sampled.
 
+The sampling rule: the vertical edges of a domain contour (Re tau = 0, 1
+or 2, from the cusp clearance up to Im tau = 10) are sampled evenly in
+log Im tau, which is equal hyperbolic length, so the steep phase near their
+feet is not under-sampled; the arcs are sampled evenly in angle and the
+straight segments (the connectors over the cusps, the sides of the
+isolating squares) evenly in length.  A ``_winding_counts`` pass sizes its
+first round from a point budget: 17 samples on each connector, the rest of
+_FIRST_ROUND_POINTS shared by the edges and arcs, and never fewer than 17
+on a piece.  A lone contour, as ``winding_count`` winds it, thus gets about
+240 points, what one kernel call's fixed cost is worth, and nearly always
+settles in that one call; a pass of many contours (criterion 4, a scan)
+gets 17 per piece and refines where it must.
+
 Real-axis cusps need case analysis.  Near a cusp x_c the form factors as
 
     Z2_{r,s}(tau) = (tau - x_c)^{-3} * Z2_{r_c,s_c}(-1/(tau - x_c)),
@@ -102,6 +115,14 @@ _EXCISION_RADIUS = 0.12
 # Refinement rounds allowed per boundary piece before the phase is declared
 # incoherent.
 _MAX_REFINE_ROUNDS = 18
+# First-round samples of one ``_winding_counts`` pass, and the fewest on a
+# piece: a lone contour gets about what one kernel call's fixed cost is
+# worth, and settles in that call; a pass of many contours gets
+# _MIN_FIRST_ROUND samples per piece.
+_FIRST_ROUND_POINTS = 240
+_MIN_FIRST_ROUND = 17
+# The numeric piece kinds of a contour, as ``_windings`` codes them.
+_SEG, _ARC, _EDGE = 0, 1, 2
 # Largest N whose zeros of M_N over F ``count_mn_zeros`` counts, and so the
 # cap of ``valence_check`` and of the valence in ``pvilab count``.
 MAX_N = 120
@@ -279,10 +300,10 @@ def _build_contour(d: DomainSpec, pair: TorsionPair) -> list:
 
     if d.kind == "F":
         return [
-            ("seg", complex(0.0, T), complex(0.0, 1.0)),
+            ("edge", complex(0.0, T), complex(0.0, 1.0)),
             ("arc", 0j, 1.0, _PI / 2.0, _PI / 3.0),
             ("arc", 1.0 + 0j, 1.0, 2.0 * _PI / 3.0, _PI / 2.0),
-            ("seg", complex(1.0, 1.0), complex(1.0, T)),
+            ("edge", complex(1.0, 1.0), complex(1.0, T)),
             _cap_jump(d, pair.cusp[1]),
         ]
 
@@ -291,7 +312,7 @@ def _build_contour(d: DomainSpec, pair: TorsionPair) -> list:
     pieces: list = []
     # left edge down
     y_left = gap if orders[0] > 0 else y0
-    pieces.append(("seg", complex(0.0, T), complex(0.0, y_left)))
+    pieces.append(("edge", complex(0.0, T), complex(0.0, y_left)))
     # walk the bottom arcs left to right
     prev_exit = complex(0.0, y_left)
     for center, rad in d.disks:
@@ -321,7 +342,7 @@ def _build_contour(d: DomainSpec, pair: TorsionPair) -> list:
     else:
         edge_bottom = complex(xr, y0)
         pieces.append(("seg", prev_exit, edge_bottom))
-    pieces.append(("seg", edge_bottom, complex(xr, T)))
+    pieces.append(("edge", edge_bottom, complex(xr, T)))
     pieces.append(_cap_jump(d, pair.cusp[1]))
     return pieces
 
@@ -345,12 +366,28 @@ def _split_points(
     return lo[seg] + (hi[seg] - lo[seg]) * (j / parts[seg]), seg
 
 
-def _windings(pairs: list[TorsionPair], contours: list[list], n0: int) -> list[float]:
+def _piece_row(p: tuple) -> tuple:
+    """(kind, base, span, rad, th0, dth) of a numeric piece, which
+    ``_windings`` samples at t in [0, 1]: a ("seg", z0, z1) at
+    z0 + t (z1 - z0), an ("arc", c, rad, th0, th1) at
+    c + rad e^{i (th0 + t (th1 - th0))}, and an ("edge", z0, z1), vertical,
+    at Re z0 + i e^{th0 + t (th1 - th0)} with th = log Im."""
+    if p[0] == "seg":
+        return _SEG, p[1], p[2] - p[1], 0.0, 0.0, 0.0
+    if p[0] == "arc":
+        return _ARC, p[1], 0j, p[2], p[3], p[4] - p[3]
+    th0 = math.log(p[1].imag)
+    return _EDGE, p[1].real, 0j, 0.0, th0, math.log(p[2].imag) - th0
+
+
+def _windings(pairs: list[TorsionPair], contours: list[list], n0) -> list[float]:
     """The total phase (in turns) of Z2 of ``pairs[k]`` around the closed
     piecewise contour ``contours[k]``, jumps included, for every k at once.
 
     The samples of all the numeric pieces, numbered in contour order, live
-    in one array sorted by (piece, t), n0 per piece at first.  Each round
+    in one array sorted by (piece, t), at first n0 evenly spaced values of
+    t per piece, or n0[i] on piece i when n0 is a sequence
+    (``_piece_row`` maps t to tau: edges evenly in log Im tau).  Each round
     sends the new samples to ``z2_stable_many`` in one batch, merges them in
     with one sort, and cuts every segment whose phase step exceeds
     MAX_PHASE_STEP into equal parts (``_split_points``) until none does; a
@@ -377,34 +414,33 @@ def _windings(pairs: list[TorsionPair], contours: list[list], n0: int) -> list[f
             seam = not isinstance(piece, _Jump)
         closed.append(seam)
     owner, joined = np.array(owner), np.array(joined)
-    # a ("seg", z0, z1) is z0 + t (z1 - z0), an ("arc", c, rad, th0, th1)
-    # is c + rad e^{i (th0 + t (th1 - th0))}
-    rows = [
-        (False, p[1], p[2] - p[1], 0.0, 0.0, 0.0)
-        if p[0] == "seg"
-        else (True, p[1], 0j, p[2], p[3], p[4] - p[3])
-        for p in pieces
-    ]
-    on_arc, base, span, rad, th0, dth = (np.array(col) for col in zip(*rows))
+    kind, base, span, rad, th0, dth = (np.array(col) for col in zip(*map(_piece_row, pieces)))
 
     def points(at: np.ndarray, t: np.ndarray) -> np.ndarray:
         out = np.empty(at.size, dtype=np.complex128)
-        arc = on_arc[at]
-        g, h = at[~arc], at[arc]
-        out[~arc] = base[g] + t[~arc] * span[g]
+        of = kind[at]
+        seg, arc, edge = of == _SEG, of == _ARC, of == _EDGE
+        g, h, e = at[seg], at[arc], at[edge]
+        out[seg] = base[g] + t[seg] * span[g]
         out[arc] = base[h] + rad[h] * np.exp(1j * (th0[h] + t[arc] * dth[h]))
+        out[edge] = base[e] + 1j * np.exp(th0[e] + t[edge] * dth[e])
         return out
 
     at, t, v = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.complex128)
-    new_at = np.repeat(np.arange(len(pieces)), n0)
-    new_t = np.tile(np.linspace(0.0, 1.0, n0), len(pieces))
+    sizes = np.broadcast_to(np.asarray(n0, dtype=np.int64), len(pieces))
+    new_at = np.repeat(np.arange(len(pieces)), sizes)
+    # np.linspace(0, 1, n) on each piece, to the bit: j * (1 / (n - 1)), and 1 last
+    j = np.arange(new_at.size) - (np.cumsum(sizes) - sizes)[new_at]
+    div = sizes[new_at] - 1
+    new_t = np.where(j == div, 1.0, j * (1.0 / div))
     error: Optional[PviLabError] = None
     limit = len(pieces)  # the first failing piece; it and those after it stop
     for rnd in range(_MAX_REFINE_ROUNDS + 1):
         taus = points(new_at, new_t)
         counts = np.bincount(owner[new_at], minlength=len(contours))
         new_v, scales = z2_stable_many(pairs, taus, counts)
-        close = np.abs(new_v) < BOUNDARY_RTOL * scales
+        # a NaN value or scale fails the test too
+        close = ~(np.abs(new_v) >= BOUNDARY_RTOL * scales)
         if close.any():
             k = int(np.argmax(close))
             limit = int(new_at[k])
@@ -471,7 +507,16 @@ def _winding_counts(pairs: list[TorsionPair], d: DomainSpec) -> list[int]:
             raise DomainError("winding counts are restricted to real pairs")
         if p.degenerate:
             raise DomainError("degenerate pairs have no meaningful winding")
-    turns = _windings(pairs, [_build_contour(d, p) for p in pairs], 17)
+    if not pairs:
+        return []
+    contours = [_build_contour(d, p) for p in pairs]
+    kinds = [piece[0] for c in contours for piece in c if not isinstance(piece, _Jump)]
+    # the connectors over the cusps take the minimum, the edges and arcs
+    # share the rest of the budget
+    connectors = kinds.count("seg")
+    rest = _FIRST_ROUND_POINTS - _MIN_FIRST_ROUND * connectors
+    share = max(_MIN_FIRST_ROUND, rest // (len(kinds) - connectors))
+    turns = _windings(pairs, contours, [_MIN_FIRST_ROUND if k == "seg" else share for k in kinds])
     return [_integer_turns(t, f"for {p} over {d.kind}") for p, t in zip(pairs, turns)]
 
 

@@ -5,7 +5,10 @@ lattice definitions, with no Fourier series, no argument reduction and no
 modular transformations -- deliberately sharing nothing with the production
 path.  Symmetric box sums over |m|, |n| <= M converge like C/M^2 + D/M^3
 (the odd tail terms cancel in pairs); the tail is estimated by evaluating
-three box sizes and eliminating those two powers, leaving O(M^-4).
+three box sizes and eliminating those two powers, leaving O(M^-4).  Sums at
+one tau may share its three grids (``box_grids``) and, for the Hecke form,
+its quasi-periods: the same operations run in the same order, so the values
+are the ones each sum gets alone.
 """
 
 from __future__ import annotations
@@ -26,6 +29,17 @@ def _box_grid(M: int, tau: complex):
     return w[mask]
 
 
+def box_grids(tau: complex) -> list[np.ndarray]:
+    """The grids of every box size at tau, for sums at one tau to share."""
+    return [_box_grid(M, tau) for M in _BOXES]
+
+
+def _boxes(tau: complex, grids):
+    """The grids of every box size at tau: ``grids`` when given, else each
+    built in turn."""
+    return (_box_grid(M, tau) for M in _BOXES) if grids is None else grids
+
+
 def _extrapolate(values: list[complex]) -> complex:
     """Eliminate the 1/M^2 and 1/M^3 tail terms from three box sums."""
     m = np.array(_BOXES, dtype=np.float64)
@@ -34,11 +48,10 @@ def _extrapolate(values: list[complex]) -> complex:
     return complex(coef[0])
 
 
-def wp_lattice_sum(z: complex, tau: complex) -> complex:
+def wp_lattice_sum(z: complex, tau: complex, grids=None) -> complex:
     """wp(z|tau) = 1/z^2 + sum' [1/(z-w)^2 - 1/w^2]."""
     vals = []
-    for M in _BOXES:
-        w = _box_grid(M, tau)
+    for w in _boxes(tau, grids):
         s = np.sum(1.0 / (z - w) ** 2 - 1.0 / w**2)
         vals.append(1.0 / z**2 + s)
     return _extrapolate(vals)
@@ -54,21 +67,20 @@ def wp_prime_lattice_sum(z: complex, tau: complex) -> complex:
     return _extrapolate(vals)
 
 
-def zeta_lattice_sum(z: complex, tau: complex) -> complex:
+def zeta_lattice_sum(z: complex, tau: complex, grids=None) -> complex:
     """zeta(z|tau) = 1/z + sum' [1/(z-w) + 1/w + z/w^2]."""
     vals = []
-    for M in _BOXES:
-        w = _box_grid(M, tau)
+    for w in _boxes(tau, grids):
         s = np.sum(1.0 / (z - w) + 1.0 / w + z / w**2)
         vals.append(1.0 / z + s)
     return _extrapolate(vals)
 
 
-def quasi_periods_lattice_sum(tau: complex) -> tuple[complex, complex]:
+def quasi_periods_lattice_sum(tau: complex, grids=None) -> tuple[complex, complex]:
     """eta1 = 2 zeta(1/2), eta2 = 2 zeta(tau/2), straight from the sums."""
     return (
-        2.0 * zeta_lattice_sum(0.5 + 0j, tau),
-        2.0 * zeta_lattice_sum(0.5 * tau, tau),
+        2.0 * zeta_lattice_sum(0.5 + 0j, tau, grids),
+        2.0 * zeta_lattice_sum(0.5 * tau, tau, grids),
     )
 
 
@@ -83,10 +95,11 @@ def invariants_lattice_sum(tau: complex) -> tuple[complex, complex]:
     return _extrapolate(g2_vals), _extrapolate(g3_vals)
 
 
-def hecke_lattice_sum(r: float, s: float, tau: complex) -> complex:
-    """Z_{r,s}(tau) = zeta(r + s*tau) - r*eta1 - s*eta2, all by lattice sums."""
-    eta1, eta2 = quasi_periods_lattice_sum(tau)
-    return zeta_lattice_sum(r + s * tau, tau) - r * eta1 - s * eta2
+def hecke_lattice_sum(r: float, s: float, tau: complex, grids=None, eta=None) -> complex:
+    """Z_{r,s}(tau) = zeta(r + s*tau) - r*eta1 - s*eta2, all by lattice sums;
+    ``eta`` is (eta1, eta2) when already summed."""
+    eta1, eta2 = quasi_periods_lattice_sum(tau, grids) if eta is None else eta
+    return zeta_lattice_sum(r + s * tau, tau, grids) - r * eta1 - s * eta2
 
 
 def z2_lattice_sum(r: float, s: float, tau: complex) -> complex:

@@ -541,8 +541,14 @@ def z2_stable_many(pairs, taus, counts) -> tuple[np.ndarray, np.ndarray]:
     """
     taus = np.ascontiguousarray(taus, dtype=np.complex128)
     # a pair no series serves carries NaN, which the rule's test never picks
-    rows = [(*q.as_complex(), *(q._carry or (math.nan, math.nan, 1))) for q in pairs]
-    return _cusp_rule(taus, *(np.repeat(col, counts) for col in zip(*rows)))
+    rs = np.array([q.as_complex() for q in pairs], dtype=np.complex128).reshape(-1, 2)
+    carries = np.array([q._carry or (math.nan, math.nan, 1) for q in pairs]).reshape(-1, 3)
+    r, s = np.repeat(rs.T, counts, axis=1)
+    x, y, n = np.repeat(carries.T, counts, axis=1)
+    if n.dtype.kind == "f":
+        # a float or NaN carry makes x and y floats; n stays an integer
+        n = n.astype(np.int64)
+    return _cusp_rule(taus, r, s, x, y, n)
 
 
 # ---------------------------------------------------------------------------

@@ -13,6 +13,7 @@ import math
 import pytest
 
 from pvilab import acceptance, locator
+from pvilab.oracles import hecke_lattice_sum, wp_lattice_sum, zeta_lattice_sum
 from pvilab.premodular import cusp_asymptotic, z2_stable_many
 
 BUDGETS = {
@@ -96,3 +97,37 @@ def test_criterion_3_records_a_wrong_cusp_order(monkeypatch):
     assert not result.passed
     assert any(d.startswith("s=0 cusp order 2 != 1 at r=") for d in result.details)
 
+
+
+def test_criterion_4_winding_pass_evaluates_no_more_points(monkeypatch):
+    # the 196 boundaries keep 17 samples a piece at first, and the edges
+    # sampled in log Im tau settle in one refinement round, down from two
+    calls = []
+
+    def counted(pairs, taus, counts):
+        calls.append(len(taus))
+        return z2_stable_many(pairs, taus, counts)
+
+    def winding_pass(pairs, d):
+        calls.clear()
+        try:
+            return winding_counts(pairs, d)
+        finally:
+            passes.append(list(calls))
+
+    passes, winding_counts = [], acceptance._winding_counts
+    monkeypatch.setattr(locator, "z2_stable_many", counted)
+    monkeypatch.setattr(acceptance, "_winding_counts", winding_pass)
+    assert acceptance.run(4).passed
+    (calls_of_pass,) = passes
+    assert len(calls_of_pass) <= 2 and sum(calls_of_pass) <= 20_960, calls_of_pass
+
+
+def test_criterion_9_oracle_values_equal_the_lone_sums():
+    # one tau's grids and quasi-periods, shared by its sums, give each sum
+    # the value it gets alone, to the bit
+    zs, pairs = [0.31 + 0.17j, 0.49 + 0.02j], [(0.42, 0.13), (0.27, 0.33)]
+    for tau in (0.2 + 1.1j, -0.3 + 0.9j):
+        wz, hecke = acceptance._oracle_at(tau, zs, pairs)
+        assert wz == [(wp_lattice_sum(z, tau), zeta_lattice_sum(z, tau)) for z in zs]
+        assert hecke == [hecke_lattice_sum(r, s, tau) for r, s in pairs]

@@ -1,16 +1,9 @@
 """The cusp rule of ``premodular`` against a 50-digit theta_1 oracle for Z2
-and, through ``mpmath.diff``, for dZ2/dtau.
+and, through ``mpmath.diff``, for dZ2/dtau (``mp_oracle``).
 
-The oracle evaluates Z2 at tau itself, without any reduction: with
-q = exp(pi*i*tau), u = pi*(r + s*tau) and L_k = theta_1^(k)(u)/theta_1(u),
-
-    Z   = pi*L1 + 2*pi*i*s,
-    wp  = -eta1 - pi^2 (L2 - L1^2),
-    wp' = -pi^3 (L3 - 3 L1 L2 + 2 L1^3),
-    eta1 = -pi^2 theta_1'''(0) / (3 theta_1'(0)),
-
-and Z2 = Z^3 - 3 wp Z - wp'.  The points sit near the cusps infinity, 0,
-1/2, 1/3, 1 and 2, where no more than ~25 of the oracle's 50 digits cancel.
+The oracle evaluates Z2 at tau itself, without any reduction.  The points
+sit near the cusps infinity, 0, 1/2, 1/3, 1 and 2, where no more than ~25 of
+the oracle's 50 digits cancel.
 """
 
 from fractions import Fraction
@@ -18,6 +11,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from mp_oracle import dz2_theta, z2_theta
 from pvilab.elliptic import ModuliPoint
 from pvilab.modular import reduce_to_standard, transport_pair
 from pvilab.premodular import (
@@ -28,7 +22,7 @@ from pvilab.premodular import (
     z2_with_derivative,
 )
 
-mpmath = pytest.importorskip("mpmath")
+pytest.importorskip("mpmath")
 
 ORACLE_RTOL = 1e-12
 AGREE_RTOL = 1e-13
@@ -54,40 +48,6 @@ CASES = [
     ("2", Fraction(2, 3), Fraction(1, 6), 1.98 + 0.1508j),
     ("2", Fraction(2, 5), Fraction(1, 5), 1.97 + 0.1j),
 ]
-
-
-def _z2_mp(r, s, tau):
-    """Z2_{r,s}(tau) from theta_1 at mpmath's working precision (module
-    docstring); tau is an mpc."""
-    r, s = (
-        mpmath.mpf(x.numerator) / x.denominator
-        if isinstance(x, Fraction)
-        else mpmath.mpf(x)
-        for x in (r, s)
-    )
-    q = mpmath.exp(1j * mpmath.pi * tau)
-    u = mpmath.pi * (r + s * tau)
-    th = [mpmath.jtheta(1, u, q, k) for k in range(4)]
-    L1, L2, L3 = (t / th[0] for t in th[1:])
-    dth0 = [mpmath.jtheta(1, 0, q, k) for k in (1, 3)]
-    eta1 = -(mpmath.pi**2) * dth0[1] / (3 * dth0[0])
-    z = mpmath.pi * L1 + 2j * mpmath.pi * s
-    wp = -eta1 - mpmath.pi**2 * (L2 - L1**2)
-    wpp = -(mpmath.pi**3) * (L3 - 3 * L1 * L2 + 2 * L1**3)
-    return z**3 - 3 * wp * z - wpp
-
-
-def z2_theta(r, s, tau) -> complex:
-    """The 50-digit oracle's Z2_{r,s}(tau)."""
-    with mpmath.workdps(50):
-        return complex(_z2_mp(r, s, mpmath.mpc(tau.real, tau.imag)))
-
-
-def dz2_theta(r, s, tau) -> complex:
-    """The 50-digit oracle's dZ2/dtau, by ``mpmath.diff``."""
-    with mpmath.workdps(50):
-        tau = mpmath.mpc(tau.real, tau.imag)
-        return complex(mpmath.diff(lambda t: _z2_mp(r, s, t), tau))
 
 
 def _on_series(pair, tau) -> bool:

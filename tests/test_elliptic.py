@@ -13,6 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from mp_oracle import half_period_values_mp
 from pvilab import _kernels, oracles
 from pvilab.elliptic import (
     ModuliPoint,
@@ -252,19 +253,8 @@ def test_half_period_values_sum_no_wp_series(monkeypatch):
     assert all(math.isfinite(abs(e)) for e in (lat.e1, lat.e2, lat.e3))
 
 
-def _half_period_values_mp(tau, mpmath):
-    """e1, e2, e3 at tau itself, from 30-digit theta constants at
-    q = exp(i*pi*tau) (DLMF 23.6.2-4), with no reduction of tau."""
-    with mpmath.workdps(30):
-        q = mpmath.exp(1j * mpmath.pi * mpmath.mpc(tau.real, tau.imag))
-        th2 = mpmath.jtheta(2, 0, q) ** 4
-        th4 = mpmath.jtheta(4, 0, q) ** 4
-        c = mpmath.pi**2 / 3
-        return [complex(v) for v in (c * (th2 + 2 * th4), -c * (2 * th2 + th4), c * (th2 - th4))]
-
-
 def test_est_error_bounds_half_period_error_against_theta_oracle(rng):
-    mpmath = pytest.importorskip("mpmath")
+    pytest.importorskip("mpmath")
     taus = _eval_taus(rng, 40)
     # reduced heights 2 to 8: tau = n - 1/tau' with tau' = x + iy
     taus += [
@@ -281,7 +271,7 @@ def test_est_error_bounds_half_period_error_against_theta_oracle(rng):
     assert sum(_kernels.reduce_tau(tau)[0].imag > 2.0 for tau in taus) >= 15
     for tau in taus:
         lat = invariants_g(ModuliPoint.from_tau(tau))
-        ref = _half_period_values_mp(tau, mpmath)
+        ref = half_period_values_mp(tau)
         for e, e_ref in zip((lat.e1, lat.e2, lat.e3), ref):
             assert abs(e - e_ref) <= lat.est_error, (tau, abs(e - e_ref), lat.est_error)
 

@@ -7,7 +7,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pvilab import _kernels
+from pvilab import _kernels, premodular
 from pvilab.locator import F, F0, F2, _interior_grid
 from pvilab.modular import reduce_to_standard, transport_pair
 from pvilab.premodular import TorsionPair, cusp_asymptotic, z2_stable_many
@@ -193,6 +193,26 @@ def test_grouped_stable_batch_matches_per_pair_calls():
     # the series is not vacuous: both cusp pairs move off the kernel's values
     for k in (0, 2):
         assert not np.array_equal(ref[k][0], _batch(pairs[k], taus[k])[0])
+
+
+def test_stable_batch_columns_keep_their_dtypes(monkeypatch):
+    # exact pairs carry integers; a float or a NaN carry (a complex pair)
+    # makes x and y floats while n stays an integer
+    seen, rule = [], premodular._cusp_rule
+
+    def spy(taus, *cols):
+        seen.append("".join(col.dtype.kind for col in cols))
+        return rule(taus, *cols)
+
+    monkeypatch.setattr(premodular, "_cusp_rule", spy)
+    exact = TorsionPair.of(Fraction(1, 3), Fraction(1, 5))
+    taus = np.array([0.3 + 1.1j, 0.1 + 0.4j, 0.7 + 0.2j])
+    for other in (exact, TorsionPair.of(0.6, 0.3), TorsionPair.of(0.3 + 0.1j, 0.2)):
+        vals, scales = z2_stable_many([exact, other], taus, [1, 2])
+        alone = [z2_stable_many([p], t, [len(t)]) for p, t in ((exact, taus[:1]), (other, taus[1:]))]
+        assert np.array_equal(vals, np.concatenate([v for v, _ in alone]), equal_nan=True)
+        assert np.array_equal(scales, np.concatenate([sc for _, sc in alone]), equal_nan=True)
+    assert seen[::3] == ["cciii", "ccffi", "ccffi"]
 
 
 # ---------------------------------------------------------------------------

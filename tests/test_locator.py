@@ -209,6 +209,94 @@ def test_steep_segments_split_in_one_round(r, s, windings, monkeypatch):
         assert len(calls) <= 3, (d.kind, calls)
 
 
+def test_a_lone_winding_settles_in_one_kernel_call(monkeypatch):
+    # the 22 pairs over F0, F and F2: the first round's budget, spread over
+    # the edges and arcs, leaves nothing to refine in at least 90% of them;
+    # every winding is the triangle dichotomy's, on F2 the sum over its two
+    # F0 halves, Z2_{r,s}(tau + 1) = Z2_{r+s,s}(tau)
+    calls = []
+
+    def counted(*args):
+        calls.append(len(args[1]))
+        return z2_stable_many(*args)
+
+    monkeypatch.setattr(locator, "z2_stable_many", counted)
+    f0 = lambda r, s: int(classify_triangle(TorsionPair.of(r, s)).tag in ("D1", "D2", "D3"))
+    one, windings = 0, 0
+    for r, s, (_, w_f, _) in SWEEP_ROUND_ONE:
+        r, s = Fraction(*r), Fraction(*s)
+        for d, w in ((F0, f0(r, s)), (F, w_f), (F2, f0(r, s) + f0(r + s, s))):
+            calls.clear()
+            assert winding_count(TorsionPair.of(r, s), d) == w, (r, s, d.kind)
+            one += len(calls) == 1
+            windings += 1
+    assert windings == 66 and one >= 0.9 * windings, one
+
+
+def test_first_round_sizes_follow_the_pass(monkeypatch):
+    # a lone F0 contour: 17 samples on each connector over a cusp, the rest
+    # of the budget shared by its edges and its arc; a pass of many
+    # contours: 17 on every piece
+    sizes, windings = [], locator._windings
+
+    def recorded(pairs, contours, n0):
+        sizes.append(list(n0))
+        return windings(pairs, contours, n0)
+
+    monkeypatch.setattr(locator, "_windings", recorded)
+    pair = TorsionPair.of(0.62, 0.17)
+    kinds = [p[0] for p in _build_contour(F0, pair) if not isinstance(p, locator._Jump)]
+    assert kinds == ["edge", "seg", "arc", "seg", "edge"]
+    winding_count(pair, F0)
+    share = (locator._FIRST_ROUND_POINTS - 2 * 17) // 3
+    assert sizes.pop() == [share, 17, share, 17, share] and share > 17
+    locator._winding_counts([pair] * 12, F0)
+    assert sizes.pop() == [17] * 60
+
+
+def test_vertical_edges_are_sampled_evenly_in_log_height(monkeypatch):
+    # equal hyperbolic steps on Re tau = 0 and 1, from 10i down to the cusp
+    # clearance and back up; the connectors stay linear in Re tau
+    seen = []
+
+    def recorded(pairs, taus, counts):
+        seen.append(taus.copy())
+        return z2_stable_many(pairs, taus, counts)
+
+    monkeypatch.setattr(locator, "z2_stable_many", recorded)
+    winding_count(TorsionPair.of(0.62, 0.17), F0)
+    taus = seen[0]
+    for x in (0.0, 1.0):
+        # the connector over the cusp starts at the foot of the edge
+        heights = np.unique(taus[taus.real == x].imag)
+        heights = heights[np.diff(heights, prepend=0.0) > 1e-12]
+        ratios = heights[1:] / heights[:-1]
+        assert np.allclose(ratios, ratios[0], rtol=1e-12, atol=0.0)
+        assert math.isclose(max(heights), 10.0) and math.isclose(
+            min(heights), locator._CUSP_CLEARANCE
+        )
+    low = taus[np.isclose(taus.imag, locator._CUSP_CLEARANCE) & (taus.real > 0) & (taus.real < 1)]
+    assert len(low) >= 2 * 17
+
+
+def test_empty_winding_pass_returns_no_windings():
+    assert locator._winding_counts([], F0) == []
+
+
+@pytest.mark.parametrize("part", [0, 1], ids=["value", "scale"])
+def test_a_nan_sample_fails_the_clearance_test(part, monkeypatch):
+    # a NaN value or scale is too close to the boundary, not a bare
+    # ValueError from rounding NaN turns
+    def one_nan(pairs, taus, counts):
+        out = z2_stable_many(pairs, taus, counts)
+        out[part][len(taus) // 2] = math.nan
+        return out
+
+    monkeypatch.setattr(locator, "z2_stable_many", one_nan)
+    with pytest.raises(BoundaryTooClose, match="below clearance"):
+        winding_count(TorsionPair.of(0.62, 0.17), F0)
+
+
 def test_split_points_cut_a_segment_into_equal_parts():
     # steps just over MAX_PHASE_STEP, 2.5 times it and pi: 4, 8 and 16
     # parts, each with a step of at most MAX_PHASE_STEP / 2 when spread evenly
