@@ -24,10 +24,18 @@ straight segments (the connectors over the cusps, the sides of the
 isolating squares) evenly in length.  A ``_winding_counts`` pass sizes its
 first round from a point budget: 17 samples on each connector, the rest of
 _FIRST_ROUND_POINTS shared by the edges and arcs, and never fewer than 17
-on a piece.  A lone contour, as ``winding_count`` winds it, thus gets about
-240 points, what one kernel call's fixed cost is worth, and nearly always
-settles in that one call; a pass of many contours (criterion 4, a scan)
-gets 17 per piece and refines where it must.
+on a piece.  A lone contour, as ``winding_count`` winds it (``pvilab
+zeros``, a winding scan), thus gets about 240 points, what one kernel
+call's fixed cost is worth, and nearly always settles in that one call; a
+pass of many contours (criterion 4) gets 17 per piece and refines where it
+must.  The first round depends on the pair only through the contour's
+shape: its domain and the cusps whose disks it excises (``_excised``).
+``_shape_round`` builds it once per shape and sizes, in a bounded cache,
+with its samples' taus and their tau reduction, and a pass joins the
+cached rounds of its contours.  So a winding pays only for its jumps, its
+pairs' columns, the kernel call and the phase bookkeeping.  Refinement
+rounds, and the isolating squares, whose place depends on the zero, sample
+and reduce their points afresh.
 
 Real-axis cusps need case analysis.  Near a cusp x_c the form factors as
 
@@ -90,6 +98,7 @@ from typing import ClassVar, Optional
 
 import numpy as np
 
+from . import _kernels
 from .errors import BoundaryTooClose, DomainError, IncoherentWinding, PviLabError
 from .modular import IDENTITY, reduce_to_shifted_domain, transport_pair
 from .orbits import _nu_infinity, pm_class_reps, pm_key, qn_size
@@ -292,9 +301,26 @@ def _build_contour(d: DomainSpec, pair: TorsionPair) -> list:
     """Positively-oriented boundary as numeric pieces and analytic jumps,
     closed with the cusp orders of a real non-degenerate pair.
 
-    Starts at the top-left corner; numeric pieces are ("seg", z0, z1) or
-    ("arc", centre, radius, th0, th1); jumps are _Jump instances.
+    Starts at the top-left corner; numeric pieces are ("seg", z0, z1),
+    ("arc", centre, radius, th0, th1) or ("edge", z0, z1); jumps are _Jump
+    instances.  The numeric pieces depend on the pair only through
+    ``_excised``.
     """
+    return _contour(d, pair.cusp_orders, pair.cusp[1])
+
+
+def _excised(d: DomainSpec, pair: TorsionPair) -> tuple[bool, ...]:
+    """Whether the contour of d excises a disk at each real cusp it passes,
+    x_c = 0, 1 over F0 and 0, 1, 2 over F2: where the pair's cusp order is
+    positive.  Empty over F, whose contour passes no real cusp."""
+    if d.kind == "F":
+        return ()
+    return tuple(order > 0 for order in pair.cusp_orders[: int(d.strip[1]) + 1])
+
+
+def _contour(d: DomainSpec, orders, order_inf) -> list:
+    """``_build_contour`` from the orders at the real cusps, indexed by x_c,
+    and the order at infinity."""
     T = d.truncation_height
     y0 = _CUSP_CLEARANCE
 
@@ -304,10 +330,10 @@ def _build_contour(d: DomainSpec, pair: TorsionPair) -> list:
             ("arc", 0j, 1.0, _PI / 2.0, _PI / 3.0),
             ("arc", 1.0 + 0j, 1.0, 2.0 * _PI / 3.0, _PI / 2.0),
             ("edge", complex(1.0, 1.0), complex(1.0, T)),
-            _cap_jump(d, pair.cusp[1]),
+            _cap_jump(d, order_inf),
         ]
 
-    orders, gap = pair.cusp_orders, _EXCISION_RADIUS
+    gap = _EXCISION_RADIUS
     dx = math.sqrt(0.25 - y0 * y0)
     pieces: list = []
     # left edge down
@@ -343,7 +369,7 @@ def _build_contour(d: DomainSpec, pair: TorsionPair) -> list:
         edge_bottom = complex(xr, y0)
         pieces.append(("seg", prev_exit, edge_bottom))
     pieces.append(("edge", edge_bottom, complex(xr, T)))
-    pieces.append(_cap_jump(d, pair.cusp[1]))
+    pieces.append(_cap_jump(d, order_inf))
     return pieces
 
 
@@ -380,65 +406,147 @@ def _piece_row(p: tuple) -> tuple:
     return _EDGE, p[1].real, 0j, 0.0, th0, math.log(p[2].imag) - th0
 
 
-def _windings(pairs: list[TorsionPair], contours: list[list], n0) -> list[float]:
+def _sample_points(rows: tuple, at: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """tau at t in [0, 1] on piece at[i] of the ``_piece_row`` columns
+    ``rows``, for every sample i."""
+    kind, base, span, rad, th0, dth = rows
+    out = np.empty(at.size, dtype=np.complex128)
+    of = kind[at]
+    seg, arc, edge = of == _SEG, of == _ARC, of == _EDGE
+    g, h, e = at[seg], at[arc], at[edge]
+    out[seg] = base[g] + t[seg] * span[g]
+    out[arc] = base[h] + rad[h] * np.exp(1j * (th0[h] + t[arc] * dth[h]))
+    out[edge] = base[e] + 1j * np.exp(th0[e] + t[edge] * dth[e])
+    return out
+
+
+@dataclass(frozen=True, eq=False)
+class _FirstRound:
+    """The pair-independent start of a ``_windings`` pass: the numeric
+    pieces of its contours, in contour order, as their kind names and
+    ``_piece_row`` columns, whether each starts where the numeric piece
+    before it in its contour ends (``joined``), whether each contour's last
+    piece ends where its first starts (``closed``), and the first round's
+    samples: the piece and t of each, in (piece, t) order, their taus and
+    the taus' ``_kernels.reduce_tau_many``."""
+
+    names: tuple[str, ...]
+    rows: tuple[np.ndarray, ...]
+    joined: np.ndarray
+    closed: tuple[bool, ...]
+    at: np.ndarray
+    t: np.ndarray
+    taus: np.ndarray
+    reduced: tuple[np.ndarray, ...]
+
+
+def _first_round(contours: list[list], sizes) -> _FirstRound:
+    """The ``_FirstRound`` of a pass over ``contours`` with sizes[i]
+    samples, evenly spaced in t, on numeric piece i."""
+    pieces, joined, closed = [], [], []
+    for contour in contours:
+        seam = False  # True right after a numeric piece, whose end the next starts at
+        for piece in contour:
+            if not isinstance(piece, _Jump):
+                pieces.append(piece)
+                joined.append(seam)
+            seam = not isinstance(piece, _Jump)
+        closed.append(seam)
+    rows = tuple(np.array(col) for col in zip(*map(_piece_row, pieces)))
+    sizes = np.asarray(sizes, dtype=np.int64)
+    at = np.repeat(np.arange(len(pieces)), sizes)
+    # np.linspace(0, 1, n) on each piece, to the bit: j * (1 / (n - 1)), and 1 last
+    j = np.arange(at.size) - (np.cumsum(sizes) - sizes)[at]
+    div = sizes[at] - 1
+    t = np.where(j == div, 1.0, j * (1.0 / div))
+    taus = _sample_points(rows, at, t)
+    reduced = _kernels.reduce_tau_many(taus)
+    names = tuple(p[0] for p in pieces)
+    return _FirstRound(names, rows, np.array(joined), tuple(closed), at, t, taus, reduced)
+
+
+def _joined(rounds: list[_FirstRound]) -> _FirstRound:
+    """The first round of a pass over the contours of ``rounds``, in order:
+    their pieces renumbered and their samples concatenated.  A pass of one
+    is that contour's round itself."""
+    if len(rounds) == 1:
+        return rounds[0]
+    offsets = np.cumsum([0] + [len(r.names) for r in rounds[:-1]])
+    return _FirstRound(
+        tuple(name for r in rounds for name in r.names),
+        tuple(np.concatenate(col) for col in zip(*(r.rows for r in rounds))),
+        np.concatenate([r.joined for r in rounds]),
+        tuple(c for r in rounds for c in r.closed),
+        np.concatenate([r.at + off for r, off in zip(rounds, offsets)]),
+        np.concatenate([r.t for r in rounds]),
+        np.concatenate([r.taus for r in rounds]),
+        tuple(np.concatenate(col) for col in zip(*(r.reduced for r in rounds))),
+    )
+
+
+# Bounded: three domains, at most eight excision patterns each, and a few
+# first-round sizes per shape occur.
+@functools.lru_cache(maxsize=64)
+def _shape_round(kind: str, excised: tuple[bool, ...], sizes: tuple[int, ...]) -> _FirstRound:
+    """The ``_first_round`` of any one contour of a shape, built on first
+    use: the contour of domain ``kind`` that excises the disks ``excised``
+    (``_excised``), with first-round ``sizes``.  Its arrays are read-only."""
+    orders = [int(e) for e in excised]
+    entry = _first_round([_contour(DomainSpec(kind), orders, 0)], sizes)
+    for arr in (*entry.rows, entry.joined, entry.at, entry.t, entry.taus, *entry.reduced):
+        arr.flags.writeable = False
+    return entry
+
+
+def _windings(
+    pairs: list[TorsionPair], contours: list[list], n0, shapes: Optional[list] = None
+) -> list[float]:
     """The total phase (in turns) of Z2 of ``pairs[k]`` around the closed
     piecewise contour ``contours[k]``, jumps included, for every k at once.
 
     The samples of all the numeric pieces, numbered in contour order, live
     in one array sorted by (piece, t), at first n0 evenly spaced values of
     t per piece, or n0[i] on piece i when n0 is a sequence
-    (``_piece_row`` maps t to tau: edges evenly in log Im tau).  Each round
-    sends the new samples to ``z2_stable_many`` in one batch, merges them in
-    with one sort, and cuts every segment whose phase step exceeds
-    MAX_PHASE_STEP into equal parts (``_split_points``) until none does; a
-    step that ``np.angle`` wrapped into (-pi, pi] may get too few parts,
-    and the next round cuts it again.  A sample with |Z2| below
-    BOUNDARY_RTOL times its scale fails its piece, as does a piece still
-    cut after _MAX_REFINE_ROUNDS rounds; the error raised is that of the
-    first failing piece in contour order, and the pieces after it stop.
-    Seams, jumps and sums are taken per contour, so each contour's turns
-    are the ones it gets alone.
+    (``_piece_row`` maps t to tau: edges evenly in log Im tau).  That first
+    round is the pass's ``_first_round``; with ``shapes``, where
+    ``shapes[k]`` is the (domain kind, ``_excised``) of contours[k], which
+    fixes its numeric pieces, it is instead each contour's ``_shape_round``
+    from the cache, taus reduced, ``_joined`` in contour order.  Each round
+    sends its samples to ``z2_stable_many`` in one batch, merges them in
+    with one sort (the first round has nothing to merge), and cuts every
+    segment whose phase step exceeds MAX_PHASE_STEP into equal parts
+    (``_split_points``) until none does; a step that ``np.angle`` wrapped
+    into (-pi, pi] may get too few parts, and the next round cuts it again.
+    A sample with |Z2| below BOUNDARY_RTOL times its scale fails its piece,
+    as does a piece still cut after _MAX_REFINE_ROUNDS rounds; the error
+    raised is that of the first failing piece in contour order, and the
+    pieces after it stop.  Seams, jumps and sums are taken per contour, so
+    each contour's turns are the ones it gets alone.
     """
     if not contours:
         return []
-    pieces, owner, joined, jumps, closed = [], [], [], [0.0] * len(contours), []
-    for k, contour in enumerate(contours):
-        seam = False  # True right after a numeric piece, whose end the next starts at
-        for piece in contour:
-            if isinstance(piece, _Jump):
-                jumps[k] += piece.delta
-            else:
-                pieces.append(piece)
-                owner.append(k)
-                joined.append(seam)
-            seam = not isinstance(piece, _Jump)
-        closed.append(seam)
-    owner, joined = np.array(owner), np.array(joined)
-    kind, base, span, rad, th0, dth = (np.array(col) for col in zip(*map(_piece_row, pieces)))
-
-    def points(at: np.ndarray, t: np.ndarray) -> np.ndarray:
-        out = np.empty(at.size, dtype=np.complex128)
-        of = kind[at]
-        seg, arc, edge = of == _SEG, of == _ARC, of == _EDGE
-        g, h, e = at[seg], at[arc], at[edge]
-        out[seg] = base[g] + t[seg] * span[g]
-        out[arc] = base[h] + rad[h] * np.exp(1j * (th0[h] + t[arc] * dth[h]))
-        out[edge] = base[e] + 1j * np.exp(th0[e] + t[edge] * dth[e])
-        return out
-
-    at, t, v = np.empty(0, dtype=np.int64), np.empty(0), np.empty(0, dtype=np.complex128)
-    sizes = np.broadcast_to(np.asarray(n0, dtype=np.int64), len(pieces))
-    new_at = np.repeat(np.arange(len(pieces)), sizes)
-    # np.linspace(0, 1, n) on each piece, to the bit: j * (1 / (n - 1)), and 1 last
-    j = np.arange(new_at.size) - (np.cumsum(sizes) - sizes)[new_at]
-    div = sizes[new_at] - 1
-    new_t = np.where(j == div, 1.0, j * (1.0 / div))
+    jumps = [sum((p.delta for p in c if isinstance(p, _Jump)), 0.0) for c in contours]
+    numeric = [sum(not isinstance(p, _Jump) for p in c) for c in contours]
+    ends = np.cumsum(numeric)
+    sizes = np.broadcast_to(np.asarray(n0, dtype=np.int64), int(ends[-1]))
+    if shapes is None:
+        first = _first_round(contours, sizes)
+    else:
+        first = _joined([
+            _shape_round(*shape, tuple(sizes[lo:hi].tolist()))
+            for shape, lo, hi in zip(shapes, ends - numeric, ends)
+        ])
+    names, rows, joined, closed = first.names, first.rows, first.joined, first.closed
+    new_at, new_t, taus, reduced = first.at, first.t, first.taus, first.reduced
+    owner = np.repeat(np.arange(len(contours)), numeric)
     error: Optional[PviLabError] = None
-    limit = len(pieces)  # the first failing piece; it and those after it stop
+    limit = len(names)  # the first failing piece; it and those after it stop
     for rnd in range(_MAX_REFINE_ROUNDS + 1):
-        taus = points(new_at, new_t)
+        if rnd:
+            taus = _sample_points(rows, new_at, new_t)
+            reduced = _kernels.reduce_tau_many(taus)
         counts = np.bincount(owner[new_at], minlength=len(contours))
-        new_v, scales = z2_stable_many(pairs, taus, counts)
+        new_v, scales = z2_stable_many(pairs, taus, counts, reduced)
         # a NaN value or scale fails the test too
         close = ~(np.abs(new_v) >= BOUNDARY_RTOL * scales)
         if close.any():
@@ -446,18 +554,22 @@ def _windings(pairs: list[TorsionPair], contours: list[list], n0) -> list[float]
             limit = int(new_at[k])
             error = BoundaryTooClose(
                 f"|Z2| = {abs(new_v[k]):.3e} below clearance on boundary piece "
-                f"{pieces[limit][0]} at tau = {taus[k]} (scale {scales[k]:.3e})"
+                f"{names[limit]} at tau = {taus[k]} (scale {scales[k]:.3e})"
             )
             keep = new_at < limit
             new_at, new_t, new_v = new_at[keep], new_t[keep], new_v[keep]
-        at, t, v = (np.concatenate(x) for x in ((at, new_at), (t, new_t), (v, new_v)))
-        order = np.lexsort((t, at))
-        at, t, v = at[order], t[order], v[order]
+        if rnd:
+            at, t, v = (np.concatenate(x) for x in ((at, new_at), (t, new_t), (v, new_v)))
+            order = np.lexsort((t, at))
+            at, t, v = at[order], t[order], v[order]
+        else:
+            # the first round is already in (piece, t) order
+            at, t, v = new_at, new_t, new_v
         if rnd == _MAX_REFINE_ROUNDS:
             if new_at.size:
                 limit = int(new_at[0])
                 error = IncoherentWinding(
-                    f"phase refinement did not settle on piece {pieces[limit][0]} "
+                    f"phase refinement did not settle on piece {names[limit]} "
                     f"for {pairs[owner[limit]]}"
                 )
             break
@@ -510,13 +622,15 @@ def _winding_counts(pairs: list[TorsionPair], d: DomainSpec) -> list[int]:
     if not pairs:
         return []
     contours = [_build_contour(d, p) for p in pairs]
+    shapes = [(d.kind, _excised(d, p)) for p in pairs]
     kinds = [piece[0] for c in contours for piece in c if not isinstance(piece, _Jump)]
     # the connectors over the cusps take the minimum, the edges and arcs
     # share the rest of the budget
     connectors = kinds.count("seg")
     rest = _FIRST_ROUND_POINTS - _MIN_FIRST_ROUND * connectors
     share = max(_MIN_FIRST_ROUND, rest // (len(kinds) - connectors))
-    turns = _windings(pairs, contours, [_MIN_FIRST_ROUND if k == "seg" else share for k in kinds])
+    n0 = [_MIN_FIRST_ROUND if k == "seg" else share for k in kinds]
+    turns = _windings(pairs, contours, n0, shapes)
     return [_integer_turns(t, f"for {p} over {d.kind}") for p, t in zip(pairs, turns)]
 
 
@@ -542,6 +656,16 @@ def _interior_grid(d: DomainSpec, nx: int, ny: int) -> np.ndarray:
     pts = grid[d.contains(grid, margin=1e-3)]
     pts.flags.writeable = False
     return pts
+
+
+@functools.cache
+def _interior_grid_reduced(d: DomainSpec, nx: int, ny: int) -> tuple[np.ndarray, ...]:
+    """``_kernels.reduce_tau_many`` of ``_interior_grid(d, nx, ny)``,
+    memoised alike; the arrays are read-only."""
+    reduced = _kernels.reduce_tau_many(_interior_grid(d, nx, ny))
+    for col in reduced:
+        col.flags.writeable = False
+    return reduced
 
 
 def _rect_pieces(tau0: complex, h: float) -> list:
@@ -573,10 +697,11 @@ def _grid_zeros(pairs: list[TorsionPair]) -> list[ZeroCertificate]:
     check yet.
 
     Each start grid is evaluated in one kernel batch for every pair still
-    hunting.  Newton then runs per pair from the 8 best points of its grid
-    (best by |Z2|/scale); the first result inside F0 is the zero, and the
-    pairs it eludes go on to the next, finer grid.  A pair that no start
-    resolves raises.
+    hunting, from the grid's tau reduction made once per process
+    (``_interior_grid_reduced``).  Newton then runs per pair from the 8
+    best points of its grid (best by |Z2|/scale); the first result inside
+    F0 is the zero, and the pairs it eludes go on to the next, finer grid.
+    A pair that no start resolves raises.
     """
     certs: list[Optional[ZeroCertificate]] = [None] * len(pairs)
     hunting = list(range(len(pairs)))
@@ -584,10 +709,12 @@ def _grid_zeros(pairs: list[TorsionPair]) -> list[ZeroCertificate]:
         if not hunting:
             break
         grid = _interior_grid(F0, nx, ny)
+        reduced = _interior_grid_reduced(F0, nx, ny)
         vals, scales = z2_stable_many(
             [pairs[i] for i in hunting],
             np.tile(grid, len(hunting)),
             [len(grid)] * len(hunting),
+            tuple(np.tile(col, len(hunting)) for col in reduced),
         )
         quality = (np.abs(vals) / np.maximum(scales, 1e-300)).reshape(len(hunting), -1)
         still = []

@@ -32,7 +32,11 @@ The batch path is one array core, ``_cusp_rule``: the test s' in (1/2)Z and
 the carried pair are array arithmetic on the pairs' carries, in integers
 for exact pairs.  ``z2_stable_many`` feeds it from ``TorsionPair``s, and
 ``_log_mn`` (behind ``m_n``) from Q_N as integer arrays (k1, k2), cached per
-N, at any number of taus in one call.
+N, at any number of taus in one call.  Like ``_kernels.z2_many``, both take
+the caller's ``_kernels.reduce_tau_many`` of their taus, so points that
+recur are reduced once: ``_log_mn`` reduces each distinct tau and repeats
+the reduction over Q_N, and ``locator`` keeps the reductions of its start
+grids and of its contours' first rounds.
 
 Off the series, ``z2_with_derivative`` gives dZ2/dtau in closed form from
 one kernel call.  The derivative is total along z = r + s*tau with (r, s)
@@ -488,21 +492,21 @@ def z2_stable(p: TorsionPair, m) -> tuple[complex, float]:
     return z2_with_derivative(p, m)[:2]
 
 
-def _cusp_rule(taus, r, s, x, y, n) -> tuple[np.ndarray, np.ndarray]:
+def _cusp_rule(taus, reduced, r, s, x, y, n) -> tuple[np.ndarray, np.ndarray]:
     """Z2 and its scale at every tau of an array by the cusp rule, as
     (values, scales).
 
-    Point i evaluates the pair (r[i], s[i]) whose ``TorsionPair._carry`` is
-    (x[i], y[i], n[i]), so that s' = t/n with t = d*y - c*x.  An exact pair
-    carries integers, and s' is in (1/2)Z when n divides 2t; a float pair
-    carries floats with n = 1, and 2t must lie within the 1e-12 guard band
-    of ``_carried``; a pair no series serves carries NaN.  The taus are
-    reduced once, for one kernel call and for the test, and the points it
-    passes take their carried pair's series, whose rows are fetched once
-    per carried pair and gathered as arrays.  Lattice hits give NaN instead
-    of raising.
+    ``reduced`` is the caller's ``_kernels.reduce_tau_many(taus)``, which
+    serves both the kernel call and the test.  Point i evaluates the pair
+    (r[i], s[i]) whose ``TorsionPair._carry`` is (x[i], y[i], n[i]), so that
+    s' = t/n with t = d*y - c*x.  An exact pair carries integers, and s' is
+    in (1/2)Z when n divides 2t; a float pair carries floats with n = 1, and
+    2t must lie within the 1e-12 guard band of ``_carried``; a pair no
+    series serves carries NaN.  The points the test passes take their
+    carried pair's series, whose rows are fetched once per carried pair and
+    gathered as arrays.  Lattice hits give NaN instead of raising.
     """
-    reduced = tred, a, b, c, d = _kernels.reduce_tau_many(taus)
+    tred, a, b, c, d = reduced
     vals, scales = _kernels.z2_many(r, s, taus, reduced)
     t = d * y - c * x
     on = (2 * t) % n == 0
@@ -532,12 +536,15 @@ def _cusp_rule(taus, r, s, x, y, n) -> tuple[np.ndarray, np.ndarray]:
     return vals, scales
 
 
-def z2_stable_many(pairs, taus, counts) -> tuple[np.ndarray, np.ndarray]:
+def z2_stable_many(pairs, taus, counts, reduced) -> tuple[np.ndarray, np.ndarray]:
     """``z2_stable`` at every tau of an array, as (values, scales), by
     ``_cusp_rule``.
 
     The pairs own consecutive runs of taus: ``counts[k]`` of them for
-    ``pairs[k]``.  Lattice hits give NaN instead of raising.
+    ``pairs[k]``.  ``reduced`` is the caller's
+    ``_kernels.reduce_tau_many(taus)``: a caller that meets the same taus
+    again reduces them once and hands the reduction over.  Lattice hits give
+    NaN instead of raising.
     """
     taus = np.ascontiguousarray(taus, dtype=np.complex128)
     # a pair no series serves carries NaN, which the rule's test never picks
@@ -548,7 +555,7 @@ def z2_stable_many(pairs, taus, counts) -> tuple[np.ndarray, np.ndarray]:
     if n.dtype.kind == "f":
         # a float or NaN carry makes x and y floats; n stays an integer
         n = n.astype(np.int64)
-    return _cusp_rule(taus, r, s, x, y, n)
+    return _cusp_rule(taus, reduced, r, s, x, y, n)
 
 
 # ---------------------------------------------------------------------------
@@ -589,8 +596,10 @@ def _log_mn(N: int, taus) -> np.ndarray:
     k1, k2 = _qn_table(N)
     size, count = k1.size, taus.size
     r, s = ((np.tile(k, count) / N).astype(np.complex128) for k in (k1, k2))
+    # each distinct tau is reduced once, and its reduction repeated over Q_N
+    reduced = tuple(np.repeat(col, size) for col in _kernels.reduce_tau_many(taus))
     vals, _ = _cusp_rule(
-        np.repeat(taus, size), r, s, np.tile(k1, count), np.tile(k2, count),
+        np.repeat(taus, size), reduced, r, s, np.tile(k1, count), np.tile(k2, count),
         np.full(size * count, N),
     )
     logs = np.empty(count)

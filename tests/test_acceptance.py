@@ -44,8 +44,8 @@ def test_criterion(number):
 
 def test_criterion_8_fails_on_a_nan(monkeypatch):
     # a NaN sample fails the clearance test instead of passing unseen
-    def with_nan(pairs, taus, counts):
-        vals, scales = z2_stable_many(pairs, taus, counts)
+    def with_nan(pairs, taus, counts, reduced):
+        vals, scales = z2_stable_many(pairs, taus, counts, reduced)
         vals[0] = complex(math.nan, math.nan)
         return vals, scales
 
@@ -71,9 +71,9 @@ def test_criterion_4_tracks_its_windings_in_one_pass(monkeypatch):
     passes, hunts = [], []
     windings, zeros_in_f0 = locator._windings, acceptance._zeros_in_f0
 
-    def tracked(pairs, contours, n0):
+    def tracked(pairs, contours, n0, shapes=None):
         passes.append(len(contours))
-        return windings(pairs, contours, n0)
+        return windings(pairs, contours, n0, shapes)
 
     def hunted(pairs, tags):
         hunts.append(len(pairs))
@@ -104,9 +104,9 @@ def test_criterion_4_winding_pass_evaluates_no_more_points(monkeypatch):
     # sampled in log Im tau settle in one refinement round, down from two
     calls = []
 
-    def counted(pairs, taus, counts):
+    def counted(pairs, taus, counts, reduced):
         calls.append(len(taus))
-        return z2_stable_many(pairs, taus, counts)
+        return z2_stable_many(pairs, taus, counts, reduced)
 
     def winding_pass(pairs, d):
         calls.clear()

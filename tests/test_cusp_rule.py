@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from mp_oracle import dz2_theta, z2_theta
+from pvilab import _kernels
 from pvilab.elliptic import ModuliPoint
 from pvilab.modular import reduce_to_standard, transport_pair
 from pvilab.premodular import (
@@ -62,8 +63,12 @@ def batch():
     """Every case in one grouped z2_stable_many call, and each alone."""
     pairs = [TorsionPair.of(r, s) for _, r, s, _ in CASES]
     taus = np.array([tau for *_, tau in CASES])
-    grouped = z2_stable_many(pairs, taus, [1] * len(pairs))
-    alone = [z2_stable_many([p], taus[k : k + 1], [1]) for k, p in enumerate(pairs)]
+    reduced = _kernels.reduce_tau_many(taus)
+    grouped = z2_stable_many(pairs, taus, [1] * len(pairs), reduced)
+    alone = [
+        z2_stable_many([p], taus[k : k + 1], [1], [col[k : k + 1] for col in reduced])
+        for k, p in enumerate(pairs)
+    ]
     return grouped, alone
 
 

@@ -186,8 +186,12 @@ def test_grouped_stable_batch_matches_per_pair_calls():
     ]
     taus = [_interior_grid(F0, 29, 25)[k::3] for k in range(3)]
     sizes = [len(t) for t in taus]
-    vals, scales = z2_stable_many(pairs, np.concatenate(taus), sizes)
-    ref = [z2_stable_many([pair], t, [len(t)]) for pair, t in zip(pairs, taus)]
+    joined = np.concatenate(taus)
+    vals, scales = z2_stable_many(pairs, joined, sizes, _kernels.reduce_tau_many(joined))
+    ref = [
+        z2_stable_many([pair], t, [len(t)], _kernels.reduce_tau_many(t))
+        for pair, t in zip(pairs, taus)
+    ]
     for got, want in zip((vals, scales), zip(*ref)):
         assert np.array_equal(got, np.concatenate(want), equal_nan=True)
     # the series is not vacuous: both cusp pairs move off the kernel's values
@@ -200,16 +204,19 @@ def test_stable_batch_columns_keep_their_dtypes(monkeypatch):
     # makes x and y floats while n stays an integer
     seen, rule = [], premodular._cusp_rule
 
-    def spy(taus, *cols):
+    def spy(taus, reduced, *cols):
         seen.append("".join(col.dtype.kind for col in cols))
-        return rule(taus, *cols)
+        return rule(taus, reduced, *cols)
 
     monkeypatch.setattr(premodular, "_cusp_rule", spy)
     exact = TorsionPair.of(Fraction(1, 3), Fraction(1, 5))
     taus = np.array([0.3 + 1.1j, 0.1 + 0.4j, 0.7 + 0.2j])
     for other in (exact, TorsionPair.of(0.6, 0.3), TorsionPair.of(0.3 + 0.1j, 0.2)):
-        vals, scales = z2_stable_many([exact, other], taus, [1, 2])
-        alone = [z2_stable_many([p], t, [len(t)]) for p, t in ((exact, taus[:1]), (other, taus[1:]))]
+        vals, scales = z2_stable_many([exact, other], taus, [1, 2], _kernels.reduce_tau_many(taus))
+        alone = [
+            z2_stable_many([p], t, [len(t)], _kernels.reduce_tau_many(t))
+            for p, t in ((exact, taus[:1]), (other, taus[1:]))
+        ]
         assert np.array_equal(vals, np.concatenate([v for v, _ in alone]), equal_nan=True)
         assert np.array_equal(scales, np.concatenate([sc for _, sc in alone]), equal_nan=True)
     assert seen[::3] == ["cciii", "ccffi", "ccffi"]

@@ -12,7 +12,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pvilab import locator, premodular
+from pvilab import _kernels, locator, premodular
 from pvilab.elliptic import ModuliPoint
 from pvilab.errors import (
     BoundaryTooClose,
@@ -63,6 +63,16 @@ def fresh_anchors():
     locator._anchor.cache_clear()
     yield
     locator._anchor.cache_clear()
+
+
+@pytest.fixture
+def fresh_shape_rounds():
+    # the first rounds of the contour shapes are cached per process: a test
+    # that patches the contour geometry clears them, and none it built stays
+    # cached after it
+    locator._shape_round.cache_clear()
+    yield locator._shape_round.cache_clear
+    locator._shape_round.cache_clear()
 
 
 def _warm_anchors():
@@ -155,9 +165,9 @@ def test_winding_evaluates_initial_samples_of_all_pieces_at_once(monkeypatch):
     numeric = [p for p in pieces if not isinstance(p, locator._Jump)]
     sizes = []
 
-    def counted(p, taus, counts):
+    def counted(p, taus, counts, reduced):
         sizes.append(len(taus))
-        return z2_stable_many(p, taus, counts)
+        return z2_stable_many(p, taus, counts, reduced)
 
     monkeypatch.setattr(locator, "z2_stable_many", counted)
     assert round(_windings([pair], [pieces], 17)[0]) == winding_count(pair, F0)
@@ -239,9 +249,9 @@ def test_first_round_sizes_follow_the_pass(monkeypatch):
     # contours: 17 on every piece
     sizes, windings = [], locator._windings
 
-    def recorded(pairs, contours, n0):
+    def recorded(pairs, contours, n0, shapes=None):
         sizes.append(list(n0))
-        return windings(pairs, contours, n0)
+        return windings(pairs, contours, n0, shapes)
 
     monkeypatch.setattr(locator, "_windings", recorded)
     pair = TorsionPair.of(0.62, 0.17)
@@ -259,9 +269,9 @@ def test_vertical_edges_are_sampled_evenly_in_log_height(monkeypatch):
     # clearance and back up; the connectors stay linear in Re tau
     seen = []
 
-    def recorded(pairs, taus, counts):
+    def recorded(pairs, taus, counts, reduced):
         seen.append(taus.copy())
-        return z2_stable_many(pairs, taus, counts)
+        return z2_stable_many(pairs, taus, counts, reduced)
 
     monkeypatch.setattr(locator, "z2_stable_many", recorded)
     winding_count(TorsionPair.of(0.62, 0.17), F0)
@@ -279,6 +289,135 @@ def test_vertical_edges_are_sampled_evenly_in_log_height(monkeypatch):
     assert len(low) >= 2 * 17
 
 
+# lone contours of every domain, with and without excised cusp disks:
+# (1/2, 1/5) excises the disk at 0 over F0 and F2, (1/4, 1/4) the disk at 1,
+# (0, 1/4) the disks at 0 and at 2 over F2
+_SHAPE_CASES = [
+    (TorsionPair.of(0.62, 0.17), F),
+    (TorsionPair.of(Fraction(3, 23), Fraction(1, 46)), F),
+    (TorsionPair.of(0.62, 0.17), F0),
+    (TorsionPair.of(Fraction(1, 5), Fraction(1, 2)), F0),
+    (TorsionPair.of(Fraction(1, 2), Fraction(1, 5)), F0),
+    (TorsionPair.of(Fraction(1, 4), Fraction(1, 4)), F0),
+    (TorsionPair.of(Fraction(10, 13), Fraction(1, 13)), F2),
+    (TorsionPair.of(Fraction(1, 2), Fraction(1, 5)), F2),
+    (TorsionPair.of(Fraction(1, 4), Fraction(1, 4)), F2),
+    (TorsionPair.of(0, Fraction(1, 4)), F2),
+]
+
+
+def _fresh_first_round(pair, d, sizes):
+    # the first round's taus straight from each piece's row, np.linspace
+    # in t, and their reduction
+    numeric = [p for p in _build_contour(d, pair) if not isinstance(p, locator._Jump)]
+    parts = []
+    for piece, n in zip(numeric, sizes, strict=True):
+        kind, base, span, rad, th0, dth = locator._piece_row(piece)
+        t = np.linspace(0.0, 1.0, n)
+        if kind == locator._SEG:
+            parts.append(base + t * span)
+        elif kind == locator._ARC:
+            parts.append(base + rad * np.exp(1j * (th0 + t * dth)))
+        else:
+            parts.append(base + 1j * np.exp(th0 + t * dth))
+    taus = np.concatenate(parts)
+    return taus, _kernels.reduce_tau_many(taus)
+
+
+@pytest.mark.usefixtures("fresh_shape_rounds")
+@pytest.mark.parametrize(
+    "pair,d", _SHAPE_CASES, ids=[f"{d.kind}-{p.r}-{p.s}" for p, d in _SHAPE_CASES]
+)
+def test_cached_first_round_equals_a_fresh_build(pair, d, monkeypatch):
+    # the first round of a lone contour comes from the shape cache: its taus
+    # and their reduction are the fresh build's bit for bit, and the
+    # winding is the one an uncached pass over the same contour finds
+    entries, shape_round = [], locator._shape_round
+
+    def recorded(*key):
+        entries.append((key, shape_round(*key)))
+        return entries[-1][1]
+
+    monkeypatch.setattr(locator, "_shape_round", recorded)
+    w = winding_count(pair, d)
+    ((kind, excised, sizes), entry), = entries
+    assert (kind, excised) == (d.kind, locator._excised(d, pair))
+    taus, reduced = _fresh_first_round(pair, d, sizes)
+    assert np.array_equal(entry.taus, taus)
+    for got, want in zip(entry.reduced, reduced, strict=True):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+        assert not got.flags.writeable
+    contour = _build_contour(d, pair)
+    (fresh,) = _windings([pair], [contour], list(sizes))
+    (cached,) = _windings([pair], [contour], list(sizes), [(kind, excised)])
+    assert cached == fresh and round(fresh) == w
+
+
+def test_shape_cases_cover_the_excised_disks():
+    shapes = {(d.kind, locator._excised(d, p)) for p, d in _SHAPE_CASES}
+    assert {("F0", (True, False)), ("F0", (False, True)), ("F2", (True, False, False))} <= shapes
+    assert ("F2", (True, False, True)) in shapes and ("F", ()) in shapes
+
+
+@pytest.mark.usefixtures("fresh_shape_rounds")
+def test_a_repeated_shape_reduces_only_its_refinement_rounds(monkeypatch):
+    # after the first winding of a shape, a winding of any pair with that
+    # shape reduces taus only for its refinement rounds, and the cache holds
+    # one entry per (domain, excised disks, sizes)
+    reduces, kernel_calls = [], []
+    reduce, batch = _kernels.reduce_tau_many, locator.z2_stable_many
+
+    def counted_reduce(taus):
+        reduces.append(len(taus))
+        return reduce(taus)
+
+    def counted_batch(*args):
+        kernel_calls.append(len(args[1]))
+        return batch(*args)
+
+    monkeypatch.setattr(_kernels, "reduce_tau_many", counted_reduce)
+    monkeypatch.setattr(locator, "z2_stable_many", counted_batch)
+    settles, refines = TorsionPair.of(0.62, 0.17), TorsionPair.of(Fraction(3, 23), Fraction(1, 46))
+
+    def wind(pair, d):
+        reduces.clear()
+        kernel_calls.clear()
+        return winding_count(pair, d)
+
+    assert wind(settles, F) == 0
+    assert len(kernel_calls) == 1 and reduces == kernel_calls
+    assert wind(refines, F) == 1
+    assert len(kernel_calls) == 2 and reduces == kernel_calls[1:]
+    assert wind(settles, F) == 0 and reduces == [] and len(kernel_calls) == 1
+    assert locator._shape_round.cache_info().currsize == 1
+    assert wind(settles, F0) == 1
+    assert locator._shape_round.cache_info().currsize == 2
+    locator._winding_counts([settles] * 3, F0)
+    assert locator._shape_round.cache_info().currsize == 3
+
+
+def test_grid_stage_reduces_each_start_grid_once(monkeypatch):
+    # the start grids' reductions are memoised with the grids, read-only,
+    # so the grid stage hands the kernel its samples with no reduction of
+    # its own
+    for nx, ny in ((29, 25), (57, 49)):
+        reduced = locator._interior_grid_reduced(F0, nx, ny)
+        want = _kernels.reduce_tau_many(locator._interior_grid(F0, nx, ny))
+        for got, col in zip(reduced, want, strict=True):
+            assert np.array_equal(got, col) and not got.flags.writeable
+        assert locator._interior_grid_reduced(F0, nx, ny) is reduced
+    reduces = []
+    reduce = _kernels.reduce_tau_many
+
+    def counted(taus):
+        reduces.append(len(taus))
+        return reduce(taus)
+
+    monkeypatch.setattr(_kernels, "reduce_tau_many", counted)
+    (cert,) = locator._grid_zeros([TorsionPair.of(0.6, 0.3)])
+    assert cert is not None and reduces == []
+
+
 def test_empty_winding_pass_returns_no_windings():
     assert locator._winding_counts([], F0) == []
 
@@ -287,8 +426,8 @@ def test_empty_winding_pass_returns_no_windings():
 def test_a_nan_sample_fails_the_clearance_test(part, monkeypatch):
     # a NaN value or scale is too close to the boundary, not a bare
     # ValueError from rounding NaN turns
-    def one_nan(pairs, taus, counts):
-        out = z2_stable_many(pairs, taus, counts)
+    def one_nan(pairs, taus, counts, reduced):
+        out = z2_stable_many(pairs, taus, counts, reduced)
         out[part][len(taus) // 2] = math.nan
         return out
 
@@ -338,7 +477,7 @@ def test_float_pair_just_off_a_cusp_edge_never_winds_silently_wrong(s):
 _OTHER = TorsionPair.of(0.9, 0.05)
 
 
-def _synthetic_z2(pairs, taus, counts):
+def _synthetic_z2(pairs, taus, counts, reduced):
     # 1 on Re = 3, 0 on Re = 5 (fails the clearance check in the first
     # round), and a sign flip at Im = 1.5 on Re = 7 (no bisection resolves
     # it, so refinement runs out of rounds); _OTHER reads 2 where it reads 1
@@ -415,7 +554,7 @@ def test_one_windings_pass_gives_each_contour_its_lone_turns():
     assert squares >= 4
 
 
-def test_winding_gap_radius_independence(monkeypatch):
+def test_winding_gap_radius_independence(monkeypatch, fresh_shape_rounds):
     # halving/doubling the excised-disk size must not change the count: disks
     # of order 1/2 at the cusp 1 and at 0 (around a zero), and of order 1
     cases = [
@@ -425,6 +564,7 @@ def test_winding_gap_radius_independence(monkeypatch):
     ]
     for radius in (0.06, 0.09, 0.12, 0.18, 0.24):
         monkeypatch.setattr(locator, "_EXCISION_RADIUS", radius)
+        fresh_shape_rounds()
         for pair, d, w in cases:
             assert winding_count(pair, d) == w, radius
 
@@ -457,7 +597,9 @@ def test_evaluator_and_z2_stable_share_the_series_switch(r, s):
     # that reduces tau, has s' in (1/2)Z: there Z2 is that pair's cusp series
     # at the reduced point over j^3, elsewhere the direct value
     pair = TorsionPair.of(r, s)
-    vals, scales = z2_stable_many([pair], _FRAME_TAUS, [len(_FRAME_TAUS)])
+    vals, scales = z2_stable_many(
+        [pair], _FRAME_TAUS, [len(_FRAME_TAUS)], _kernels.reduce_tau_many(_FRAME_TAUS)
+    )
     on_series = 0
     for tau, val, scale in zip(map(complex, _FRAME_TAUS), vals, scales):
         m = ModuliPoint.from_tau(tau)
@@ -666,8 +808,8 @@ def test_batched_hunt_raises_for_a_square_that_winds_twice(monkeypatch):
     second = _hunt([reps[1]])[0]
     windings = locator._windings
 
-    def second_square_winds_twice(pairs, contours, n0):
-        out = windings(pairs, contours, n0)
+    def second_square_winds_twice(pairs, contours, n0, shapes=None):
+        out = windings(pairs, contours, n0, shapes)
         out[1] += 1.0
         return out
 
@@ -870,15 +1012,15 @@ def test_mn_zero_count_evaluates_no_start_grid(monkeypatch):
     points, in_squares = [], []
     batch, windings = locator.z2_stable_many, locator._windings
 
-    def counted(pairs, taus, counts):
+    def counted(pairs, taus, counts, reduced):
         if not in_squares:
             points.append(len(taus))
-        return batch(pairs, taus, counts)
+        return batch(pairs, taus, counts, reduced)
 
-    def squares(pairs, contours, n0):
+    def squares(pairs, contours, n0, shapes=None):
         in_squares.append(True)
         try:
-            return windings(pairs, contours, n0)
+            return windings(pairs, contours, n0, shapes)
         finally:
             in_squares.pop()
 

@@ -8,11 +8,11 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from pvilab import oracles, premodular
+from pvilab import _kernels, oracles, premodular
 from pvilab.elliptic import ModuliPoint, invariants_g
 from pvilab.errors import Degenerate, DomainError, InternalError, NearLattice
 from pvilab.modular import ModularMatrix, transport_pair
-from pvilab.orbits import enumerate_qn
+from pvilab.orbits import enumerate_qn, qn_size
 from pvilab.premodular import (
     TorsionPair,
     cusp_asymptotic,
@@ -365,7 +365,9 @@ def test_cusp_expansion_is_built_once_per_pair(monkeypatch):
     scalar = [z2_stable(pair, ModuliPoint.from_tau(complex(t)))[0] for t in taus]
     assert built == [pair]
     for _ in range(3):
-        vals, scales = premodular.z2_stable_many([pair], taus, [len(taus)])
+        vals, scales = premodular.z2_stable_many(
+            [pair], taus, [len(taus)], _kernels.reduce_tau_many(taus)
+        )
         assert np.all(np.abs(vals - scalar) <= 1e-14 * scales)
     assert built == [pair]
     # a fresh object carried to the same pair builds none, nor does a pair
@@ -469,8 +471,9 @@ def test_z2_mirror_identity(rng):
     mirrored = [TorsionPair.of(p.r + p.s, -p.s) for p in pairs]
     images = [1.0 - tau.conjugate() for tau in taus]
     counts = [1] * len(pairs)
-    vals, scales = z2_stable_many(pairs, np.array(images), counts)
-    mvals, mscales = z2_stable_many(mirrored, np.array(taus), counts)
+    image_arr, tau_arr = np.array(images), np.array(taus)
+    vals, scales = z2_stable_many(pairs, image_arr, counts, _kernels.reduce_tau_many(image_arr))
+    mvals, mscales = z2_stable_many(mirrored, tau_arr, counts, _kernels.reduce_tau_many(tau_arr))
     assert np.all(np.abs(vals - mvals.conj()) <= 1e-13 * scales)
     assert np.all(np.abs(scales - mscales) <= 1e-13 * scales)
     for p, q, tau, image in zip(pairs, mirrored, taus, images):
@@ -503,7 +506,8 @@ def _mn_fresh_pairs(N, m):
     pairs = [
         TorsionPair.of(Fraction(rp.k1, N), Fraction(rp.k2, N)) for rp in enumerate_qn(N)
     ]
-    vals, _ = z2_stable_many(pairs, np.full(len(pairs), m.tau), [1] * len(pairs))
+    taus = np.full(len(pairs), m.tau)
+    vals, _ = z2_stable_many(pairs, taus, [1] * len(pairs), _kernels.reduce_tau_many(taus))
     if not vals.all():
         return -math.inf
     return float(np.log(np.abs(vals)).sum())
@@ -553,6 +557,29 @@ def test_log_mn_at_both_heights_is_two_m_n_calls_bit_for_bit():
     for N in range(3, 41):
         logs = premodular._log_mn(N, [8j, 12j])
         assert logs.tolist() == [m_n(N, ModuliPoint.from_tau(tau)) for tau in (8j, 12j)]
+
+
+@pytest.mark.parametrize("N", [5, 12])
+def test_log_mn_reduces_each_tau_once(N, monkeypatch):
+    # the reduction of the distinct taus, repeated over Q_N, is the one the
+    # repeated taus get afresh, and so are the cusp rule's values, to the bit
+    seen, rule = [], premodular._cusp_rule
+
+    def recorded(taus, reduced, *cols):
+        seen.append((taus, reduced, cols))
+        return rule(taus, reduced, *cols)
+
+    monkeypatch.setattr(premodular, "_cusp_rule", recorded)
+    logs = premodular._log_mn(N, [8j, 12j, 0.3 + 1.1j])
+    ((taus, reduced, cols),) = seen
+    assert np.array_equal(taus, np.repeat([8j, 12j, 0.3 + 1.1j], qn_size(N)))
+    fresh = _kernels.reduce_tau_many(taus)
+    for got, want in zip(reduced, fresh, strict=True):
+        assert np.array_equal(got, want) and got.dtype == want.dtype
+    vals, _ = rule(taus, fresh, *cols)
+    assert logs.tolist() == [
+        float(np.log(np.abs(v)).sum()) for v in vals.reshape(3, qn_size(N))
+    ]
 
 
 def test_mn_raises_on_a_nan_factor(monkeypatch):
