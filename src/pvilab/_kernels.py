@@ -276,13 +276,13 @@ def _thetas(frame):
     return 16.0 * qr * s2 * s2, th3 * th3, th4 * th4, tail
 
 
-def lattice_values(tau, frame):
-    """Half-period values at tau on its prologue frame.
+def lattice_values(frame):
+    """Half-period values at the tau of a prologue frame.
 
     Returns (e1, e2, e3, err): wp at the half-periods 1/2, tau/2 and
     (1 + tau)/2, and err, which sums the theta constants' tail carried to
     tau, the frame's Eisenstein tail (behind g2, g3 and the eta) and a
-    10 eps amplification term.  tau itself is not read: the frame holds it.
+    10 eps amplification term.
 
     The values come from the theta constants of ``_thetas`` in the reduced
     frame (DLMF 23.6.2-4 with periods 1 and tau_red):

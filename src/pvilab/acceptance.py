@@ -354,20 +354,12 @@ def criterion_8() -> list[str]:
 
 def _oracle_at(tau: complex, zs: list, pairs: list) -> tuple[list, list]:
     """The lattice-sum oracle values of criterion 9 at one tau: (wp, zeta)
-    at each z and the Hecke form of each pair, from the three box grids of
-    tau, built once, and its quasi-periods, summed once."""
-    from .oracles import (
-        box_grids,
-        hecke_lattice_sum,
-        quasi_periods_lattice_sum,
-        wp_lattice_sum,
-        zeta_lattice_sum,
-    )
+    at each z and the Hecke form of each pair, which share the box grids
+    and quasi-periods that ``oracles`` memoises for the last tau."""
+    from .oracles import hecke_lattice_sum, wp_lattice_sum, zeta_lattice_sum
 
-    grids = box_grids(tau)
-    eta = quasi_periods_lattice_sum(tau, grids)
-    wz = [(wp_lattice_sum(z, tau, grids), zeta_lattice_sum(z, tau, grids)) for z in zs]
-    return wz, [hecke_lattice_sum(r, s, tau, grids, eta) for r, s in pairs]
+    wz = [(wp_lattice_sum(z, tau), zeta_lattice_sum(z, tau)) for z in zs]
+    return wz, [hecke_lattice_sum(r, s, tau) for r, s in pairs]
 
 
 def criterion_9() -> list[str]:

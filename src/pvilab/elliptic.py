@@ -110,7 +110,7 @@ def invariants_g(m) -> LatticeData:
     """Invariants g2, g3, half-period values e_k and quasi-periods at tau."""
     m = _as_point(m)
     _, _, _, _, eta1, eta2, g2, g3, _, _ = m.frame
-    e1, e2, e3, err = _kernels.lattice_values(m.tau, m.frame)
+    e1, e2, e3, err = _kernels.lattice_values(m.frame)
     return LatticeData(
         eta1=eta1, eta2=eta2, e1=e1, e2=e2, e3=e3, g2=g2, g3=g3, est_error=err
     )

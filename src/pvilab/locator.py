@@ -21,21 +21,22 @@ or 2, from the cusp clearance up to Im tau = 10) are sampled evenly in
 log Im tau, which is equal hyperbolic length, so the steep phase near their
 feet is not under-sampled; the arcs are sampled evenly in angle and the
 straight segments (the connectors over the cusps, the sides of the
-isolating squares) evenly in length.  A ``_winding_counts`` pass sizes its
-first round from a point budget: 17 samples on each connector, the rest of
-_FIRST_ROUND_POINTS shared by the edges and arcs, and never fewer than 17
-on a piece.  A lone contour, as ``winding_count`` winds it (``pvilab
-zeros``, a winding scan), thus gets about 240 points, what one kernel
-call's fixed cost is worth, and nearly always settles in that one call; a
-pass of many contours (criterion 4) gets 17 per piece and refines where it
-must.  The first round depends on the pair only through the contour's
-shape: its domain and the cusps whose disks it excises (``_excised``).
-``_shape_round`` builds it once per shape and sizes, in a bounded cache,
-with its samples' taus and their tau reduction, and a pass joins the
-cached rounds of its contours.  So a winding pays only for its jumps, its
-pairs' columns, the kernel call and the phase bookkeeping.  Refinement
-rounds, and the isolating squares, whose place depends on the zero, sample
-and reduce their points afresh.
+isolating squares) evenly in length.  A ``_winding_counts`` pass gives
+each of its contours an equal share of _FIRST_ROUND_POINTS: 17 samples on
+each connector, the rest of the share spread over the edges and arcs, and
+never fewer than 17 on a piece.  A lone contour, as ``winding_count`` winds
+it (``pvilab zeros``, a winding scan), thus gets about 240 points, what one
+kernel call's fixed cost is worth, and nearly always settles in that one
+call; a pass of many contours (criterion 4) gets 17 per piece and refines
+where it must.  A contour depends on the pair only through its shape: its
+domain and the cusps whose disks it excises (``_excised``); its jumps hold
+their phase as a + 2*pi*ord*b, and the pair supplies ord.  ``_shape``
+builds each shape once per budget, in a bounded cache, with its jumps and
+its first round (samples, their taus and their tau reduction), and a pass
+joins the cached rounds of its contours.  So a winding pays only for its
+jump phases, its pairs' columns, the kernel call and the phase
+bookkeeping.  Refinement rounds, and the isolating squares, whose place
+depends on the zero, sample and reduce their points afresh.
 
 Real-axis cusps need case analysis.  Near a cusp x_c the form factors as
 
@@ -124,10 +125,10 @@ _EXCISION_RADIUS = 0.12
 # Refinement rounds allowed per boundary piece before the phase is declared
 # incoherent.
 _MAX_REFINE_ROUNDS = 18
-# First-round samples of one ``_winding_counts`` pass, and the fewest on a
-# piece: a lone contour gets about what one kernel call's fixed cost is
-# worth, and settles in that call; a pass of many contours gets
-# _MIN_FIRST_ROUND samples per piece.
+# First-round samples of one ``_winding_counts`` pass, shared equally by its
+# contours, and the fewest on a piece: a lone contour gets about what one
+# kernel call's fixed cost is worth, and settles in that call; a pass of
+# many contours gets _MIN_FIRST_ROUND samples per piece.
 _FIRST_ROUND_POINTS = 240
 _MIN_FIRST_ROUND = 17
 # The numeric piece kinds of a contour, as ``_windings`` codes them.
@@ -273,40 +274,34 @@ def _arc_point_at_cusp_distance(center: complex, x_c: float, delta: float) -> co
 
 @dataclass(frozen=True)
 class _Jump:
-    """Analytic phase change inserted between two numeric contour points."""
+    """Analytic phase change inserted between two numeric contour points:
+    a + 2 pi ord b for a pair whose order at the cusp x_c is ord, x_c = -1
+    standing for the cap at infinity."""
 
-    delta: float
+    x_c: int
+    a: float
+    b: float
 
 
-def _cusp_jump(x_c: int, tau_in: complex, tau_out: complex, order: float) -> _Jump:
-    """Phase change of Z2 through the excised cusp disk.
+def _cusp_jump(x_c: int, tau_in: complex, tau_out: complex) -> _Jump:
+    """Phase change of Z2 through the excised disk at the cusp x_c.
 
     Z2(tau) = j^{-3} Z2_c(-1/j) with j = tau - x_c, and Z2_c ~ c q~^ord, so
-    d(arg) = -3 d(Arg j) + 2 pi ord d(Re(-1/j)); Arg j stays in (0, pi) and
-    Re(-1/j) is single-valued, so endpoint differences are exact.
+    d(arg) = -3 d(Arg j) + 2 pi ord d(Re(-1/j)): a = -3 d(Arg j) and
+    b = d(Re(-1/j)).  Arg j stays in (0, pi) and Re(-1/j) is single-valued,
+    so endpoint differences are exact.
     """
     j_in = tau_in - x_c
     j_out = tau_out - x_c
-    d_arg = -3.0 * (cmath.phase(j_out) - cmath.phase(j_in))
-    d_arg += _TWO_PI * order * ((-1.0 / j_out).real - (-1.0 / j_in).real)
-    return _Jump(d_arg)
+    a = -3.0 * (cmath.phase(j_out) - cmath.phase(j_in))
+    return _Jump(x_c, a, (-1.0 / j_out).real - (-1.0 / j_in).real)
 
 
-def _cap_jump(d: DomainSpec, order_inf: float) -> _Jump:
-    xl, xr = d.strip
-    return _Jump(_TWO_PI * order_inf * (xl - xr))
-
-
-def _build_contour(d: DomainSpec, pair: TorsionPair) -> list:
-    """Positively-oriented boundary as numeric pieces and analytic jumps,
-    closed with the cusp orders of a real non-degenerate pair.
-
-    Starts at the top-left corner; numeric pieces are ("seg", z0, z1),
-    ("arc", centre, radius, th0, th1) or ("edge", z0, z1); jumps are _Jump
-    instances.  The numeric pieces depend on the pair only through
-    ``_excised``.
-    """
-    return _contour(d, pair.cusp_orders, pair.cusp[1])
+def _jumps_phase(pair: TorsionPair, jumps) -> float:
+    """The phase change of Z2_pair across ``jumps``, summed in contour order,
+    for a real non-degenerate pair."""
+    orders = pair.cusp_orders + (pair.cusp[1],)  # x_c = -1: the order at infinity
+    return sum((j.a + _TWO_PI * orders[j.x_c] * j.b for j in jumps), 0.0)
 
 
 def _excised(d: DomainSpec, pair: TorsionPair) -> tuple[bool, ...]:
@@ -318,11 +313,18 @@ def _excised(d: DomainSpec, pair: TorsionPair) -> tuple[bool, ...]:
     return tuple(order > 0 for order in pair.cusp_orders[: int(d.strip[1]) + 1])
 
 
-def _contour(d: DomainSpec, orders, order_inf) -> list:
-    """``_build_contour`` from the orders at the real cusps, indexed by x_c,
-    and the order at infinity."""
+def _contour(d: DomainSpec, excised: tuple[bool, ...]) -> list:
+    """Positively-oriented boundary of d as numeric pieces and analytic
+    jumps, with the disk cut out at each real cusp x_c where excised[x_c]
+    holds (``_excised``).
+
+    Starts at the top-left corner; numeric pieces are ("seg", z0, z1),
+    ("arc", centre, radius, th0, th1) or ("edge", z0, z1); jumps are _Jump
+    instances, which ``_jumps_phase`` takes for a pair.
+    """
     T = d.truncation_height
     y0 = _CUSP_CLEARANCE
+    cap = _Jump(-1, 0.0, d.strip[0] - d.strip[1])
 
     if d.kind == "F":
         return [
@@ -330,14 +332,14 @@ def _contour(d: DomainSpec, orders, order_inf) -> list:
             ("arc", 0j, 1.0, _PI / 2.0, _PI / 3.0),
             ("arc", 1.0 + 0j, 1.0, 2.0 * _PI / 3.0, _PI / 2.0),
             ("edge", complex(1.0, 1.0), complex(1.0, T)),
-            _cap_jump(d, order_inf),
+            cap,
         ]
 
     gap = _EXCISION_RADIUS
     dx = math.sqrt(0.25 - y0 * y0)
     pieces: list = []
     # left edge down
-    y_left = gap if orders[0] > 0 else y0
+    y_left = gap if excised[0] else y0
     pieces.append(("edge", complex(0.0, T), complex(0.0, y_left)))
     # walk the bottom arcs left to right
     prev_exit = complex(0.0, y_left)
@@ -345,14 +347,14 @@ def _contour(d: DomainSpec, orders, order_inf) -> list:
         left_cusp = int(round(center.real - 0.5))
         right_cusp = left_cusp + 1
         # entry onto this arc
-        if orders[left_cusp] > 0:
+        if excised[left_cusp]:
             a_in = _arc_point_at_cusp_distance(center, left_cusp, gap)
-            pieces.append(_cusp_jump(left_cusp, prev_exit, a_in, orders[left_cusp]))
+            pieces.append(_cusp_jump(left_cusp, prev_exit, a_in))
         else:
             a_in = complex(center.real - dx, y0)
             pieces.append(("seg", prev_exit, a_in))
         # exit from this arc
-        if orders[right_cusp] > 0:
+        if excised[right_cusp]:
             a_out = _arc_point_at_cusp_distance(center, right_cusp, gap)
         else:
             a_out = complex(center.real + dx, y0)
@@ -362,14 +364,14 @@ def _contour(d: DomainSpec, orders, order_inf) -> list:
         prev_exit = a_out
     # connect to the right edge
     xr = int(d.strip[1])
-    if orders[xr] > 0:
+    if excised[xr]:
         edge_bottom = complex(xr, gap)
-        pieces.append(_cusp_jump(xr, prev_exit, edge_bottom, orders[xr]))
+        pieces.append(_cusp_jump(xr, prev_exit, edge_bottom))
     else:
         edge_bottom = complex(xr, y0)
         pieces.append(("seg", prev_exit, edge_bottom))
     pieces.append(("edge", edge_bottom, complex(xr, T)))
-    pieces.append(_cap_jump(d, order_inf))
+    pieces.append(cap)
     return pieces
 
 
@@ -424,14 +426,16 @@ def _sample_points(rows: tuple, at: np.ndarray, t: np.ndarray) -> np.ndarray:
 class _FirstRound:
     """The pair-independent start of a ``_windings`` pass: the numeric
     pieces of its contours, in contour order, as their kind names and
-    ``_piece_row`` columns, whether each starts where the numeric piece
-    before it in its contour ends (``joined``), whether each contour's last
-    piece ends where its first starts (``closed``), and the first round's
-    samples: the piece and t of each, in (piece, t) order, their taus and
-    the taus' ``_kernels.reduce_tau_many``."""
+    ``_piece_row`` columns, the contour of each (``owner``), whether each
+    starts where the numeric piece before it in its contour ends
+    (``joined``), whether each contour's last piece ends where its first
+    starts (``closed``), and the first round's samples: the piece and t of
+    each, in (piece, t) order, their taus and the taus'
+    ``_kernels.reduce_tau_many``."""
 
     names: tuple[str, ...]
     rows: tuple[np.ndarray, ...]
+    owner: np.ndarray
     joined: np.ndarray
     closed: tuple[bool, ...]
     at: np.ndarray
@@ -442,18 +446,20 @@ class _FirstRound:
 
 def _first_round(contours: list[list], sizes) -> _FirstRound:
     """The ``_FirstRound`` of a pass over ``contours`` with sizes[i]
-    samples, evenly spaced in t, on numeric piece i."""
-    pieces, joined, closed = [], [], []
-    for contour in contours:
+    samples, evenly spaced in t, on numeric piece i, or ``sizes`` on every
+    piece when it is an int."""
+    pieces, owner, joined, closed = [], [], [], []
+    for k, contour in enumerate(contours):
         seam = False  # True right after a numeric piece, whose end the next starts at
         for piece in contour:
             if not isinstance(piece, _Jump):
                 pieces.append(piece)
+                owner.append(k)
                 joined.append(seam)
             seam = not isinstance(piece, _Jump)
         closed.append(seam)
     rows = tuple(np.array(col) for col in zip(*map(_piece_row, pieces)))
-    sizes = np.asarray(sizes, dtype=np.int64)
+    sizes = np.broadcast_to(np.asarray(sizes, dtype=np.int64), len(pieces))
     at = np.repeat(np.arange(len(pieces)), sizes)
     # np.linspace(0, 1, n) on each piece, to the bit: j * (1 / (n - 1)), and 1 last
     j = np.arange(at.size) - (np.cumsum(sizes) - sizes)[at]
@@ -462,22 +468,26 @@ def _first_round(contours: list[list], sizes) -> _FirstRound:
     taus = _sample_points(rows, at, t)
     reduced = _kernels.reduce_tau_many(taus)
     names = tuple(p[0] for p in pieces)
-    return _FirstRound(names, rows, np.array(joined), tuple(closed), at, t, taus, reduced)
+    return _FirstRound(
+        names, rows, np.array(owner), np.array(joined), tuple(closed), at, t, taus, reduced
+    )
 
 
 def _joined(rounds: list[_FirstRound]) -> _FirstRound:
     """The first round of a pass over the contours of ``rounds``, in order:
-    their pieces renumbered and their samples concatenated.  A pass of one
-    is that contour's round itself."""
+    their pieces and contours renumbered and their samples concatenated.  A
+    pass of one is that contour's round itself."""
     if len(rounds) == 1:
         return rounds[0]
-    offsets = np.cumsum([0] + [len(r.names) for r in rounds[:-1]])
+    pieces = np.cumsum([0] + [len(r.names) for r in rounds[:-1]])
+    contours = np.cumsum([0] + [len(r.closed) for r in rounds[:-1]])
     return _FirstRound(
         tuple(name for r in rounds for name in r.names),
         tuple(np.concatenate(col) for col in zip(*(r.rows for r in rounds))),
+        np.concatenate([r.owner + off for r, off in zip(rounds, contours)]),
         np.concatenate([r.joined for r in rounds]),
         tuple(c for r in rounds for c in r.closed),
-        np.concatenate([r.at + off for r, off in zip(rounds, offsets)]),
+        np.concatenate([r.at + off for r, off in zip(rounds, pieces)]),
         np.concatenate([r.t for r in rounds]),
         np.concatenate([r.taus for r in rounds]),
         tuple(np.concatenate(col) for col in zip(*(r.reduced for r in rounds))),
@@ -485,33 +495,38 @@ def _joined(rounds: list[_FirstRound]) -> _FirstRound:
 
 
 # Bounded: three domains, at most eight excision patterns each, and a few
-# first-round sizes per shape occur.
+# pass sizes, so budgets, occur.
 @functools.lru_cache(maxsize=64)
-def _shape_round(kind: str, excised: tuple[bool, ...], sizes: tuple[int, ...]) -> _FirstRound:
-    """The ``_first_round`` of any one contour of a shape, built on first
-    use: the contour of domain ``kind`` that excises the disks ``excised``
-    (``_excised``), with first-round ``sizes``.  Its arrays are read-only."""
-    orders = [int(e) for e in excised]
-    entry = _first_round([_contour(DomainSpec(kind), orders, 0)], sizes)
-    for arr in (*entry.rows, entry.joined, entry.at, entry.t, entry.taus, *entry.reduced):
+def _shape(
+    kind: str, excised: tuple[bool, ...], budget: int
+) -> tuple[_FirstRound, tuple[_Jump, ...]]:
+    """The first round and the jumps of any one contour of a shape, built on
+    first use: the ``_contour`` of domain ``kind`` that excises the disks
+    ``excised``.  The round spends ``budget`` points: _MIN_FIRST_ROUND on
+    each connector over a cusp, the rest shared by the edges and arcs, and
+    never fewer than _MIN_FIRST_ROUND on a piece.  Its arrays are
+    read-only."""
+    contour = _contour(DomainSpec(kind), excised)
+    kinds = [p[0] for p in contour if not isinstance(p, _Jump)]
+    connectors = kinds.count("seg")
+    rest = budget - _MIN_FIRST_ROUND * connectors
+    share = max(_MIN_FIRST_ROUND, rest // (len(kinds) - connectors))
+    first = _first_round([contour], [_MIN_FIRST_ROUND if k == "seg" else share for k in kinds])
+    arrays = (first.owner, first.joined, first.at, first.t, first.taus)
+    for arr in (*first.rows, *arrays, *first.reduced):
         arr.flags.writeable = False
-    return entry
+    return first, tuple(p for p in contour if isinstance(p, _Jump))
 
 
-def _windings(
-    pairs: list[TorsionPair], contours: list[list], n0, shapes: Optional[list] = None
-) -> list[float]:
-    """The total phase (in turns) of Z2 of ``pairs[k]`` around the closed
-    piecewise contour ``contours[k]``, jumps included, for every k at once.
+def _windings(pairs: list[TorsionPair], first: _FirstRound, jumps) -> list[float]:
+    """The total phase (in turns) of Z2 of ``pairs[k]`` around the k-th
+    closed piecewise contour of the pass that ``first`` starts, plus
+    ``jumps[k]``, the phase across that contour's analytic jumps, for every
+    k at once.
 
     The samples of all the numeric pieces, numbered in contour order, live
-    in one array sorted by (piece, t), at first n0 evenly spaced values of
-    t per piece, or n0[i] on piece i when n0 is a sequence
-    (``_piece_row`` maps t to tau: edges evenly in log Im tau).  That first
-    round is the pass's ``_first_round``; with ``shapes``, where
-    ``shapes[k]`` is the (domain kind, ``_excised``) of contours[k], which
-    fixes its numeric pieces, it is instead each contour's ``_shape_round``
-    from the cache, taus reduced, ``_joined`` in contour order.  Each round
+    in one array sorted by (piece, t), at first those of ``first``
+    (``_piece_row`` maps t to tau: edges evenly in log Im tau).  Each round
     sends its samples to ``z2_stable_many`` in one batch, merges them in
     with one sort (the first round has nothing to merge), and cuts every
     segment whose phase step exceeds MAX_PHASE_STEP into equal parts
@@ -523,29 +538,17 @@ def _windings(
     pieces after it stop.  Seams, jumps and sums are taken per contour, so
     each contour's turns are the ones it gets alone.
     """
-    if not contours:
-        return []
-    jumps = [sum((p.delta for p in c if isinstance(p, _Jump)), 0.0) for c in contours]
-    numeric = [sum(not isinstance(p, _Jump) for p in c) for c in contours]
-    ends = np.cumsum(numeric)
-    sizes = np.broadcast_to(np.asarray(n0, dtype=np.int64), int(ends[-1]))
-    if shapes is None:
-        first = _first_round(contours, sizes)
-    else:
-        first = _joined([
-            _shape_round(*shape, tuple(sizes[lo:hi].tolist()))
-            for shape, lo, hi in zip(shapes, ends - numeric, ends)
-        ])
-    names, rows, joined, closed = first.names, first.rows, first.joined, first.closed
+    names, rows, owner, joined, closed = (
+        first.names, first.rows, first.owner, first.joined, first.closed
+    )
     new_at, new_t, taus, reduced = first.at, first.t, first.taus, first.reduced
-    owner = np.repeat(np.arange(len(contours)), numeric)
     error: Optional[PviLabError] = None
     limit = len(names)  # the first failing piece; it and those after it stop
     for rnd in range(_MAX_REFINE_ROUNDS + 1):
         if rnd:
             taus = _sample_points(rows, new_at, new_t)
             reduced = _kernels.reduce_tau_many(taus)
-        counts = np.bincount(owner[new_at], minlength=len(contours))
+        counts = np.bincount(owner[new_at], minlength=len(closed))
         new_v, scales = z2_stable_many(pairs, taus, counts, reduced)
         # a NaN value or scale fails the test too
         close = ~(np.abs(new_v) >= BOUNDARY_RTOL * scales)
@@ -584,10 +587,11 @@ def _windings(
         raise error
     counted = inner | joined[at[1:]]
     contour_of = owner[at]
-    total = np.bincount(contour_of[1:][counted], steps[counted], len(contours))
-    first = np.searchsorted(contour_of, np.arange(len(contours)))
-    last = np.searchsorted(contour_of, np.arange(len(contours)), side="right") - 1
-    total += np.where(closed, np.angle(v[first] / v[last]), 0.0) + jumps
+    contours = np.arange(len(closed))
+    total = np.bincount(contour_of[1:][counted], steps[counted], len(closed))
+    head = np.searchsorted(contour_of, contours)
+    last = np.searchsorted(contour_of, contours, side="right") - 1
+    total += np.where(closed, np.angle(v[head] / v[last]), 0.0) + jumps
     return (total / _TWO_PI).tolist()
 
 
@@ -613,7 +617,7 @@ def winding_count(p: TorsionPair, d: DomainSpec) -> int:
 
 def _winding_counts(pairs: list[TorsionPair], d: DomainSpec) -> list[int]:
     """``winding_count`` of every pair over d, all the boundaries tracked in
-    one ``_windings`` pass."""
+    one ``_windings`` pass from their shapes' cached first rounds."""
     for p in pairs:
         if not p.is_real:
             raise DomainError("winding counts are restricted to real pairs")
@@ -621,16 +625,10 @@ def _winding_counts(pairs: list[TorsionPair], d: DomainSpec) -> list[int]:
             raise DomainError("degenerate pairs have no meaningful winding")
     if not pairs:
         return []
-    contours = [_build_contour(d, p) for p in pairs]
-    shapes = [(d.kind, _excised(d, p)) for p in pairs]
-    kinds = [piece[0] for c in contours for piece in c if not isinstance(piece, _Jump)]
-    # the connectors over the cusps take the minimum, the edges and arcs
-    # share the rest of the budget
-    connectors = kinds.count("seg")
-    rest = _FIRST_ROUND_POINTS - _MIN_FIRST_ROUND * connectors
-    share = max(_MIN_FIRST_ROUND, rest // (len(kinds) - connectors))
-    n0 = [_MIN_FIRST_ROUND if k == "seg" else share for k in kinds]
-    turns = _windings(pairs, contours, n0, shapes)
+    budget = _FIRST_ROUND_POINTS // len(pairs)
+    shapes = [_shape(d.kind, _excised(d, p), budget) for p in pairs]
+    jumps = [_jumps_phase(p, shape_jumps) for p, (_, shape_jumps) in zip(pairs, shapes)]
+    turns = _windings(pairs, _joined([first for first, _ in shapes]), jumps)
     return [_integer_turns(t, f"for {p} over {d.kind}") for p, t in zip(pairs, turns)]
 
 
@@ -760,9 +758,10 @@ def _check_squares(certs: list[Optional[ZeroCertificate]]) -> None:
         for c in certs
         if c is not None and F0.contains(c.tau0 + corners, margin=1e-6).all()
     ]
-    turns = _windings(
-        [c.torsion for c in boxed], [_rect_pieces(c.tau0, h) for c in boxed], 9
-    )
+    if not boxed:
+        return
+    squares = _first_round([_rect_pieces(c.tau0, h) for c in boxed], 9)
+    turns = _windings([c.torsion for c in boxed], squares, [0.0] * len(boxed))
     for c, t in zip(boxed, turns):
         if _integer_turns(t, "around a rectangle") != 1:
             raise IncoherentWinding(

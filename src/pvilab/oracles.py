@@ -5,20 +5,25 @@ lattice definitions, with no Fourier series, no argument reduction and no
 modular transformations -- deliberately sharing nothing with the production
 path.  Symmetric box sums over |m|, |n| <= M converge like C/M^2 + D/M^3
 (the odd tail terms cancel in pairs); the tail is estimated by evaluating
-three box sizes and eliminating those two powers, leaving O(M^-4).  Sums at
-one tau may share its three grids (``box_grids``) and, for the Hecke form,
-its quasi-periods: the same operations run in the same order, so the values
-are the ones each sum gets alone.
+three box sizes and eliminating those two powers, leaving O(M^-4).  The
+three grids of the last tau and its quasi-periods are memoised, so sums at
+one tau build them once; the same operations run in the same order, so
+every value is the one its sum gets alone.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
 _BOXES = (50, 100, 200)
 
 
-def _box_grid(M: int, tau: complex):
+@functools.lru_cache(maxsize=len(_BOXES))
+def _box_grid(M: int, tau: complex) -> np.ndarray:
+    """The lattice points m + n tau, 0 < max(|m|, |n|) <= M; memoised for
+    the three boxes of the last tau, read-only."""
     ms, ns = np.meshgrid(
         np.arange(-M, M + 1, dtype=np.float64),
         np.arange(-M, M + 1, dtype=np.float64),
@@ -26,18 +31,9 @@ def _box_grid(M: int, tau: complex):
     )
     w = ms + ns * tau
     mask = (ms != 0) | (ns != 0)
-    return w[mask]
-
-
-def box_grids(tau: complex) -> list[np.ndarray]:
-    """The grids of every box size at tau, for sums at one tau to share."""
-    return [_box_grid(M, tau) for M in _BOXES]
-
-
-def _boxes(tau: complex, grids):
-    """The grids of every box size at tau: ``grids`` when given, else each
-    built in turn."""
-    return (_box_grid(M, tau) for M in _BOXES) if grids is None else grids
+    w = w[mask]
+    w.flags.writeable = False
+    return w
 
 
 def _extrapolate(values: list[complex]) -> complex:
@@ -48,10 +44,11 @@ def _extrapolate(values: list[complex]) -> complex:
     return complex(coef[0])
 
 
-def wp_lattice_sum(z: complex, tau: complex, grids=None) -> complex:
+def wp_lattice_sum(z: complex, tau: complex) -> complex:
     """wp(z|tau) = 1/z^2 + sum' [1/(z-w)^2 - 1/w^2]."""
     vals = []
-    for w in _boxes(tau, grids):
+    for M in _BOXES:
+        w = _box_grid(M, tau)
         s = np.sum(1.0 / (z - w) ** 2 - 1.0 / w**2)
         vals.append(1.0 / z**2 + s)
     return _extrapolate(vals)
@@ -67,21 +64,21 @@ def wp_prime_lattice_sum(z: complex, tau: complex) -> complex:
     return _extrapolate(vals)
 
 
-def zeta_lattice_sum(z: complex, tau: complex, grids=None) -> complex:
+def zeta_lattice_sum(z: complex, tau: complex) -> complex:
     """zeta(z|tau) = 1/z + sum' [1/(z-w) + 1/w + z/w^2]."""
     vals = []
-    for w in _boxes(tau, grids):
+    for M in _BOXES:
+        w = _box_grid(M, tau)
         s = np.sum(1.0 / (z - w) + 1.0 / w + z / w**2)
         vals.append(1.0 / z + s)
     return _extrapolate(vals)
 
 
-def quasi_periods_lattice_sum(tau: complex, grids=None) -> tuple[complex, complex]:
-    """eta1 = 2 zeta(1/2), eta2 = 2 zeta(tau/2), straight from the sums."""
-    return (
-        2.0 * zeta_lattice_sum(0.5 + 0j, tau, grids),
-        2.0 * zeta_lattice_sum(0.5 * tau, tau, grids),
-    )
+@functools.lru_cache(maxsize=1)
+def quasi_periods_lattice_sum(tau: complex) -> tuple[complex, complex]:
+    """eta1 = 2 zeta(1/2), eta2 = 2 zeta(tau/2), straight from the sums;
+    memoised for the last tau."""
+    return 2.0 * zeta_lattice_sum(0.5 + 0j, tau), 2.0 * zeta_lattice_sum(0.5 * tau, tau)
 
 
 def invariants_lattice_sum(tau: complex) -> tuple[complex, complex]:
@@ -95,11 +92,10 @@ def invariants_lattice_sum(tau: complex) -> tuple[complex, complex]:
     return _extrapolate(g2_vals), _extrapolate(g3_vals)
 
 
-def hecke_lattice_sum(r: float, s: float, tau: complex, grids=None, eta=None) -> complex:
-    """Z_{r,s}(tau) = zeta(r + s*tau) - r*eta1 - s*eta2, all by lattice sums;
-    ``eta`` is (eta1, eta2) when already summed."""
-    eta1, eta2 = quasi_periods_lattice_sum(tau, grids) if eta is None else eta
-    return zeta_lattice_sum(r + s * tau, tau, grids) - r * eta1 - s * eta2
+def hecke_lattice_sum(r: float, s: float, tau: complex) -> complex:
+    """Z_{r,s}(tau) = zeta(r + s*tau) - r*eta1 - s*eta2, all by lattice sums."""
+    eta1, eta2 = quasi_periods_lattice_sum(tau)
+    return zeta_lattice_sum(r + s * tau, tau) - r * eta1 - s * eta2
 
 
 def z2_lattice_sum(r: float, s: float, tau: complex) -> complex:

@@ -8,11 +8,12 @@ nothing is compiled before the timed regions.  The tests after those
 check that a broken input makes a criterion fail rather than pass.
 """
 
+import hashlib
 import math
 
 import pytest
 
-from pvilab import acceptance, locator
+from pvilab import acceptance, locator, oracles
 from pvilab.oracles import hecke_lattice_sum, wp_lattice_sum, zeta_lattice_sum
 from pvilab.premodular import cusp_asymptotic, z2_stable_many
 
@@ -71,9 +72,9 @@ def test_criterion_4_tracks_its_windings_in_one_pass(monkeypatch):
     passes, hunts = [], []
     windings, zeros_in_f0 = locator._windings, acceptance._zeros_in_f0
 
-    def tracked(pairs, contours, n0, shapes=None):
-        passes.append(len(contours))
-        return windings(pairs, contours, n0, shapes)
+    def tracked(pairs, first, jumps):
+        passes.append(len(first.closed))
+        return windings(pairs, first, jumps)
 
     def hunted(pairs, tags):
         hunts.append(len(pairs))
@@ -123,11 +124,38 @@ def test_criterion_4_winding_pass_evaluates_no_more_points(monkeypatch):
     assert len(calls_of_pass) <= 2 and sum(calls_of_pass) <= 20_960, calls_of_pass
 
 
+def _lone(oracle_sum, *args):
+    """``oracle_sum`` of ``args`` with nothing memoised: its own grids and
+    quasi-periods."""
+    oracles._box_grid.cache_clear()
+    oracles.quasi_periods_lattice_sum.cache_clear()
+    return oracle_sum(*args)
+
+
 def test_criterion_9_oracle_values_equal_the_lone_sums():
     # one tau's grids and quasi-periods, shared by its sums, give each sum
     # the value it gets alone, to the bit
     zs, pairs = [0.31 + 0.17j, 0.49 + 0.02j], [(0.42, 0.13), (0.27, 0.33)]
     for tau in (0.2 + 1.1j, -0.3 + 0.9j):
         wz, hecke = acceptance._oracle_at(tau, zs, pairs)
-        assert wz == [(wp_lattice_sum(z, tau), zeta_lattice_sum(z, tau)) for z in zs]
-        assert hecke == [hecke_lattice_sum(r, s, tau) for r, s in pairs]
+        assert wz == [(_lone(wp_lattice_sum, z, tau), _lone(zeta_lattice_sum, z, tau)) for z in zs]
+        assert hecke == [_lone(hecke_lattice_sum, r, s, tau) for r, s in pairs]
+
+
+# frozen: SHA-256 of the reprs, comma-joined, of criterion 4's 196 winding
+# turns, which a change to the contours or the tracker must keep to the bit
+_CRITERION_4_TURNS = "1a943f0b7f6d22081a5a767c50b70c2bd313fd85669fdf696892bf8e25acde49"
+
+
+def test_criterion_4_turns_are_frozen(monkeypatch):
+    passes, windings = [], locator._windings
+
+    def recorded(*args):
+        passes.append(windings(*args))
+        return passes[-1]
+
+    monkeypatch.setattr(locator, "_windings", recorded)
+    assert acceptance.run(4).passed
+    turns = passes[0]
+    assert len(turns) == 196
+    assert hashlib.sha256(",".join(map(repr, turns)).encode()).hexdigest() == _CRITERION_4_TURNS

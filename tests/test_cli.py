@@ -91,7 +91,8 @@ def test_eval_determinism(tmp_path):
 
 
 def test_eval_makes_one_lattice_values_call(tmp_path, monkeypatch):
-    # t, lambda and est_error all read lambda_rs's one LatticeData
+    # t, lambda and est_error all read lambda_rs's one LatticeData; the spy
+    # records the frame's reduced point, which is 1.5i itself
     from pvilab import _kernels
 
     calls = []
@@ -99,7 +100,7 @@ def test_eval_makes_one_lattice_values_call(tmp_path, monkeypatch):
     monkeypatch.setattr(
         _kernels,
         "lattice_values",
-        lambda tau, frame: calls.append(tau) or kernel(tau, frame),
+        lambda frame: calls.append(frame[0]) or kernel(frame),
     )
     code, text = run_cli(["eval", "--r", "1/4", "--s", "0", "--tau", "0+1.5i"], tmp_path)
     assert code == 0

@@ -352,3 +352,20 @@ def test_property_ode_and_periodicity(x, y, zx, zy):
     assert abs(resid) <= 1e-9 * max(1.0, abs(wp) ** 3)
     wp_shift, _ = weierstrass_p(z + 1.0, m)
     assert abs(wp_shift - wp) <= 1e-11 * max(1.0, abs(wp))
+
+
+def test_oracle_sums_at_one_tau_build_its_grids_once():
+    # the three box grids of the last tau, read-only, and its quasi-periods
+    # are memoised: a second sum at that tau builds neither again
+    tau = 0.2 + 1.1j
+    oracles.hecke_lattice_sum(0.42, 0.13, tau)
+    for M in oracles._BOXES:
+        assert not oracles._box_grid(M, tau).flags.writeable
+    misses = lambda: (
+        oracles._box_grid.cache_info().misses,
+        oracles.quasi_periods_lattice_sum.cache_info().misses,
+    )
+    before = misses()
+    oracles.hecke_lattice_sum(0.27, 0.33, tau)
+    oracles.wp_lattice_sum(0.31 + 0.17j, tau)
+    assert misses() == before

@@ -26,7 +26,6 @@ from pvilab.locator import (
     F0,
     F2,
     DomainSpec,
-    _build_contour,
     _windings,
     classify_triangle,
     count_mn_zeros,
@@ -66,17 +65,31 @@ def fresh_anchors():
 
 
 @pytest.fixture
-def fresh_shape_rounds():
-    # the first rounds of the contour shapes are cached per process: a test
-    # that patches the contour geometry clears them, and none it built stays
-    # cached after it
-    locator._shape_round.cache_clear()
-    yield locator._shape_round.cache_clear
-    locator._shape_round.cache_clear()
+def fresh_shapes():
+    # the contour shapes are cached per process: a test that patches the
+    # contour geometry clears them, and none it built stays cached after it
+    locator._shape.cache_clear()
+    yield locator._shape.cache_clear
+    locator._shape.cache_clear()
 
 
 def _warm_anchors():
     return {tag: locator._anchor(tag).tau0 for tag in locator._CENTROIDS}
+
+
+def _pair_contour(d, pair):
+    """The contour of d that ``winding_count`` winds for ``pair``."""
+    return locator._contour(d, locator._excised(d, pair))
+
+
+def _wind(pairs, contours, n0):
+    """``_windings`` of ``pairs[k]`` around ``contours[k]``, whose jumps are
+    taken for that pair, with n0 first-round samples on every piece."""
+    jumps = [
+        locator._jumps_phase(p, [x for x in c if isinstance(x, locator._Jump)])
+        for p, c in zip(pairs, contours)
+    ]
+    return _windings(pairs, locator._first_round(contours, n0), jumps)
 
 
 # --- classify_triangle ------------------------------------------------------
@@ -152,16 +165,16 @@ def test_winding_requires_real_pair():
 
 def test_winding_invariant_under_density_doubling():
     pair = TorsionPair.of(0.62, 0.17)
-    pieces = _build_contour(F0, pair)
-    (coarse,) = _windings([pair], [pieces], 17)
-    (fine,) = _windings([pair], [pieces], 34)
+    pieces = _pair_contour(F0, pair)
+    (coarse,) = _wind([pair], [pieces], 17)
+    (fine,) = _wind([pair], [pieces], 34)
     assert round(coarse) == round(fine)
     assert abs(coarse - fine) < 0.02
 
 
 def test_winding_evaluates_initial_samples_of_all_pieces_at_once(monkeypatch):
     pair = TorsionPair.of(0.62, 0.17)
-    pieces = _build_contour(F0, pair)
+    pieces = _pair_contour(F0, pair)
     numeric = [p for p in pieces if not isinstance(p, locator._Jump)]
     sizes = []
 
@@ -170,7 +183,7 @@ def test_winding_evaluates_initial_samples_of_all_pieces_at_once(monkeypatch):
         return z2_stable_many(p, taus, counts, reduced)
 
     monkeypatch.setattr(locator, "z2_stable_many", counted)
-    assert round(_windings([pair], [pieces], 17)[0]) == winding_count(pair, F0)
+    assert round(_wind([pair], [pieces], 17)[0]) == winding_count(pair, F0)
     assert sizes[0] == 17 * len(numeric)
 
 # The 22 (r, s) of the first round of perfbench's triangle_sweep at seed 1,
@@ -249,13 +262,13 @@ def test_first_round_sizes_follow_the_pass(monkeypatch):
     # contours: 17 on every piece
     sizes, windings = [], locator._windings
 
-    def recorded(pairs, contours, n0, shapes=None):
-        sizes.append(list(n0))
-        return windings(pairs, contours, n0, shapes)
+    def recorded(pairs, first, jumps):
+        sizes.append(np.bincount(first.at).tolist())
+        return windings(pairs, first, jumps)
 
     monkeypatch.setattr(locator, "_windings", recorded)
     pair = TorsionPair.of(0.62, 0.17)
-    kinds = [p[0] for p in _build_contour(F0, pair) if not isinstance(p, locator._Jump)]
+    kinds = [p[0] for p in _pair_contour(F0, pair) if not isinstance(p, locator._Jump)]
     assert kinds == ["edge", "seg", "arc", "seg", "edge"]
     winding_count(pair, F0)
     share = (locator._FIRST_ROUND_POINTS - 2 * 17) // 3
@@ -309,7 +322,7 @@ _SHAPE_CASES = [
 def _fresh_first_round(pair, d, sizes):
     # the first round's taus straight from each piece's row, np.linspace
     # in t, and their reduction
-    numeric = [p for p in _build_contour(d, pair) if not isinstance(p, locator._Jump)]
+    numeric = [p for p in _pair_contour(d, pair) if not isinstance(p, locator._Jump)]
     parts = []
     for piece, n in zip(numeric, sizes, strict=True):
         kind, base, span, rad, th0, dth = locator._piece_row(piece)
@@ -324,33 +337,80 @@ def _fresh_first_round(pair, d, sizes):
     return taus, _kernels.reduce_tau_many(taus)
 
 
-@pytest.mark.usefixtures("fresh_shape_rounds")
-@pytest.mark.parametrize(
-    "pair,d", _SHAPE_CASES, ids=[f"{d.kind}-{p.r}-{p.s}" for p, d in _SHAPE_CASES]
-)
+_SHAPE_IDS = [f"{d.kind}-{p.r}-{p.s}" for p, d in _SHAPE_CASES]
+
+
+@pytest.mark.usefixtures("fresh_shapes")
+@pytest.mark.parametrize("pair,d", _SHAPE_CASES, ids=_SHAPE_IDS)
 def test_cached_first_round_equals_a_fresh_build(pair, d, monkeypatch):
     # the first round of a lone contour comes from the shape cache: its taus
     # and their reduction are the fresh build's bit for bit, and the
     # winding is the one an uncached pass over the same contour finds
-    entries, shape_round = [], locator._shape_round
+    entries, shape = [], locator._shape
 
     def recorded(*key):
-        entries.append((key, shape_round(*key)))
+        entries.append((key, shape(*key)))
         return entries[-1][1]
 
-    monkeypatch.setattr(locator, "_shape_round", recorded)
+    monkeypatch.setattr(locator, "_shape", recorded)
     w = winding_count(pair, d)
-    ((kind, excised, sizes), entry), = entries
+    ((kind, excised, _), (entry, jumps)), = entries
+    sizes = np.bincount(entry.at).tolist()
     assert (kind, excised) == (d.kind, locator._excised(d, pair))
     taus, reduced = _fresh_first_round(pair, d, sizes)
     assert np.array_equal(entry.taus, taus)
     for got, want in zip(entry.reduced, reduced, strict=True):
         assert np.array_equal(got, want) and got.dtype == want.dtype
         assert not got.flags.writeable
-    contour = _build_contour(d, pair)
-    (fresh,) = _windings([pair], [contour], list(sizes))
-    (cached,) = _windings([pair], [contour], list(sizes), [(kind, excised)])
+    contour = _pair_contour(d, pair)
+    phase = [locator._jumps_phase(pair, jumps)]
+    (fresh,) = _windings([pair], locator._first_round([contour], sizes), phase)
+    (cached,) = _windings([pair], entry, phase)
     assert cached == fresh and round(fresh) == w
+
+
+# frozen: the raw turns of the lone windings of _SHAPE_CASES, which a change
+# to the contours or the tracker must keep to the bit
+_SHAPE_TURNS = [
+    "1.933715047006554e-06",
+    "0.9998069655954082",
+    "1.0000019337150472",
+    "1.4135798584282297e-16",
+    "1.3196505539869886e-06",
+    "9.59396994828725e-08",
+    "1.9996093679571703",
+    "1.000000815603206",
+    "1.918793978348811e-07",
+    "8.481479150569378e-16",
+]
+
+
+@pytest.mark.parametrize(
+    "pair,d,turns",
+    [(p, d, t) for (p, d), t in zip(_SHAPE_CASES, _SHAPE_TURNS, strict=True)],
+    ids=_SHAPE_IDS,
+)
+def test_lone_winding_turns_are_frozen(pair, d, turns, monkeypatch):
+    seen, windings = [], locator._windings
+
+    def recorded(*args):
+        seen.append(windings(*args))
+        return seen[-1]
+
+    monkeypatch.setattr(locator, "_windings", recorded)
+    winding_count(pair, d)
+    assert [repr(t) for t in seen[0]] == [turns]
+
+
+@pytest.mark.parametrize("pair,d", _SHAPE_CASES, ids=_SHAPE_IDS)
+def test_a_cached_shape_builds_no_contour(pair, d, monkeypatch):
+    # a winding of a shape already cached reads its jumps and first round
+    # from the cache: no contour is built for the pair
+    winding_count(pair, d)
+    built, contour = [], locator._contour
+    monkeypatch.setattr(locator, "_contour", lambda *a: built.append(a) or contour(*a))
+    winding_count(pair, d)
+    assert built == []
 
 
 def test_shape_cases_cover_the_excised_disks():
@@ -359,11 +419,11 @@ def test_shape_cases_cover_the_excised_disks():
     assert ("F2", (True, False, True)) in shapes and ("F", ()) in shapes
 
 
-@pytest.mark.usefixtures("fresh_shape_rounds")
+@pytest.mark.usefixtures("fresh_shapes")
 def test_a_repeated_shape_reduces_only_its_refinement_rounds(monkeypatch):
     # after the first winding of a shape, a winding of any pair with that
     # shape reduces taus only for its refinement rounds, and the cache holds
-    # one entry per (domain, excised disks, sizes)
+    # one entry per (domain, excised disks, first-round budget)
     reduces, kernel_calls = [], []
     reduce, batch = _kernels.reduce_tau_many, locator.z2_stable_many
 
@@ -389,11 +449,11 @@ def test_a_repeated_shape_reduces_only_its_refinement_rounds(monkeypatch):
     assert wind(refines, F) == 1
     assert len(kernel_calls) == 2 and reduces == kernel_calls[1:]
     assert wind(settles, F) == 0 and reduces == [] and len(kernel_calls) == 1
-    assert locator._shape_round.cache_info().currsize == 1
+    assert locator._shape.cache_info().currsize == 1
     assert wind(settles, F0) == 1
-    assert locator._shape_round.cache_info().currsize == 2
+    assert locator._shape.cache_info().currsize == 2
     locator._winding_counts([settles] * 3, F0)
-    assert locator._shape_round.cache_info().currsize == 3
+    assert locator._shape.cache_info().currsize == 3
 
 
 def test_grid_stage_reduces_each_start_grid_once(monkeypatch):
@@ -495,19 +555,19 @@ def test_phase_tracking_raises_the_first_failing_piece(monkeypatch):
     monkeypatch.setattr(locator, "z2_stable_many", _synthetic_z2)
     pair, other = TorsionPair.of(0.6, 0.3), _OTHER
     good, close, flip = _GOOD, _CLOSE, _FLIP
-    assert _windings([pair], [[good]], 9) == [0.0]
+    assert _wind([pair], [[good]], 9) == [0.0]
     with pytest.raises(BoundaryTooClose):
-        _windings([pair], [[good, close, flip]], 9)
+        _wind([pair], [[good, close, flip]], 9)
     with pytest.raises(IncoherentWinding, match="did not settle"):
-        _windings([pair], [[good, flip, close]], 9)
+        _wind([pair], [[good, flip, close]], 9)
     # two pairs in one batch: each contour follows its own pair, and the
     # first failing piece in contour order is still the error raised
-    assert _windings([pair, other], [[good], [good]], 9) == [0.0, 0.0]
+    assert _wind([pair, other], [[good], [good]], 9) == [0.0, 0.0]
     with pytest.raises(BoundaryTooClose):
-        _windings([other, pair, other], [[good], [close], [flip]], 9)
+        _wind([other, pair, other], [[good], [close], [flip]], 9)
     settle = f"did not settle .* for {re.escape(str(other))}"
     with pytest.raises(IncoherentWinding, match=settle):
-        _windings([pair, other, pair], [[good], [flip], [close]], 9)
+        _wind([pair, other, pair], [[good], [flip], [close]], 9)
 
 
 def test_an_earlier_contours_error_wins_over_a_later_contours_earlier_failure(
@@ -518,11 +578,11 @@ def test_an_earlier_contours_error_wins_over_a_later_contours_earlier_failure(
     monkeypatch.setattr(locator, "z2_stable_many", _synthetic_z2)
     pair = TorsionPair.of(0.6, 0.3)
     with pytest.raises(IncoherentWinding, match="did not settle"):
-        _windings([pair, pair], [[_GOOD, _FLIP], [_CLOSE]], 9)
+        _wind([pair, pair], [[_GOOD, _FLIP], [_CLOSE]], 9)
     with pytest.raises(IncoherentWinding, match="did not settle"):
-        _windings([pair, _OTHER], [[_FLIP], [_GOOD, _CLOSE]], 9)
+        _wind([pair, _OTHER], [[_FLIP], [_GOOD, _CLOSE]], 9)
     with pytest.raises(BoundaryTooClose):
-        _windings([pair, pair], [[_CLOSE], [_GOOD, _FLIP]], 9)
+        _wind([pair, pair], [[_CLOSE], [_GOOD, _FLIP]], 9)
 
 
 def test_one_windings_pass_gives_each_contour_its_lone_turns():
@@ -539,22 +599,22 @@ def test_one_windings_pass_gives_each_contour_its_lone_turns():
             (Fraction(10, 13), Fraction(1, 13)),
         )
     ]
-    jobs = [(p, _build_contour(d, p)) for p in pairs for d in (F0, F, F2)]
+    jobs = [(p, _pair_contour(d, p)) for p in pairs for d in (F0, F, F2)]
     jobs += [
         (c.torsion, locator._rect_pieces(c.tau0, 0.04))
         for p in pairs
         for c in locate_zeros(p, F0)
     ]
     jobs.append((pairs[0], locator._rect_pieces(0.5 + 2.0j, 0.04)))
-    together = _windings([p for p, _ in jobs], [c for _, c in jobs], 17)
-    assert together == [_windings([p], [c], 17)[0] for p, c in jobs]
+    together = _wind([p for p, _ in jobs], [c for _, c in jobs], 17)
+    assert together == [_wind([p], [c], 17)[0] for p, c in jobs]
     windings = [winding_count(p, d) for p in pairs for d in (F0, F, F2)]
     squares = len(jobs) - len(windings) - 1
     assert [round(t) for t in together] == windings + [1] * squares + [0]
     assert squares >= 4
 
 
-def test_winding_gap_radius_independence(monkeypatch, fresh_shape_rounds):
+def test_winding_gap_radius_independence(monkeypatch, fresh_shapes):
     # halving/doubling the excised-disk size must not change the count: disks
     # of order 1/2 at the cusp 1 and at 0 (around a zero), and of order 1
     cases = [
@@ -564,7 +624,7 @@ def test_winding_gap_radius_independence(monkeypatch, fresh_shape_rounds):
     ]
     for radius in (0.06, 0.09, 0.12, 0.18, 0.24):
         monkeypatch.setattr(locator, "_EXCISION_RADIUS", radius)
-        fresh_shape_rounds()
+        fresh_shapes()
         for pair, d, w in cases:
             assert winding_count(pair, d) == w, radius
 
@@ -808,8 +868,8 @@ def test_batched_hunt_raises_for_a_square_that_winds_twice(monkeypatch):
     second = _hunt([reps[1]])[0]
     windings = locator._windings
 
-    def second_square_winds_twice(pairs, contours, n0, shapes=None):
-        out = windings(pairs, contours, n0, shapes)
+    def second_square_winds_twice(pairs, first, jumps):
+        out = windings(pairs, first, jumps)
         out[1] += 1.0
         return out
 
@@ -1017,10 +1077,10 @@ def test_mn_zero_count_evaluates_no_start_grid(monkeypatch):
             points.append(len(taus))
         return batch(pairs, taus, counts, reduced)
 
-    def squares(pairs, contours, n0, shapes=None):
+    def squares(pairs, first, jumps):
         in_squares.append(True)
         try:
-            return windings(pairs, contours, n0, shapes)
+            return windings(pairs, first, jumps)
         finally:
             in_squares.pop()
 
