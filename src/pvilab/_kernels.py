@@ -32,9 +32,10 @@ upper half-plane:
    with an integer matrix, so the nome q = exp(2*pi*i*tau_red) satisfies
    |q| <= exp(-pi*sqrt(3)) ~ 4.33e-3 and ~20 series terms give full double
    precision;
-2. reduce the argument z by lattice translations into the centred cell,
-   tracking the integer shifts exactly (they re-enter zeta through the
-   quasi-periods);
+2. reduce the argument z/j into the centred cell of the reduced lattice
+   (``reduce_z``), tracking the integer shifts exactly (they re-enter zeta
+   through the quasi-periods); |z0| is the lattice distance every
+   threshold reads, exact in that frame below 0.316;
 3. sum the trigonometric q-series for wp, wp', zeta and the Eisenstein
    series E2, E4, E6;
 4. undo both reductions through the weight laws (wp ~ weight 2, wp' ~ 3,
@@ -68,6 +69,9 @@ _MIN_TERMS = 6
 # The theta constants of ``_thetas`` stop at the first n with
 # |q'^(n*n)| < _THETA_BELOW; their terms only fall, so no minimum applies.
 _THETA_BELOW = 1e-19
+# The lattice distance |z0| below which an argument is a lattice hit: the
+# kernels return NaN there, and ``solutions`` reads a pole of lambda.
+LATTICE_HIT = 1e-12
 
 
 def reduce_tau(tau):
@@ -101,26 +105,16 @@ def reduce_tau(tau):
 def reduce_z(z, tau):
     """Translate z by the lattice Z + Z*tau into the centred cell.
 
-    Returns (z0, m, n, dist, em, en) with z = z0 + m + n*tau,
-    |Im z0| <= Im(tau)/2, and em + en*tau (em, en in {-1, 0, 1}) the lattice
-    point nearest to z0, at distance dist; (0, 0) wins ties.
+    Returns (z0, m, n) with z = z0 + m + n*tau and z0's coordinates in the
+    basis (1, tau) in [-1/2, 1/2).  For a reduced tau a vector w moves them
+    by at most 1.58|w|, so |z0| is z's lattice distance when either is
+    below 0.316.
     """
     y = z.imag / tau.imag
     x = z.real - y * tau.real
     m = int(math.floor(x + 0.5))
     n = int(math.floor(y + 0.5))
-    z0 = z - m - n * tau
-    dist = abs(z0)
-    bm = 0
-    bn = 0
-    for em in (-1, 0, 1):
-        for en in (-1, 0, 1):
-            dw = abs(z0 - em - en * tau)
-            if dw < dist:
-                dist = dw
-                bm = em
-                bn = en
-    return z0, m, n, dist, bm, bn
+    return z - m - n * tau, m, n
 
 
 def wz_series(z, tau, q):
@@ -128,7 +122,7 @@ def wz_series(z, tau, q):
 
     Requires |Im z| <= Im(tau)/2 and z not too close to the lattice.  The
     returned third value is zeta(z|tau) - eta1(tau)*z; the caller adds the
-    quasi-period term.  Fourth value is a truncation-tail estimate.
+    quasi-period term.
     """
     # Trigonometric parts through u = exp(+-2*pi*i*z) with |u| <= 1.
     if z.imag >= 0.0:
@@ -153,7 +147,6 @@ def wz_series(z, tau, q):
     s_wp = 0.0 + 0j
     s_wpp = 0.0 + 0j
     s_zt = 0.0 + 0j
-    tail = 0.0
     for k in range(1, _KMAX):
         ak = ak * a1
         bk = bk * b1
@@ -164,14 +157,12 @@ def wz_series(z, tau, q):
         s_wp += kf * (half - qk) * inv  # k q^k (cos(2 pi k z) - 1)/(1-q^k)
         s_wpp += (kf * kf) * (-0.5j) * (ak - bk) * inv
         s_zt += (ak - bk) * inv
-        m = abs(ak) + abs(bk) + abs(qk)
-        if (kf * kf * m) < _WZ_BELOW and k >= _MIN_TERMS:
-            tail = kf * kf * m
+        if kf * kf * (abs(ak) + abs(bk) + abs(qk)) < _WZ_BELOW and k >= _MIN_TERMS:
             break
     wp += -8.0 * pi2 * s_wp
     wpp += 16.0 * _PI * pi2 * s_wpp
     zt += -2j * _PI * s_zt
-    return wp, wpp, zt, tail
+    return wp, wpp, zt
 
 
 def lattice_constants(tau):
@@ -217,24 +208,25 @@ def lattice_constants(tau):
 
 
 def elliptic_from(z, frame):
-    """(wp, wp', zeta, dist, tail) at z on the lattice whose prologue is
-    frame, ``lattice_constants(tau)``: dist is the reduced-cell distance of
-    z from the lattice and tail the truncation tail of ``wz_series`` at the
-    reduced argument.  When dist < 1e-12 the series values (and tail) are
-    NaN; callers must check dist before trusting them."""
+    """(wp, wp', zeta, dist) at z on the lattice whose prologue is frame,
+    ``lattice_constants(tau)``: dist is |z0|, z0 the ``reduce_z`` of z/j
+    against the frame's tau_red, the lattice distance in the reduced frame.
+    When dist < LATTICE_HIT the values are NaN; callers must check dist
+    before trusting them."""
     tred, qred, j, eta1_r, _, _, _, _, _, _ = frame
     eta2_r = tred * eta1_r - 2j * _PI
     j2 = j * j
 
     zr = z / j
-    z0, m, n, dist, _, _ = reduce_z(zr, tred)
-    if dist < 1e-12:
+    z0, m, n = reduce_z(zr, tred)
+    dist = abs(z0)
+    if dist < LATTICE_HIT:
         nan = complex(math.nan, math.nan)
-        return nan, nan, nan, dist, math.nan
+        return nan, nan, nan, dist
 
-    wp_r, wpp_r, zt_part, tail = wz_series(z0, tred, qred)
+    wp_r, wpp_r, zt_part = wz_series(z0, tred, qred)
     zeta_r = zt_part + eta1_r * (z0 + m) + eta2_r * n
-    return wp_r / j2, wpp_r / (j2 * j), zeta_r / j, dist, tail
+    return wp_r / j2, wpp_r / (j2 * j), zeta_r / j, dist
 
 
 def _thetas(frame):
@@ -320,10 +312,10 @@ def premodular_at(r, s, tau, frame):
 
     Returns (Z, wp, wpp, z2, scale, dist) where z2 = Z^3 - 3*wp*Z - wpp,
     scale = |Z|^3 + 3|wp||Z| + |wpp| (the three-term combination's natural
-    magnitude) and dist is the reduced-cell distance of alpha = r + s*tau
-    from the lattice.  NaN values when dist < 1e-12.
+    magnitude) and dist is ``elliptic_from``'s lattice distance of
+    alpha = r + s*tau.  NaN values when dist < LATTICE_HIT.
     """
-    wp, wpp, zeta, dist, _ = elliptic_from(r + s * tau, frame)
+    wp, wpp, zeta, dist = elliptic_from(r + s * tau, frame)
     z = zeta - r * frame[4] - s * frame[5]  # eta1, eta2
     z2 = z * z * z - 3.0 * wp * z - wpp
     scale = abs(z) ** 3 + 3.0 * abs(wp) * abs(z) + abs(wpp)
@@ -489,16 +481,15 @@ def _z2_block(r, s, tau, reduced):
     j = c * tau + d
     j2 = j * j
 
-    # reduce_z of alpha/j; after the tau reduction a point within 1e-12 of
-    # the lattice can only be near the cell's centre 0, so |z0| is the
-    # distance reduce_z's 3x3 search would find below that threshold.
+    # reduce_z of alpha/j, and |z0| the lattice distance as elliptic_from
+    # takes it
     zr = (r + s * tau) / j
     y = zr.imag / tred.imag
     x = zr.real - y * tred.real
     m = np.floor(x + 0.5)
     n = np.floor(y + 0.5)
     z0 = zr - m - n * tred
-    hit = np.abs(z0) < 1e-12
+    hit = np.abs(z0) < LATTICE_HIT
 
     wp_r, wpp_r, zt_part, e2 = _series_many(z0, tred, qred)
     eta1_r = _PI * _PI / 3.0 * e2

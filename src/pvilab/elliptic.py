@@ -17,7 +17,9 @@ from dataclasses import dataclass
 from . import _kernels
 from .errors import DomainError, NearSingular
 
-NEAR_SINGULAR_DIST = 1e-8
+# The kernels' lattice distance below which the checked reads refuse an
+# argument: here with NearSingular, in ``premodular`` with NearLattice.
+NEAR_LATTICE_DIST = 1e-8
 
 
 class _Frame:
@@ -76,12 +78,12 @@ def _as_point(m) -> ModuliPoint:
 
 def _elliptic_at(z: complex, m) -> tuple:
     """The ``elliptic_from`` bundle on the point's frame, refusing z within
-    NEAR_SINGULAR_DIST of the lattice after reduction."""
+    NEAR_LATTICE_DIST of the lattice after reduction."""
     m = _as_point(m)
     z = complex(z)
     values = _kernels.elliptic_from(z, m.frame)
     dist = values[3]
-    if dist < NEAR_SINGULAR_DIST:
+    if dist < NEAR_LATTICE_DIST:
         raise NearSingular(
             f"z = {z} is within {dist:.3e} of the lattice for tau = {m.tau}"
         )

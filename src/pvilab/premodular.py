@@ -66,13 +66,12 @@ from typing import Optional, Union
 import numpy as np
 
 from . import _kernels
-from .elliptic import ModuliPoint, _as_point
+from .elliptic import NEAR_LATTICE_DIST, ModuliPoint, _as_point
 from .errors import Degenerate, DomainError, InternalError, NearLattice
 from .orbits import enumerate_qn
 
 _PI = math.pi
 _FOUR_PI_I = 4j * math.pi
-NEAR_LATTICE_DIST = 1e-8
 # The cap on the terms of the cusp series: at |p'| <= exp(-pi*sqrt(3)/2)
 # ~ 0.066 the 48th is far below round-off.  Each point sums fewer, as many as
 # its own |p'| needs (``_term_limits``).
@@ -271,15 +270,16 @@ def z2_with_derivative(p: TorsionPair, m) -> tuple[complex, float, complex]:
     """Z2, its scale and dZ2/dtau by the cusp rule (module docstring): the
     carried pair's series where the rule applies, else the kernel's direct
     value with dZ2/dtau in closed form from the one kernel call.  Newton's
-    step reads it instead of differencing Z2."""
+    step reads it instead of differencing Z2.  A series point makes no
+    kernel call; degenerate and complex pairs meet ``_premodular_at``."""
     m = _as_point(m)
-    z, wp, wpp, z2v, scale, _ = _premodular_at(p, m)
     tred, _, j, _, eta1, _, g2, _, _, gamma = m.frame
     carried = _carried(p, *gamma)
     if carried is not None:
         rc, sc = carried
         row = _series_of(*(rc.as_integer_ratio() if p.exact else (rc, 1)), int(2 * sc))
         return _series_at(*row, cmath.exp(1j * _PI * tred), j, gamma[2])
+    z, wp, wpp, z2v, scale, _ = _premodular_at(p, m)
     dz = -(wpp + 2.0 * z * (wp + eta1)) / _FOUR_PI_I
     dwp = (4.0 * wp * wp - 4.0 * eta1 * wp - 2.0 * g2 / 3.0 + 2.0 * z * wpp) / _FOUR_PI_I
     dwpp = (

@@ -9,10 +9,12 @@ combination.  The map to the t-plane, t from ``LatticeData.t``, is
     t = (e3 - e1)/(e2 - e1),    lambda = (wp(p) - e1)/(e2 - e1).
 
 Poles of lambda are exactly the tau where alpha hits the lattice or Z2
-vanishes, which ``lambda_rs`` flags as ``is_pole`` by LATTICE_HIT and
-Z2_ZERO_RTOL.  Near a lattice hit the direct formula cancels
-catastrophically and evaluation switches to a Laurent expansion in the
-small shifted argument whose 1/alpha cancellation is done symbolically.
+vanishes, which ``lambda_rs`` flags as ``is_pole`` by
+``_kernels.LATTICE_HIT`` and Z2_ZERO_RTOL.  Near a lattice hit the direct
+formula cancels catastrophically and evaluation switches to a Laurent
+expansion in the small shifted argument whose 1/alpha cancellation is done
+symbolically.  Both tests read alpha's lattice distance in the reduced
+frame, as the kernels do, so all three agree near a cusp too.
 """
 
 from __future__ import annotations
@@ -27,15 +29,13 @@ from .errors import Degenerate, NewtonStall
 from .modular import branch_copy
 from .premodular import TorsionPair, z2_with_derivative
 
-# |alpha - lattice| below which the direct formula for wp(p) is abandoned
-# for the Laurent expansion.  The direct path loses ~eps/|alpha|^3 through
-# three nested cancellations (numerator, denominator, final subtraction)
-# while the expansion truncates at O(alpha^4) relative; the error curves
-# cross near 1e-3, leaving [8e-4, 6e-3] as the annulus where both paths are
-# good to 1e-6 relative.
+# |z0| of ``_lattice_shift`` below which the direct formula for wp(p) is
+# abandoned for the Laurent expansion.  The direct path loses ~eps/|z0|^3
+# through three nested cancellations (numerator, denominator, final
+# subtraction) while the expansion truncates at O(z0^4) relative; the error
+# curves cross near 1e-3, leaving [8e-4, 6e-3] as the annulus where both
+# paths are good to 1e-6 relative.
 EXPANSION_SWITCH = 2e-3
-# |alpha - lattice| treated as an exact lattice hit (a pole of lambda).
-LATTICE_HIT = 1e-12
 # |Z2| below this multiple of its natural scale counts as a zero of the
 # denominator (a pole of lambda).
 Z2_ZERO_RTOL = 1e-12
@@ -63,17 +63,15 @@ class SolutionValue:
     est_error: float
 
 
-def _lattice_shift(pair: TorsionPair, tau: complex):
-    """Shifted parameters (r~, s~) and alpha~ = r~ + s~*tau with alpha~ the
-    representative of alpha nearest the origin."""
+def _lattice_shift(pair: TorsionPair, m: ModuliPoint):
+    """(r~, s~, alpha~, |z0|), alpha~ = r~ + s~*tau = j*z0 the representative
+    of alpha = r + s*tau nearest 0: the kernels' alpha/j = z0 + k + l*tau_red
+    on the frame, gamma = (a, b, c, d), with j*(k + l*tau_red) mapped back to
+    (k*d + l*b) + (k*c + l*a)*tau."""
     r, s = pair.as_complex()
-    alpha = r + s * tau
-    _, mm, nn, _, em, en = _kernels.reduce_z(alpha, tau)
-    # reduce_z centres on the rounded cell; re-centre on the true nearest point
-    mm += em
-    nn += en
-    atil = alpha - mm - nn * tau
-    return r - mm, s - nn, atil
+    tred, _, j, *_, (a, b, c, d) = m.frame
+    z0, k, l = _kernels.reduce_z((r + s * m.tau) / j, tred)
+    return r - (k * d + l * b), s - (k * c + l * a), j * z0, abs(z0)
 
 
 def _wp_of_p_direct(pair: TorsionPair, m: ModuliPoint) -> complex:
@@ -86,8 +84,9 @@ def _wp_of_p_direct(pair: TorsionPair, m: ModuliPoint) -> complex:
     return wp + num / (2.0 * z2v)
 
 
-def _wp_of_p_expansion(pair: TorsionPair, m: ModuliPoint) -> complex:
-    """Laurent evaluation for alpha within EXPANSION_SWITCH of the lattice.
+def _wp_of_p_expansion(m: ModuliPoint, shift) -> complex:
+    """Laurent evaluation for alpha within EXPANSION_SWITCH of the lattice,
+    from the pair's ``_lattice_shift`` at m.
 
     With a = alpha~ and c0 = r~ eta1 + s~ eta2 (everything at the current
     tau), the symbolically cancelled series reads
@@ -95,14 +94,14 @@ def _wp_of_p_expansion(pair: TorsionPair, m: ModuliPoint) -> complex:
         wp(p) = -c0/(3a) - c0^2/9 - (g2/(9 c0) + c0^3/27) a
                 + (g2/20 + 2 g2/135 + g3/(6 c0^2) - c0^4/81) a^2 + O(a^3).
     """
-    rt, st, a = _lattice_shift(pair, m.tau)
+    rt, st, a, dist = shift
     _, _, _, _, eta1, eta2, g2, g3, _, _ = m.frame
     c0 = rt * eta1 + st * eta2
     if abs(c0) < 1e-10:
         raise Degenerate(
             "vanishing c0 in the lattice expansion: the pair degenerates"
         )
-    if abs(a) < LATTICE_HIT:
+    if dist < _kernels.LATTICE_HIT:
         return _INF
     return (
         -c0 / (3.0 * a)
@@ -117,9 +116,9 @@ def wp_of_p(p: TorsionPair, m) -> complex:
     if p.degenerate:
         raise Degenerate(f"(r, s) = {p.r, p.s} is degenerate")
     m = _as_point(m)
-    _, _, atil = _lattice_shift(p, m.tau)
-    if abs(atil) < EXPANSION_SWITCH:
-        return _wp_of_p_expansion(p, m)
+    shift = _lattice_shift(p, m)
+    if shift[3] < EXPANSION_SWITCH:
+        return _wp_of_p_expansion(m, shift)
     return _wp_of_p_direct(p, m)
 
 

@@ -284,6 +284,25 @@ def test_z2_derivative_closed_form_against_two_oracles(rng):
         assert abs(deriv - _four_point_derivative(pair, tau)) <= 1e-6 * bound
 
 
+def test_cusp_rule_is_decided_before_the_kernel(monkeypatch):
+    # a series point reads the carried pair's series and makes no direct
+    # kernel call; an off-series point makes one; degenerate and complex
+    # pairs, which no series serves, still reach the direct path's checks
+    calls = []
+    kernel = _kernels.premodular_at
+    monkeypatch.setattr(
+        _kernels, "premodular_at", lambda *args: calls.append(args[2]) or kernel(*args)
+    )
+    z2_with_derivative(TorsionPair.of(Fraction(1, 3), 0), ModuliPoint.from_tau(2j))
+    z2_with_derivative(TorsionPair.of(0.3, 0.5), ModuliPoint.from_tau(0.1 + 1.2j))
+    assert calls == []
+    z2_with_derivative(TorsionPair.of(0.3, 0.2), ModuliPoint.from_tau(0.2 + 1.3j))
+    z2_with_derivative(TorsionPair.of(0.3 + 0.1j, 0.2), ModuliPoint.from_tau(2j))
+    assert calls == [0.2 + 1.3j, 2j]
+    with pytest.raises(Degenerate):
+        z2_with_derivative(TorsionPair.of(Fraction(1, 2), 0), ModuliPoint.from_tau(2j))
+
+
 def test_resultant_identity_50_random(rng):
     # The cubic-elimination identity behind simultaneous-vanishing
     # exclusion.  Symbolic expansion shows the combination below equals

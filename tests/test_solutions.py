@@ -6,12 +6,14 @@ from fractions import Fraction
 
 import pytest
 
+from mp_oracle import wp_of_p_theta
 from pvilab import solutions
 from pvilab.elliptic import ModuliPoint, invariants_g
 from pvilab.errors import Degenerate, NewtonStall
 from pvilab.premodular import TorsionPair, z2_stable, z2_with_scale
 from pvilab.solutions import (
     _NEWTON_MAX_ITER,
+    _lattice_shift,
     _wp_of_p_direct,
     _wp_of_p_expansion,
     lambda_rs,
@@ -102,8 +104,113 @@ def test_wp_of_p_two_paths_agree_on_overlap_annulus():
         r = eps + 1 + tau0 - s0 * tau0
         pair = TorsionPair.of(r, s0)
         d = _wp_of_p_direct(pair, m)
-        e = _wp_of_p_expansion(pair, m)
+        e = _wp_of_p_expansion(m, _lattice_shift(pair, m))
         assert abs(d - e) <= 1e-6 * abs(d)
+
+
+def _nearest_lattice_distance(alpha, tau):
+    """min |alpha - k - l*tau| over the lattice, by brute force: for each l
+    the best k rounds the real part, and l runs far enough that
+    |Im(alpha - l*tau)| exceeds |alpha|, a bound on the minimum."""
+    best = abs(alpha)
+    lo = math.floor((alpha.imag - best) / tau.imag)
+    hi = math.ceil((alpha.imag + best) / tau.imag)
+    for l in range(lo, hi + 1):
+        w = alpha - l * tau
+        best = min(best, abs(w - round(w.real)))
+    return best
+
+
+def test_lattice_shift_finds_the_nearest_point_near_a_cusp():
+    # a search among the 3x3 neighbours of the rounded cell in tau's own
+    # frame finds a lattice point 0.218 from alpha here; the reduced frame
+    # finds the nearest, 1.97e-3 away, and its distance |z0| in lattice units
+    r, s = 0.40589613123970103, 0.20176557407675988
+    m = ModuliPoint.from_tau(0.781798275089777 + 0.0010955178593899998j)
+    rt, st, atil, dist = _lattice_shift(TorsionPair.of(r, s), m)
+    alpha = r + s * m.tau
+    near = _nearest_lattice_distance(alpha, m.tau)
+    assert 1.9e-3 < near < 2e-3
+    assert abs(abs(atil) - near) <= 1e-12
+    assert abs(rt + st * m.tau - atil) <= 1e-12
+    assert (r - rt).real.is_integer() and (s - st).real.is_integer()
+    assert abs(dist - near / abs(m.frame[2])) <= 1e-10 * dist
+
+
+# --- wp_of_p against the 50-digit theta_1 oracle near the cusps --------------
+
+# The first point of the slow sweep's subset of ``_probe``, as (r, s, tau),
+# and the oracle's wp(p) there
+_EXAMPLE = (0.06016628848963679, 0.501850941814025, -1.8881950192263757 + 0.0031356632438050425j)
+_EXAMPLE_WP = 3517.573742062919 + 1712.3699031445492j
+# The next eight of the slow sweep's subset: points within 2e-3 of the
+# lattice in tau's own frame, but more than 2e-2 from it in the reduced
+# frame, where the direct formula holds; a Laurent switch read in tau's own
+# frame took the expansion at each, and missed the oracle by 0.74 to 450.
+_PROBE_POINTS = [
+    (0.7168485265285947, 0.8470000098128814, -1.8401910092992235 + 0.0012267278312006558j),
+    (0.14532174668552422, 0.21107879702693277, -0.6937171421280963 + 0.004422132750673818j),
+    (0.5099291021827027, 0.356964377923657, 1.367811854180597 + 0.0015074234472528928j),
+    (0.9474363095007998, 0.9595883485764468, -1.2834691735333443 + 0.0038674211372508862j),
+    (0.5658945116358359, 0.15813743755743093, -0.5153740615617348 + 0.0019159145621606341j),
+    (0.10344706318353858, 0.6765503090908103, 0.31571837100788436 + 0.002082220872571825j),
+    (0.9854761550592264, 0.211635550634646, -0.018887085736090548 + 0.0011647695475916712j),
+    (0.9103873609238545, 0.9275430249700192, -1.251906227064882 + 0.0015786172237238602j),
+]
+
+
+def _rel_error(r, s, tau):
+    oracle = wp_of_p_theta(r, s, tau)
+    return abs(wp_of_p(TorsionPair.of(r, s), ModuliPoint.from_tau(tau)) - oracle) / abs(oracle)
+
+
+def test_wp_of_p_matches_the_theta_oracle_at_a_near_cusp_example():
+    pytest.importorskip("mpmath")
+    r, s, tau = _EXAMPLE
+    assert abs(wp_of_p_theta(r, s, tau) - _EXAMPLE_WP) <= 1e-14 * abs(_EXAMPLE_WP)
+    assert _rel_error(r, s, tau) <= 1e-8
+
+
+@pytest.mark.parametrize("k", range(len(_PROBE_POINTS)))
+def test_wp_of_p_matches_the_theta_oracle_off_the_lattice_near_a_cusp(k):
+    pytest.importorskip("mpmath")
+    assert _rel_error(*_PROBE_POINTS[k]) <= 1e-6
+
+
+def _probe():
+    """The points of 200,000 seeded draws, tau = U(-2, 2) + i*10^U(-3, 0.7)
+    and (r, s) = U(0, 1)^2, that lie within EXPANSION_SWITCH of the lattice
+    by a 3x3 neighbour search in tau's own frame."""
+    import random
+
+    rng = random.Random(7)
+    points = []
+    for _ in range(200_000):
+        tau = complex(rng.uniform(-2, 2), 10 ** rng.uniform(-3, 0.7))
+        r, s = rng.uniform(0, 1), rng.uniform(0, 1)
+        alpha = r + s * tau
+        y = alpha.imag / tau.imag
+        m, n = math.floor(alpha.real - y * tau.real + 0.5), math.floor(y + 0.5)
+        near = min(
+            abs(alpha - (m + em) - (n + en) * tau) for em in (-1, 0, 1) for en in (-1, 0, 1)
+        )
+        if near < solutions.EXPANSION_SWITCH:
+            points.append((r, s, tau))
+    return points
+
+
+@pytest.mark.slow
+def test_wp_of_p_near_cusp_sweep_against_the_theta_oracle():
+    # every 5th of the probe's points; the misses left are pairs near an
+    # integer pair, whose Laurent truncation and direct formula both lose
+    # accuracy near a cusp
+    pytest.importorskip("mpmath")
+    points = _probe()
+    assert len(points) == 279
+    errors = [_rel_error(*p) for p in points[::5]]
+    assert len(errors) == 56
+    assert sum(e <= 1e-6 for e in errors) >= 49
+    assert sorted(errors)[len(errors) // 2] <= 1e-7
 
 
 # --- lambda_rs: the four algebraic solutions --------------------------------
